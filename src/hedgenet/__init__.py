@@ -42,6 +42,7 @@ from .hedging import (
     ErrorCurvePoint,
     path_error,
     estimate_l2_error,
+    estimate_sweep,
     error_curve,
 )
 from .analysis import (

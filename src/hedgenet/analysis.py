@@ -41,8 +41,10 @@ class ThetaFit:
 
     theta_hat: float
     ci95: tuple
-    grid: tuple  # ((t, m_hat), ...)
+    grid: tuple  # ((t, m_hat), ...) of the points fitted
     r2: float
+    #: (t, m_hat, stderr) at every grid time, nonpositive m_hat included
+    rows: tuple = ()
 
     def __post_init__(self):
         if not (-0.2 <= self.theta_hat <= 1.2):
@@ -102,7 +104,8 @@ def estimate_theta(spec, pricing, t_grid=None, n_paths: int = DEFAULT_N,
 
     The sup over coordinate pairs is exhaustive (d is small); the exponent
     comes from OLS of log m(t) on log(T - t), slope = -2 theta, with a
-    delta-method confidence interval.
+    delta-method confidence interval. Grid times whose m(t) estimate is not
+    positive stay in ``rows`` but are left out of the fit.
     """
     T = pricing.T
     if t_grid is None:
@@ -110,11 +113,13 @@ def estimate_theta(spec, pricing, t_grid=None, n_paths: int = DEFAULT_N,
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < T / 2.0 - 1e-12) or np.any(t_grid > T - 1e-3 + 1e-12):
         raise ValueError("theta grid must lie within [T/2, T - 1e-3]")
-    ms, ts = [], []
+    ms, ts, rows = [], [], []
     for t in t_grid:
         x = _state_at(spec, t, n_paths, master_seed)
-        mean, _ = _pair_moments(spec, pricing, t, x)
-        m = float(mean.max())
+        mean, stderr = _pair_moments(spec, pricing, t, x)
+        k = np.unravel_index(np.argmax(mean), mean.shape)
+        m = float(mean[k])
+        rows.append((float(t), m, float(stderr[k])))
         if m <= 0.0:
             warnings.warn(f"nonpositive m({t:g}) estimate excluded", stacklevel=2)
             continue
@@ -129,19 +134,13 @@ def estimate_theta(spec, pricing, t_grid=None, n_paths: int = DEFAULT_N,
     half = 1.96 * se_slope / 2.0
     return ThetaFit(
         theta_hat=theta, ci95=(theta - half, theta + half),
-        grid=tuple(zip(ts, ms)), r2=r2,
+        grid=tuple(zip(ts, ms)), r2=r2, rows=tuple(rows),
     )
 
 
-def theta_grid_table(spec, pricing, t_grid, n_paths, master_seed):
-    """(t, m_hat, stderr) rows backing estimate_theta, for CSV export."""
-    rows = []
-    for t in np.asarray(t_grid, dtype=float):
-        x = _state_at(spec, t, n_paths, master_seed)
-        mean, stderr = _pair_moments(spec, pricing, t, x)
-        k = np.unravel_index(np.argmax(mean), mean.shape)
-        rows.append((float(t), float(mean[k]), float(stderr[k])))
-    return rows
+def theta_grid_table(fit: ThetaFit):
+    """(t, m_hat, stderr) rows backing a ThetaFit, for CSV export."""
+    return list(fit.rows)
 
 
 def estimate_h2(spec, pricing, u_grid, n_paths: int = DEFAULT_N,
@@ -193,13 +192,23 @@ def _ols(x, y):
     return slope, intercept, se, r2
 
 
-def fit_rate(points: Sequence) -> RateFit:
+def fit_rate(points: Sequence,
+             jackknife: Optional[Sequence] = None) -> RateFit:
     """OLS of log rms on log n; points with n < RATE_N_MIN are dropped.
 
     Accepts (n, rms) pairs. Scale-equivariant by construction: scaling every
     rms by c shifts the intercept by log c and leaves the slope unchanged.
+
+    The slope CI is the OLS one, valid for independent points. Points that
+    share paths (an ``error_curve`` sweep) are correlated across n; for them
+    pass ``jackknife``, per point the rms with each of G path groups left
+    out in turn (``HedgeErrorEstimate.jackknife_rms``). The CI is then the
+    delete-one-group jackknife of the slope, with a t quantile on G - 1
+    degrees of freedom.
     """
-    used = [(int(n), float(r)) for n, r in points if n >= RATE_N_MIN]
+    points = list(points)
+    keep = [i for i, (n, _) in enumerate(points) if n >= RATE_N_MIN]
+    used = [(int(points[i][0]), float(points[i][1])) for i in keep]
     if len(used) < 4:
         raise ValueError("rate fit needs at least 4 points with n >= 8")
     if any(r <= 0.0 for _, r in used):
@@ -210,7 +219,20 @@ def fit_rate(points: Sequence) -> RateFit:
     lx = np.log([n for n, _ in used])
     ly = np.log(rms)
     slope, intercept, se, r2 = _ols(lx, ly)
-    tcrit = stats.t.ppf(0.975, len(used) - 2)
+    if jackknife is None:
+        tcrit = stats.t.ppf(0.975, len(used) - 2)
+    else:
+        if len(jackknife) != len(points):
+            raise ValueError("need one set of jackknife rms values per point")
+        # log rms with each group left out, shape (points used, groups)
+        loo = np.log(np.asarray([jackknife[i] for i in keep], dtype=float))
+        G = loo.shape[1]
+        if G < 2:
+            raise ValueError("the jackknife needs at least two groups")
+        slopes = np.array([_ols(lx, loo[:, g])[0] for g in range(G)])
+        dev = slopes - slopes.mean()
+        se = math.sqrt((G - 1) / G * float(dev @ dev))
+        tcrit = stats.t.ppf(0.975, G - 1)
     return RateFit(
         slope=slope, intercept=intercept,
         ci95_slope=(slope - tcrit * se, slope + tcrit * se),

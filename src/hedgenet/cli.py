@@ -32,12 +32,14 @@ from .analysis import (
 from .hedging import (
     HedgeExperiment,
     error_curve,
-    estimate_l2_error,
+    estimate_sweep,
+    family_nets,
     path_error,
 )
 from .models import bm_constant, gbm_diagonal
 from .pricing import make_pricing
-from .timenets import EtaNetParams, TimeNet, equidistant_net, eta_net, refine
+from .rng import SeedSpec
+from .timenets import EtaNetParams, eta_net, refine
 
 __all__ = ["main", "load_config", "config_hash", "DEFAULT_CONFIG"]
 
@@ -217,6 +219,31 @@ def _resolve_families(cfg, spec, pricing):
     return out
 
 
+def _engine_mode(cfg, allowed) -> str:
+    mode = cfg["engine"]["mode"]
+    if mode not in allowed:
+        raise UsageError(f"engine.mode must be one of {', '.join(allowed)} "
+                         f"for this command, not {mode!r}")
+    return mode
+
+
+def _family_nets(cfg, pricing, families):
+    """{eta: [net for each n]}, one entry per distinct net family.
+
+    Every net is built here, before any path is simulated, so an
+    unrepresentable net fails the run up front. The equidistant family is
+    eta = 0, so an eta family that resolves to 0 shares its entry.
+    """
+    out = {}
+    try:
+        for _, eta in families:
+            if eta not in out:
+                out[eta] = family_nets(pricing.T, cfg["nets"]["n_list"], eta)
+    except (TypeError, ValueError) as e:
+        raise UsageError(f"invalid nets block: {e}")
+    return out
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -252,22 +279,32 @@ def cmd_rate(args) -> int:
     spec = build_spec(cfg)
     pricing = build_pricing(cfg)
     eng = cfg["engine"]
+    # one rate fit per family, so one mode
+    mode = _engine_mode(cfg, ("terminal", "running_sup"))
+    families = _resolve_families(cfg, spec, pricing)
+    _family_nets(cfg, pricing, families)
     outdir = _outdir(args)
     rows = []
-    families = []
-    for name, eta in _resolve_families(cfg, spec, pricing):
-        points = error_curve(
-            spec, pricing, cfg["nets"]["n_list"],
-            eta if name == "eta" else None,
-            eng["N"], eng["master_seed"], error_mode="terminal",
-            scheme=eng["scheme"], workers=eng["workers"],
-        )
-        fit = fit_rate([(p.n, p.estimate.rms) for p in points])
+    summaries = []
+    curves = {}
+    for name, eta in families:
+        if eta not in curves:
+            points = error_curve(
+                spec, pricing, cfg["nets"]["n_list"], eta, eng["N"],
+                eng["master_seed"], error_mode=mode,
+                scheme=eng["scheme"], workers=eng["workers"],
+                monitor_factor=eng["monitor_factor"],
+            )
+            curves[eta] = (points, fit_rate(
+                [(p.n, p.estimate.rms) for p in points],
+                jackknife=[p.estimate.jackknife_rms() for p in points],
+            ))
+        points, fit = curves[eta]
         for p in points:
             rows.append(
                 (p.n, p.estimate.rms, p.estimate.stderr_rms, name, eta)
             )
-        families.append(
+        summaries.append(
             {
                 "family": name,
                 "eta": eta,
@@ -282,7 +319,7 @@ def cmd_rate(args) -> int:
     _write_csv(outdir / "rate_fit.csv",
                ["n", "rms", "stderr", "family", "eta"], rows)
     summary = {"command": "rate", "payoff": cfg["payoff"]["key"],
-               "families": families}
+               "families": summaries}
     _write_json(outdir / "summary.json", summary)
     wall = int((time.perf_counter() - t0) * 1000)
     _manifest(outdir, cfg, ["rate_fit.csv", "summary.json"], wall)
@@ -301,8 +338,8 @@ def cmd_theta(args) -> int:
     seed = cfg["engine"]["master_seed"]
     fit = estimate_theta(spec, pricing, grid, n_paths, seed)
     eta = choose_eta(min(max(fit.theta_hat, 0.0), 1.0 - 1e-9))
-    rows = theta_grid_table(spec, pricing, grid, n_paths, seed)
-    _write_csv(outdir / "theta_fit.csv", ["t", "m_t", "stderr"], rows)
+    _write_csv(outdir / "theta_fit.csv", ["t", "m_t", "stderr"],
+               theta_grid_table(fit))
     summary = {
         "command": "theta",
         "payoff": cfg["payoff"]["key"],
@@ -356,30 +393,38 @@ def cmd_simulate(args) -> int:
     spec = build_spec(cfg)
     pricing = build_pricing(cfg)
     eng = cfg["engine"]
+    _engine_mode(cfg, ("terminal", "running_sup", "both"))
+    families = _resolve_families(cfg, spec, pricing)
+    nets = _family_nets(cfg, pricing, families)
     outdir = _outdir(args)
     rows = []
     outputs = ["experiments.csv", "summary.json"]
-    for name, eta in _resolve_families(cfg, spec, pricing):
-        for n in cfg["nets"]["n_list"]:
-            if name == "equidistant":
-                net = equidistant_net(pricing.T, int(n))
-            else:
-                net = eta_net(EtaNetParams(pricing.T, int(n), eta))
-            M = (
-                eng["monitor_factor"] * int(n)
-                if eng["mode"] != "terminal" else None
-            )
-            exp = HedgeExperiment(
-                spec=spec, pricing=pricing, net=net, n_paths=eng["N"],
-                master_seed=eng["master_seed"], error_mode=eng["mode"],
-                monitor_points=M, scheme=eng["scheme"],
-            )
+    sweeps = {}
+    for name, eta in families:
+        if eta not in sweeps:
+            exps = [
+                HedgeExperiment(
+                    spec=spec, pricing=pricing, net=net, n_paths=eng["N"],
+                    master_seed=eng["master_seed"], error_mode=eng["mode"],
+                    monitor_points=(
+                        eng["monitor_factor"] * net.n_intervals
+                        if eng["mode"] != "terminal" else None
+                    ),
+                    scheme=eng["scheme"],
+                )
+                for net in nets[eta]
+            ]
             te0 = time.perf_counter()
-            est = estimate_l2_error(exp, workers=eng["workers"])
+            ests = estimate_sweep(exps, workers=eng["workers"])
             wall_ms = int((time.perf_counter() - te0) * 1000)
+            sweeps[eta] = (exps, ests, wall_ms)
+        exps, ests, wall_ms = sweeps[eta]
+        for exp, est in zip(exps, ests):
+            n = exp.net.n_intervals
+            M = exp.monitor_points
             for mode, e in est.items():
                 rows.append(
-                    (name, eta, int(n), M if M is not None else int(n),
+                    (name, eta, n, M if M is not None else n,
                      eng["N"], mode, e.mean_sq, e.rms, e.stderr_mean_sq,
                      eng["master_seed"], wall_ms)
                 )
@@ -394,13 +439,8 @@ def cmd_simulate(args) -> int:
         ],
     )
     if args.dump_paths:
-        fam0, eta0 = _resolve_families(cfg, spec, pricing)[0]
-        n0 = int(cfg["nets"]["n_list"][0])
-        net = (equidistant_net(pricing.T, n0) if fam0 == "equidistant"
-               else eta_net(EtaNetParams(pricing.T, n0, eta0)))
-        grid = refine(net, eng["monitor_factor"] * n0)
-        from .rng import SeedSpec
-
+        net = nets[families[0][1]][0]
+        grid = refine(net, eng["monitor_factor"] * net.n_intervals)
         prows = []
         for i in range(min(args.dump_paths, eng["N"])):
             term, sup = path_error(

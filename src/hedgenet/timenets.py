@@ -137,6 +137,11 @@ def eta_net(params: EtaNetParams) -> TimeNet:
         knots = T * (1.0 - frac)
     else:
         knots = T * (1.0 - frac ** (1.0 / (1.0 - eta)))
+    if np.any(np.diff(knots) <= 0.0):
+        raise ValueError(
+            f"eta-net with eta={eta:g} and n={n}: knots near maturity round "
+            f"to T={T:g} in double precision; use a smaller eta or n"
+        )
     return TimeNet(horizon=float(T), knots=knots)
 
 

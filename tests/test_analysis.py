@@ -74,6 +74,21 @@ class TestFitRate:
         assert all(n >= RATE_N_MIN for n, _ in fit.points_used)
         assert fit.slope == pytest.approx(-0.5, abs=1e-12)
 
+    def test_jackknife_ci(self):
+        ns = (8, 16, 32, 64, 128)
+        pts = [(n, n ** -0.5) for n in ns]
+        # group g tilts the curve by a known slope offset d_g
+        offsets = np.linspace(-0.01, 0.01, 16)
+        reps = [tuple(n ** (-0.5 + d) for d in offsets) for n in ns]
+        fit = fit_rate(pts, jackknife=reps)
+        assert fit.slope == pytest.approx(-0.5, abs=1e-12)
+        se = math.sqrt(15 / 16 * float((offsets ** 2).sum()))
+        half = 2.131449545559323 * se  # t quantile, 15 degrees of freedom
+        assert fit.ci95_slope[0] == pytest.approx(-0.5 - half, rel=1e-9)
+        assert fit.ci95_slope[1] == pytest.approx(-0.5 + half, rel=1e-9)
+        with pytest.raises(ValueError):
+            fit_rate(pts, jackknife=reps[:-1])
+
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_rate([(8, 1.0), (16, 0.7), (32, 0.5)])
@@ -98,6 +113,14 @@ class TestEstimateTheta:
         assert fit.theta_hat == pytest.approx(0.75, abs=0.1)
         assert fit.ci95[0] < fit.theta_hat < fit.ci95[1]
         assert fit.r2 > 0.99
+
+    def test_rows_carry_every_grid_time(self):
+        grid = [0.5, 0.7, 0.9]
+        fit = estimate_theta(SPEC_GBM, DIGITAL, t_grid=grid, n_paths=2000,
+                             master_seed=5)
+        assert [r[0] for r in fit.rows] == grid
+        assert [r[:2] for r in fit.rows] == [tuple(g) for g in fit.grid]
+        assert all(se > 0.0 for _, _, se in fit.rows)
 
     def test_rejects_grid_outside_window(self):
         with pytest.raises(ValueError):

@@ -122,6 +122,71 @@ class TestRateCommand:
         for name in ("rate_fit.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_running_sup_mode(self, tmp_path):
+        cfg = dict(QUAD_CFG, engine={"N": 2000, "master_seed": 7,
+                                     "monitor_factor": 4})
+        runs = {}
+        for mode in ("terminal", "running_sup"):
+            cfg["engine"]["mode"] = mode
+            p = write_config(tmp_path / f"{mode}.json", cfg)
+            out = tmp_path / mode
+            assert main(["rate", "--config", p, "--out", str(out)]) == 0
+            rows = (out / "rate_fit.csv").read_text().splitlines()[1:]
+            runs[mode] = [float(r.split(",")[1]) for r in rows]
+        # the running sup includes the terminal error on every path
+        assert all(s > t for s, t in zip(runs["running_sup"],
+                                         runs["terminal"]))
+
+    def test_mode_rejected_before_simulating(self, tmp_path, capsys):
+        for cmd, mode in (("rate", "both"), ("simulate", "sup")):
+            cfg = dict(QUAD_CFG, engine={"N": 2000, "mode": mode})
+            p = write_config(tmp_path / f"{cmd}.json", cfg)
+            out = tmp_path / cmd
+            assert main([cmd, "--config", p, "--out", str(out)]) == 2
+            assert "engine.mode must be one of" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_unrepresentable_net_fails_before_simulating(self, tmp_path,
+                                                         capsys):
+        cfg = dict(DIGITAL_CFG, nets={
+            "families": [{"family": "equidistant"},
+                         {"family": "eta", "eta": 0.9}],
+            "n_list": [8, 16, 32, 64, 128, 256],
+        })
+        p = write_config(tmp_path / "d.json", cfg)
+        for cmd in ("rate", "simulate"):
+            out = tmp_path / cmd
+            assert main([cmd, "--config", p, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            # n = 8 ... 32 are representable; n = 64 is the first that is not
+            assert "eta=0.9 and n=64" in err
+            assert "double precision" in err
+            assert not out.exists()
+
+    def test_families_with_the_same_net_share_one_sweep(self, tmp_path,
+                                                        monkeypatch):
+        import hedgenet.cli as cli
+
+        calls = []
+        real = cli.error_curve
+        monkeypatch.setattr(
+            cli, "error_curve",
+            lambda *a, **k: calls.append(a[3]) or real(*a, **k),
+        )
+        cfg = dict(DIGITAL_CFG, payoff={"key": "call", "params": {"K": 1.0},
+                                        "T": 1.0})
+        p = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "run"
+        assert main(["rate", "--config", p, "--out", str(out)]) == 0
+        assert calls == [0.0]  # the call's auto eta is 0: equidistant
+        rows = (out / "rate_fit.csv").read_text().splitlines()[1:]
+        eq = [r.replace(",equidistant,", ",") for r in rows
+              if ",equidistant," in r]
+        eta = [r.replace(",eta,", ",") for r in rows if ",eta," in r]
+        assert eq == eta and len(eq) == 4
+        fams = json.loads((out / "summary.json").read_text())["families"]
+        assert fams[0]["ci95_slope"] == fams[1]["ci95_slope"]
+
     def test_manifest_contents(self, tmp_path):
         p = write_config(tmp_path / "q.json", QUAD_CFG)
         out = tmp_path / "run"

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from hedgenet.analysis import fit_rate
 from hedgenet.hedging import (
+    BATCH_SIZE,
     ErrorCurvePoint,
     HedgeErrorEstimate,
     HedgeExperiment,
     error_curve,
     estimate_l2_error,
+    estimate_sweep,
+    family_nets,
     path_error,
 )
 from hedgenet.models import bm_constant, gbm_diagonal
@@ -163,3 +167,77 @@ class TestErrorCurve:
         ]
         assert all(r < 1.0 for r in ratios)
         assert ratios[-1] < ratios[0]
+
+
+class TestNestedSweep:
+    NS = [8, 16, 32, 64]
+
+    def test_largest_n_matches_standalone_terminal(self):
+        pts = error_curve(SPEC_GBM, DIGITAL, self.NS, 0.75, 5000, 21)
+        net = eta_net(EtaNetParams(1.0, self.NS[-1], 0.75))
+        alone = estimate_l2_error(
+            HedgeExperiment(SPEC_GBM, DIGITAL, net, 5000, 21)
+        )["terminal"]
+        assert pts[-1].estimate == alone
+
+    def test_largest_n_matches_standalone_both_modes(self):
+        exps = [
+            HedgeExperiment(SPEC_GBM, DIGITAL, net, 3000, 22,
+                            error_mode="both", monitor_points=8 * n)
+            for n, net in zip(self.NS, family_nets(1.0, self.NS, 0.75))
+        ]
+        sweep = estimate_sweep(exps)
+        assert sweep[-1] == estimate_l2_error(exps[-1])
+        assert set(sweep[0]) == {"terminal", "running_sup"}
+
+    def test_worker_count_invariance(self):
+        n_paths = 2 * BATCH_SIZE + 1000  # three batches
+        runs = [
+            error_curve(SPEC_GBM, DIGITAL, [8, 16, 32], 0.75, n_paths, 23,
+                        workers=w)
+            for w in (1, 3)
+        ]
+        assert runs[0] == runs[1]
+
+    def test_non_nested_agrees_with_standalone(self):
+        ns = [8, 12, 20, 30]
+        pts = error_curve(SPEC_GBM, DIGITAL, ns, 0.75, 20000, 24)
+        for p, net in zip(pts, family_nets(1.0, ns, 0.75)):
+            alone = estimate_l2_error(
+                HedgeExperiment(SPEC_GBM, DIGITAL, net, 20000, 24)
+            )["terminal"]
+            se = np.hypot(p.estimate.stderr_mean_sq, alone.stderr_mean_sq)
+            assert abs(p.estimate.mean_sq - alone.mean_sq) < 4.0 * se
+
+    def test_rejects_mixed_experiments(self):
+        nets = family_nets(1.0, [4, 8], None)
+        with pytest.raises(ValueError):
+            estimate_sweep([
+                HedgeExperiment(SPEC_GBM, DIGITAL, nets[0], 100, 1),
+                HedgeExperiment(SPEC_GBM, DIGITAL, nets[1], 100, 2),
+            ])
+
+    def test_jackknife_ci_covers_exact_slope(self):
+        # E|error|^2 = 2 / n exactly for x^2 under BM, so the slope is -1/2
+        covered = 0
+        for seed in range(40):
+            pts = error_curve(SPEC_BM1, QUAD1, [8, 16, 32, 64, 128], None,
+                              4000, seed)
+            fit = fit_rate(
+                [(p.n, p.estimate.rms) for p in pts],
+                jackknife=[p.estimate.jackknife_rms() for p in pts],
+            )
+            covered += fit.ci95_slope[0] <= -0.5 <= fit.ci95_slope[1]
+        assert covered >= 34
+
+    def test_group_sums_add_up(self):
+        est = estimate_l2_error(
+            HedgeExperiment(SPEC_GBM, DIGITAL, equidistant_net(1.0, 4),
+                            BATCH_SIZE + 500, 25)
+        )["terminal"]
+        assert len(est.group_sq_sums) == 16
+        assert sum(est.group_sq_sums) == pytest.approx(
+            est.mean_sq * est.n_paths, rel=1e-12
+        )
+        loo = est.jackknife_rms()
+        assert min(loo) < est.rms < max(loo)

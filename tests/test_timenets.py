@@ -56,6 +56,13 @@ class TestEtaNet:
             assert net.knots[-1] == 1.0
             assert net.knots.size == n + 1
 
+    def test_knots_rounding_to_maturity_rejected(self):
+        for eta, n in ((0.9, 256), (0.95, 512), (0.99, 64), (0.999, 8)):
+            with pytest.raises(ValueError, match="double precision") as e:
+                eta_net(EtaNetParams(1.0, n, eta))
+            assert f"eta={eta:g}" in str(e.value)
+            assert f"n={n}" in str(e.value)
+
     def test_eta_zero_bitwise_equals_equidistant(self):
         for n in (1, 3, 7, 64):
             a = eta_net(EtaNetParams(1.0, n, 0.0)).knots
