@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .models import DiffusionSpec, a_matrix, sigma_matrix, simulate_states
 
@@ -220,7 +220,7 @@ def fit_rate(points: Sequence,
     ly = np.log(rms)
     slope, intercept, se, r2 = _ols(lx, ly)
     if jackknife is None:
-        tcrit = stats.t.ppf(0.975, len(used) - 2)
+        tcrit = stdtrit(len(used) - 2, 0.975)
     else:
         if len(jackknife) != len(points):
             raise ValueError("need one set of jackknife rms values per point")
@@ -232,7 +232,7 @@ def fit_rate(points: Sequence,
         slopes = np.array([_ols(lx, loo[:, g])[0] for g in range(G)])
         dev = slopes - slopes.mean()
         se = math.sqrt((G - 1) / G * float(dev @ dev))
-        tcrit = stats.t.ppf(0.975, G - 1)
+        tcrit = stdtrit(G - 1, 0.975)
     return RateFit(
         slope=slope, intercept=intercept,
         ci95_slope=(slope - tcrit * se, slope + tcrit * se),

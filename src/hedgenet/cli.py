@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    RATE_N_MIN,
     choose_eta,
     default_theta_grid,
     estimate_h2,
@@ -129,15 +130,19 @@ def config_hash(cfg: dict) -> str:
 
 def build_spec(cfg: dict):
     m = cfg["model"]
-    if m["case"] == "C2":
-        return gbm_diagonal(
-            d=m["d"], s=np.asarray(m["s"], dtype=float), x0=m["x0"],
-            mu=m["mu"], corr=m["corr"],
-        )
-    if m["case"] == "C1":
-        sigma = np.eye(m["d"]) if m["sigma"] is None else np.asarray(m["sigma"])
-        return bm_constant(sigma=sigma, x0=m["x0"], drift=m["drift"],
-                           corr=m["corr"])
+    try:
+        if m["case"] == "C2":
+            return gbm_diagonal(
+                d=m["d"], s=np.asarray(m["s"], dtype=float), x0=m["x0"],
+                mu=m["mu"], corr=m["corr"],
+            )
+        if m["case"] == "C1":
+            sigma = (np.eye(m["d"]) if m["sigma"] is None
+                     else np.asarray(m["sigma"]))
+            return bm_constant(sigma=sigma, x0=m["x0"], drift=m["drift"],
+                               corr=m["corr"])
+    except (KeyError, ValueError) as e:
+        raise UsageError(f"invalid model block: {e}")
     raise UsageError(f"unknown model case {m['case']!r}")
 
 
@@ -146,19 +151,19 @@ def build_pricing(cfg: dict):
     m, p = cfg["model"], cfg["payoff"]
     params = copy.deepcopy(p["params"])
     key = p["key"]
-    s = list(np.broadcast_to(np.asarray(m["s"], dtype=float), (m["d"],)))
-    if key in ("call", "digital", "power"):
-        params.setdefault("s", s[0])
-    elif key == "product":
-        for i, f in enumerate(params.get("factors", [])):
-            f.setdefault("s", s[i])
-    elif key == "sum_digital_2d":
-        params.setdefault("s", s)
-    elif key == "bm_quadratic":
-        params.setdefault("d", m["d"])
     try:
+        s = list(np.broadcast_to(np.asarray(m["s"], dtype=float), (m["d"],)))
+        if key in ("call", "digital", "power"):
+            params.setdefault("s", s[0])
+        elif key == "product":
+            for i, f in enumerate(params.get("factors", [])):
+                f.setdefault("s", s[i])
+        elif key == "sum_digital_2d":
+            params.setdefault("s", s)
+        elif key == "bm_quadratic":
+            params.setdefault("d", m["d"])
         return make_pricing(key, params, p["T"])
-    except (KeyError, ValueError) as e:
+    except (IndexError, KeyError, ValueError) as e:
         raise UsageError(f"invalid payoff block: {e}")
 
 
@@ -208,7 +213,10 @@ def _resolve_families(cfg, spec, pricing):
                         master_seed=cfg["engine"]["master_seed"],
                     ).theta_hat
                 eta = choose_eta(min(max(hint, 0.0), 1.0 - 1e-9))
-            eta = float(eta)
+            try:
+                eta = float(eta)
+            except (TypeError, ValueError):
+                raise UsageError(f"eta must be a number, not {eta!r}")
             if not (0.0 <= eta < 1.0):
                 raise UsageError("eta must be in [0, 1)")
             out.append(("eta", eta))
@@ -220,6 +228,10 @@ def _resolve_families(cfg, spec, pricing):
 
 
 def _engine_mode(cfg, allowed) -> str:
+    """The engine block's mode, checked with its path count before any work."""
+    N = cfg["engine"]["N"]
+    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
+        raise UsageError(f"engine.N must be a positive integer, not {N!r}")
     mode = cfg["engine"]["mode"]
     if mode not in allowed:
         raise UsageError(f"engine.mode must be one of {', '.join(allowed)} "
@@ -261,7 +273,10 @@ def cmd_net(args) -> int:
         raise UsageError("n must be >= 1")
     if args.T <= 0.0:
         raise UsageError("T must be positive")
-    net = eta_net(EtaNetParams(horizon=args.T, n=args.n, eta=args.eta))
+    try:
+        net = eta_net(EtaNetParams(horizon=args.T, n=args.n, eta=args.eta))
+    except ValueError as e:
+        raise UsageError(str(e))
     net.to_csv(args.out)
     dt = net.spacings()
     print(
@@ -283,6 +298,9 @@ def cmd_rate(args) -> int:
     mode = _engine_mode(cfg, ("terminal", "running_sup"))
     families = _resolve_families(cfg, spec, pricing)
     _family_nets(cfg, pricing, families)
+    if sum(n >= RATE_N_MIN for n in cfg["nets"]["n_list"]) < 4:
+        raise UsageError(f"a rate fit needs at least 4 values of n >= "
+                         f"{RATE_N_MIN} in nets.n_list")
     outdir = _outdir(args)
     rows = []
     summaries = []
@@ -572,9 +590,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # runtime failures (I/O, quadrature, ...)

@@ -178,18 +178,30 @@ def _power_moments_raw(x, K, alpha, s, tau, n_nodes):
 
 
 def _power_moments(x, K, alpha, s, tau):
-    """Node-doubling wrapper around _power_moments_raw."""
-    prev = None
-    for n in QUAD_NODES:
-        cur = _power_moments_raw(x, K, alpha, s, tau, n)
-        if prev is not None:
-            # The z and z^2-1 moments may be cancellation-dominated; judge
-            # them relative to the value moment's magnitude, not their own.
-            scale = np.maximum(np.abs(cur), np.abs(cur[0])[None, :])
-            tol = QUAD_RTOL * np.maximum(scale, QUAD_ATOL / QUAD_RTOL)
-            if np.all(np.abs(cur - prev) <= tol):
-                return cur
-        prev = cur
+    """Node-doubling wrapper around _power_moments_raw, stopped per point.
+
+    Each point keeps the moments of the first level in QUAD_NODES at which
+    they differ from the previous level's by at most QUAD_RTOL times its
+    scale (QUAD_ATOL floors the tolerance); only the points that have not
+    converged go on to the next level. QuadratureError is raised if any
+    point still fails at the last level.
+    """
+    x = np.asarray(x, dtype=float)
+    xf = x.ravel()
+    out = np.empty((3, xf.size))
+    todo = np.arange(xf.size)
+    prev = _power_moments_raw(xf, K, alpha, s, tau, QUAD_NODES[0])
+    for n in QUAD_NODES[1:]:
+        cur = _power_moments_raw(xf[todo], K, alpha, s, tau, n)
+        # The z and z^2-1 moments may be cancellation-dominated; judge
+        # them relative to the value moment's magnitude, not their own.
+        scale = np.maximum(np.abs(cur), np.abs(cur[0])[None, :])
+        tol = QUAD_RTOL * np.maximum(scale, QUAD_ATOL / QUAD_RTOL)
+        done = np.all(np.abs(cur - prev) <= tol, axis=0)
+        out[:, todo[done]] = cur[:, done]
+        todo, prev = todo[~done], cur[:, ~done]
+        if todo.size == 0:
+            return out.reshape((3,) + x.shape)
     raise QuadratureError(
         f"power-payoff quadrature did not converge to {QUAD_RTOL} "
         f"with up to {QUAD_NODES[-1]} nodes"
@@ -243,12 +255,6 @@ class Factor1D:
             "const": 0.0,
         }[self.kind]
 
-    @property
-    def growth_q(self) -> float:
-        return {"call": 1.0, "digital": 0.0, "power": self.alpha, "const": 0.0}[
-            self.kind
-        ]
-
     def payoff(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "call":
@@ -283,14 +289,40 @@ class Factor1D:
             zero = np.zeros_like(x)
             return tuple(one if w == "value" else zero for w in what)
         if self.kind == "call":
-            fns = {"value": bs_call_value, "delta": bs_call_delta,
-                   "gamma": bs_call_gamma}
-            return tuple(fns[w](t, x, self.K, self.s, self.T) for w in what)
+            return self._call_eval(t, x, what)
         if self.kind == "digital":
-            fns = {"value": bs_digital_value, "delta": bs_digital_delta,
-                   "gamma": bs_digital_gamma}
-            return tuple(fns[w](t, x, self.K, self.s, self.T) for w in what)
+            return self._digital_eval(t, x, what)
         return self._power_eval(t, x, what)
+
+    # -- closed-form factors -----------------------------------------------
+    # One _d12 serves every requested output. Each output uses the arithmetic
+    # of its bs_* function, so the results are bitwise equal to theirs.
+
+    def _call_eval(self, t, x, what: tuple):
+        d1, d2, st = _d12(x, self.K, self.s, _tau(t, self.T))
+        nd1 = ndtr(d1)
+        out = []
+        for w in what:
+            if w == "value":
+                out.append(x * nd1 - self.K * ndtr(d2))
+            elif w == "delta":
+                out.append(nd1)
+            else:
+                out.append(_phi(d1) / (x * st))
+        return tuple(out)
+
+    def _digital_eval(self, t, x, what: tuple):
+        _, d2, st = _d12(x, self.K, self.s, _tau(t, self.T))
+        pd2 = _phi(d2) if what != ("value",) else None
+        out = []
+        for w in what:
+            if w == "value":
+                out.append(ndtr(d2))
+            elif w == "delta":
+                out.append(pd2 / (x * st))
+            else:
+                out.append(-pd2 * (d2 + st) / (x * st) ** 2)
+        return tuple(out)
 
     # -- power factor internals --------------------------------------------
 
@@ -338,8 +370,13 @@ class Factor1D:
         grid = self._table_grid(tau, lo, hi)
         xg = np.exp(grid)
         m0, m1, m2 = _power_moments(xg, self.K, self.alpha, self.s, tau)
-        vals = self._assemble(xg, tau, m0, m1, m2, what)
-        return tuple(np.interp(lx, grid, v) for v in vals)
+        vals = np.array(self._assemble(xg, tau, m0, m1, m2, what))
+        # np.interp's arithmetic, with one search shared by every output;
+        # lo and hi bracket the batch, so j + 1 is always a table index
+        slopes = np.diff(vals, axis=1) / np.diff(grid)
+        j = np.searchsorted(grid, lx, side="right") - 1
+        dx = lx - grid[j]
+        return tuple(slopes[:, j] * dx + vals[:, j])
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +403,6 @@ class ProductPricing:
         self.T = T
         self.theta_hint = max([f.theta_hint for f in factors] + [0.5]) \
             if self.d > 1 else factors[0].theta_hint
-        self.growth_q = float(sum(f.growth_q for f in factors))
 
     def _check(self, x):
         x = np.asarray(x, dtype=float)
@@ -396,14 +432,27 @@ class ProductPricing:
             dels.append(dl)
         return np.stack(vals, axis=1), np.stack(dels, axis=1)
 
+    @staticmethod
+    def _others(vals):
+        """prod_{i != k} vals[:, i] for every k, from prefix and suffix
+        products (no division, so zero factors are exact)."""
+        out = np.empty_like(vals)
+        acc = np.ones(vals.shape[0])
+        for k in range(vals.shape[1]):
+            out[:, k] = acc
+            acc = acc * vals[:, k]
+        acc = np.ones(vals.shape[0])
+        for k in reversed(range(vals.shape[1])):
+            out[:, k] *= acc
+            acc = acc * vals[:, k]
+        return out
+
     def gradient(self, t, x):
         x = self._check(x)
         vals, dels = self._vd(t, x)
-        grad = np.empty_like(vals)
-        for k in range(self.d):
-            others = np.prod(np.delete(vals, k, axis=1), axis=1)
-            grad[:, k] = dels[:, k] * others
-        return grad
+        if self.d == 1:
+            return dels
+        return dels * self._others(vals)
 
     def hessian(self, t, x):
         x = self._check(x)
@@ -415,12 +464,11 @@ class ProductPricing:
             v, dl, g = f.value_delta_gamma(t, x[:, i])
             vals[:, i], dels[:, i], gams[:, i] = v, dl, g
         hess = np.empty((B, self.d, self.d))
+        others = self._others(vals)
         for i in range(self.d):
+            hess[:, i, i] = gams[:, i] * others[:, i]
             for j in range(self.d):
-                if i == j:
-                    rest = np.prod(np.delete(vals, [i], axis=1), axis=1)
-                    hess[:, i, i] = gams[:, i] * rest
-                else:
+                if j != i:
                     rest = np.prod(np.delete(vals, [i, j], axis=1), axis=1)
                     hess[:, i, j] = dels[:, i] * dels[:, j] * rest
         return hess
@@ -447,7 +495,6 @@ class SumDigital2D:
             raise ValueError("weights must be non-negative, not all zero")
         self.d = 2
         self.theta_hint = 0.75
-        self.growth_q = 0.0
 
     def _check(self, x):
         x = np.asarray(x, dtype=float)
@@ -555,7 +602,6 @@ class BMQuadratic:
         self.d = int(d)
         self.T = float(T)
         self.theta_hint = 0.0
-        self.growth_q = 2.0
 
     def _check(self, x):
         x = np.asarray(x, dtype=float)

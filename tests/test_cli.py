@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -187,6 +189,38 @@ class TestRateCommand:
         fams = json.loads((out / "summary.json").read_text())["families"]
         assert fams[0]["ci95_slope"] == fams[1]["ci95_slope"]
 
+    @pytest.mark.parametrize("cmd, attr", [("rate", "error_curve"),
+                                           ("simulate", "estimate_sweep")])
+    def test_value_error_mid_run_is_a_runtime_error(self, tmp_path, capsys,
+                                                    monkeypatch, cmd, attr):
+        import hedgenet.cli as cli
+
+        def fail(*a, **k):
+            raise ValueError("non-finite hedge error")
+
+        monkeypatch.setattr(cli, attr, fail)
+        p = write_config(tmp_path / "d.json", DIGITAL_CFG)
+        assert main([cmd, "--config", p, "--out", str(tmp_path / cmd)]) == 1
+        assert "runtime error: non-finite hedge error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, cmds, message", [
+        ({"model": {"x0": [-1.0]}}, ("rate", "simulate"),
+         "invalid model block"),
+        ({"engine": {"N": 0}}, ("rate", "simulate"),
+         "engine.N must be a positive integer"),
+        # simulate fits no rate, so it runs any n_list
+        ({"nets": {"n_list": [4, 8, 16, 32]}}, ("rate",),
+         "at least 4 values of n >= 8"),
+    ])
+    def test_invalid_block_is_a_usage_error(self, tmp_path, capsys, block,
+                                            cmds, message):
+        p = write_config(tmp_path / "d.json", dict(DIGITAL_CFG, **block))
+        for cmd in cmds:
+            out = tmp_path / cmd
+            assert main([cmd, "--config", p, "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
     def test_manifest_contents(self, tmp_path):
         p = write_config(tmp_path / "q.json", QUAD_CFG)
         out = tmp_path / "run"
@@ -259,3 +293,16 @@ class TestSimulateAndReport:
         rc = main(["report", "--dir", str(tmp_path)])
         assert rc == 1
         assert "summary.json" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy_stats():
+    # a fresh interpreter: this test process has scipy.stats loaded already
+    code = ("import sys, hedgenet.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.stats')))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.strip() == "[]"

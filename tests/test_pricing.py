@@ -3,12 +3,18 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+import hedgenet.pricing as pricing
 from hedgenet.models import gbm_diagonal, simulate_states
 from hedgenet.pricing import (
+    QUAD_ATOL,
+    QUAD_RTOL,
     BMQuadratic,
     Factor1D,
     ProductPricing,
+    QuadratureError,
     SumDigital2D,
+    _power_moments,
+    _power_moments_raw,
     bs_call_delta,
     bs_call_gamma,
     bs_call_value,
@@ -167,6 +173,37 @@ class TestPower:
         v = f.value(1.0 - 1e-15, np.array([2.0]))[0]
         assert np.isfinite(v) and v == pytest.approx(1.0, rel=1e-4)
 
+    @pytest.mark.parametrize("tau", [1.0, 0.3, 1e-3, 1e-8])
+    def test_per_point_doubling_matches_finest_rule(self, tau):
+        f = Factor1D("power", K=1.0, alpha=0.25, s=1.0, T=1.0)
+        x = np.exp(f._table_grid(tau, np.log(0.05), np.log(20.0)))
+        got = _power_moments(x, 1.0, 0.25, 1.0, tau)
+        ref = _power_moments_raw(x, 1.0, 0.25, 1.0, tau, 512)
+        scale = np.maximum(np.abs(ref), np.abs(ref[0])[None, :])
+        tol = np.maximum(QUAD_RTOL * scale, QUAD_ATOL)
+        assert np.all(np.abs(got - ref) <= tol)
+
+    def test_quadrature_error_when_unreachable(self, monkeypatch):
+        monkeypatch.setattr(pricing, "QUAD_RTOL", 1e-300)
+        x = np.array([0.8, 1.0, 1.3])
+        with pytest.raises(QuadratureError, match="did not converge"):
+            _power_moments(x, 1.0, 0.25, 1.0, 0.5)
+
+    @pytest.mark.parametrize("tau", [0.7, 0.1, 1e-2, 1e-4, 1e-8])
+    def test_table_interpolation_error(self, tau):
+        # states of a 16384-path batch at t = T - tau; the linear table's
+        # sup error, relative to the batch's largest |value| and |delta|
+        f = Factor1D("power", K=1.0, alpha=0.25, s=1.0, T=1.0)
+        direct = Factor1D("power", K=1.0, alpha=0.25, s=1.0, T=1.0,
+                          table_threshold=10**9)
+        t = 1.0 - tau
+        z = np.random.default_rng(11).standard_normal(16384)
+        x = np.exp(np.sqrt(t) * z - 0.5 * t)
+        vt, dt_ = f.value_delta(t, x)
+        vd, dd = direct.value_delta(t, x)
+        assert np.abs(vt - vd).max() <= 5e-4 * np.abs(vd).max()
+        assert np.abs(dt_ - dd).max() <= 4e-3 * np.abs(dd).max()
+
 
 class TestProduct:
     def test_constant_factors(self):
@@ -212,6 +249,39 @@ class TestProduct:
                            rtol=1e-5, atol=1e-8)
         assert np.allclose(p.hessian(0.5, x), fd_hessian(p, 0.5, x),
                            rtol=1e-3, atol=1e-6)
+
+    @pytest.mark.parametrize("kind", ["call", "digital"])
+    def test_closed_form_factors_are_the_bs_functions(self, kind):
+        f = Factor1D(kind, K=1.1, s=0.8, T=1.0)
+        x = np.exp(np.random.default_rng(5).normal(0.0, 0.5, 1000))
+        fns = {"call": (bs_call_value, bs_call_delta, bs_call_gamma),
+               "digital": (bs_digital_value, bs_digital_delta,
+                           bs_digital_gamma)}[kind]
+        ref = [fn(0.4, x, 1.1, 0.8, 1.0) for fn in fns]
+        for got, want in zip(f.value_delta_gamma(0.4, x), ref):
+            assert np.array_equal(got, want)
+        for got, want in zip(f.value_delta(0.4, x), ref[:2]):
+            assert np.array_equal(got, want)
+
+    def test_gradient_is_delta_times_the_other_values(self):
+        factors = [Factor1D("call"), Factor1D("power"), Factor1D("digital")]
+        p = ProductPricing(factors)
+        x = np.exp(np.random.default_rng(9).normal(0.0, 0.5, (500, 3)))
+        vals = np.stack([f.value(0.6, x[:, i])
+                         for i, f in enumerate(factors)], axis=1)
+        dels = np.stack([f.delta(0.6, x[:, i])
+                         for i, f in enumerate(factors)], axis=1)
+        want = np.stack([dels[:, k] * np.prod(np.delete(vals, k, axis=1),
+                                              axis=1) for k in range(3)],
+                        axis=1)
+        assert np.allclose(p.gradient(0.6, x), want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["call", "digital", "power"])
+    def test_one_factor_gradient_is_the_delta(self, kind):
+        f = Factor1D(kind)
+        x = np.exp(np.random.default_rng(4).normal(0.0, 0.5, (300, 1)))
+        got = ProductPricing([f]).gradient(0.2, x)
+        assert np.array_equal(got[:, 0], f.delta(0.2, x[:, 0]))
 
     def test_dimension_check(self):
         p = ProductPricing([Factor1D("call"), Factor1D("digital")])
