@@ -19,16 +19,13 @@ from .timenets import (
 )
 from .models import (
     DiffusionSpec,
-    PathSample,
-    SeedSpec,
     gbm_diagonal,
     bm_constant,
     general_diffusion,
-    q_weight,
     a_matrix,
-    sample_path_exact,
-    sample_path_euler,
+    path_states,
 )
+from .rng import SeedSpec
 from .pricing import (
     Factor1D,
     ProductPricing,

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import stdtrit
 
-from .models import DiffusionSpec, a_matrix, sigma_matrix, simulate_states
+from .models import a_matrix, path_states, sigma_matrix
 
 __all__ = [
     "ThetaFit",
@@ -77,9 +77,9 @@ class RateFit:
 
 def _state_at(spec, t, n_paths, master_seed):
     """Exact-sampled X_t for paths 0..N-1 (one transition, step index 0)."""
-    times = np.array([0.0, t])
     idx = np.arange(n_paths, dtype=np.uint64)
-    return simulate_states(spec, times, master_seed, idx, "exact")[:, 1, :]
+    [(_, x)] = path_states(spec, [0.0, t], master_seed, idx)
+    return x
 
 
 def _pair_moments(spec, pricing, t, x):
@@ -273,16 +273,11 @@ def one_step_profile(spec, pricing, a: float, u_grid, n_paths: int = DEFAULT_N,
         if u == a:
             rows.append((float(u), 0.0, 0.0, 0.0))
             continue
-        if a > 0.0:
-            states = simulate_states(
-                spec, np.array([0.0, a, u]), master_seed, idx, "exact"
-            )
-            xa, xu = states[:, 1, :], states[:, 2, :]
-        else:
-            xa = np.broadcast_to(spec.x0, (n_paths, spec.d))
-            xu = simulate_states(
-                spec, np.array([0.0, u]), master_seed, idx, "exact"
-            )[:, 1, :]
+        # [x0, X_a, X_u], or [x0, X_u] when a = 0 and X_a is x0
+        xs = [np.broadcast_to(spec.x0, (n_paths, spec.d))]
+        xs += [x for _, x in path_states(
+            spec, [0.0, a, u] if a > 0.0 else [0.0, u], master_seed, idx)]
+        xa, xu = xs[-2], xs[-1]
         dgrad = pricing.gradient(u, xu) - pricing.gradient(a, xa)
         sig = sigma_matrix(spec, xu)
         row_sq = (sig * sig).sum(axis=-1)  # sum_l sigma_kl^2, shape (B, d)

@@ -37,7 +37,7 @@ from .hedging import (
     family_nets,
     path_error,
 )
-from .models import bm_constant, gbm_diagonal
+from .models import SCHEMES, bm_constant, gbm_diagonal
 from .pricing import make_pricing
 from .rng import SeedSpec
 from .timenets import EtaNetParams, eta_net, refine
@@ -196,8 +196,8 @@ def _manifest(outdir: Path, cfg, outputs, wall_ms):
     )
 
 
-def _resolve_families(cfg, spec, pricing):
-    """[(name, eta)] with 'auto' eta resolved from the hint or a theta scan."""
+def _resolve_families(cfg, pricing):
+    """[(name, eta)] with 'auto' eta resolved from the payoff's theta hint."""
     out = []
     for fam in cfg["nets"]["families"]:
         name = fam.get("family")
@@ -206,13 +206,7 @@ def _resolve_families(cfg, spec, pricing):
         elif name == "eta":
             eta = fam.get("eta", "auto")
             if eta == "auto":
-                hint = getattr(pricing, "theta_hint", None)
-                if hint is None:
-                    hint = estimate_theta(
-                        spec, pricing, n_paths=50000,
-                        master_seed=cfg["engine"]["master_seed"],
-                    ).theta_hat
-                eta = choose_eta(min(max(hint, 0.0), 1.0 - 1e-9))
+                eta = choose_eta(min(max(pricing.theta_hint, 0.0), 1.0 - 1e-9))
             try:
                 eta = float(eta)
             except (TypeError, ValueError):
@@ -228,10 +222,14 @@ def _resolve_families(cfg, spec, pricing):
 
 
 def _engine_mode(cfg, allowed) -> str:
-    """The engine block's mode, checked with its path count before any work."""
+    """The engine block's mode, checked with N and the scheme before work."""
     N = cfg["engine"]["N"]
     if isinstance(N, bool) or not isinstance(N, int) or N < 1:
         raise UsageError(f"engine.N must be a positive integer, not {N!r}")
+    scheme = cfg["engine"]["scheme"]
+    if scheme not in SCHEMES:
+        raise UsageError(f"engine.scheme must be one of {', '.join(SCHEMES)}"
+                         f", not {scheme!r}")
     mode = cfg["engine"]["mode"]
     if mode not in allowed:
         raise UsageError(f"engine.mode must be one of {', '.join(allowed)} "
@@ -296,7 +294,7 @@ def cmd_rate(args) -> int:
     eng = cfg["engine"]
     # one rate fit per family, so one mode
     mode = _engine_mode(cfg, ("terminal", "running_sup"))
-    families = _resolve_families(cfg, spec, pricing)
+    families = _resolve_families(cfg, pricing)
     _family_nets(cfg, pricing, families)
     if sum(n >= RATE_N_MIN for n in cfg["nets"]["n_list"]) < 4:
         raise UsageError(f"a rate fit needs at least 4 values of n >= "
@@ -412,7 +410,7 @@ def cmd_simulate(args) -> int:
     pricing = build_pricing(cfg)
     eng = cfg["engine"]
     _engine_mode(cfg, ("terminal", "running_sup", "both"))
-    families = _resolve_families(cfg, spec, pricing)
+    families = _resolve_families(cfg, pricing)
     nets = _family_nets(cfg, pricing, families)
     outdir = _outdir(args)
     rows = []

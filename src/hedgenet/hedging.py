@@ -28,9 +28,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .models import DiffusionSpec, euler_step, exact_step
-from .rng import SeedSpec, normals
-from .timenets import RefinedGrid, TimeNet, equidistant_net, eta_net, EtaNetParams, refine
+from .models import DiffusionSpec, check_scheme, path_states
+from .rng import SeedSpec
+from .timenets import RefinedGrid, TimeNet, eta_net, EtaNetParams, refine
+
+# Not called here: perfbench/tracer.py wraps these two names in this module.
+from .models import exact_step  # noqa: F401
+from .rng import normals  # noqa: F401
 
 __all__ = [
     "HedgeExperiment",
@@ -69,6 +73,7 @@ class HedgeExperiment:
     def __post_init__(self):
         if self.error_mode not in ("terminal", "running_sup", "both"):
             raise ValueError("unknown error mode")
+        check_scheme(self.spec, self.scheme)
         if self.pricing.T != self.net.horizon:
             raise ValueError("pricing horizon must equal the net horizon")
         if self.spec.d != self.pricing.d:
@@ -184,17 +189,17 @@ def _batch_errors(spec, pricing, plan: _Plan, master_seed, path_indices,
                   scheme):
     """Per net, (terminal_error, sup_abs_error or None) for a batch of paths.
 
-    States are streamed one step at a time over the union grid. Each net
+    ``path_states`` streams the states one step at a time over the union
+    grid; the previous state is kept here for the hedge increments. Each net
     holds its gains and its running sup, and shares the gradient of its last
     rebalance with every net that rebalanced at the same time: one gradient
     array per distinct last-rebalance time. The gradient at a union knot and
     the value at a monitoring time are evaluated once, whatever the number
     of nets that use them.
     """
-    step = exact_step if scheme == "exact" else euler_step
     times = plan.times
     B = path_indices.size
-    x = np.broadcast_to(spec.x0, (B, spec.d)).copy()
+    x = np.broadcast_to(spec.x0, (B, spec.d))
     # All paths start at x0: price and hedge once, broadcast.
     v0 = pricing.value(0.0, x[:1])[0]
     grad = np.broadcast_to(pricing.gradient(0.0, x[:1])[0], (B, spec.d))
@@ -203,10 +208,8 @@ def _batch_errors(spec, pricing, plan: _Plan, master_seed, path_indices,
     gains = [np.zeros(B) for _ in range(plan.n_nets)]
     sups = None if plan.monitor is None else [np.zeros(B) for _ in gains]
     last = times.size - 1
-    for j in range(1, times.size):
-        dt = times[j] - times[j - 1]
-        z = normals(master_seed, path_indices, j - 1, spec.d)
-        x_new = step(spec, x, dt, z)
+    for j, x_new in path_states(spec, times, master_seed, path_indices,
+                                scheme):
         dx = x_new - x
         for grad, nets in holders:
             inc = (dx * grad).sum(axis=1)
@@ -355,10 +358,8 @@ def estimate_l2_error(exp: HedgeExperiment, workers: int = 1):
 
 
 def family_nets(T: float, n_list: Sequence[int], eta: Optional[float]):
-    """One net per n: equidistant for eta None or 0, else the eta-net."""
-    if not eta:
-        return [equidistant_net(T, int(n)) for n in n_list]
-    return [eta_net(EtaNetParams(horizon=T, n=int(n), eta=float(eta)))
+    """One eta-net per n; eta None or 0 gives the equidistant net."""
+    return [eta_net(EtaNetParams(horizon=T, n=int(n), eta=float(eta or 0.0)))
             for n in n_list]
 
 

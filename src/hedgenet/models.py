@@ -1,10 +1,11 @@
-"""Diffusion specifications and path sampling.
+"""Diffusion specifications and path streaming.
 
 Two state spaces are supported: Brownian-type diffusions on R^d (case C1) and
 exponential diffusions on (0, inf)^d (case C2, simulated through the log
 process so positivity is automatic). Exact transition sampling is available
 for constant-coefficient models ("bm-constant", "gbm-diagonal"); everything
-else falls back to Euler-Maruyama stepping.
+else falls back to Euler-Maruyama stepping. ``path_states`` is the one
+time-step loop: every consumer of simulated paths takes its states from it.
 """
 
 from __future__ import annotations
@@ -14,23 +15,24 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .rng import SeedSpec, normals
-from .timenets import RefinedGrid, TimeNet
+from .rng import normals
 
 __all__ = [
     "DiffusionSpec",
-    "PathSample",
+    "SCHEMES",
     "gbm_diagonal",
     "bm_constant",
     "general_diffusion",
-    "q_weight",
     "a_matrix",
     "sigma_matrix",
     "drift_vector",
-    "sample_path_exact",
-    "sample_path_euler",
-    "simulate_states",
+    "check_scheme",
+    "path_states",
 ]
+
+#: path-sampling schemes: exact transitions, or Euler-Maruyama (log-Euler
+#: in case C2)
+SCHEMES = ("exact", "euler")
 
 
 @dataclass(frozen=True)
@@ -118,22 +120,6 @@ def general_diffusion(case, d, x0, sigma_fn, drift_fn=None) -> DiffusionSpec:
     )
 
 
-@dataclass(frozen=True)
-class PathSample:
-    times: np.ndarray
-    states: np.ndarray  # (len(times), d)
-
-
-def q_weight(spec: DiffusionSpec, x, i: int):
-    """Coordinate scaling weight: 1 in case C1, x_i in case C2."""
-    x = np.asarray(x, dtype=float)
-    if not (0 <= i < spec.d):
-        raise IndexError("coordinate index out of range")
-    if spec.case == "C1":
-        return np.ones(x.shape[:-1]) if x.ndim > 1 else 1.0
-    return x[..., i]
-
-
 def sigma_matrix(spec: DiffusionSpec, x) -> np.ndarray:
     """Effective diffusion matrix (correlation folded in), shape (..., d, d)."""
     x = np.asarray(x, dtype=float)
@@ -172,19 +158,6 @@ def a_matrix(spec: DiffusionSpec, x) -> np.ndarray:
     return sig @ np.swapaxes(sig, -1, -2)
 
 
-def _grid_times(grid) -> np.ndarray:
-    if isinstance(grid, RefinedGrid):
-        return grid.times
-    if isinstance(grid, TimeNet):
-        return grid.knots
-    return np.asarray(grid, dtype=float)
-
-
-def _draw(spec, master_seed, path_index, step):
-    """IID standard normal increments; path_index may be an array."""
-    return normals(master_seed, path_index, step, spec.d)
-
-
 def exact_step(spec: DiffusionSpec, x, dt: float, z) -> np.ndarray:
     """One exact transition for constant-coefficient models (z iid normal)."""
     sqdt = np.sqrt(dt)
@@ -217,42 +190,29 @@ def euler_step(spec: DiffusionSpec, x, dt: float, z) -> np.ndarray:
     return np.exp(y)
 
 
-def simulate_states(spec, times, master_seed, path_indices, scheme="exact"):
-    """States at the given times for a batch of paths, shape (B, m+1, d).
+def check_scheme(spec: DiffusionSpec, scheme: str) -> None:
+    """Reject an unknown scheme, and exact sampling of a 'general' spec."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {', '.join(SCHEMES)}, "
+                         f"not {scheme!r}")
+    if scheme == "exact" and spec.exactness == "general":
+        raise ValueError("exact sampling is unavailable for 'general' specs")
 
-    Each path's draws are keyed by (master_seed, path_index, step), so the
-    output is independent of batching and worker scheduling.
+
+def path_states(spec, times, master_seed, path_indices, scheme="exact"):
+    """Stream a batch of paths from x0 over ``times``: yields (j, X_{t_j}).
+
+    j runs over 1 .. len(times) - 1 and each yielded state array (B, d) is
+    new. The step from t_{j-1} to t_j draws its normals at step index
+    j - 1, keyed by (master_seed, path_index, j - 1), so the paths are
+    independent of batching and worker scheduling.
     """
+    check_scheme(spec, scheme)
     times = np.asarray(times, dtype=float)
     path_indices = np.asarray(path_indices)
     step = exact_step if scheme == "exact" else euler_step
-    if scheme == "exact" and spec.exactness == "general":
-        raise ValueError("exact sampling is unavailable for 'general' specs")
-    B = path_indices.size
-    out = np.empty((B, times.size, spec.d))
-    x = np.broadcast_to(spec.x0, (B, spec.d)).copy()
-    out[:, 0, :] = x
+    x = np.broadcast_to(spec.x0, (path_indices.size, spec.d)).copy()
     for j in range(1, times.size):
-        dt = times[j] - times[j - 1]
-        z = _draw(spec, master_seed, path_indices, j - 1)
-        x = step(spec, x, dt, z)
-        out[:, j, :] = x
-    return out
-
-
-def sample_path_exact(spec: DiffusionSpec, grid, seed: SeedSpec) -> PathSample:
-    """Exact path on the grid; rejects 'general' specs."""
-    times = _grid_times(grid)
-    states = simulate_states(
-        spec, times, seed.master_seed, np.array([seed.path_index]), "exact"
-    )[0]
-    return PathSample(times=times, states=states)
-
-
-def sample_path_euler(spec: DiffusionSpec, grid, seed: SeedSpec) -> PathSample:
-    """Euler-Maruyama path on the grid (log-Euler in case C2)."""
-    times = _grid_times(grid)
-    states = simulate_states(
-        spec, times, seed.master_seed, np.array([seed.path_index]), "euler"
-    )[0]
-    return PathSample(times=times, states=states)
+        z = normals(master_seed, path_indices, j - 1, spec.d)
+        x = step(spec, x, times[j] - times[j - 1], z)
+        yield j, x

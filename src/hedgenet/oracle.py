@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import DiffusionSpec, a_matrix, simulate_states
+from .models import a_matrix, path_states
 from .timenets import TimeNet
 
 __all__ = [
@@ -26,15 +26,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Finite-difference residual of the pricing equation at one point."""
+    """Finite-difference residual of the pricing equation at one point.
+
+    ``floor`` is the rounding floor of the central time difference,
+    eps (|F(t + h_t)| + |F(t - h_t)|) / (2 h_t): a residual that small can
+    be rounding alone, whatever h_t.
+    """
 
     t: float
     x: np.ndarray
     residual: float
     scale: float
+    floor: float
 
     @property
     def relative(self) -> float:
+        """|residual| / scale, or 0 within the rounding floor: so
+        ``relative <= tol`` judges |residual| against max(tol scale, floor).
+        """
+        if abs(self.residual) <= self.floor:
+            return 0.0
         return abs(self.residual) / self.scale
 
 
@@ -66,7 +77,9 @@ def pde_residual(spec, pricing, t: float, x, h_t: float = None,
     scale = max(abs(dt_term), abs(space_term))
     if scale <= 0.0:
         raise ValueError("degenerate point: both PDE terms vanish")
-    return ResidualReport(t=t, x=x[0], residual=residual, scale=scale)
+    floor = np.finfo(float).eps * (abs(vp) + abs(vm)) / (2.0 * h_t)
+    return ResidualReport(t=t, x=x[0], residual=residual, scale=scale,
+                          floor=float(floor))
 
 
 def analytic_quadratic_error(net: TimeNet, d: int, T: float) -> float:
@@ -96,7 +109,7 @@ def mc_payoff_expectation(spec, payoff, n_paths: int, master_seed: int,
         fn = payoff.payoff
         T = payoff.T
     idx = np.arange(n_paths, dtype=np.uint64)
-    xT = simulate_states(spec, np.array([0.0, T]), master_seed, idx, "exact")[:, 1, :]
+    [(_, xT)] = path_states(spec, [0.0, T], master_seed, idx)
     vals = np.asarray(fn(xT), dtype=float)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n_paths))

@@ -14,7 +14,7 @@ whose scaling in n separates the two net families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,57 +86,34 @@ class EtaNetParams:
 
 @dataclass(frozen=True)
 class RefinedGrid:
-    """Union of a net's knots with an equidistant monitoring grid.
-
-    ``knot_index[j]`` gives, for each fine time ``times[j]`` with j >= 1, the
-    index i of the active net interval (t_{i-1}, t_i] containing it;
-    knot_index[0] = 1 by convention.
-    """
+    """Union of a net's knots with an equidistant monitoring grid."""
 
     net: TimeNet
     times: np.ndarray
-    knot_index: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "knot_index", np.asarray(self.knot_index))
         if times[0] != 0.0 or times[-1] != self.net.horizon:
             raise ValueError("refined grid must span [0, T]")
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("refined times must be strictly increasing")
         if not np.all(np.isin(self.net.knots, times)):
             raise ValueError("refined grid must contain every net knot")
-        if np.any(np.diff(self.knot_index) < 0):
-            raise ValueError("knot_index must be non-decreasing")
-
-    @property
-    def n_steps(self) -> int:
-        return self.times.size - 1
 
 
 def equidistant_net(T: float, n: int) -> TimeNet:
-    """Equidistant net with n + 1 knots on [0, T]."""
-    if T <= 0.0:
-        raise ValueError("T must be positive")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("n must be an integer >= 1")
-    i = np.arange(n + 1)
-    # (n - i) / n before scaling keeps t_0 = 0 and t_n = T exact.
-    knots = T * (1.0 - (n - i) / n)
-    return TimeNet(horizon=float(T), knots=knots)
+    """Equidistant net with n + 1 knots on [0, T]: the eta-net with eta = 0."""
+    return eta_net(EtaNetParams(horizon=T, n=n, eta=0.0))
 
 
 def eta_net(params: EtaNetParams) -> TimeNet:
     """Net t_i = T * (1 - ((n - i)/n)^(1/(1-eta))); eta = 0 is equidistant."""
     n, T, eta = params.n, params.horizon, params.eta
-    i = np.arange(n + 1)
-    frac = (n - i) / n
-    if eta == 0.0:
-        # Skip the exponentiation so eta=0 is bitwise-equal to equidistant_net.
-        knots = T * (1.0 - frac)
-    else:
-        knots = T * (1.0 - frac ** (1.0 / (1.0 - eta)))
+    # (n - i) / n keeps t_0 = 0 and t_n = T exact. At eta = 0 the exponent
+    # is 1.0 and pow returns frac exactly: the equidistant net T (1 - frac).
+    frac = (n - np.arange(n + 1)) / n
+    knots = T * (1.0 - frac ** (1.0 / (1.0 - eta)))
     if np.any(np.diff(knots) <= 0.0):
         raise ValueError(
             f"eta-net with eta={eta:g} and n={n}: knots near maturity round "
@@ -152,11 +129,7 @@ def refine(net: TimeNet, M: int) -> RefinedGrid:
     T = net.horizon
     j = np.arange(M + 1)
     monitor = T * (1.0 - (M - j) / M)
-    times = np.union1d(net.knots, monitor)
-    # Interval index: times in (t_{i-1}, t_i] map to i.
-    idx = np.searchsorted(net.knots, times, side="left")
-    idx[0] = 1
-    return RefinedGrid(net=net, times=times, knot_index=idx)
+    return RefinedGrid(net=net, times=np.union1d(net.knots, monitor))
 
 
 def _double_integral(t0: float, t1: float, T: float, theta: float) -> float:

@@ -211,6 +211,9 @@ class TestRateCommand:
         # simulate fits no rate, so it runs any n_list
         ({"nets": {"n_list": [4, 8, 16, 32]}}, ("rate",),
          "at least 4 values of n >= 8"),
+        # an unknown scheme used to run Euler silently
+        ({"engine": {"scheme": "milstein"}}, ("rate", "simulate"),
+         "engine.scheme must be one of exact, euler, not 'milstein'"),
     ])
     def test_invalid_block_is_a_usage_error(self, tmp_path, capsys, block,
                                             cmds, message):

@@ -13,7 +13,7 @@ from hedgenet.hedging import (
     family_nets,
     path_error,
 )
-from hedgenet.models import bm_constant, gbm_diagonal
+from hedgenet.models import bm_constant, gbm_diagonal, general_diffusion
 from hedgenet.oracle import analytic_quadratic_error
 from hedgenet.pricing import BMQuadratic, Factor1D, ProductPricing, make_pricing
 from hedgenet.rng import SeedSpec, normals
@@ -138,6 +138,16 @@ class TestEstimateL2:
             HedgeExperiment(SPEC_GBM, DIGITAL, net, 100, 0, monitor_points=2)
         with pytest.raises(ValueError):
             HedgeExperiment(SPEC_GBM, DIGITAL, net, 100, 0, error_mode="max")
+
+    def test_scheme_checked_on_construction(self):
+        net = equidistant_net(1.0, 4)
+        with pytest.raises(ValueError, match="scheme must be one of"):
+            HedgeExperiment(SPEC_GBM, DIGITAL, net, 100, 0, scheme="milstein")
+        general = general_diffusion(
+            "C1", 1, [0.0], lambda x: np.ones(x.shape + (1,)))
+        with pytest.raises(ValueError, match="exact sampling"):
+            HedgeExperiment(general, QUAD1, net, 100, 0, scheme="exact")
+        HedgeExperiment(general, QUAD1, net, 100, 0, scheme="euler")
 
 
 class TestErrorCurve:

@@ -4,15 +4,22 @@ import pytest
 from hedgenet.models import (
     a_matrix,
     bm_constant,
+    exact_step,
     gbm_diagonal,
     general_diffusion,
-    q_weight,
-    sample_path_euler,
-    sample_path_exact,
-    simulate_states,
+    path_states,
 )
-from hedgenet.rng import SeedSpec
+from hedgenet.rng import normals
 from hedgenet.timenets import equidistant_net, refine
+
+
+def states(spec, times, master_seed, path_indices, scheme="exact"):
+    """(B, len(times), d): x0, then every state path_states yields."""
+    path_indices = np.asarray(path_indices)
+    xs = [np.broadcast_to(spec.x0, (path_indices.size, spec.d))]
+    xs += [x for _, x in path_states(spec, times, master_seed, path_indices,
+                                     scheme)]
+    return np.stack(xs, axis=1)
 
 
 class TestSpecValidation:
@@ -29,23 +36,6 @@ class TestSpecValidation:
             gbm_diagonal(2, 1.0, [1.0, 1.0], corr=[[1.0, 0.5], [0.4, 1.0]])
         with pytest.raises(ValueError):
             gbm_diagonal(2, 1.0, [1.0, 1.0], corr=[[2.0, 0.0], [0.0, 1.0]])
-
-
-class TestQWeight:
-    def test_c1_is_one(self):
-        spec = bm_constant(np.eye(2), [0.0, 0.0])
-        assert q_weight(spec, np.array([5.0, -3.0]), 1) == 1.0
-
-    def test_c2_is_coordinate(self):
-        spec = gbm_diagonal(2, 1.0, [1.0, 1.0])
-        assert q_weight(spec, np.array([2.0, 3.0]), 1) == 3.0
-        spec3 = gbm_diagonal(3, 1.0, [1.0, 1.0, 1.0])
-        assert q_weight(spec3, np.array([1.0, 1.0, 1.0]), 0) == 1.0
-
-    def test_index_out_of_range(self):
-        spec = gbm_diagonal(2, 1.0, [1.0, 1.0])
-        with pytest.raises(IndexError):
-            q_weight(spec, np.array([1.0, 1.0]), 2)
 
 
 class TestAMatrix:
@@ -82,14 +72,15 @@ class TestAMatrix:
                 x = np.abs(rng.normal(1.0, 0.3, 2)) + 0.1
                 a = a_matrix(spec, x)
                 for i in range(2):
-                    q = q_weight(spec, x, i)
+                    # coordinate weight Q_i: 1 in case C1, x_i in case C2
+                    q = x[i] if spec.case == "C2" else 1.0
                     assert a[i, i] >= q * q / c1 - 1e-12
 
 
 class TestExactSampling:
     def test_gbm_lognormal_moments(self):
         spec = gbm_diagonal(1, 1.0, 1.0)
-        x = simulate_states(spec, [0.0, 1.0], 7, np.arange(100000))[:, 1, 0]
+        x = states(spec, [0.0, 1.0], 7, np.arange(100000))[:, 1, 0]
         n = x.size
         se_mean = x.std(ddof=1) / np.sqrt(n)
         assert abs(x.mean() - 1.0) < 3.0 * se_mean
@@ -99,7 +90,7 @@ class TestExactSampling:
 
     def test_bm_increment_covariance(self):
         spec = bm_constant(np.eye(2), [0.0, 0.0])
-        s = simulate_states(spec, [0.0, 0.5, 1.0], 3, np.arange(100000))
+        s = states(spec, [0.0, 0.5, 1.0], 3, np.arange(100000))
         for j in (1, 2):
             inc = s[:, j, :] - s[:, j - 1, :]
             cov = np.cov(inc.T)
@@ -107,53 +98,60 @@ class TestExactSampling:
 
     def test_drift(self):
         spec = gbm_diagonal(1, 1.0, 1.0, mu=0.2)
-        x = simulate_states(spec, [0.0, 1.0], 7, np.arange(100000))[:, 1, 0]
+        x = states(spec, [0.0, 1.0], 7, np.arange(100000))[:, 1, 0]
         lx = np.log(x)
         # E ln X_1 = mu - s^2/2 = -0.3
         assert abs(lx.mean() + 0.3) < 3.0 * lx.std(ddof=1) / np.sqrt(x.size)
 
     def test_correlation_applied(self):
         spec = gbm_diagonal(2, 1.0, [1.0, 1.0], corr=[[1.0, 0.8], [0.8, 1.0]])
-        x = simulate_states(spec, [0.0, 1.0], 5, np.arange(100000))[:, 1, :]
+        x = states(spec, [0.0, 1.0], 5, np.arange(100000))[:, 1, :]
         corr = np.corrcoef(np.log(x).T)[0, 1]
         assert corr == pytest.approx(0.8, abs=0.01)
 
     def test_bitwise_determinism(self):
         spec = gbm_diagonal(2, 1.0, [1.0, 1.0])
-        grid = refine(equidistant_net(1.0, 4), 8)
-        a = sample_path_exact(spec, grid, SeedSpec(11, 3))
-        b = sample_path_exact(spec, grid, SeedSpec(11, 3))
-        assert np.array_equal(a.states, b.states)
-        c = sample_path_exact(spec, grid, SeedSpec(11, 4))
-        assert not np.array_equal(a.states, c.states)
+        times = refine(equidistant_net(1.0, 4), 8).times
+        a = states(spec, times, 11, [3])
+        b = states(spec, times, 11, [3])
+        assert np.array_equal(a, b)
+        c = states(spec, times, 11, [4])
+        assert not np.array_equal(a, c)
+        # a path's states do not depend on the batch it is drawn in
+        batch = states(spec, times, 11, np.arange(8))
+        assert np.array_equal(batch[3], a[0])
 
     def test_c2_positivity(self):
         spec = gbm_diagonal(3, 2.0, [0.5, 1.0, 2.0])
-        s = simulate_states(spec, np.linspace(0, 1, 17), 9, np.arange(1000))
+        s = states(spec, np.linspace(0, 1, 17), 9, np.arange(1000))
         assert np.all(s > 0.0)
 
     def test_rejects_general(self):
         spec = general_diffusion("C1", 1, [0.0], lambda x: np.ones(x.shape + (1,)))
         with pytest.raises(ValueError):
-            simulate_states(spec, [0.0, 1.0], 0, np.arange(4), "exact")
+            next(path_states(spec, [0.0, 1.0], 0, np.arange(4), "exact"))
+
+    def test_rejects_unknown_scheme(self):
+        spec = gbm_diagonal(1, 1.0, 1.0)
+        with pytest.raises(ValueError, match="scheme must be one of"):
+            next(path_states(spec, [0.0, 1.0], 0, np.arange(4), "milstein"))
 
 
 class TestEuler:
     def test_log_euler_exact_for_gbm(self):
         # constant log-coefficients: the log-Euler step is the exact transition
         spec = gbm_diagonal(1, 1.0, 1.0, mu=0.1)
-        grid = refine(equidistant_net(1.0, 8), 8)
-        a = sample_path_exact(spec, grid, SeedSpec(2, 0))
-        b = sample_path_euler(spec, grid, SeedSpec(2, 0))
-        assert np.allclose(a.states, b.states, rtol=1e-12)
+        times = refine(equidistant_net(1.0, 8), 8).times
+        a = states(spec, times, 2, [0], "exact")
+        b = states(spec, times, 2, [0], "euler")
+        assert np.allclose(a, b, rtol=1e-12)
 
     def test_zero_sigma_constant_path(self):
         spec = general_diffusion(
             "C1", 1, [0.7], lambda x: np.zeros(x.shape + (1,))
         )
-        grid = refine(equidistant_net(1.0, 4), 4)
-        p = sample_path_euler(spec, grid, SeedSpec(0, 0))
-        assert np.all(p.states == 0.7)
+        times = refine(equidistant_net(1.0, 4), 4).times
+        assert np.all(states(spec, times, 0, [0], "euler") == 0.7)
 
     def test_same_seed_identical(self):
         spec = general_diffusion(
@@ -161,10 +159,10 @@ class TestEuler:
             lambda x: np.ones(x.shape + (1,)),
             lambda x: -x,
         )
-        grid = refine(equidistant_net(1.0, 16), 16)
-        a = sample_path_euler(spec, grid, SeedSpec(4, 1))
-        b = sample_path_euler(spec, grid, SeedSpec(4, 1))
-        assert np.array_equal(a.states, b.states)
+        times = refine(equidistant_net(1.0, 16), 16).times
+        a = states(spec, times, 4, [1], "euler")
+        b = states(spec, times, 4, [1], "euler")
+        assert np.array_equal(a, b)
 
     def test_mean_reverting_drift_bias(self):
         # dX = -X dt + dW from x0=1: E X_1 = e^{-1}; Euler bias is O(dt)
@@ -174,7 +172,7 @@ class TestEuler:
             lambda x: -x,
         )
         n_steps, n_paths = 64, 50000
-        s = simulate_states(
+        s = states(
             spec, np.linspace(0.0, 1.0, n_steps + 1), 13,
             np.arange(n_paths), "euler",
         )
@@ -187,7 +185,15 @@ class TestEuler:
 class TestPathSample:
     def test_starts_at_x0(self):
         spec = gbm_diagonal(2, 1.0, [1.5, 0.5])
-        grid = refine(equidistant_net(1.0, 2), 4)
-        p = sample_path_exact(spec, grid, SeedSpec(0, 0))
-        assert np.array_equal(p.states[0], [1.5, 0.5])
-        assert p.states.shape == (p.times.size, 2)
+        times = refine(equidistant_net(1.0, 2), 4).times
+        idx = np.array([0])
+        steps = list(path_states(spec, times, 0, idx))
+        assert [j for j, _ in steps] == list(range(1, times.size))
+        assert all(x.shape == (1, 2) for _, x in steps)
+        # the first step leaves x0 with the draws of step index 0
+        z = normals(0, idx, 0, 2)
+        first = exact_step(spec, spec.x0[None, :], times[1], z)
+        assert np.array_equal(steps[0][1], first)
+        # a zero-length first step stays exactly at x0
+        [(_, x)] = path_states(spec, [0.0, 0.0], 0, idx)
+        assert np.array_equal(x[0], [1.5, 0.5])

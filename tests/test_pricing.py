@@ -4,7 +4,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 import hedgenet.pricing as pricing
-from hedgenet.models import gbm_diagonal, simulate_states
+from hedgenet.models import gbm_diagonal, path_states
 from hedgenet.pricing import (
     QUAD_ATOL,
     QUAD_RTOL,
@@ -127,7 +127,8 @@ class TestPower:
     def test_value_vs_monte_carlo(self):
         f = Factor1D("power", K=1.0, alpha=0.25, s=1.0, T=1.0)
         spec = gbm_diagonal(1, 1.0, 1.0)
-        xT = simulate_states(spec, [0.0, 1.0], 21, np.arange(2_000_000))[:, 1, 0]
+        [(_, x)] = path_states(spec, [0.0, 1.0], 21, np.arange(2_000_000))
+        xT = x[:, 0]
         pay = np.maximum(xT - 1.0, 0.0) ** 0.25
         se = pay.std(ddof=1) / np.sqrt(pay.size)
         assert abs(f.value(0.0, ONE)[0] - pay.mean()) < 3.0 * se
@@ -300,7 +301,7 @@ class TestSumDigital:
     def test_value_vs_monte_carlo(self):
         sd = SumDigital2D(2.0, (1.0, 1.0), (1.0, 1.0), 1.0)
         spec = gbm_diagonal(2, 1.0, [1.0, 1.0])
-        xT = simulate_states(spec, [0.0, 1.0], 77, np.arange(2_000_000))[:, 1, :]
+        [(_, xT)] = path_states(spec, [0.0, 1.0], 77, np.arange(2_000_000))
         pay = (xT.sum(axis=1) >= 2.0).astype(float)
         se = pay.std(ddof=1) / np.sqrt(pay.size)
         v = sd.value(0.0, np.array([[1.0, 1.0]]))[0]
@@ -373,7 +374,7 @@ class TestStatisticalInvariants:
         spec = gbm_diagonal(1, 1.0, 1.0)
         v0 = pr.value(0.0, np.array([[1.0]]))[0]
         for t in (0.25, 0.75):
-            x = simulate_states(spec, [0.0, t], 31, np.arange(100000))[:, 1, :]
+            [(_, x)] = path_states(spec, [0.0, t], 31, np.arange(100000))
             v = pr.value(t, x)
             se = v.std(ddof=1) / np.sqrt(v.size)
             assert abs(v.mean() - v0) < 3.0 * se
@@ -383,11 +384,11 @@ class TestStatisticalInvariants:
         spec = gbm_diagonal(1, 1.0, 1.0)
         gaps = []
         for eps in (0.1, 0.01, 0.001):
-            s = simulate_states(
+            (_, x), (_, xT) = path_states(
                 spec, [0.0, 1.0 - eps, 1.0], 41, np.arange(100000)
             )
-            v = pr.value(1.0 - eps, s[:, 1, :])
-            f = pr.payoff(s[:, 2, :])
+            v = pr.value(1.0 - eps, x)
+            f = pr.payoff(xT)
             d = (v - f) ** 2
             gaps.append((d.mean(), d.std(ddof=1) / np.sqrt(d.size)))
         for (m1, s1), (m2, s2) in zip(gaps, gaps[1:]):
@@ -399,7 +400,8 @@ class TestStatisticalInvariants:
         ts = 1.0 - np.geomspace(0.5, 0.001, 12)
         ms = []
         for t in ts:
-            x = simulate_states(spec, [0.0, t], 51, np.arange(100000))[:, 1, 0]
+            [(_, x)] = path_states(spec, [0.0, t], 51, np.arange(100000))
+            x = x[:, 0]
             g = x * x * bs_digital_gamma(t, x, 1.0, 1.0, 1.0)
             ms.append((g * g).mean())
         slope = np.polyfit(np.log(1.0 - ts), np.log(ms), 1)[0]

@@ -102,7 +102,6 @@ class TestRefine:
     def test_trivial_net(self):
         g = refine(TimeNet(1.0, np.array([0.0, 1.0])), 2)
         assert np.array_equal(g.times, [0.0, 0.5, 1.0])
-        assert np.array_equal(g.knot_index, [1, 1, 1])
 
     def test_union_of_grids(self):
         g = refine(TimeNet(1.0, np.array([0.0, 0.75, 1.0])), 4)
@@ -128,11 +127,14 @@ class TestRefine:
             refine(equidistant_net(1.0, 4), 2)
 
     def test_knot_index_consistency(self):
+        # every fine step lies inside one net interval (t_{i-1}, t_i]
         net = eta_net(EtaNetParams(1.0, 4, 0.75))
         g = refine(net, 16)
+        idx = np.searchsorted(net.knots, g.times, side="left")
         for j in range(1, g.times.size):
-            i = g.knot_index[j]
-            assert net.knots[i - 1] < g.times[j] <= net.knots[i]
+            i = idx[j]
+            assert net.knots[i - 1] <= g.times[j - 1] < g.times[j] \
+                <= net.knots[i]
 
 
 class TestLemmaFunctional:

@@ -1,0 +1,72 @@
+"""The benchmark's per-layer trace still sees every draw and every step.
+
+perfbench/tracer.py wraps ``normals`` and ``exact_step`` where the engine
+looks them up, by module attribute. If the path stream stopped looking them
+up there, the ``rng.normals`` and ``models.step`` layers of a traced run
+would read 0 without any error. These tests run perfbench/child.py with
+``--trace`` on tiny configs and count the spans.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CHILD = ROOT / "perfbench" / "child.py"
+
+GBM = {"case": "C2", "d": 2, "s": [1.0, 1.0], "x0": [1.0, 1.0]}
+
+
+def traced_counts(tmp_path, command, cfg):
+    """(work count, span count) per span name of one traced CLI run."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    result, spans = tmp_path / "result.json", tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("HEDGENET_SEED", None)
+    subprocess.run(
+        [sys.executable, str(CHILD), str(result), "--trace", str(spans),
+         "--", command, "--config", str(cfg_path), "--out",
+         str(tmp_path / "out")],
+        env=env, check=True, capture_output=True, timeout=120,
+    )
+    assert json.loads(result.read_text())["rc"] == 0
+    work, calls = Counter(), Counter()
+    for s in json.loads(spans.read_text()):
+        work[s["name"]] += s["count"]
+        calls[s["name"]] += 1
+    return work, calls
+
+
+def test_rate_sweep_draws_once_per_union_step(tmp_path):
+    N, d, steps = 256, 2, 64  # n = 8 ... 64 equidistant: union grid of 64
+    cfg = {
+        "model": GBM,
+        "payoff": {"key": "product", "T": 1.0, "params": {"factors": [
+            {"kind": "call", "K": 1.0}, {"kind": "digital", "K": 1.0},
+        ]}},
+        "nets": {"families": [{"family": "equidistant"}],
+                 "n_list": [8, 16, 32, 64]},
+        "engine": {"N": N, "master_seed": 3},
+    }
+    work, calls = traced_counts(tmp_path, "rate", cfg)
+    assert calls["rng.normals"] == calls["models.step"] == steps
+    assert work["rng.normals"] == N * steps * d
+    assert work["models.step"] == N * steps
+
+
+def test_theta_scan_draws_one_step_per_grid_time(tmp_path):
+    N, points = 2000, 5
+    cfg = {
+        "model": dict(GBM, d=1, s=[1.0], x0=[1.0]),
+        "payoff": {"key": "digital", "params": {"K": 1.0}, "T": 1.0},
+        "analysis": {"theta_points": points, "theta_N": N},
+        "engine": {"master_seed": 3},
+    }
+    work, calls = traced_counts(tmp_path, "theta", cfg)
+    assert calls["rng.normals"] == calls["models.step"] == points
+    assert work["rng.normals"] == N * points
+    assert work["models.step"] == N * points
