@@ -49,8 +49,8 @@ class ResidualReport:
         return abs(self.residual) / self.scale
 
 
-def pde_residual(spec, pricing, t: float, x, h_t: float = None,
-                 h_x: float = 1e-4) -> ResidualReport:
+def pde_residual(spec, pricing, t: float, x,
+                 h_t: float = None) -> ResidualReport:
     """Residual of dF/dt + (1/2) sum_kl A_kl d2F/dx_k dx_l at (t, x).
 
     The time derivative is a central difference with step h_t (default

@@ -3,8 +3,10 @@
 perfbench/tracer.py wraps ``normals`` and ``exact_step`` where the engine
 looks them up, by module attribute. If the path stream stopped looking them
 up there, the ``rng.normals`` and ``models.step`` layers of a traced run
-would read 0 without any error. These tests run perfbench/child.py with
-``--trace`` on tiny configs and count the spans.
+would read 0 without any error. The ``pricing.factor.power`` spans and the
+``pricing.gradient`` / ``pricing.hessian`` row counts are what the benchmark
+attributes the power-factor table's cost by. These tests run
+perfbench/child.py with ``--trace`` on tiny configs and count the spans.
 """
 
 import json
@@ -70,3 +72,40 @@ def test_theta_scan_draws_one_step_per_grid_time(tmp_path):
     assert calls["rng.normals"] == calls["models.step"] == points
     assert work["rng.normals"] == N * points
     assert work["models.step"] == N * points
+
+
+POWER = {"kind": "power", "K": 1.0, "alpha": 0.25}
+
+
+def test_power_factor_rate_sweep_attribution(tmp_path):
+    # N reaches table_threshold, so the power factor is priced off its table
+    N, steps = 4096, 64  # n = 8 ... 64 equidistant: union grid of 64
+    cfg = {
+        "model": dict(GBM, d=3, s=[1.0] * 3, x0=[1.0] * 3),
+        "payoff": {"key": "product", "T": 1.0, "params": {"factors": [
+            {"kind": "call", "K": 1.0}, POWER, {"kind": "digital", "K": 1.0},
+        ]}},
+        "nets": {"families": [{"family": "equidistant"}],
+                 "n_list": [8, 16, 32, 64]},
+        "engine": {"N": N, "master_seed": 3},
+    }
+    work, calls = traced_counts(tmp_path, "rate", cfg)
+    # one row at x0 at t = 0, then the batch at every interior union time
+    assert work["pricing.gradient"] == 1 + N * (steps - 1)
+    assert calls["pricing.factor.power"] == calls["pricing.factor.call"] > 0
+    assert calls["pricing.factor.power"] == (calls["pricing.value"]
+                                             + calls["pricing.gradient"])
+
+
+def test_power_theta_scan_attribution(tmp_path):
+    N, points = 4096, 5
+    cfg = {
+        "model": dict(GBM, d=1, s=[1.0], x0=[1.0]),
+        "payoff": {"key": "power", "params": {"K": 1.0, "alpha": 0.25},
+                   "T": 1.0},
+        "analysis": {"theta_points": points, "theta_N": N},
+        "engine": {"master_seed": 3},
+    }
+    work, calls = traced_counts(tmp_path, "theta", cfg)
+    assert work["pricing.hessian"] == N * points
+    assert calls["pricing.factor.power"] == calls["pricing.hessian"] == points
