@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .rng import normals
+from .rng import _BatchStream, normals
 
 __all__ = [
     "DiffusionSpec",
@@ -159,18 +159,33 @@ def a_matrix(spec: DiffusionSpec, x) -> np.ndarray:
 
 
 def exact_step(spec: DiffusionSpec, x, dt: float, z) -> np.ndarray:
-    """One exact transition for constant-coefficient models (z iid normal)."""
+    """One exact transition for constant-coefficient models (z iid normal).
+
+    Returns a new array and writes to neither ``x`` nor ``z``.
+    """
     sqdt = np.sqrt(dt)
-    if spec.corr_chol is not None:
-        z = z @ spec.corr_chol.T
     if spec.exactness == "gbm-diagonal":
         s = spec.vols
         mu = 0.0 if spec.drift_rates is None else spec.drift_rates
-        return x * np.exp((mu - 0.5 * s * s) * dt + s * sqdt * z)
+        # x * exp((mu - s^2/2) dt + s sqrt(dt) z), computed in the result's
+        # buffer: the operands of the commutative ops swap places
+        res = np.empty(np.broadcast_shapes(np.shape(x), np.shape(z),
+                                           s.shape))
+        if spec.corr_chol is not None:
+            np.matmul(z, spec.corr_chol.T, out=res)
+            res *= s * sqdt
+        else:
+            np.multiply(z, s * sqdt, out=res)
+        res += (mu - 0.5 * s * s) * dt
+        np.exp(res, out=res)
+        res *= x
+        return res
     if spec.exactness == "bm-constant":
+        if spec.corr_chol is not None:
+            z = z @ spec.corr_chol.T
         out = x + z @ (sqdt * spec.const_sigma).T
         if spec.const_drift is not None:
-            out = out + spec.const_drift * dt
+            out += spec.const_drift * dt
         return out
     raise ValueError("exact sampling requires a non-'general' spec")
 
@@ -205,14 +220,17 @@ def path_states(spec, times, master_seed, path_indices, scheme="exact"):
     j runs over 1 .. len(times) - 1 and each yielded state array (B, d) is
     new. The step from t_{j-1} to t_j draws its normals at step index
     j - 1, keyed by (master_seed, path_index, j - 1), so the paths are
-    independent of batching and worker scheduling.
+    independent of batching and worker scheduling. The draws of a step are
+    made into the batch stream's buffer, which the next step overwrites.
     """
     check_scheme(spec, scheme)
     times = np.asarray(times, dtype=float)
     path_indices = np.asarray(path_indices)
     step = exact_step if scheme == "exact" else euler_step
-    x = np.broadcast_to(spec.x0, (path_indices.size, spec.d)).copy()
+    stream = _BatchStream(master_seed, path_indices, spec.d)
+    # no step writes to its x, so the start needs no copy of x0
+    x = np.broadcast_to(spec.x0, (path_indices.size, spec.d))
     for j in range(1, times.size):
-        z = normals(master_seed, path_indices, j - 1, spec.d)
+        z = normals(master_seed, path_indices, j - 1, spec.d, _stream=stream)
         x = step(spec, x, times[j] - times[j - 1], z)
         yield j, x

@@ -526,9 +526,9 @@ class ProductPricing:
 
     def gradient(self, t, x):
         x = self._check(x)
-        vals, dels = self._vd(t, x)
         if self.d == 1:
-            return dels
+            return self.factors[0].delta(t, x[:, 0])[:, None]
+        vals, dels = self._vd(t, x)
         return dels * self._others(vals)
 
     def hessian(self, t, x):

@@ -6,6 +6,12 @@ finalizer turns the tuple into a 64-bit word, the top 53 bits become a
 uniform in (0, 1), and the inverse normal CDF maps it to a Gaussian.
 Draws are therefore independent of batch size, evaluation order and worker
 count.
+
+A path stream (``path_states``) draws one step at a time for a fixed batch
+of paths. The chain's first two links depend only on (master_seed,
+path_index), so ``_BatchStream`` computes them once per batch and each step
+runs the last two links in place on buffers it keeps; the words, and so the
+draws, are the same as ``normals`` computes from the four keys.
 """
 
 from __future__ import annotations
@@ -35,18 +41,35 @@ class SeedSpec:
             raise ValueError("seed components must be non-negative")
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
+def _mix_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
+    """The SplitMix64 finalizer of the uint64 array ``z``, written back into
+    ``z``; ``tmp`` is scratch of its shape."""
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        z ^= tmp
+        z *= mult
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
+
+
+def _mix(z) -> np.ndarray:
+    z = np.array(z, dtype=np.uint64)
+    _mix_inplace(z, np.empty_like(z))
+    return z
+
+
+def _path_keys(master_seed, path_index) -> np.ndarray:
+    """The first two links of the chain: a word per path, broadcastable."""
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+        z = _mix(np.uint64(master_seed) + _GOLDEN)
+        return _mix(z + _GOLDEN * (np.asarray(path_index, dtype=np.uint64)
+                                   + np.uint64(1)))
 
 
 def _counter_words(master_seed, path_index, step_index, coord) -> np.ndarray:
     """Chained SplitMix64 over the four key components (broadcasting)."""
     with np.errstate(over="ignore"):
-        z = _mix(np.uint64(master_seed) + _GOLDEN)
-        z = _mix(z + _GOLDEN * (np.asarray(path_index, dtype=np.uint64) + np.uint64(1)))
+        z = _path_keys(master_seed, path_index)
         z = _mix(z + _GOLDEN * (np.asarray(step_index, dtype=np.uint64) + np.uint64(1)))
         z = _mix(z + _GOLDEN * (np.asarray(coord, dtype=np.uint64) + np.uint64(1)))
     return z
@@ -58,12 +81,21 @@ def uniforms(master_seed, path_index, step_index, coord) -> np.ndarray:
     return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
 
 
-def normals(master_seed, path_index, step_index, d: int) -> np.ndarray:
+def normals(master_seed, path_index, step_index, d: int,
+            _stream=None) -> np.ndarray:
     """Standard normal block of shape broadcast(path_index, step_index) x d.
 
     ``path_index`` and ``step_index`` may be scalars or arrays; the coordinate
-    axis is appended last.
+    axis is appended last. ``_stream`` is internal to ``path_states``: a
+    ``_BatchStream`` made from this ``master_seed`` and ``path_index``
+    (which are then not read again), drawing the same block for a scalar
+    ``step_index`` into its own buffer.
     """
+    if _stream is not None:
+        if _stream.d != d or np.ndim(step_index) != 0:
+            raise ValueError("a stream draws its own width d at a scalar "
+                             "step_index")
+        return _stream.draw(step_index)
     path_index = np.asarray(path_index, dtype=np.uint64)
     step_index = np.asarray(step_index, dtype=np.uint64)
     shape = np.broadcast_shapes(path_index.shape, step_index.shape) + (d,)
@@ -75,3 +107,42 @@ def normals(master_seed, path_index, step_index, d: int) -> np.ndarray:
         coords,
     )
     return ndtri(np.broadcast_to(u, shape))
+
+
+class _BatchStream:
+    """The normals of one batch of paths, drawn step by step in place.
+
+    Holds the batch's path keys, computed once, and the buffers of a step:
+    one (B, d) word buffer and one (B, d) float buffer. ``draw`` returns the
+    float buffer, which the next draw overwrites.
+    """
+
+    def __init__(self, master_seed, path_index, d: int):
+        self._keys = np.reshape(_path_keys(master_seed, path_index), (-1, 1))
+        B = self._keys.shape[0]
+        self.d = d
+        self._coords = _GOLDEN * (np.arange(d, dtype=np.uint64)
+                                  + np.uint64(1))
+        self._words = np.empty((B, d), dtype=np.uint64)
+        self._out = np.empty((B, d))
+        # The float buffer is free until the uniforms are written, so it
+        # doubles as word scratch; the step link runs on contiguous (B, 1)
+        # columns made of the first B words of each buffer.
+        self._scratch = self._out.view(np.uint64)
+        self._col = self._scratch.reshape(-1)[:B, None]
+        self._col_tmp = self._words.reshape(-1)[:B, None]
+
+    def draw(self, step_index: int) -> np.ndarray:
+        w, out, col = self._words, self._out, self._col
+        with np.errstate(over="ignore"):
+            step = _GOLDEN * (np.uint64(step_index) + np.uint64(1))
+        np.add(self._keys, step, out=col)
+        _mix_inplace(col, self._col_tmp)
+        np.add(col, self._coords, out=w)
+        _mix_inplace(w, self._scratch)
+        # uniforms() and the inverse CDF, in place
+        np.right_shift(w, np.uint64(11), out=w)
+        out[...] = w
+        out += 0.5
+        out *= _U53
+        return ndtri(out, out=out)

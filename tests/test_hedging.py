@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hedgenet.hedging as hedging
 from hedgenet.analysis import fit_rate
 from hedgenet.hedging import (
     BATCH_SIZE,
@@ -251,3 +252,38 @@ class TestNestedSweep:
         )
         loo = est.jackknife_rms()
         assert min(loo) < est.rms < max(loo)
+
+
+class TestHedgeIncrement:
+    """The hedge increment's row dot product keeps the bits of
+    ``(dx * grad).sum(axis=1)``: a column sum up to d = 7, numpy's pairwise
+    sum from d = 8 on."""
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_row_dots_is_the_row_sum(self, d):
+        rng = np.random.default_rng(d)
+        dx = rng.normal(size=(1000, d))
+        # a full gradient, and the broadcast one of t = 0
+        for grad in (rng.normal(size=(1000, d)),
+                     np.broadcast_to(rng.normal(size=d), (1000, d))):
+            want = (dx * grad).sum(axis=1)
+            got = hedging._row_dots(dx, grad, np.empty((1000, d)),
+                                    np.empty(1000))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_sweep_equals_the_row_sum_form(self, d, monkeypatch):
+        kinds = ["call", "digital", "const", "call"]
+        spec = gbm_diagonal(d, 0.6, 1.0)
+        pricing = ProductPricing([Factor1D(kinds[i % 4], s=0.6)
+                                  for i in range(d)])
+
+        def sweep():
+            return [p.estimate for p in error_curve(
+                spec, pricing, [2, 4, 8], None, 500, 17)]
+
+        got = sweep()
+        monkeypatch.setattr(hedging, "_row_dots",
+                            lambda dx, grad, prod, dots:
+                            (dx * grad).sum(axis=1))
+        assert got == sweep()

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from hedgenet.models import (
     a_matrix,
     bm_constant,
+    euler_step,
     exact_step,
     gbm_diagonal,
     general_diffusion,
@@ -197,3 +200,44 @@ class TestPathSample:
         # a zero-length first step stays exactly at x0
         [(_, x)] = path_states(spec, [0.0, 0.0], 0, idx)
         assert np.array_equal(x[0], [1.5, 0.5])
+
+
+class TestInPlaceStream:
+    """path_states draws into the stream's reused buffer; exact_step writes
+    to neither of its inputs, and every yielded state is new."""
+
+    SPECS = {
+        "gbm": gbm_diagonal(2, [1.0, 0.5], [1.0, 2.0], mu=[0.1, -0.2]),
+        "gbm-corr": gbm_diagonal(2, [1.0, 0.5], [1.0, 2.0],
+                                 corr=[[1.0, 0.6], [0.6, 1.0]]),
+        "bm": bm_constant([[1.0, 0.0], [0.3, 0.8]], [0.0, 1.0],
+                          drift=[0.1, 0.2]),
+        "bm-corr": bm_constant(np.eye(2), [0.0, 1.0],
+                               corr=[[1.0, -0.4], [-0.4, 1.0]]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_exact_step_leaves_its_inputs_unchanged(self, name):
+        spec = self.SPECS[name]
+        x = np.exp(normals(1, np.arange(50), 7, 2))
+        z = normals(1, np.arange(50), 8, 2)
+        x_before, z_before = x.tobytes(), z.tobytes()
+        out = exact_step(spec, x, 0.25, z)
+        assert x.tobytes() == x_before and z.tobytes() == z_before
+        assert not np.shares_memory(out, x) and not np.shares_memory(out, z)
+
+    @pytest.mark.parametrize("scheme", ["exact", "euler"])
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_states_are_new_and_equal_the_public_steps(self, name, scheme):
+        spec = self.SPECS[name]
+        step = exact_step if scheme == "exact" else euler_step
+        times = np.array([0.0, 0.1, 0.35, 0.5, 1.0])
+        idx = np.arange(40, 80)
+        got = [x for _, x in path_states(spec, times, 6, idx, scheme)]
+        x = np.broadcast_to(spec.x0, (idx.size, 2)).copy()
+        for j, state in enumerate(got, start=1):
+            x = step(spec, x, times[j] - times[j - 1],
+                     normals(6, idx, j - 1, 2))
+            assert state.tobytes() == x.tobytes()
+        for a, b in itertools.combinations(got, 2):
+            assert not np.shares_memory(a, b)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hedgenet.rng import SeedSpec, normals, uniforms
+from hedgenet.rng import SeedSpec, _BatchStream, normals, uniforms
 
 
 class TestSeedSpec:
@@ -60,3 +60,27 @@ class TestNormals:
         b = normals(5, np.arange(100000), 1, 1).ravel()
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 4.0 / np.sqrt(a.size)
+
+
+class TestBatchStream:
+    """path_states draws through a stream that computes the path keys once
+    per batch and reuses its buffers; it must draw the four-key normals."""
+
+    @pytest.mark.parametrize("master_seed", [0, 2**63 - 1])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_equals_four_key_normals(self, master_seed, d):
+        B = 256
+        idx = np.arange(3 * B, 4 * B)  # a batch away from path 0
+        stream = _BatchStream(master_seed, idx, d)
+        for step in (0, 1, 2**20):
+            got = normals(master_seed, idx, step, d, _stream=stream)
+            want = normals(master_seed, idx, step, d)
+            assert got.shape == (B, d)
+            assert got.tobytes() == want.tobytes()
+
+    def test_rejects_a_draw_it_cannot_make(self):
+        stream = _BatchStream(0, np.arange(8), 2)
+        with pytest.raises(ValueError):
+            normals(0, np.arange(8), 0, 3, _stream=stream)
+        with pytest.raises(ValueError):
+            normals(0, np.arange(8), np.array([0, 1]), 2, _stream=stream)
