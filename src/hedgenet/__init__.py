@@ -10,8 +10,6 @@ __version__ = "0.1.0"
 
 from .timenets import (
     TimeNet,
-    EtaNetParams,
-    RefinedGrid,
     eta_net,
     equidistant_net,
     refine,

@@ -30,17 +30,11 @@ from .analysis import (
     fit_rate,
     theta_grid_table,
 )
-from .hedging import (
-    HedgeExperiment,
-    error_curve,
-    estimate_sweep,
-    family_nets,
-    path_error,
-)
+from .hedging import error_curve, family_nets, path_error
 from .models import SCHEMES, bm_constant, gbm_diagonal
 from .pricing import make_pricing
 from .rng import SeedSpec
-from .timenets import EtaNetParams, eta_net, refine
+from .timenets import eta_net
 
 __all__ = ["main", "load_config", "config_hash", "DEFAULT_CONFIG"]
 
@@ -76,7 +70,6 @@ DEFAULT_CONFIG = {
         "theta_N": 50000,
         "u_grid": None,  # defaults to 9 points across [0.1 T, 0.9 T]
     },
-    "output": {"directory": ".", "formats": ["csv", "json"]},
 }
 
 
@@ -183,19 +176,6 @@ def _write_json(path, obj):
         f.write("\n")
 
 
-def _manifest(outdir: Path, cfg, outputs, wall_ms):
-    _write_json(
-        outdir / "manifest.json",
-        {
-            "config": cfg,
-            "config_sha256": config_hash(cfg),
-            "version": __version__,
-            "wall_ms": wall_ms,
-            "outputs": sorted(outputs),
-        },
-    )
-
-
 def _resolve_families(cfg, pricing):
     """[(name, eta)] with 'auto' eta resolved from the payoff's theta hint."""
     out = []
@@ -211,8 +191,6 @@ def _resolve_families(cfg, pricing):
                 eta = float(eta)
             except (TypeError, ValueError):
                 raise UsageError(f"eta must be a number, not {eta!r}")
-            if not (0.0 <= eta < 1.0):
-                raise UsageError("eta must be in [0, 1)")
             out.append(("eta", eta))
         else:
             raise UsageError(f"unknown net family {name!r}")
@@ -237,26 +215,31 @@ def _engine_mode(cfg, allowed) -> str:
     return mode
 
 
-def _family_nets(cfg, pricing, families):
-    """{eta: [net for each n]}, one entry per distinct net family.
+def _sweeps(cfg, spec, pricing, families, mode) -> dict:
+    """{eta: (error_curve points, wall_ms)}, one sweep per distinct net family.
 
-    Every net is built here, before any path is simulated, so an
+    Every net is built here before any path is simulated, so an
     unrepresentable net fails the run up front. The equidistant family is
-    eta = 0, so an eta family that resolves to 0 shares its entry.
+    eta = 0, so an eta family that resolves to 0 shares its sweep.
     """
-    out = {}
+    eng, n_list = cfg["engine"], cfg["nets"]["n_list"]
+    etas = list(dict.fromkeys(eta for _, eta in families))
     try:
-        for _, eta in families:
-            if eta not in out:
-                out[eta] = family_nets(pricing.T, cfg["nets"]["n_list"], eta)
+        if list(n_list) != sorted(n_list):
+            raise ValueError("n_list must be ascending")
+        for eta in etas:
+            family_nets(pricing.T, n_list, eta)
     except (TypeError, ValueError) as e:
         raise UsageError(f"invalid nets block: {e}")
-    return out
-
-
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = {}
+    for eta in etas:
+        t0 = time.perf_counter()
+        points = error_curve(
+            spec, pricing, n_list, eta, eng["N"], eng["master_seed"],
+            error_mode=mode, scheme=eng["scheme"], workers=eng["workers"],
+            monitor_factor=eng["monitor_factor"],
+        )
+        out[eta] = (points, int((time.perf_counter() - t0) * 1000))
     return out
 
 
@@ -265,14 +248,8 @@ def _outdir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_net(args) -> int:
-    if not (0.0 <= args.eta < 1.0):
-        raise UsageError("eta must be < 1 (and >= 0)")
-    if args.n < 1:
-        raise UsageError("n must be >= 1")
-    if args.T <= 0.0:
-        raise UsageError("T must be positive")
     try:
-        net = eta_net(EtaNetParams(horizon=args.T, n=args.n, eta=args.eta))
+        net = eta_net(args.T, args.n, args.eta)
     except ValueError as e:
         raise UsageError(str(e))
     net.to_csv(args.out)
@@ -284,38 +261,29 @@ def cmd_net(args) -> int:
     return 0
 
 
-def cmd_rate(args) -> int:
-    t0 = time.perf_counter()
-    cfg = load_config(args.config)
-    if args.workers is not None:
-        cfg["engine"]["workers"] = args.workers
-    spec = build_spec(cfg)
-    pricing = build_pricing(cfg)
-    eng = cfg["engine"]
+# Each config command maps (args, cfg, spec, pricing) to its artifacts,
+# {file name: content}; run_config writes them.
+
+def cmd_rate(args, cfg, spec, pricing) -> dict:
     # one rate fit per family, so one mode
     mode = _engine_mode(cfg, ("terminal", "running_sup"))
     families = _resolve_families(cfg, pricing)
-    _family_nets(cfg, pricing, families)
-    if sum(n >= RATE_N_MIN for n in cfg["nets"]["n_list"]) < 4:
+    try:
+        fits = sum(n >= RATE_N_MIN for n in cfg["nets"]["n_list"])
+    except TypeError as e:
+        raise UsageError(f"invalid nets block: {e}")
+    if fits < 4:
         raise UsageError(f"a rate fit needs at least 4 values of n >= "
                          f"{RATE_N_MIN} in nets.n_list")
-    outdir = _outdir(args)
+    sweeps = _sweeps(cfg, spec, pricing, families, mode)
     rows = []
     summaries = []
-    curves = {}
     for name, eta in families:
-        if eta not in curves:
-            points = error_curve(
-                spec, pricing, cfg["nets"]["n_list"], eta, eng["N"],
-                eng["master_seed"], error_mode=mode,
-                scheme=eng["scheme"], workers=eng["workers"],
-                monitor_factor=eng["monitor_factor"],
-            )
-            curves[eta] = (points, fit_rate(
-                [(p.n, p.estimate.rms) for p in points],
-                jackknife=[p.estimate.jackknife_rms() for p in points],
-            ))
-        points, fit = curves[eta]
+        points, _ = sweeps[eta]
+        fit = fit_rate(
+            [(p.n, p.estimate.rms) for p in points],
+            jackknife=[p.estimate.jackknife_rms() for p in points],
+        )
         for p in points:
             rows.append(
                 (p.n, p.estimate.rms, p.estimate.stderr_rms, name, eta)
@@ -332,51 +300,33 @@ def cmd_rate(args) -> int:
         )
         print(f"{name} (eta={eta:g}): slope {fit.slope:+.4f} "
               f"ci95 [{fit.ci95_slope[0]:+.4f}, {fit.ci95_slope[1]:+.4f}]")
-    _write_csv(outdir / "rate_fit.csv",
-               ["n", "rms", "stderr", "family", "eta"], rows)
-    summary = {"command": "rate", "payoff": cfg["payoff"]["key"],
-               "families": summaries}
-    _write_json(outdir / "summary.json", summary)
-    wall = int((time.perf_counter() - t0) * 1000)
-    _manifest(outdir, cfg, ["rate_fit.csv", "summary.json"], wall)
-    return 0
-
-
-def cmd_theta(args) -> int:
-    t0 = time.perf_counter()
-    cfg = load_config(args.config)
-    spec = build_spec(cfg)
-    pricing = build_pricing(cfg)
-    outdir = _outdir(args)
-    T = pricing.T
-    grid = default_theta_grid(T, cfg["analysis"]["theta_points"])
-    n_paths = cfg["analysis"]["theta_N"]
-    seed = cfg["engine"]["master_seed"]
-    fit = estimate_theta(spec, pricing, grid, n_paths, seed)
-    eta = choose_eta(min(max(fit.theta_hat, 0.0), 1.0 - 1e-9))
-    _write_csv(outdir / "theta_fit.csv", ["t", "m_t", "stderr"],
-               theta_grid_table(fit))
-    summary = {
-        "command": "theta",
-        "payoff": cfg["payoff"]["key"],
-        "theta_hat": fit.theta_hat,
-        "ci95": list(fit.ci95),
-        "r2": fit.r2,
-        "eta_chosen": eta,
+    return {
+        "rate_fit.csv": (["n", "rms", "stderr", "family", "eta"], rows),
+        "summary.json": {"command": "rate", "payoff": cfg["payoff"]["key"],
+                         "families": summaries},
     }
-    _write_json(outdir / "summary.json", summary)
-    wall = int((time.perf_counter() - t0) * 1000)
-    _manifest(outdir, cfg, ["theta_fit.csv", "summary.json"], wall)
+
+
+def cmd_theta(args, cfg, spec, pricing) -> dict:
+    grid = default_theta_grid(pricing.T, cfg["analysis"]["theta_points"])
+    fit = estimate_theta(spec, pricing, grid, cfg["analysis"]["theta_N"],
+                         cfg["engine"]["master_seed"])
+    eta = choose_eta(min(max(fit.theta_hat, 0.0), 1.0 - 1e-9))
     print(f"theta_hat = {fit.theta_hat:.4f}  eta = {eta:.4f}")
-    return 0
+    return {
+        "theta_fit.csv": (["t", "m_t", "stderr"], theta_grid_table(fit)),
+        "summary.json": {
+            "command": "theta",
+            "payoff": cfg["payoff"]["key"],
+            "theta_hat": fit.theta_hat,
+            "ci95": list(fit.ci95),
+            "r2": fit.r2,
+            "eta_chosen": eta,
+        },
+    }
 
 
-def cmd_h2(args) -> int:
-    t0 = time.perf_counter()
-    cfg = load_config(args.config)
-    spec = build_spec(cfg)
-    pricing = build_pricing(cfg)
-    outdir = _outdir(args)
+def cmd_h2(args, cfg, spec, pricing) -> dict:
     T = pricing.T
     u_grid = cfg["analysis"]["u_grid"]
     if u_grid is None:
@@ -385,93 +335,85 @@ def cmd_h2(args) -> int:
         spec, pricing, u_grid, cfg["analysis"]["theta_N"],
         cfg["engine"]["master_seed"],
     )
-    _write_csv(outdir / "h2_curve.csv", ["u", "h2", "stderr"], curve.points)
     h2_min, se_min = curve.infimum()
-    summary = {
-        "command": "h2",
-        "payoff": cfg["payoff"]["key"],
-        "h2_inf": h2_min,
-        "h2_inf_stderr": se_min,
-        "positive_3se": bool(h2_min - 3.0 * se_min > 0.0),
-    }
-    _write_json(outdir / "summary.json", summary)
-    wall = int((time.perf_counter() - t0) * 1000)
-    _manifest(outdir, cfg, ["h2_curve.csv", "summary.json"], wall)
     print(f"inf H^2 = {h2_min:.5g} (stderr {se_min:.2g})")
-    return 0
+    return {
+        "h2_curve.csv": (["u", "h2", "stderr"], curve.points),
+        "summary.json": {
+            "command": "h2",
+            "payoff": cfg["payoff"]["key"],
+            "h2_inf": h2_min,
+            "h2_inf_stderr": se_min,
+            "positive_3se": bool(h2_min - 3.0 * se_min > 0.0),
+        },
+    }
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, cfg, spec, pricing) -> dict:
+    eng = cfg["engine"]
+    mode = _engine_mode(cfg, ("terminal", "running_sup", "both"))
+    families = _resolve_families(cfg, pricing)
+    sweeps = _sweeps(cfg, spec, pricing, families, mode)
+    rows = []
+    for name, eta in families:
+        points, wall_ms = sweeps[eta]
+        for p in points:
+            M = p.n if mode == "terminal" else eng["monitor_factor"] * p.n
+            for m, e in p.estimates.items():
+                rows.append(
+                    (name, eta, str(p.n), str(M), str(eng["N"]), m,
+                     e.mean_sq, e.rms, e.stderr_mean_sq,
+                     str(eng["master_seed"]), str(wall_ms))
+                )
+    artifacts = {
+        "experiments.csv": (
+            ["family", "eta", "n", "M", "N", "mode", "mean_sq", "rms",
+             "stderr", "seed", "wall_ms"],
+            rows,
+        ),
+        "summary.json": {"command": "simulate",
+                         "payoff": cfg["payoff"]["key"],
+                         "experiments": len(rows)},
+    }
+    if args.dump_paths:
+        net = eta_net(pricing.T, int(cfg["nets"]["n_list"][0]),
+                      families[0][1])
+        M = eng["monitor_factor"] * net.n_intervals
+        artifacts["path_errors.csv"] = (
+            ["path", "terminal_error", "sup_abs_error"],
+            [
+                (str(i), *path_error(spec, pricing, net, M,
+                                     SeedSpec(eng["master_seed"], i),
+                                     eng["scheme"]))
+                for i in range(min(args.dump_paths, eng["N"]))
+            ],
+        )
+    return artifacts
+
+
+def run_config(args) -> int:
+    """Load the config, build the model and payoff, run the command, then
+    write its artifacts and the manifest into a new output directory."""
     t0 = time.perf_counter()
     cfg = load_config(args.config)
-    if args.workers is not None:
+    if getattr(args, "workers", None) is not None:
         cfg["engine"]["workers"] = args.workers
-    spec = build_spec(cfg)
-    pricing = build_pricing(cfg)
-    eng = cfg["engine"]
-    _engine_mode(cfg, ("terminal", "running_sup", "both"))
-    families = _resolve_families(cfg, pricing)
-    nets = _family_nets(cfg, pricing, families)
-    outdir = _outdir(args)
-    rows = []
-    outputs = ["experiments.csv", "summary.json"]
-    sweeps = {}
-    for name, eta in families:
-        if eta not in sweeps:
-            exps = [
-                HedgeExperiment(
-                    spec=spec, pricing=pricing, net=net, n_paths=eng["N"],
-                    master_seed=eng["master_seed"], error_mode=eng["mode"],
-                    monitor_points=(
-                        eng["monitor_factor"] * net.n_intervals
-                        if eng["mode"] != "terminal" else None
-                    ),
-                    scheme=eng["scheme"],
-                )
-                for net in nets[eta]
-            ]
-            te0 = time.perf_counter()
-            ests = estimate_sweep(exps, workers=eng["workers"])
-            wall_ms = int((time.perf_counter() - te0) * 1000)
-            sweeps[eta] = (exps, ests, wall_ms)
-        exps, ests, wall_ms = sweeps[eta]
-        for exp, est in zip(exps, ests):
-            n = exp.net.n_intervals
-            M = exp.monitor_points
-            for mode, e in est.items():
-                rows.append(
-                    (name, eta, n, M if M is not None else n,
-                     eng["N"], mode, e.mean_sq, e.rms, e.stderr_mean_sq,
-                     eng["master_seed"], wall_ms)
-                )
-    _write_csv(
-        outdir / "experiments.csv",
-        ["family", "eta", "n", "M", "N", "mode", "mean_sq", "rms",
-         "stderr", "seed", "wall_ms"],
-        [
-            (r[0], r[1], str(r[2]), str(r[3]), str(r[4]), r[5],
-             r[6], r[7], r[8], str(r[9]), str(r[10]))
-            for r in rows
-        ],
-    )
-    if args.dump_paths:
-        net = nets[families[0][1]][0]
-        grid = refine(net, eng["monitor_factor"] * net.n_intervals)
-        prows = []
-        for i in range(min(args.dump_paths, eng["N"])):
-            term, sup = path_error(
-                spec, pricing, net, grid,
-                SeedSpec(eng["master_seed"], i), eng["scheme"],
-            )
-            prows.append((str(i), term, sup))
-        _write_csv(outdir / "path_errors.csv",
-                   ["path", "terminal_error", "sup_abs_error"], prows)
-        outputs.append("path_errors.csv")
-    summary = {"command": "simulate", "payoff": cfg["payoff"]["key"],
-               "experiments": len(rows)}
-    _write_json(outdir / "summary.json", summary)
-    wall = int((time.perf_counter() - t0) * 1000)
-    _manifest(outdir, cfg, outputs, wall)
+    artifacts = args.command_fn(args, cfg, build_spec(cfg),
+                                build_pricing(cfg))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in artifacts.items():
+        if name.endswith(".csv"):
+            _write_csv(out / name, *content)
+        else:
+            _write_json(out / name, content)
+    _write_json(out / "manifest.json", {
+        "config": cfg,
+        "config_sha256": config_hash(cfg),
+        "version": __version__,
+        "wall_ms": int((time.perf_counter() - t0) * 1000),
+        "outputs": sorted(artifacts),
+    })
     return 0
 
 
@@ -570,7 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--workers", type=int, default=None)
         if name == "simulate":
             sp.add_argument("--dump-paths", type=int, default=0)
-        sp.set_defaults(func=fn)
+        sp.set_defaults(func=run_config, command_fn=fn)
 
     pr = sub.add_parser("report", help="aggregate run summaries in a directory")
     pr.add_argument("--dir", required=True)

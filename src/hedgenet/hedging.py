@@ -30,7 +30,7 @@ import numpy as np
 
 from .models import DiffusionSpec, check_scheme, path_states
 from .rng import SeedSpec
-from .timenets import RefinedGrid, TimeNet, eta_net, EtaNetParams, refine
+from .timenets import TimeNet, eta_net, refine
 
 # Not called here: perfbench/tracer.py wraps these two names in this module.
 from .models import exact_step  # noqa: F401
@@ -96,7 +96,7 @@ class HedgeExperiment:
             return ("terminal", "running_sup")
         return (self.error_mode,)
 
-    def monitoring_grid(self) -> RefinedGrid:
+    def monitoring_grid(self) -> np.ndarray:
         M = self.monitor_points
         if M is None:
             M = M_FACTOR * self.net.n_intervals
@@ -149,9 +149,15 @@ class HedgeErrorEstimate:
 @dataclass(frozen=True)
 class ErrorCurvePoint:
     n: int
-    estimate: HedgeErrorEstimate
+    estimates: dict  # one HedgeErrorEstimate per requested mode
     family: str  # "equidistant" | "eta"
     eta: float
+
+    @property
+    def estimate(self) -> HedgeErrorEstimate:
+        """The terminal estimate, or the running-sup one if that is the
+        only mode."""
+        return self.estimates.get("terminal") or self.estimates["running_sup"]
 
 
 @dataclass(frozen=True)
@@ -263,16 +269,14 @@ def _batch_errors(spec, pricing, plan: _Plan, master_seed, path_indices,
     return out
 
 
-def path_error(spec, pricing, net: TimeNet, grid: RefinedGrid, seed: SeedSpec,
-               scheme: str = "exact"):
+def path_error(spec, pricing, net: TimeNet, monitor_points: int,
+               seed: SeedSpec, scheme: str = "exact"):
     """(terminal_error, sup_abs_error) of a single hedged path.
 
-    The supremum is taken over the monitoring grid, with the t = T value
-    computed from the terminal payoff.
+    The supremum is taken over ``refine(net, monitor_points)``, with the
+    t = T value computed from the terminal payoff.
     """
-    if not np.all(np.isin(net.knots, grid.times)):
-        raise ValueError("monitoring grid must contain every net knot")
-    plan = _plan([grid.times], [net.knots], want_sup=True)
+    plan = _plan([refine(net, monitor_points)], [net.knots], want_sup=True)
     [(terminal, sup)] = _batch_errors(
         spec, pricing, plan, seed.master_seed,
         np.array([seed.path_index], dtype=np.uint64), scheme,
@@ -361,7 +365,7 @@ def estimate_sweep(exps: Sequence[HedgeExperiment], workers: int = 1):
             raise ValueError("a sweep's experiments may differ only in net "
                              "and monitor points")
     plan = _plan(
-        [e.monitoring_grid().times if e.needs_sup else e.net.knots
+        [e.monitoring_grid() if e.needs_sup else e.net.knots
          for e in exps],
         [e.net.knots for e in exps],
         first.needs_sup,
@@ -385,8 +389,7 @@ def estimate_l2_error(exp: HedgeExperiment, workers: int = 1):
 
 def family_nets(T: float, n_list: Sequence[int], eta: Optional[float]):
     """One eta-net per n; eta None or 0 gives the equidistant net."""
-    return [eta_net(EtaNetParams(horizon=T, n=int(n), eta=float(eta or 0.0)))
-            for n in n_list]
+    return [eta_net(T, int(n), float(eta or 0.0)) for n in n_list]
 
 
 def error_curve(spec, pricing, n_list: Sequence[int], eta: Optional[float],
@@ -402,8 +405,8 @@ def error_curve(spec, pricing, n_list: Sequence[int], eta: Optional[float],
     points across n; ``fit_rate`` takes their ``jackknife_rms`` for a valid
     slope CI. The largest n of a nested sweep (n_list = 8, 16, ..., 512)
     gets exactly its standalone estimate.
-    Returns a list of ErrorCurvePoint carrying the terminal-mode estimate
-    (or the running-sup estimate if that is the only mode requested).
+    Returns one ErrorCurvePoint per n, carrying an estimate per requested
+    mode.
     """
     if list(n_list) != sorted(n_list):
         raise ValueError("n_list must be ascending")
@@ -419,10 +422,9 @@ def error_curve(spec, pricing, n_list: Sequence[int], eta: Optional[float],
         )
         for net in family_nets(pricing.T, n_list, eta)
     ]
-    pick = "terminal" if error_mode != "running_sup" else "running_sup"
     return [
         ErrorCurvePoint(
-            n=e.net.n_intervals, estimate=est[pick], family=family,
+            n=e.net.n_intervals, estimates=est, family=family,
             eta=float(eta or 0.0),
         )
         for e, est in zip(exps, estimate_sweep(exps, workers))

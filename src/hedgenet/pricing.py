@@ -266,6 +266,9 @@ _TABLE_LADDER = 1.2
 #: rows of a table lookup evaluated at once
 _TABLE_CHUNK = 16384
 
+#: 1-D power-factor batches at least this large are priced off a table
+_TABLE_MIN_ROWS = 4096
+
 # ---------------------------------------------------------------------------
 # one-dimensional factors
 # ---------------------------------------------------------------------------
@@ -277,7 +280,7 @@ class Factor1D:
     kind "const" is the neutral factor f = 1 for coordinates without
     optionality. The call and digital factors are closed forms. The power
     factor (x - K)_+^alpha is priced by quadrature of its log-price
-    derivatives: directly for batches below table_threshold rows, and off
+    derivatives: directly for batches below _TABLE_MIN_ROWS rows, and off
     a per-call table with cubic Hermite interpolation in log-price above
     (_power_eval_table).
     """
@@ -287,8 +290,6 @@ class Factor1D:
     alpha: float = 0.25
     s: float = 1.0
     T: float = 1.0
-    #: 1-D power-factor batches at least this large are priced off a table
-    table_threshold: int = 4096
 
     def __post_init__(self):
         if self.kind not in ("call", "digital", "power", "const"):
@@ -389,7 +390,7 @@ class Factor1D:
     # -- power factor internals --------------------------------------------
 
     def _power_eval(self, t, x, what: tuple):
-        if x.size >= self.table_threshold and x.ndim == 1:
+        if x.size >= _TABLE_MIN_ROWS and x.ndim == 1:
             return self._power_eval_table(t, x, what)
         # D_0, D_1, D_2 whatever is asked, so that node doubling judges the
         # same three moments for every output
@@ -706,32 +707,19 @@ class BMQuadratic:
         ).copy()
 
 
+def _factor(kind: str, p: dict, T: float) -> Factor1D:
+    """A factor from its config parameters; alpha matters to power only."""
+    return Factor1D(kind, K=p.get("K", 1.0), alpha=p.get("alpha", 0.25),
+                    s=p.get("s", 1.0), T=T)
+
+
 def make_pricing(key: str, params: dict, T: float):
     """Catalogue constructor used by the CLI config."""
     p = dict(params or {})
-    if key == "call":
-        return ProductPricing(
-            [Factor1D("call", K=p.get("K", 1.0), s=p.get("s", 1.0), T=T)]
-        )
-    if key == "digital":
-        return ProductPricing(
-            [Factor1D("digital", K=p.get("K", 1.0), s=p.get("s", 1.0), T=T)]
-        )
-    if key == "power":
-        return ProductPricing(
-            [Factor1D("power", K=p.get("K", 1.0), alpha=p.get("alpha", 0.25),
-                      s=p.get("s", 1.0), T=T)]
-        )
+    if key in ("call", "digital", "power"):
+        return ProductPricing([_factor(key, p, T)])
     if key == "product":
-        factors = []
-        for spec in p["factors"]:
-            factors.append(
-                Factor1D(
-                    spec["kind"], K=spec.get("K", 1.0),
-                    alpha=spec.get("alpha", 0.25), s=spec.get("s", 1.0), T=T,
-                )
-            )
-        return ProductPricing(factors)
+        return ProductPricing([_factor(f["kind"], f, T) for f in p["factors"]])
     if key == "sum_digital_2d":
         return SumDigital2D(
             K=p.get("K", 2.0), lam=p.get("lam", (1.0, 1.0)),

@@ -20,8 +20,6 @@ import numpy as np
 
 __all__ = [
     "TimeNet",
-    "EtaNetParams",
-    "RefinedGrid",
     "eta_net",
     "equidistant_net",
     "refine",
@@ -69,47 +67,19 @@ class TimeNet:
                 f.write(f"{t:.17g}\n")
 
 
-@dataclass(frozen=True)
-class EtaNetParams:
-    horizon: float
-    n: int
-    eta: float
-
-    def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError("n must be an integer >= 1")
-        if not (0.0 <= self.eta < 1.0):
-            raise ValueError("eta must be in [0, 1)")
-
-
-@dataclass(frozen=True)
-class RefinedGrid:
-    """Union of a net's knots with an equidistant monitoring grid."""
-
-    net: TimeNet
-    times: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        object.__setattr__(self, "times", times)
-        if times[0] != 0.0 or times[-1] != self.net.horizon:
-            raise ValueError("refined grid must span [0, T]")
-        if np.any(np.diff(times) <= 0.0):
-            raise ValueError("refined times must be strictly increasing")
-        if not np.all(np.isin(self.net.knots, times)):
-            raise ValueError("refined grid must contain every net knot")
-
-
 def equidistant_net(T: float, n: int) -> TimeNet:
     """Equidistant net with n + 1 knots on [0, T]: the eta-net with eta = 0."""
-    return eta_net(EtaNetParams(horizon=T, n=n, eta=0.0))
+    return eta_net(T, n, 0.0)
 
 
-def eta_net(params: EtaNetParams) -> TimeNet:
+def eta_net(T: float, n: int, eta: float) -> TimeNet:
     """Net t_i = T * (1 - ((n - i)/n)^(1/(1-eta))); eta = 0 is equidistant."""
-    n, T, eta = params.n, params.horizon, params.eta
+    if T <= 0.0:
+        raise ValueError("horizon must be positive")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError("n must be an integer >= 1")
+    if not (0.0 <= eta < 1.0):
+        raise ValueError("eta must be < 1 (and >= 0)")
     # (n - i) / n keeps t_0 = 0 and t_n = T exact. At eta = 0 the exponent
     # is 1.0 and pow returns frac exactly: the equidistant net T (1 - frac).
     frac = (n - np.arange(n + 1)) / n
@@ -122,14 +92,13 @@ def eta_net(params: EtaNetParams) -> TimeNet:
     return TimeNet(horizon=float(T), knots=knots)
 
 
-def refine(net: TimeNet, M: int) -> RefinedGrid:
-    """Union of the net with an M+1 point equidistant monitoring grid."""
+def refine(net: TimeNet, M: int) -> np.ndarray:
+    """Sorted union of the net's knots with an M+1 point equidistant
+    monitoring grid; its ends are exactly 0 and T, like the net's."""
     if M < net.n_intervals:
         raise ValueError("M must be at least the number of net intervals")
-    T = net.horizon
     j = np.arange(M + 1)
-    monitor = T * (1.0 - (M - j) / M)
-    return RefinedGrid(net=net, times=np.union1d(net.knots, monitor))
+    return np.union1d(net.knots, net.horizon * (1.0 - (M - j) / M))
 
 
 def _double_integral(t0: float, t1: float, T: float, theta: float) -> float:

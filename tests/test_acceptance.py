@@ -16,7 +16,6 @@ from hedgenet.models import bm_constant, gbm_diagonal
 from hedgenet.oracle import analytic_quadratic_error, pde_residual
 from hedgenet.pricing import BMQuadratic, Factor1D, make_pricing
 from hedgenet.timenets import (
-    EtaNetParams,
     equidistant_net,
     eta_net,
     lemma_net_functional,
@@ -52,7 +51,7 @@ def test_criterion_01_quadratic_analytic_oracle(capsys):
         for eta in (None, 0.5):
             for n in (1, 4, 16):
                 net = (equidistant_net(1.0, n) if eta is None
-                       else eta_net(EtaNetParams(1.0, n, eta)))
+                       else eta_net(1.0, n, eta))
                 est = estimate_l2_error(
                     HedgeExperiment(spec, pricing, net, 100000, 101),
                     workers=WORKERS,
@@ -145,7 +144,7 @@ def test_criterion_07_call_curvature_closed_form(capsys):
 def test_criterion_08_net_functional_bounds(capsys):
     ns = [8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
     theta = 0.75
-    eta_vals = [n * lemma_net_functional(eta_net(EtaNetParams(1.0, n, 0.75)),
+    eta_vals = [n * lemma_net_functional(eta_net(1.0, n, 0.75),
                                          theta) for n in ns]
     eq_vals = [n * lemma_net_functional(equidistant_net(1.0, n), theta)
                for n in (8, 4096)]
@@ -227,17 +226,17 @@ def test_criterion_11_property_rollup(capsys):
     inv_ok = True
     for n in (1, 7, 64):
         for eta in (0.0, 0.5, 0.75):
-            net = eta_net(EtaNetParams(2.0, n, eta))
+            net = eta_net(2.0, n, eta)
             k = net.knots
             inv_ok &= k[0] == 0.0 and k[-1] == 2.0 and np.all(np.diff(k) > 0)
         inv_ok &= np.array_equal(
-            eta_net(EtaNetParams(2.0, n, 0.0)).knots,
+            eta_net(2.0, n, 0.0).knots,
             equidistant_net(2.0, n).knots,
         )
     checks.append(("net invariants", bool(inv_ok)))
 
     # the estimator is bitwise independent of the worker count
-    net = eta_net(EtaNetParams(1.0, 16, 0.75))
+    net = eta_net(1.0, 16, 0.75)
     exp = HedgeExperiment(SPEC_GBM, DIGITAL, net, 60000, 211)
     vals = {
         estimate_l2_error(exp, workers=w)["terminal"].mean_sq

@@ -75,9 +75,13 @@ class TestConfig:
         assert cfg["nets"]["families"] == DEFAULT_CONFIG["nets"]["families"]
 
     def test_unknown_block_rejected(self, tmp_path, capsys):
-        p = write_config(tmp_path / "bad.json", {"modle": {}})
-        rc = main(["rate", "--config", p, "--out", str(tmp_path / "o")])
-        assert rc == 2
+        # nothing reads an output block, so it is not a config block
+        for block in ("modle", "output"):
+            p = write_config(tmp_path / "bad.json", {block: {}})
+            out = tmp_path / "o"
+            assert main(["rate", "--config", p, "--out", str(out)]) == 2
+            assert f"unknown config block {block!r}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_invalid_json_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -190,7 +194,7 @@ class TestRateCommand:
         assert fams[0]["ci95_slope"] == fams[1]["ci95_slope"]
 
     @pytest.mark.parametrize("cmd, attr", [("rate", "error_curve"),
-                                           ("simulate", "estimate_sweep")])
+                                           ("simulate", "error_curve")])
     def test_value_error_mid_run_is_a_runtime_error(self, tmp_path, capsys,
                                                     monkeypatch, cmd, attr):
         import hedgenet.cli as cli
@@ -200,8 +204,11 @@ class TestRateCommand:
 
         monkeypatch.setattr(cli, attr, fail)
         p = write_config(tmp_path / "d.json", DIGITAL_CFG)
-        assert main([cmd, "--config", p, "--out", str(tmp_path / cmd)]) == 1
+        out = tmp_path / cmd
+        assert main([cmd, "--config", p, "--out", str(out)]) == 1
         assert "runtime error: non-finite hedge error" in capsys.readouterr().err
+        # the output directory is made only after a run succeeds
+        assert not out.exists()
 
     @pytest.mark.parametrize("block, cmds, message", [
         ({"model": {"x0": [-1.0]}}, ("rate", "simulate"),

@@ -18,7 +18,7 @@ from hedgenet.models import bm_constant, gbm_diagonal, general_diffusion
 from hedgenet.oracle import analytic_quadratic_error
 from hedgenet.pricing import BMQuadratic, Factor1D, ProductPricing, make_pricing
 from hedgenet.rng import SeedSpec, normals
-from hedgenet.timenets import EtaNetParams, equidistant_net, eta_net, refine
+from hedgenet.timenets import equidistant_net, eta_net
 
 SPEC_BM1 = bm_constant(np.eye(1), [0.0])
 QUAD1 = BMQuadratic(1, 1.0)
@@ -30,9 +30,9 @@ class TestPathError:
     def test_single_interval_quadratic(self):
         # n=1, f = x^2 under BM from 0: error = W_1^2 - 1 exactly
         net = equidistant_net(1.0, 1)
-        grid = refine(net, 4)
+        M = 4
         for i in range(10):
-            term, sup = path_error(SPEC_BM1, QUAD1, net, grid, SeedSpec(3, i))
+            term, sup = path_error(SPEC_BM1, QUAD1, net, M, SeedSpec(3, i))
             # the monitoring grid has 4 steps of size 1/4
             w1 = sum(0.5 * normals(3, i, j, 1)[0] for j in range(4))
             assert term == pytest.approx(w1 * w1 - 1.0, rel=1e-10)
@@ -42,24 +42,24 @@ class TestPathError:
         # driftless forward: delta is constant, discrete hedge is exact
         pr = ProductPricing([Factor1D("call", K=1e-300, s=1.0, T=1.0)])
         net = equidistant_net(1.0, 4)
-        grid = refine(net, 16)
+        M = 16
         for i in range(5):
-            term, sup = path_error(SPEC_GBM, pr, net, grid, SeedSpec(8, i))
+            term, sup = path_error(SPEC_GBM, pr, net, M, SeedSpec(8, i))
             assert abs(term) < 1e-10
             assert sup < 1e-10
 
     def test_reproducible(self):
         net = equidistant_net(1.0, 2)
-        grid = refine(net, 8)
-        a = path_error(SPEC_GBM, DIGITAL, net, grid, SeedSpec(5, 7))
-        b = path_error(SPEC_GBM, DIGITAL, net, grid, SeedSpec(5, 7))
+        M = 8
+        a = path_error(SPEC_GBM, DIGITAL, net, M, SeedSpec(5, 7))
+        b = path_error(SPEC_GBM, DIGITAL, net, M, SeedSpec(5, 7))
         assert a == b
 
     def test_sup_dominates_terminal(self):
-        net = eta_net(EtaNetParams(1.0, 8, 0.75))
-        grid = refine(net, 64)
+        net = eta_net(1.0, 8, 0.75)
+        M = 64
         for i in range(20):
-            term, sup = path_error(SPEC_GBM, DIGITAL, net, grid, SeedSpec(1, i))
+            term, sup = path_error(SPEC_GBM, DIGITAL, net, M, SeedSpec(1, i))
             assert sup >= abs(term)
 
 
@@ -82,22 +82,22 @@ class TestEstimateL2:
 
     def test_prefix_stability(self):
         net = equidistant_net(1.0, 2)
-        grid = refine(net, 8)
+        M = 8
         small = estimate_l2_error(
             HedgeExperiment(SPEC_GBM, DIGITAL, net, 20000, 9)
         )["terminal"]
         # doubling N keeps the first paths identical, so the means are close
         # and single-path errors are bitwise equal
-        a = path_error(SPEC_GBM, DIGITAL, net, grid, SeedSpec(9, 123))
+        a = path_error(SPEC_GBM, DIGITAL, net, M, SeedSpec(9, 123))
         big = estimate_l2_error(
             HedgeExperiment(SPEC_GBM, DIGITAL, net, 40000, 9)
         )["terminal"]
-        b = path_error(SPEC_GBM, DIGITAL, net, grid, SeedSpec(9, 123))
+        b = path_error(SPEC_GBM, DIGITAL, net, M, SeedSpec(9, 123))
         assert a == b
         assert abs(small.mean_sq - big.mean_sq) < 5.0 * small.stderr_mean_sq
 
     def test_worker_count_invariance(self):
-        net = eta_net(EtaNetParams(1.0, 8, 0.75))
+        net = eta_net(1.0, 8, 0.75)
         results = [
             estimate_l2_error(
                 HedgeExperiment(SPEC_GBM, DIGITAL, net, 50000, 77), workers=w
@@ -185,7 +185,7 @@ class TestNestedSweep:
 
     def test_largest_n_matches_standalone_terminal(self):
         pts = error_curve(SPEC_GBM, DIGITAL, self.NS, 0.75, 5000, 21)
-        net = eta_net(EtaNetParams(1.0, self.NS[-1], 0.75))
+        net = eta_net(1.0, self.NS[-1], 0.75)
         alone = estimate_l2_error(
             HedgeExperiment(SPEC_GBM, DIGITAL, net, 5000, 21)
         )["terminal"]

@@ -114,7 +114,7 @@ class TestExactSampling:
 
     def test_bitwise_determinism(self):
         spec = gbm_diagonal(2, 1.0, [1.0, 1.0])
-        times = refine(equidistant_net(1.0, 4), 8).times
+        times = refine(equidistant_net(1.0, 4), 8)
         a = states(spec, times, 11, [3])
         b = states(spec, times, 11, [3])
         assert np.array_equal(a, b)
@@ -144,7 +144,7 @@ class TestEuler:
     def test_log_euler_exact_for_gbm(self):
         # constant log-coefficients: the log-Euler step is the exact transition
         spec = gbm_diagonal(1, 1.0, 1.0, mu=0.1)
-        times = refine(equidistant_net(1.0, 8), 8).times
+        times = refine(equidistant_net(1.0, 8), 8)
         a = states(spec, times, 2, [0], "exact")
         b = states(spec, times, 2, [0], "euler")
         assert np.allclose(a, b, rtol=1e-12)
@@ -153,7 +153,7 @@ class TestEuler:
         spec = general_diffusion(
             "C1", 1, [0.7], lambda x: np.zeros(x.shape + (1,))
         )
-        times = refine(equidistant_net(1.0, 4), 4).times
+        times = refine(equidistant_net(1.0, 4), 4)
         assert np.all(states(spec, times, 0, [0], "euler") == 0.7)
 
     def test_same_seed_identical(self):
@@ -162,7 +162,7 @@ class TestEuler:
             lambda x: np.ones(x.shape + (1,)),
             lambda x: -x,
         )
-        times = refine(equidistant_net(1.0, 16), 16).times
+        times = refine(equidistant_net(1.0, 16), 16)
         a = states(spec, times, 4, [1], "euler")
         b = states(spec, times, 4, [1], "euler")
         assert np.array_equal(a, b)
@@ -188,7 +188,7 @@ class TestEuler:
 class TestPathSample:
     def test_starts_at_x0(self):
         spec = gbm_diagonal(2, 1.0, [1.5, 0.5])
-        times = refine(equidistant_net(1.0, 2), 4).times
+        times = refine(equidistant_net(1.0, 2), 4)
         idx = np.array([0])
         steps = list(path_states(spec, times, 0, idx))
         assert [j for j, _ in steps] == list(range(1, times.size))

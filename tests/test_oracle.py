@@ -12,7 +12,7 @@ from hedgenet.oracle import (
     pde_residual,
 )
 from hedgenet.pricing import BMQuadratic, make_pricing
-from hedgenet.timenets import EtaNetParams, TimeNet, equidistant_net, eta_net
+from hedgenet.timenets import TimeNet, equidistant_net, eta_net
 
 SPEC_GBM = gbm_diagonal(1, 1.0, 1.0)
 
@@ -97,7 +97,7 @@ class TestAnalyticQuadraticError:
     @pytest.mark.parametrize("n", [1, 4, 16])
     def test_agrees_with_engine(self, eta, n):
         net = (equidistant_net(1.0, n) if eta is None
-               else eta_net(EtaNetParams(1.0, n, eta)))
+               else eta_net(1.0, n, eta))
         spec = bm_constant(np.eye(1), [0.0])
         est = estimate_l2_error(
             HedgeExperiment(spec, BMQuadratic(1, 1.0), net, 50000, 8)

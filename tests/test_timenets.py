@@ -4,7 +4,6 @@ from scipy.integrate import dblquad
 
 import hedgenet.timenets as tn
 from hedgenet.timenets import (
-    EtaNetParams,
     TimeNet,
     equidistant_net,
     eta_net,
@@ -38,20 +37,20 @@ class TestTimeNetValidation:
 
 class TestEtaNet:
     def test_eta_zero_is_equidistant(self):
-        got = eta_net(EtaNetParams(1.0, 4, 0.0)).knots
+        got = eta_net(1.0, 4, 0.0).knots
         assert np.array_equal(got, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_direct_evaluation(self):
-        got = eta_net(EtaNetParams(1.0, 2, 0.5)).knots
+        got = eta_net(1.0, 2, 0.5).knots
         assert np.array_equal(got, [0.0, 0.75, 1.0])
 
     def test_n_one_endpoints(self):
-        got = eta_net(EtaNetParams(2.0, 1, 0.9)).knots
+        got = eta_net(2.0, 1, 0.9).knots
         assert np.array_equal(got, [0.0, 2.0])
 
     def test_endpoints_exact_for_awkward_n(self):
         for n in (3, 7, 100, 511):
-            net = eta_net(EtaNetParams(1.0, n, 0.75))
+            net = eta_net(1.0, n, 0.75)
             assert net.knots[0] == 0.0
             assert net.knots[-1] == 1.0
             assert net.knots.size == n + 1
@@ -59,19 +58,19 @@ class TestEtaNet:
     def test_knots_rounding_to_maturity_rejected(self):
         for eta, n in ((0.9, 256), (0.95, 512), (0.99, 64), (0.999, 8)):
             with pytest.raises(ValueError, match="double precision") as e:
-                eta_net(EtaNetParams(1.0, n, eta))
+                eta_net(1.0, n, eta)
             assert f"eta={eta:g}" in str(e.value)
             assert f"n={n}" in str(e.value)
 
     def test_eta_zero_bitwise_equals_equidistant(self):
         for n in (1, 3, 7, 64):
-            a = eta_net(EtaNetParams(1.0, n, 0.0)).knots
+            a = eta_net(1.0, n, 0.0).knots
             b = equidistant_net(1.0, n).knots
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("eta", [0.0, 0.25, 0.5, 0.75, 0.9])
     def test_first_spacing_at_least_last(self, eta):
-        dt = eta_net(EtaNetParams(1.0, 16, eta)).spacings()
+        dt = eta_net(1.0, 16, eta).spacings()
         if eta == 0.0:
             assert dt[0] == pytest.approx(dt[-1])
         else:
@@ -80,13 +79,13 @@ class TestEtaNet:
     @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5])
     def test_rejects_bad_eta(self, bad):
         with pytest.raises(ValueError):
-            EtaNetParams(1.0, 4, bad)
+            eta_net(1.0, 4, bad)
 
     def test_rejects_bad_n_and_T(self):
         with pytest.raises(ValueError):
-            EtaNetParams(1.0, 0, 0.5)
+            eta_net(1.0, 0, 0.5)
         with pytest.raises(ValueError):
-            EtaNetParams(-1.0, 4, 0.5)
+            eta_net(-1.0, 4, 0.5)
 
 
 class TestEquidistant:
@@ -101,25 +100,25 @@ class TestEquidistant:
 class TestRefine:
     def test_trivial_net(self):
         g = refine(TimeNet(1.0, np.array([0.0, 1.0])), 2)
-        assert np.array_equal(g.times, [0.0, 0.5, 1.0])
+        assert np.array_equal(g, [0.0, 0.5, 1.0])
 
     def test_union_of_grids(self):
         g = refine(TimeNet(1.0, np.array([0.0, 0.75, 1.0])), 4)
-        assert np.array_equal(g.times, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert np.array_equal(g, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_coincident_grids(self):
         g = refine(TimeNet(1.0, np.array([0.0, 0.5, 1.0])), 2)
-        assert np.array_equal(g.times, [0.0, 0.5, 1.0])
+        assert np.array_equal(g, [0.0, 0.5, 1.0])
 
     def test_contains_all_knots(self):
-        net = eta_net(EtaNetParams(1.0, 8, 0.75))
+        net = eta_net(1.0, 8, 0.75)
         g = refine(net, 64)
-        assert np.all(np.isin(net.knots, g.times))
+        assert np.all(np.isin(net.knots, g))
 
     def test_monotone_refinement(self):
-        net = eta_net(EtaNetParams(1.0, 4, 0.5))
-        coarse = refine(net, 8).times
-        fine = refine(net, 16).times
+        net = eta_net(1.0, 4, 0.5)
+        coarse = refine(net, 8)
+        fine = refine(net, 16)
         assert np.all(np.isin(coarse, fine))
 
     def test_rejects_small_M(self):
@@ -128,12 +127,12 @@ class TestRefine:
 
     def test_knot_index_consistency(self):
         # every fine step lies inside one net interval (t_{i-1}, t_i]
-        net = eta_net(EtaNetParams(1.0, 4, 0.75))
+        net = eta_net(1.0, 4, 0.75)
         g = refine(net, 16)
-        idx = np.searchsorted(net.knots, g.times, side="left")
-        for j in range(1, g.times.size):
+        idx = np.searchsorted(net.knots, g, side="left")
+        for j in range(1, g.size):
             i = idx[j]
-            assert net.knots[i - 1] <= g.times[j - 1] < g.times[j] \
+            assert net.knots[i - 1] <= g[j - 1] < g[j] \
                 <= net.knots[i]
 
 
@@ -165,7 +164,7 @@ class TestLemmaFunctional:
 
     def test_nonnegative_and_finite(self):
         for theta in (0.0, 0.25, 0.5, 0.75, 0.99):
-            v = lemma_net_functional(eta_net(EtaNetParams(1.0, 16, 0.5)), theta)
+            v = lemma_net_functional(eta_net(1.0, 16, 0.5), theta)
             assert np.isfinite(v) and v >= 0.0
 
     def test_rejects_theta_out_of_range(self):
@@ -180,7 +179,7 @@ class TestLemmaFunctional:
         theta, eta = 0.75, 0.75
         ns = [8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
         vals = [
-            n * lemma_net_functional(eta_net(EtaNetParams(1.0, n, eta)), theta)
+            n * lemma_net_functional(eta_net(1.0, n, eta), theta)
             for n in ns
         ]
         assert max(vals) <= 2.0 * vals[0]
@@ -192,7 +191,7 @@ class TestLemmaFunctional:
         assert v4096 >= 4.0 * v8
 
     def test_csv_round_trip(self, tmp_path):
-        net = eta_net(EtaNetParams(1.0, 8, 0.75))
+        net = eta_net(1.0, 8, 0.75)
         path = tmp_path / "net.csv"
         net.to_csv(path)
         lines = path.read_text().splitlines()

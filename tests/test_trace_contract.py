@@ -22,8 +22,8 @@ CHILD = ROOT / "perfbench" / "child.py"
 GBM = {"case": "C2", "d": 2, "s": [1.0, 1.0], "x0": [1.0, 1.0]}
 
 
-def traced_counts(tmp_path, command, cfg):
-    """(work count, span count) per span name of one traced CLI run."""
+def traced_spans(tmp_path, command, cfg):
+    """The spans of one traced CLI run."""
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
     result, spans = tmp_path / "result.json", tmp_path / "spans.json"
@@ -36,8 +36,13 @@ def traced_counts(tmp_path, command, cfg):
         env=env, check=True, capture_output=True, timeout=120,
     )
     assert json.loads(result.read_text())["rc"] == 0
+    return json.loads(spans.read_text())
+
+
+def traced_counts(tmp_path, command, cfg):
+    """(work count, span count) per span name of one traced CLI run."""
     work, calls = Counter(), Counter()
-    for s in json.loads(spans.read_text()):
+    for s in traced_spans(tmp_path, command, cfg):
         work[s["name"]] += s["count"]
         calls[s["name"]] += 1
     return work, calls
@@ -60,6 +65,34 @@ def test_rate_sweep_draws_once_per_union_step(tmp_path):
     assert work["models.step"] == N * steps
 
 
+def test_simulate_sweep_draws_once_per_union_step(tmp_path):
+    # mode both: every net is hedged on its M = 4n monitoring grid, and
+    # n = 4, 8, 16 nest, so the union grid is the 64 steps of n = 16. Two
+    # batches, so the draws are made in the worker threads.
+    N, d, steps = 16384 + 64, 2, 64
+    cfg = {
+        "model": GBM,
+        "payoff": {"key": "product", "T": 1.0, "params": {"factors": [
+            {"kind": "call", "K": 1.0}, {"kind": "digital", "K": 1.0},
+        ]}},
+        "nets": {"families": [{"family": "equidistant"}],
+                 "n_list": [4, 8, 16]},
+        "engine": {"N": N, "master_seed": 3, "mode": "both",
+                   "monitor_factor": 4, "workers": 2},
+    }
+    spans = traced_spans(tmp_path, "simulate", cfg)
+    by_id = {s["id"]: s for s in spans}
+
+    def ancestors(s):
+        while s["parent"] is not None:
+            s = by_id[s["parent"]]
+            yield s["name"]
+
+    draws = [s for s in spans if s["name"] == "rng.normals"]
+    assert sum(s["count"] for s in draws) == N * steps * d
+    assert all("hedging.error_curve" in ancestors(s) for s in draws)
+
+
 def test_theta_scan_draws_one_step_per_grid_time(tmp_path):
     N, points = 2000, 5
     cfg = {
@@ -78,7 +111,7 @@ POWER = {"kind": "power", "K": 1.0, "alpha": 0.25}
 
 
 def test_power_factor_rate_sweep_attribution(tmp_path):
-    # N reaches table_threshold, so the power factor is priced off its table
+    # N reaches _TABLE_MIN_ROWS, so the power factor is priced off its table
     N, steps = 4096, 64  # n = 8 ... 64 equidistant: union grid of 64
     cfg = {
         "model": dict(GBM, d=3, s=[1.0] * 3, x0=[1.0] * 3),
