@@ -75,11 +75,16 @@ class RateFit:
     points_used: tuple
 
 
-def _state_at(spec, t, n_paths, master_seed):
-    """Exact-sampled X_t for paths 0..N-1 (one transition, step index 0)."""
+def _states_at(spec, times, n_paths, master_seed):
+    """Exact-sampled X_t for paths 0..N-1 at each of ``times``, in order.
+
+    Each is one transition from x0, and all are made from the one draw of
+    step index 0; only the state being yielded is kept.
+    """
     idx = np.arange(n_paths, dtype=np.uint64)
-    [(_, x)] = path_states(spec, [0.0, t], master_seed, idx)
-    return x
+    grids = [[0.0, t] for t in times]
+    for _, _, x in path_states(spec, grids, master_seed, idx):
+        yield x
 
 
 def _pair_moments(spec, pricing, t, x):
@@ -114,8 +119,7 @@ def estimate_theta(spec, pricing, t_grid=None, n_paths: int = DEFAULT_N,
     if np.any(t_grid < T / 2.0 - 1e-12) or np.any(t_grid > T - 1e-3 + 1e-12):
         raise ValueError("theta grid must lie within [T/2, T - 1e-3]")
     ms, ts, rows = [], [], []
-    for t in t_grid:
-        x = _state_at(spec, t, n_paths, master_seed)
+    for t, x in zip(t_grid, _states_at(spec, t_grid, n_paths, master_seed)):
         mean, stderr = _pair_moments(spec, pricing, t, x)
         k = np.unravel_index(np.argmax(mean), mean.shape)
         m = float(mean[k])
@@ -147,8 +151,8 @@ def estimate_h2(spec, pricing, u_grid, n_paths: int = DEFAULT_N,
                 master_seed: int = 0) -> H2Curve:
     """MC curve of H^2(u) = E || sigma(X_u)^T d2F(u, X_u) sigma(X_u) ||_F^2."""
     points = []
-    for u in np.asarray(u_grid, dtype=float):
-        x = _state_at(spec, u, n_paths, master_seed)
+    u_grid = np.asarray(u_grid, dtype=float)
+    for u, x in zip(u_grid, _states_at(spec, u_grid, n_paths, master_seed)):
         sig = sigma_matrix(spec, x)
         hess = pricing.hessian(u, x)
         core = np.swapaxes(sig, -1, -2) @ hess @ sig
@@ -256,11 +260,12 @@ def one_step_profile(spec, pricing, a: float, u_grid, n_paths: int = DEFAULT_N,
     # m(t) on a shared integration grid, then cumulative trapezoid.
     t_int = np.linspace(a, float(u_grid.max()), n_integral)
     m_vals = []
+    states = _states_at(spec, t_int[t_int != 0.0], n_paths, master_seed)
     for t in t_int:
         if t == 0.0:
             x = np.broadcast_to(spec.x0, (n_paths, spec.d))
         else:
-            x = _state_at(spec, t, n_paths, master_seed)
+            x = next(states)
         mean, _ = _pair_moments(spec, pricing, t, x)
         m_vals.append(float(mean.max()))
     m_vals = np.asarray(m_vals)
@@ -275,8 +280,8 @@ def one_step_profile(spec, pricing, a: float, u_grid, n_paths: int = DEFAULT_N,
             continue
         # [x0, X_a, X_u], or [x0, X_u] when a = 0 and X_a is x0
         xs = [np.broadcast_to(spec.x0, (n_paths, spec.d))]
-        xs += [x for _, x in path_states(
-            spec, [0.0, a, u] if a > 0.0 else [0.0, u], master_seed, idx)]
+        xs += [x for _, _, x in path_states(
+            spec, [[0.0, a, u] if a > 0.0 else [0.0, u]], master_seed, idx)]
         xa, xu = xs[-2], xs[-1]
         dgrad = pricing.gradient(u, xu) - pricing.gradient(a, xa)
         sig = sigma_matrix(spec, xu)

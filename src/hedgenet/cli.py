@@ -215,8 +215,9 @@ def _engine_mode(cfg, allowed) -> str:
     return mode
 
 
-def _sweeps(cfg, spec, pricing, families, mode) -> dict:
-    """{eta: (error_curve points, wall_ms)}, one sweep per distinct net family.
+def _sweeps(cfg, spec, pricing, families, mode):
+    """({eta: error_curve points}, wall_ms): one sweep per distinct net
+    family, all in one error_curve pass that wall_ms times.
 
     Every net is built here before any path is simulated, so an
     unrepresentable net fails the run up front. The equidistant family is
@@ -231,16 +232,13 @@ def _sweeps(cfg, spec, pricing, families, mode) -> dict:
             family_nets(pricing.T, n_list, eta)
     except (TypeError, ValueError) as e:
         raise UsageError(f"invalid nets block: {e}")
-    out = {}
-    for eta in etas:
-        t0 = time.perf_counter()
-        points = error_curve(
-            spec, pricing, n_list, eta, eng["N"], eng["master_seed"],
-            error_mode=mode, scheme=eng["scheme"], workers=eng["workers"],
-            monitor_factor=eng["monitor_factor"],
-        )
-        out[eta] = (points, int((time.perf_counter() - t0) * 1000))
-    return out
+    t0 = time.perf_counter()
+    curves = error_curve(
+        spec, pricing, n_list, etas, eng["N"], eng["master_seed"],
+        error_mode=mode, scheme=eng["scheme"], workers=eng["workers"],
+        monitor_factor=eng["monitor_factor"],
+    )
+    return dict(zip(etas, curves)), int((time.perf_counter() - t0) * 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +273,11 @@ def cmd_rate(args, cfg, spec, pricing) -> dict:
     if fits < 4:
         raise UsageError(f"a rate fit needs at least 4 values of n >= "
                          f"{RATE_N_MIN} in nets.n_list")
-    sweeps = _sweeps(cfg, spec, pricing, families, mode)
+    sweeps, _ = _sweeps(cfg, spec, pricing, families, mode)
     rows = []
     summaries = []
     for name, eta in families:
-        points, _ = sweeps[eta]
+        points = sweeps[eta]
         fit = fit_rate(
             [(p.n, p.estimate.rms) for p in points],
             jackknife=[p.estimate.jackknife_rms() for p in points],
@@ -353,11 +351,10 @@ def cmd_simulate(args, cfg, spec, pricing) -> dict:
     eng = cfg["engine"]
     mode = _engine_mode(cfg, ("terminal", "running_sup", "both"))
     families = _resolve_families(cfg, pricing)
-    sweeps = _sweeps(cfg, spec, pricing, families, mode)
+    sweeps, wall_ms = _sweeps(cfg, spec, pricing, families, mode)
     rows = []
     for name, eta in families:
-        points, wall_ms = sweeps[eta]
-        for p in points:
+        for p in sweeps[eta]:
             M = p.n if mode == "terminal" else eng["monitor_factor"] * p.n
             for m, e in p.estimates.items():
                 rows.append(

@@ -13,6 +13,12 @@ a sweep: every n sees the same paths, sampled on the union grid, which with
 ``scheme="euler"`` means the Euler scheme on the union grid. A single net is
 the sweep whose union grid is its own grid.
 
+Several sweeps (the net families of one comparison) run in one pass. Each
+keeps its own union grid, and so its own estimates, but the draws are keyed
+by (master_seed, path, step index) alone, so the families share the normals
+of each step index: the streams of all union grids advance in lockstep and
+draw each step index once.
+
 Path errors are pure functions of (master_seed, path_index) and the union
 grid, batches are a fixed size regardless of worker count, and per-batch
 sums use exact (fsum) accumulation, so every estimate is bitwise independent
@@ -215,58 +221,71 @@ def _row_dots(dx, grad, prod, dots):
     return dots
 
 
-def _batch_errors(spec, pricing, plan: _Plan, master_seed, path_indices,
-                  scheme):
-    """Per net, (terminal_error, sup_abs_error or None) for a batch of paths.
+def _batch_errors(spec, pricing, plans, master_seed, path_indices, scheme):
+    """Per plan and net, (terminal_error, sup_abs_error or None) for a batch
+    of paths.
 
-    ``path_states`` streams the states one step at a time over the union
-    grid; the previous state is kept here for the hedge increments. Each net
-    holds its gains and its running sup, and shares the gradient of its last
-    rebalance with every net that rebalanced at the same time: one gradient
-    array per distinct last-rebalance time. The gradient at a union knot and
-    the value at a monitoring time are evaluated once, whatever the number
-    of nets that use them.
+    ``path_states`` streams the states of every plan's union grid in
+    lockstep, so the plans share the draws of each step index; the
+    previous state of each plan is kept here for its hedge increments. Each
+    net holds its gains and its running sup, and shares the gradient of its
+    last rebalance with every net of its plan that rebalanced at the same
+    time: one gradient array per distinct last-rebalance time. The gradient
+    at a union knot and the value at a monitoring time are evaluated once
+    per plan, whatever the number of its nets that use them. When a plan's
+    grid ends, its nets' terminal errors are written into their gains and
+    its state and gradients are dropped.
     """
-    times = plan.times
     B = path_indices.size
-    x = np.broadcast_to(spec.x0, (B, spec.d))
-    # All paths start at x0: price and hedge once, broadcast.
-    v0 = pricing.value(0.0, x[:1])[0]
-    grad = np.broadcast_to(pricing.gradient(0.0, x[:1])[0], (B, spec.d))
-    # (gradient, nets holding it): each distinct hedge ratio once
-    holders = [(grad, tuple(range(plan.n_nets)))]
-    gains = [np.zeros(B) for _ in range(plan.n_nets)]
-    sups = None if plan.monitor is None else [np.zeros(B) for _ in gains]
-    last = times.size - 1
-    # scratch of the hedge increments, reused at every step
+    x0 = np.broadcast_to(spec.x0, (B, spec.d))
+    xs, v0s, holders, gains, sups = [], [], [], [], []
+    for plan in plans:
+        # All paths start at x0: price and hedge once, broadcast.
+        xs.append(x0)
+        v0s.append(pricing.value(0.0, x0[:1])[0])
+        grad = np.broadcast_to(pricing.gradient(0.0, x0[:1])[0], x0.shape)
+        # (gradient, nets holding it): each distinct hedge ratio once
+        holders.append([(grad, tuple(range(plan.n_nets)))])
+        gains.append([np.zeros(B) for _ in range(plan.n_nets)])
+        sups.append(None if plan.monitor is None
+                    else [np.zeros(B) for _ in range(plan.n_nets)])
+    # scratch of the hedge increments, reused at every step of every plan
     dx, prod, dots = np.empty((B, spec.d)), np.empty((B, spec.d)), np.empty(B)
-    for j, x_new in path_states(spec, times, master_seed, path_indices,
-                                scheme):
-        np.subtract(x_new, x, out=dx)
-        for grad, nets in holders:
+    for g, j, x in path_states(spec, [plan.times for plan in plans],
+                               master_seed, path_indices, scheme):
+        plan, gain, sup = plans[g], gains[g], sups[g]
+        np.subtract(x, xs[g], out=dx)
+        for grad, nets in holders[g]:
             inc = _row_dots(dx, grad, prod, dots)
             for i in nets:
-                gains[i] += inc
-        x = x_new
-        if j < last:
-            if sups is not None and plan.monitor[j]:
-                v = pricing.value(times[j], x) - v0
+                gain[i] += inc
+        xs[g] = x
+        if j < plan.times.size - 1:
+            t = plan.times[j]
+            if sup is not None and plan.monitor[j]:
+                v = pricing.value(t, x) - v0s[g]
                 for i in plan.monitor[j]:
-                    np.maximum(sups[i], np.abs(v - gains[i]), out=sups[i])
+                    np.maximum(sup[i], np.abs(v - gain[i]), out=sup[i])
             moving = plan.rebalance[j]
             if moving:
-                holders = [(g, tuple(i for i in nets if i not in moving))
-                           for g, nets in holders]
-                holders = [h for h in holders if h[1]]
-                holders.append((pricing.gradient(times[j], x), moving))
-    pay = pricing.payoff(x) - v0
-    out = []
-    for i, g in enumerate(gains):
-        terminal = pay - g
-        if sups is not None:
-            np.maximum(sups[i], np.abs(terminal), out=sups[i])
-        out.append((terminal, None if sups is None else sups[i]))
-    return out
+                # gradients held by moving nets alone go before the new one
+                # is priced
+                holders[g] = [
+                    (h, rest) for h, nets in holders[g]
+                    if (rest := tuple(i for i in nets if i not in moving))
+                ]
+                holders[g].append((pricing.gradient(t, x), moving))
+            continue
+        pay = pricing.payoff(x) - v0s[g]
+        for i, e in enumerate(gain):
+            np.subtract(pay, e, out=e)  # the terminal error, in place
+            if sup is not None:
+                np.maximum(sup[i], np.abs(e), out=sup[i])
+        xs[g] = holders[g] = None
+    return [
+        [(e, None if sup is None else sup[i]) for i, e in enumerate(gain)]
+        for gain, sup in zip(gains, sups)
+    ]
 
 
 def path_error(spec, pricing, net: TimeNet, monitor_points: int,
@@ -277,19 +296,19 @@ def path_error(spec, pricing, net: TimeNet, monitor_points: int,
     t = T value computed from the terminal payoff.
     """
     plan = _plan([refine(net, monitor_points)], [net.knots], want_sup=True)
-    [(terminal, sup)] = _batch_errors(
-        spec, pricing, plan, seed.master_seed,
+    [[(terminal, sup)]] = _batch_errors(
+        spec, pricing, [plan], seed.master_seed,
         np.array([seed.path_index], dtype=np.uint64), scheme,
     )
     return float(terminal[0]), float(sup[0])
 
 
-def _run_batches(exp: HedgeExperiment, plan: _Plan, workers: int):
-    """Per batch and net, for each mode: exact sums of e^2 and e^4, and the
-    exact sum of e^2 over each jackknife group the batch overlaps.
+def _run_batches(exp: HedgeExperiment, plans, workers: int):
+    """Per batch, plan and net, for each mode: exact sums of e^2 and e^4,
+    and the exact sum of e^2 over each jackknife group the batch overlaps.
 
-    ``exp`` gives the settings the sweep's experiments share; the nets come
-    from ``plan``.
+    ``exp`` gives the settings the sweeps' experiments share; the nets come
+    from ``plans``.
     """
     n_paths = exp.n_paths
     bounds = _group_bounds(n_paths)
@@ -300,7 +319,7 @@ def _run_batches(exp: HedgeExperiment, plan: _Plan, workers: int):
         hi = min(lo + BATCH_SIZE, n_paths)
         idx = np.arange(lo, hi, dtype=np.uint64)
         errors = _batch_errors(
-            exp.spec, exp.pricing, plan, exp.master_seed, idx, exp.scheme,
+            exp.spec, exp.pricing, plans, exp.master_seed, idx, exp.scheme,
         )
         cuts = [
             (g, max(a, lo) - lo, min(c, hi) - lo)
@@ -308,16 +327,19 @@ def _run_batches(exp: HedgeExperiment, plan: _Plan, workers: int):
             if a < hi and c > lo
         ]
         out = []
-        for terminal, sup in errors:
-            sums = {}
-            for mode in exp.modes:
-                e = terminal if mode == "terminal" else sup
-                e2 = e * e
-                sums[mode] = (
-                    math.fsum(e2), math.fsum(e2 * e2),
-                    [(g, math.fsum(e2[a:c])) for g, a, c in cuts],
-                )
-            out.append(sums)
+        for plan_errors in errors:
+            plan_sums = []
+            for terminal, sup in plan_errors:
+                sums = {}
+                for mode in exp.modes:
+                    e = terminal if mode == "terminal" else sup
+                    e2 = e * e
+                    sums[mode] = (
+                        math.fsum(e2), math.fsum(e2 * e2),
+                        [(g, math.fsum(e2[a:c])) for g, a, c in cuts],
+                    )
+                plan_sums.append(sums)
+            out.append(plan_sums)
         return out
 
     if workers <= 1 or n_batches == 1:
@@ -342,20 +364,26 @@ def _summarize(batch_sums, mode, n_paths) -> HedgeErrorEstimate:
     )
 
 
-def estimate_sweep(exps: Sequence[HedgeExperiment], workers: int = 1):
-    """MC estimates for experiments that differ only in their net, in one pass.
+def estimate_sweep(sweeps: Sequence[Sequence[HedgeExperiment]],
+                   workers: int = 1):
+    """MC estimates for sweeps of experiments that differ only in their
+    net, all in one pass.
 
-    Every batch of paths is simulated once on the union of the experiments'
-    grids and hedged on each net, so the estimates share common random
-    numbers. Returns one dict per experiment, keyed by mode like
+    Every batch of paths is simulated once per sweep on the union of the
+    sweep's grids and hedged on each of its nets, so the estimates of a
+    sweep share common random numbers. The sweeps share the paths too, each
+    sampled on its own union grid, and their streams advance in lockstep so
+    the normals of a step index are drawn once for all of them. Every
+    estimate equals the one a separate pass of its sweep gives. Returns,
+    per sweep, one dict per experiment, keyed by mode like
     ``estimate_l2_error``. Results are bitwise independent of the worker
     count.
     """
-    exps = list(exps)
-    if not exps:
-        raise ValueError("need at least one experiment")
-    first = exps[0]
-    for e in exps[1:]:
+    sweeps = [list(exps) for exps in sweeps]
+    if not sweeps or not all(sweeps):
+        raise ValueError("need at least one experiment per sweep")
+    first = sweeps[0][0]
+    for e in (e for exps in sweeps for e in exps):
         if not (
             e.spec is first.spec and e.pricing is first.pricing
             and (e.n_paths, e.master_seed, e.error_mode, e.scheme)
@@ -364,17 +392,21 @@ def estimate_sweep(exps: Sequence[HedgeExperiment], workers: int = 1):
         ):
             raise ValueError("a sweep's experiments may differ only in net "
                              "and monitor points")
-    plan = _plan(
-        [e.monitoring_grid() if e.needs_sup else e.net.knots
-         for e in exps],
-        [e.net.knots for e in exps],
-        first.needs_sup,
-    )
-    results = _run_batches(first, plan, workers)
+    plans = [
+        _plan(
+            [e.monitoring_grid() if e.needs_sup else e.net.knots
+             for e in exps],
+            [e.net.knots for e in exps],
+            first.needs_sup,
+        )
+        for exps in sweeps
+    ]
+    results = _run_batches(first, plans, workers)
     return [
-        {m: _summarize([r[i] for r in results], m, first.n_paths)
-         for m in first.modes}
-        for i in range(len(exps))
+        [{m: _summarize([r[k][i] for r in results], m, first.n_paths)
+          for m in first.modes}
+         for i in range(len(exps))]
+        for k, exps in enumerate(sweeps)
     ]
 
 
@@ -384,7 +416,7 @@ def estimate_l2_error(exp: HedgeExperiment, workers: int = 1):
     Returns a dict keyed by mode ("terminal" and/or "running_sup"). Results
     are bitwise independent of the worker count.
     """
-    return estimate_sweep([exp], workers)[0]
+    return estimate_sweep([[exp]], workers)[0][0]
 
 
 def family_nets(T: float, n_list: Sequence[int], eta: Optional[float]):
@@ -392,40 +424,53 @@ def family_nets(T: float, n_list: Sequence[int], eta: Optional[float]):
     return [eta_net(T, int(n), float(eta or 0.0)) for n in n_list]
 
 
-def error_curve(spec, pricing, n_list: Sequence[int], eta: Optional[float],
-                n_paths: int, master_seed: int, error_mode: str = "terminal",
+def error_curve(spec, pricing, n_list: Sequence[int],
+                etas: Sequence[Optional[float]], n_paths: int,
+                master_seed: int, error_mode: str = "terminal",
                 scheme: str = "exact", workers: int = 1,
                 monitor_factor: int = M_FACTOR):
-    """Sweep the net cardinality n and estimate the error at each n.
+    """Sweep the net cardinality n of each family and estimate the error at
+    each n.
 
-    ``eta`` None (or 0) selects the equidistant family. The sweep is one
-    pass of ``estimate_sweep``: every n is hedged on the same paths, sampled
-    on the union of all the nets' grids (with ``scheme="euler"``, the Euler
-    scheme on that union grid). These common random numbers correlate the
-    points across n; ``fit_rate`` takes their ``jackknife_rms`` for a valid
-    slope CI. The largest n of a nested sweep (n_list = 8, 16, ..., 512)
-    gets exactly its standalone estimate.
-    Returns one ErrorCurvePoint per n, carrying an estimate per requested
-    mode.
+    ``etas`` lists the families: eta None (or 0) selects the equidistant
+    one. The sweeps are one pass of ``estimate_sweep``: every n of a family
+    is hedged on the same paths, sampled on the union of the family's nets'
+    grids (with ``scheme="euler"``, the Euler scheme on that union grid).
+    These common random numbers correlate the points across n;
+    ``fit_rate`` takes their ``jackknife_rms`` for a valid slope CI. Every
+    family sees the same paths and draws the normals of each step index
+    once, so its points equal those of a call with that family alone. The
+    largest n of a nested sweep (n_list = 8, 16, ..., 512) gets exactly its
+    standalone estimate.
+    Returns, per eta, one ErrorCurvePoint per n, carrying an estimate per
+    requested mode.
     """
     if list(n_list) != sorted(n_list):
         raise ValueError("n_list must be ascending")
-    family = "equidistant" if not eta else "eta"
-    exps = [
-        HedgeExperiment(
-            spec=spec, pricing=pricing, net=net, n_paths=n_paths,
-            master_seed=master_seed, error_mode=error_mode, scheme=scheme,
-            monitor_points=(
-                None if error_mode == "terminal"
-                else monitor_factor * net.n_intervals
-            ),
-        )
-        for net in family_nets(pricing.T, n_list, eta)
+    sweeps = [
+        [
+            HedgeExperiment(
+                spec=spec, pricing=pricing, net=net, n_paths=n_paths,
+                master_seed=master_seed, error_mode=error_mode,
+                scheme=scheme,
+                monitor_points=(
+                    None if error_mode == "terminal"
+                    else monitor_factor * net.n_intervals
+                ),
+            )
+            for net in family_nets(pricing.T, n_list, eta)
+        ]
+        for eta in etas
     ]
     return [
-        ErrorCurvePoint(
-            n=e.net.n_intervals, estimates=est, family=family,
-            eta=float(eta or 0.0),
-        )
-        for e, est in zip(exps, estimate_sweep(exps, workers))
+        [
+            ErrorCurvePoint(
+                n=e.net.n_intervals, estimates=est,
+                family="equidistant" if not eta else "eta",
+                eta=float(eta or 0.0),
+            )
+            for e, est in zip(exps, ests)
+        ]
+        for eta, exps, ests in zip(etas, sweeps,
+                                   estimate_sweep(sweeps, workers))
     ]

@@ -5,7 +5,8 @@ exponential diffusions on (0, inf)^d (case C2, simulated through the log
 process so positivity is automatic). Exact transition sampling is available
 for constant-coefficient models ("bm-constant", "gbm-diagonal"); everything
 else falls back to Euler-Maruyama stepping. ``path_states`` is the one
-time-step loop: every consumer of simulated paths takes its states from it.
+time-step loop: every consumer of simulated paths takes its states from it,
+and consumers of the same paths on several time grids share its draws.
 """
 
 from __future__ import annotations
@@ -214,23 +215,36 @@ def check_scheme(spec: DiffusionSpec, scheme: str) -> None:
         raise ValueError("exact sampling is unavailable for 'general' specs")
 
 
-def path_states(spec, times, master_seed, path_indices, scheme="exact"):
-    """Stream a batch of paths from x0 over ``times``: yields (j, X_{t_j}).
+def path_states(spec, grids, master_seed, path_indices, scheme="exact"):
+    """Stream a batch of paths from x0 over several time grids in lockstep.
 
-    j runs over 1 .. len(times) - 1 and each yielded state array (B, d) is
-    new. The step from t_{j-1} to t_j draws its normals at step index
-    j - 1, keyed by (master_seed, path_index, j - 1), so the paths are
-    independent of batching and worker scheduling. The draws of a step are
-    made into the batch stream's buffer, which the next step overwrites.
+    Yields (g, j, X^g_{t_j}): grid g's state at its time j, for j in
+    1 .. len(grids[g]) - 1. Each yielded state array (B, d) is new. The
+    step to t_j draws its normals at step index j - 1, keyed by
+    (master_seed, path_index, j - 1), so the paths are independent of
+    batching and worker scheduling. The normals of a step index are drawn
+    once, into the batch stream's buffer, and every grid that has that
+    step makes it from them with its own dt; the next step index
+    overwrites the buffer. A grid's state is dropped once the grid ends.
     """
     check_scheme(spec, scheme)
-    times = np.asarray(times, dtype=float)
+    grids = [np.asarray(times, dtype=float) for times in grids]
     path_indices = np.asarray(path_indices)
     step = exact_step if scheme == "exact" else euler_step
     stream = _BatchStream(master_seed, path_indices, spec.d)
     # no step writes to its x, so the start needs no copy of x0
-    x = np.broadcast_to(spec.x0, (path_indices.size, spec.d))
-    for j in range(1, times.size):
+    x0 = np.broadcast_to(spec.x0, (path_indices.size, spec.d))
+    states = {g: x0 for g, times in enumerate(grids) if times.size > 1}
+    n_steps = max((times.size - 1 for times in grids), default=0)
+    for j in range(1, n_steps + 1):
         z = normals(master_seed, path_indices, j - 1, spec.d, _stream=stream)
-        x = step(spec, x, times[j] - times[j - 1], z)
-        yield j, x
+        if j == n_steps:
+            del stream  # its keys and word buffer; z stays
+        for g in list(states):
+            times = grids[g]
+            x = step(spec, states[g], times[j] - times[j - 1], z)
+            if j + 1 < times.size:
+                states[g] = x
+            else:
+                del states[g]
+            yield g, j, x

@@ -109,7 +109,7 @@ def mc_payoff_expectation(spec, payoff, n_paths: int, master_seed: int,
         fn = payoff.payoff
         T = payoff.T
     idx = np.arange(n_paths, dtype=np.uint64)
-    [(_, xT)] = path_states(spec, [0.0, T], master_seed, idx)
+    [(_, _, xT)] = path_states(spec, [[0.0, T]], master_seed, idx)
     vals = np.asarray(fn(xT), dtype=float)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n_paths))

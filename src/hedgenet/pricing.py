@@ -264,7 +264,7 @@ _TABLE_RUNG0 = 1.0 / 8.0
 _TABLE_LADDER = 1.2
 
 #: rows of a table lookup evaluated at once
-_TABLE_CHUNK = 16384
+_TABLE_CHUNK = 4096
 
 #: 1-D power-factor batches at least this large are priced off a table
 _TABLE_MIN_ROWS = 4096
@@ -503,12 +503,11 @@ class ProductPricing:
         return out
 
     def _vd(self, t, x):
-        vals, dels = [], []
+        vals = np.empty(x.shape)
+        dels = np.empty(x.shape)
         for i, f in enumerate(self.factors):
-            v, dl = f.value_delta(t, x[:, i])
-            vals.append(v)
-            dels.append(dl)
-        return np.stack(vals, axis=1), np.stack(dels, axis=1)
+            vals[:, i], dels[:, i] = f.value_delta(t, x[:, i])
+        return vals, dels
 
     @staticmethod
     def _others(vals):
@@ -518,11 +517,11 @@ class ProductPricing:
         acc = np.ones(vals.shape[0])
         for k in range(vals.shape[1]):
             out[:, k] = acc
-            acc = acc * vals[:, k]
-        acc = np.ones(vals.shape[0])
+            acc *= vals[:, k]
+        acc[:] = 1.0
         for k in reversed(range(vals.shape[1])):
             out[:, k] *= acc
-            acc = acc * vals[:, k]
+            acc *= vals[:, k]
         return out
 
     def gradient(self, t, x):
@@ -530,7 +529,8 @@ class ProductPricing:
         if self.d == 1:
             return self.factors[0].delta(t, x[:, 0])[:, None]
         vals, dels = self._vd(t, x)
-        return dels * self._others(vals)
+        dels *= self._others(vals)
+        return dels
 
     def hessian(self, t, x):
         x = self._check(x)

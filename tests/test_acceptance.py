@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from hedgenet.analysis import _state_at, estimate_h2, estimate_theta, fit_rate
+from hedgenet.analysis import _states_at, estimate_h2, estimate_theta, fit_rate
 from hedgenet.hedging import HedgeExperiment, error_curve, estimate_l2_error
 from hedgenet.models import bm_constant, gbm_diagonal
 from hedgenet.oracle import analytic_quadratic_error, pde_residual
@@ -38,7 +38,8 @@ def _verdict(capsys, num, name, ok, detail):
 
 
 def _slope(spec, pricing, eta, n_paths, seed, ns=SWEEP_NS):
-    pts = error_curve(spec, pricing, ns, eta, n_paths, seed, workers=WORKERS)
+    [pts] = error_curve(spec, pricing, ns, [eta], n_paths, seed,
+                        workers=WORKERS)
     fit = fit_rate([(p.n, p.estimate.rms) for p in pts])
     return fit.slope
 
@@ -133,7 +134,8 @@ def test_criterion_07_call_curvature_closed_form(capsys):
             dev = abs(mc - cf) / cf
             assert dev < 1e-12
             continue
-        x = _state_at(SPEC_GBM, t, 400000, 207)[:, 0]
+        [x] = _states_at(SPEC_GBM, [t], 400000, 207)
+        x = x[:, 0]
         vals = (x * x * factor.gamma(t, x)) ** 2
         se = float(vals.std(ddof=1)) / math.sqrt(vals.size)
         worst = max(worst, abs(float(vals.mean()) - cf) / se)

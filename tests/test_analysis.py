@@ -122,6 +122,18 @@ class TestEstimateTheta:
         assert [r[:2] for r in fit.rows] == [tuple(g) for g in fit.grid]
         assert all(se > 0.0 for _, _, se in fit.rows)
 
+    def test_states_are_one_step_each_from_one_draw(self):
+        from hedgenet.analysis import _states_at
+        from hedgenet.models import exact_step
+        from hedgenet.rng import normals
+
+        spec = gbm_diagonal(2, [1.0, 0.5], [1.0, 2.0])
+        times = [0.5, 0.7, 0.999]
+        z = normals(3, np.arange(500), 0, 2)
+        want = [exact_step(spec, spec.x0, t, z).tobytes() for t in times]
+        got = [x.tobytes() for x in _states_at(spec, times, 500, 3)]
+        assert got == want
+
     def test_rejects_grid_outside_window(self):
         with pytest.raises(ValueError):
             estimate_theta(SPEC_GBM, DIGITAL, t_grid=[0.1, 0.6],
@@ -156,7 +168,7 @@ class TestEstimateH2:
     def test_diagonal_equivalence_with_pair_sum(self):
         # for diagonal models H^2(u) equals the sum over coordinate pairs of
         # E[A_aa A_bb (d2F_ab)^2] -- same samples, so equality is numerical
-        from hedgenet.analysis import _pair_moments, _state_at
+        from hedgenet.analysis import _pair_moments, _states_at
         from hedgenet.models import a_matrix
 
         pr = make_pricing("product", {"factors": [
@@ -166,7 +178,7 @@ class TestEstimateH2:
         spec = gbm_diagonal(2, 1.0, [1.0, 1.0])
         u = 0.5
         curve = estimate_h2(spec, pr, [u], 20000, 3)
-        x = _state_at(spec, u, 20000, 3)
+        [x] = _states_at(spec, [u], 20000, 3)
         mean, _ = _pair_moments(spec, pr, u, x)
         assert curve.points[0][1] == pytest.approx(mean.sum(), rel=1e-10)
 

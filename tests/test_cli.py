@@ -184,7 +184,8 @@ class TestRateCommand:
         p = write_config(tmp_path / "c.json", cfg)
         out = tmp_path / "run"
         assert main(["rate", "--config", p, "--out", str(out)]) == 0
-        assert calls == [0.0]  # the call's auto eta is 0: equidistant
+        # one pass, of one family: the call's auto eta is 0, equidistant
+        assert calls == [[0.0]]
         rows = (out / "rate_fit.csv").read_text().splitlines()[1:]
         eq = [r.replace(",equidistant,", ",") for r in rows
               if ",equidistant," in r]
@@ -192,6 +193,25 @@ class TestRateCommand:
         assert eq == eta and len(eq) == 4
         fams = json.loads((out / "summary.json").read_text())["families"]
         assert fams[0]["ci95_slope"] == fams[1]["ci95_slope"]
+
+    def test_two_families_match_one_family_runs(self, tmp_path):
+        # both families run in one pass that draws each step index once;
+        # each family's rows and fit are those of a run with it alone
+        fams = [{"family": "equidistant"}, {"family": "eta", "eta": 0.75}]
+        runs = {}
+        for key, families in (("both", fams), ("eq", fams[:1]),
+                              ("eta", fams[1:])):
+            cfg = dict(DIGITAL_CFG, nets={"families": families,
+                                          "n_list": [8, 12, 16, 24]})
+            p = write_config(tmp_path / f"{key}.json", cfg)
+            out = tmp_path / key
+            assert main(["rate", "--config", p, "--out", str(out)]) == 0
+            runs[key] = ((out / "rate_fit.csv").read_bytes().splitlines(),
+                         json.loads((out / "summary.json").read_text()))
+        rows, summary = runs["both"]
+        assert rows == runs["eq"][0] + runs["eta"][0][1:]
+        assert summary["families"] == (runs["eq"][1]["families"]
+                                       + runs["eta"][1]["families"])
 
     @pytest.mark.parametrize("cmd, attr", [("rate", "error_curve"),
                                            ("simulate", "error_curve")])

@@ -153,26 +153,25 @@ class TestEstimateL2:
 
 class TestErrorCurve:
     def test_quadratic_halves_per_doubling(self):
-        pts = error_curve(SPEC_BM1, QUAD1, [1, 2, 4, 8], None, 50000, 11)
+        [pts] = error_curve(SPEC_BM1, QUAD1, [1, 2, 4, 8], [None], 50000, 11)
         for a, b in zip(pts, pts[1:]):
             ratio = b.estimate.mean_sq / a.estimate.mean_sq
             assert ratio == pytest.approx(0.5, abs=0.05)
 
     def test_families_label(self):
-        pts = error_curve(SPEC_GBM, DIGITAL, [8, 16], 0.75, 2000, 1)
-        assert all(p.family == "eta" and p.eta == 0.75 for p in pts)
-        pts = error_curve(SPEC_GBM, DIGITAL, [8, 16], None, 2000, 1)
-        assert all(p.family == "equidistant" for p in pts)
+        et, eq = error_curve(SPEC_GBM, DIGITAL, [8, 16], [0.75, None], 2000,
+                             1)
+        assert all(p.family == "eta" and p.eta == 0.75 for p in et)
+        assert all(p.family == "equidistant" for p in eq)
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
-            error_curve(SPEC_GBM, DIGITAL, [16, 8], None, 100, 0)
+            error_curve(SPEC_GBM, DIGITAL, [16, 8], [None], 100, 0)
 
     def test_net_family_separation(self):
         # the headline effect, at modest N
         ns = [32, 64, 128]
-        eq = error_curve(SPEC_GBM, DIGITAL, ns, None, 20000, 13)
-        et = error_curve(SPEC_GBM, DIGITAL, ns, 0.75, 20000, 13)
+        eq, et = error_curve(SPEC_GBM, DIGITAL, ns, [None, 0.75], 20000, 13)
         ratios = [
             b.estimate.rms / a.estimate.rms for a, b in zip(eq, et)
         ]
@@ -184,7 +183,7 @@ class TestNestedSweep:
     NS = [8, 16, 32, 64]
 
     def test_largest_n_matches_standalone_terminal(self):
-        pts = error_curve(SPEC_GBM, DIGITAL, self.NS, 0.75, 5000, 21)
+        [pts] = error_curve(SPEC_GBM, DIGITAL, self.NS, [0.75], 5000, 21)
         net = eta_net(1.0, self.NS[-1], 0.75)
         alone = estimate_l2_error(
             HedgeExperiment(SPEC_GBM, DIGITAL, net, 5000, 21)
@@ -197,14 +196,14 @@ class TestNestedSweep:
                             error_mode="both", monitor_points=8 * n)
             for n, net in zip(self.NS, family_nets(1.0, self.NS, 0.75))
         ]
-        sweep = estimate_sweep(exps)
+        [sweep] = estimate_sweep([exps])
         assert sweep[-1] == estimate_l2_error(exps[-1])
         assert set(sweep[0]) == {"terminal", "running_sup"}
 
     def test_worker_count_invariance(self):
         n_paths = 2 * BATCH_SIZE + 1000  # three batches
         runs = [
-            error_curve(SPEC_GBM, DIGITAL, [8, 16, 32], 0.75, n_paths, 23,
+            error_curve(SPEC_GBM, DIGITAL, [8, 16, 32], [0.75], n_paths, 23,
                         workers=w)
             for w in (1, 3)
         ]
@@ -212,7 +211,7 @@ class TestNestedSweep:
 
     def test_non_nested_agrees_with_standalone(self):
         ns = [8, 12, 20, 30]
-        pts = error_curve(SPEC_GBM, DIGITAL, ns, 0.75, 20000, 24)
+        [pts] = error_curve(SPEC_GBM, DIGITAL, ns, [0.75], 20000, 24)
         for p, net in zip(pts, family_nets(1.0, ns, 0.75)):
             alone = estimate_l2_error(
                 HedgeExperiment(SPEC_GBM, DIGITAL, net, 20000, 24)
@@ -223,17 +222,17 @@ class TestNestedSweep:
     def test_rejects_mixed_experiments(self):
         nets = family_nets(1.0, [4, 8], None)
         with pytest.raises(ValueError):
-            estimate_sweep([
+            estimate_sweep([[
                 HedgeExperiment(SPEC_GBM, DIGITAL, nets[0], 100, 1),
                 HedgeExperiment(SPEC_GBM, DIGITAL, nets[1], 100, 2),
-            ])
+            ]])
 
     def test_jackknife_ci_covers_exact_slope(self):
         # E|error|^2 = 2 / n exactly for x^2 under BM, so the slope is -1/2
         covered = 0
         for seed in range(40):
-            pts = error_curve(SPEC_BM1, QUAD1, [8, 16, 32, 64, 128], None,
-                              4000, seed)
+            [pts] = error_curve(SPEC_BM1, QUAD1, [8, 16, 32, 64, 128],
+                                [None], 4000, seed)
             fit = fit_rate(
                 [(p.n, p.estimate.rms) for p in pts],
                 jackknife=[p.estimate.jackknife_rms() for p in pts],
@@ -252,6 +251,78 @@ class TestNestedSweep:
         )
         loo = est.jackknife_rms()
         assert min(loo) < est.rms < max(loo)
+
+
+class TestJointSweeps:
+    """Families hedged in one pass share the draws of each step index, and
+    every estimate equals that of a separate pass of its family."""
+
+    NS = [8, 12, 16]  # not nested
+    ETAS = [None, 0.75]
+
+    def sweeps(self, mode, n_paths):
+        """An equidistant sweep over NS and an eta sweep over 8 and 16:
+        union grids of 25 and 17 knots."""
+        return [
+            [HedgeExperiment(SPEC_GBM, DIGITAL, net, n_paths, 31,
+                             error_mode=mode,
+                             monitor_points=None if mode == "terminal"
+                             else 4 * net.n_intervals)
+             for net in family_nets(1.0, ns, eta)]
+            for ns, eta in ((self.NS, None), ([8, 16], 0.75))
+        ]
+
+    @staticmethod
+    def union_steps(exps):
+        return hedging._plan(
+            [e.monitoring_grid() if e.needs_sup else e.net.knots
+             for e in exps],
+            [e.net.knots for e in exps], False,
+        ).times.size - 1
+
+    @pytest.mark.parametrize("mode", ["terminal", "both"])
+    def test_joint_equals_separate(self, mode):
+        # two batches, so the worker threads draw too
+        sweeps = self.sweeps(mode, BATCH_SIZE + 500)
+        assert len({self.union_steps(exps) for exps in sweeps}) == 2
+        separate = [estimate_sweep([exps])[0] for exps in sweeps]
+        for workers in (1, 2):
+            joint = estimate_sweep(sweeps, workers)
+            assert joint == separate
+        assert all(set(est) == ({"terminal"} if mode == "terminal" else
+                                {"terminal", "running_sup"})
+                   for fam in separate for est in fam)
+        assert all(len(est["terminal"].group_sq_sums) == 16
+                   for fam in separate for est in fam)
+
+    def test_error_curve_equals_one_family_calls(self):
+        joint = error_curve(SPEC_GBM, DIGITAL, self.NS, self.ETAS, 3000, 32,
+                            error_mode="both", monitor_factor=4)
+        alone = [error_curve(SPEC_GBM, DIGITAL, self.NS, [eta], 3000, 32,
+                             error_mode="both", monitor_factor=4)[0]
+                 for eta in self.ETAS]
+        assert joint == alone
+
+    def test_draws_each_step_index_once(self, monkeypatch):
+        import hedgenet.models as models
+
+        drawn, steps = [], []
+        real_normals, real_step = models.normals, models.exact_step
+        monkeypatch.setattr(models, "normals", lambda *a, **k: (
+            drawn.append(a[2]) or real_normals(*a, **k)))
+        monkeypatch.setattr(models, "exact_step", lambda *a: (
+            steps.append(a[2]) or real_step(*a)))
+        sweeps = self.sweeps("both", 100)
+        estimate_sweep(sweeps)
+        sizes = [self.union_steps(exps) for exps in sweeps]
+        assert drawn == list(range(max(sizes)))
+        assert len(steps) == sum(sizes)
+
+    def test_rejects_an_empty_sweep(self):
+        with pytest.raises(ValueError):
+            estimate_sweep([[], self.sweeps("terminal", 100)[0]])
+        with pytest.raises(ValueError):
+            estimate_sweep([])
 
 
 class TestHedgeIncrement:
@@ -280,7 +351,7 @@ class TestHedgeIncrement:
 
         def sweep():
             return [p.estimate for p in error_curve(
-                spec, pricing, [2, 4, 8], None, 500, 17)]
+                spec, pricing, [2, 4, 8], [None], 500, 17)[0]]
 
         got = sweep()
         monkeypatch.setattr(hedging, "_row_dots",

@@ -20,8 +20,8 @@ def states(spec, times, master_seed, path_indices, scheme="exact"):
     """(B, len(times), d): x0, then every state path_states yields."""
     path_indices = np.asarray(path_indices)
     xs = [np.broadcast_to(spec.x0, (path_indices.size, spec.d))]
-    xs += [x for _, x in path_states(spec, times, master_seed, path_indices,
-                                     scheme)]
+    xs += [x for _, _, x in path_states(spec, [times], master_seed,
+                                        path_indices, scheme)]
     return np.stack(xs, axis=1)
 
 
@@ -132,12 +132,13 @@ class TestExactSampling:
     def test_rejects_general(self):
         spec = general_diffusion("C1", 1, [0.0], lambda x: np.ones(x.shape + (1,)))
         with pytest.raises(ValueError):
-            next(path_states(spec, [0.0, 1.0], 0, np.arange(4), "exact"))
+            next(path_states(spec, [[0.0, 1.0]], 0, np.arange(4), "exact"))
 
     def test_rejects_unknown_scheme(self):
         spec = gbm_diagonal(1, 1.0, 1.0)
         with pytest.raises(ValueError, match="scheme must be one of"):
-            next(path_states(spec, [0.0, 1.0], 0, np.arange(4), "milstein"))
+            next(path_states(spec, [[0.0, 1.0]], 0, np.arange(4),
+                             "milstein"))
 
 
 class TestEuler:
@@ -190,7 +191,7 @@ class TestPathSample:
         spec = gbm_diagonal(2, 1.0, [1.5, 0.5])
         times = refine(equidistant_net(1.0, 2), 4)
         idx = np.array([0])
-        steps = list(path_states(spec, times, 0, idx))
+        steps = [(j, x) for _, j, x in path_states(spec, [times], 0, idx)]
         assert [j for j, _ in steps] == list(range(1, times.size))
         assert all(x.shape == (1, 2) for _, x in steps)
         # the first step leaves x0 with the draws of step index 0
@@ -198,8 +199,23 @@ class TestPathSample:
         first = exact_step(spec, spec.x0[None, :], times[1], z)
         assert np.array_equal(steps[0][1], first)
         # a zero-length first step stays exactly at x0
-        [(_, x)] = path_states(spec, [0.0, 0.0], 0, idx)
+        [(_, _, x)] = path_states(spec, [[0.0, 0.0]], 0, idx)
         assert np.array_equal(x[0], [1.5, 0.5])
+
+
+    def test_lockstep_grids_equal_their_own_streams(self):
+        spec = gbm_diagonal(2, [1.0, 0.5], [1.0, 2.0])
+        grids = [np.linspace(0.0, 1.0, 5), [0.0, 0.3], [0.0],
+                 np.linspace(0.0, 1.0, 9)]
+        idx = np.arange(10, 60)
+        got = list(path_states(spec, grids, 4, idx))
+        # step index by step index, every grid that has the step, in order
+        assert [(j, g) for g, j, _ in got] == sorted(
+            (j, g) for g, t in enumerate(grids) for j in range(1, len(t)))
+        for g, times in enumerate(grids):
+            alone = [x.tobytes() for _, _, x in
+                     path_states(spec, [times], 4, idx)]
+            assert [x.tobytes() for h, _, x in got if h == g] == alone
 
 
 class TestInPlaceStream:
@@ -233,7 +249,7 @@ class TestInPlaceStream:
         step = exact_step if scheme == "exact" else euler_step
         times = np.array([0.0, 0.1, 0.35, 0.5, 1.0])
         idx = np.arange(40, 80)
-        got = [x for _, x in path_states(spec, times, 6, idx, scheme)]
+        got = [x for _, _, x in path_states(spec, [times], 6, idx, scheme)]
         x = np.broadcast_to(spec.x0, (idx.size, 2)).copy()
         for j, state in enumerate(got, start=1):
             x = step(spec, x, times[j] - times[j - 1],

@@ -136,7 +136,8 @@ class TestPower:
     def test_value_vs_monte_carlo(self):
         f = Factor1D("power", K=1.0, alpha=0.25, s=1.0, T=1.0)
         spec = gbm_diagonal(1, 1.0, 1.0)
-        [(_, x)] = path_states(spec, [0.0, 1.0], 21, np.arange(2_000_000))
+        [(_, _, x)] = path_states(spec, [[0.0, 1.0]], 21,
+                                  np.arange(2_000_000))
         xT = x[:, 0]
         pay = np.maximum(xT - 1.0, 0.0) ** 0.25
         se = pay.std(ddof=1) / np.sqrt(pay.size)
@@ -348,7 +349,8 @@ class TestSumDigital:
     def test_value_vs_monte_carlo(self):
         sd = SumDigital2D(2.0, (1.0, 1.0), (1.0, 1.0), 1.0)
         spec = gbm_diagonal(2, 1.0, [1.0, 1.0])
-        [(_, xT)] = path_states(spec, [0.0, 1.0], 77, np.arange(2_000_000))
+        [(_, _, xT)] = path_states(spec, [[0.0, 1.0]], 77,
+                                   np.arange(2_000_000))
         pay = (xT.sum(axis=1) >= 2.0).astype(float)
         se = pay.std(ddof=1) / np.sqrt(pay.size)
         v = sd.value(0.0, np.array([[1.0, 1.0]]))[0]
@@ -421,7 +423,8 @@ class TestStatisticalInvariants:
         spec = gbm_diagonal(1, 1.0, 1.0)
         v0 = pr.value(0.0, np.array([[1.0]]))[0]
         for t in (0.25, 0.75):
-            [(_, x)] = path_states(spec, [0.0, t], 31, np.arange(100000))
+            [(_, _, x)] = path_states(spec, [[0.0, t]], 31,
+                                      np.arange(100000))
             v = pr.value(t, x)
             se = v.std(ddof=1) / np.sqrt(v.size)
             assert abs(v.mean() - v0) < 3.0 * se
@@ -431,8 +434,8 @@ class TestStatisticalInvariants:
         spec = gbm_diagonal(1, 1.0, 1.0)
         gaps = []
         for eps in (0.1, 0.01, 0.001):
-            (_, x), (_, xT) = path_states(
-                spec, [0.0, 1.0 - eps, 1.0], 41, np.arange(100000)
+            (_, _, x), (_, _, xT) = path_states(
+                spec, [[0.0, 1.0 - eps, 1.0]], 41, np.arange(100000)
             )
             v = pr.value(1.0 - eps, x)
             f = pr.payoff(xT)
@@ -447,7 +450,8 @@ class TestStatisticalInvariants:
         ts = 1.0 - np.geomspace(0.5, 0.001, 12)
         ms = []
         for t in ts:
-            [(_, x)] = path_states(spec, [0.0, t], 51, np.arange(100000))
+            [(_, _, x)] = path_states(spec, [[0.0, t]], 51,
+                                      np.arange(100000))
             x = x[:, 0]
             g = x * x * bs_digital_gamma(t, x, 1.0, 1.0, 1.0)
             ms.append((g * g).mean())

@@ -65,6 +65,30 @@ def test_rate_sweep_draws_once_per_union_step(tmp_path):
     assert work["models.step"] == N * steps
 
 
+def test_two_family_rate_draws_each_step_index_once(tmp_path):
+    # running sup on M = n monitoring points: the equidistant family's
+    # union grid is the 64 steps of n = 64, the eta family's is those 64
+    # uniform steps merged with its own knots, 126 steps. The two streams
+    # run in lockstep and draw the normals of a step index once.
+    N, d, eq_steps, eta_steps = 256, 2, 64, 126
+    cfg = {
+        "model": GBM,
+        "payoff": {"key": "product", "T": 1.0, "params": {"factors": [
+            {"kind": "call", "K": 1.0}, {"kind": "digital", "K": 1.0},
+        ]}},
+        "nets": {"families": [{"family": "equidistant"},
+                              {"family": "eta", "eta": 0.75}],
+                 "n_list": [8, 16, 32, 64]},
+        "engine": {"N": N, "master_seed": 3, "mode": "running_sup",
+                   "monitor_factor": 1},
+    }
+    work, calls = traced_counts(tmp_path, "rate", cfg)
+    assert calls["rng.normals"] == eta_steps
+    assert work["rng.normals"] == N * eta_steps * d
+    assert calls["models.step"] == eq_steps + eta_steps
+    assert work["models.step"] == N * (eq_steps + eta_steps)
+
+
 def test_simulate_sweep_draws_once_per_union_step(tmp_path):
     # mode both: every net is hedged on its M = 4n monitoring grid, and
     # n = 4, 8, 16 nest, so the union grid is the 64 steps of n = 16. Two
@@ -101,9 +125,11 @@ def test_theta_scan_draws_one_step_per_grid_time(tmp_path):
         "analysis": {"theta_points": points, "theta_N": N},
         "engine": {"master_seed": 3},
     }
+    # every grid time is one step from x0 made from the same step-0 draw
     work, calls = traced_counts(tmp_path, "theta", cfg)
-    assert calls["rng.normals"] == calls["models.step"] == points
-    assert work["rng.normals"] == N * points
+    assert calls["rng.normals"] == 1
+    assert work["rng.normals"] == N
+    assert calls["models.step"] == points
     assert work["models.step"] == N * points
 
 
