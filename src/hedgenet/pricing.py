@@ -8,6 +8,10 @@ quadratic payoff for Brownian motion used as a closed-form oracle.
 All value functions solve d/dt F + (1/2) sum A_kl d2F/dx_k dx_l = 0 with the
 terminal condition F(T-, x) -> f(x); drift never enters F, it only shows up in
 the simulated state dynamics.
+
+The Gauss-Legendre and Gauss-Hermite rules of the quadratures are scipy's,
+bit for bit, but their eigenvalues come from numpy.linalg (_gauss), so
+pricing never imports scipy.linalg.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr, roots_hermite, roots_legendre
+from scipy.special import eval_hermite, eval_legendre, ndtr, roots_hermite
 
 __all__ = [
     "QuadratureError",
@@ -60,44 +64,44 @@ def _tau(t: float, T: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _d12(x, K, s, tau):
+    """d2 and s sqrt(tau); d1 is d2 + s sqrt(tau), formed where it is used."""
     st = s * np.sqrt(tau)
-    d2 = (np.log(x / K) - 0.5 * st * st) / st
-    return d2 + st, d2, st
+    return (np.log(x / K) - 0.5 * st * st) / st, st
 
 
 def bs_call_value(t, x, K, s, T):
     x = np.asarray(x, dtype=float)
-    d1, d2, _ = _d12(x, K, s, _tau(t, T))
-    return x * ndtr(d1) - K * ndtr(d2)
+    d2, st = _d12(x, K, s, _tau(t, T))
+    return x * ndtr(d2 + st) - K * ndtr(d2)
 
 
 def bs_call_delta(t, x, K, s, T):
     x = np.asarray(x, dtype=float)
-    d1, _, _ = _d12(x, K, s, _tau(t, T))
-    return ndtr(d1)
+    d2, st = _d12(x, K, s, _tau(t, T))
+    return ndtr(d2 + st)
 
 
 def bs_call_gamma(t, x, K, s, T):
     x = np.asarray(x, dtype=float)
-    d1, _, st = _d12(x, K, s, _tau(t, T))
-    return _phi(d1) / (x * st)
+    d2, st = _d12(x, K, s, _tau(t, T))
+    return _phi(d2 + st) / (x * st)
 
 
 def bs_digital_value(t, x, K, s, T):
     x = np.asarray(x, dtype=float)
-    _, d2, _ = _d12(x, K, s, _tau(t, T))
+    d2, _ = _d12(x, K, s, _tau(t, T))
     return ndtr(d2)
 
 
 def bs_digital_delta(t, x, K, s, T):
     x = np.asarray(x, dtype=float)
-    _, d2, st = _d12(x, K, s, _tau(t, T))
+    d2, st = _d12(x, K, s, _tau(t, T))
     return _phi(d2) / (x * st)
 
 
 def bs_digital_gamma(t, x, K, s, T):
     x = np.asarray(x, dtype=float)
-    _, d2, st = _d12(x, K, s, _tau(t, T))
+    d2, st = _d12(x, K, s, _tau(t, T))
     return -_phi(d2) * (d2 + st) / (x * st) ** 2
 
 
@@ -109,16 +113,54 @@ _leg_cache: dict = {}
 _herm_cache: dict = {}
 
 
+def _gauss(n, mu0, sqrt_b, f, df):
+    """Gauss nodes and weights of the orthogonal polynomials f(k, x) with
+    zero recurrence diagonal and off-diagonal sqrt_b(k), by Golub & Welsch
+    (Math. Comp. 1969), step for step as scipy.special's
+    _gen_roots_and_weights: the Jacobi matrix's eigenvalues, one Newton step
+    on them, log-normalised weights, symmetrisation and weights summing to
+    mu0. Only the eigensolver differs: numpy.linalg.eigvalsh, where scipy
+    imports scipy.linalg (about 0.08 s and 5 MB) for this one call. For
+    every QUAD_NODES size the result is bitwise scipy's."""
+    b = sqrt_b(np.arange(1, n, dtype=float))
+    x = np.linalg.eigvalsh(np.diag(b, 1) + np.diag(b, -1))
+    dy = df(n, x)
+    x -= f(n, x) / dy
+    fm = f(n - 1, x)
+    log_fm = np.log(np.abs(fm))
+    log_dy = np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= mu0 / w.sum()
+    return x, w
+
+
 def _legendre01(n):
+    """Gauss-Legendre nodes and weights on [0, 1]."""
     if n not in _leg_cache:
-        u, w = roots_legendre(n)
+        u, w = _gauss(
+            n, 2.0, lambda k: k * np.sqrt(1.0 / (4 * k * k - 1)),
+            eval_legendre,
+            lambda n, x: (-n * x * eval_legendre(n, x)
+                          + n * eval_legendre(n - 1, x)) / (1 - x ** 2))
         _leg_cache[n] = (0.5 * (u + 1.0), 0.5 * w)
     return _leg_cache[n]
 
 
 def _hermite(n):
+    """Gauss-Hermite nodes and weights for the standard normal density.
+    Above 150 nodes scipy's roots_hermite uses an asymptotic expansion that
+    needs no eigensolver."""
     if n not in _herm_cache:
-        u, w = roots_hermite(n)
+        if n <= 150:
+            u, w = _gauss(n, np.sqrt(np.pi), lambda k: np.sqrt(k / 2.0),
+                          eval_hermite,
+                          lambda n, x: 2.0 * n * eval_hermite(n - 1, x))
+        else:
+            u, w = roots_hermite(n)
         _herm_cache[n] = (np.sqrt(2.0) * u, w / np.sqrt(np.pi))
     return _herm_cache[n]
 
@@ -362,7 +404,8 @@ class Factor1D:
     # of its bs_* function, so the results are bitwise equal to theirs.
 
     def _call_eval(self, t, x, what: tuple):
-        d1, d2, st = _d12(x, self.K, self.s, _tau(t, self.T))
+        d2, st = _d12(x, self.K, self.s, _tau(t, self.T))
+        d1 = d2 + st
         nd1 = ndtr(d1)
         out = []
         for w in what:
@@ -375,7 +418,7 @@ class Factor1D:
         return tuple(out)
 
     def _digital_eval(self, t, x, what: tuple):
-        _, d2, st = _d12(x, self.K, self.s, _tau(t, self.T))
+        d2, st = _d12(x, self.K, self.s, _tau(t, self.T))
         pd2 = _phi(d2) if what != ("value",) else None
         out = []
         for w in what:
@@ -398,19 +441,25 @@ class Factor1D:
                                    _tau(t, self.T), 3)
         return _assemble(x, d, what)
 
+    def _table_nodes(self, tau, lo, hi):
+        """The power table's two node sets in log-price, each sorted: a
+        uniform base on [lo, hi], and a geometric ladder of offsets
+        h0 * _TABLE_LADDER**r on either side of the kink log K (empty for
+        K = 0). Also returns log K and h0, which place the ladder."""
+        base = np.linspace(lo, hi, _TABLE_BASE)
+        if self.K == 0.0:
+            return base, base[:0], 0.0, 0.0
+        h0 = _TABLE_RUNG0 * self.s * np.sqrt(tau)
+        rungs = np.ceil(np.log(max((hi - lo) / h0, 2.0))
+                        / np.log(_TABLE_LADDER))
+        ladder = h0 * _TABLE_LADDER ** np.arange(rungs)
+        lk = np.log(self.K)
+        return base, np.concatenate([lk - ladder[::-1], lk + ladder]), lk, h0
+
     def _table_grid(self, tau, lo, hi):
-        """Log-price abscissae on [lo, hi]: a uniform base, plus a geometric
-        ladder of offsets from the kink log K."""
-        grid = np.linspace(lo, hi, _TABLE_BASE)
-        if self.K > 0.0:
-            h0 = _TABLE_RUNG0 * self.s * np.sqrt(tau)
-            rungs = np.ceil(np.log(max((hi - lo) / h0, 2.0))
-                            / np.log(_TABLE_LADDER))
-            ladder = h0 * _TABLE_LADDER ** np.arange(rungs)
-            lk = np.log(self.K)
-            grid = np.concatenate([grid, lk + ladder, lk - ladder])
-            grid = grid[(grid >= lo) & (grid <= hi)]
-        return np.unique(grid)
+        """Log-price abscissae on [lo, hi]: the union of both node sets."""
+        base, ladder, _, _ = self._table_nodes(tau, lo, hi)
+        return _union(base, ladder, lo, hi)
 
     def _power_eval_table(self, t, x, what: tuple):
         """Cubic Hermite interpolation in log-price of a quadrature table.
@@ -420,16 +469,18 @@ class Factor1D:
         D_k is interpolated with D_{k+1} as its exact slope; the outputs
         are assembled from the interpolants as on the direct path. Every
         interval's cubics are stored in power form in the offset from its
-        left node, so one search and one gather serve every output, and
-        rows are evaluated in chunks of _TABLE_CHUNK so the temporaries do
-        not grow with the batch.
+        left node, so one index (_TableIndex) and one gather serve every
+        output. Rows are indexed, evaluated and assembled in chunks of
+        _TABLE_CHUNK through buffers reused from chunk to chunk, so no
+        temporary grows with the batch.
         """
         tau = _tau(t, self.T)
         top = max(_ORDER[w] for w in what)
         lx = np.log(x)
         # lo and hi bracket the batch, so every point has a right node
         lo, hi = lx.min() - 1e-9, lx.max() + 1e-9
-        grid = self._table_grid(tau, lo, hi)
+        nodes = self._table_nodes(tau, lo, hi)
+        grid = _union(*nodes[:2], lo, hi)
         d = _power_log_derivatives(np.exp(grid), self.K, self.alpha, self.s,
                                    tau, top + 2)
         # on each interval, the cubic through (f0, s0) and (f1, s1) in
@@ -442,19 +493,115 @@ class Factor1D:
             f0, s0, (3.0 * secant - 2.0 * s0 - s1) / h,
             (s0 + s1 - 2.0 * secant) / (h * h),
         ])
-        j = np.searchsorted(grid, lx, side="right") - 1
-        out = np.empty((top + 1, x.size))
+        rows = min(_TABLE_CHUNK, x.size)
+        index = _TableIndex(grid, *nodes, rows)
+        gather = np.empty(coef.shape[0] * rows)
+        horner = np.empty((top + 1) * rows)
+        dx = np.empty(rows)
+        res = np.empty((len(what), x.size))
         for a in range(0, x.size, _TABLE_CHUNK):
-            jc = j[a:a + _TABLE_CHUNK]
-            dx = lx[a:a + _TABLE_CHUNK] - grid[jc]
-            c = np.take(coef, jc, axis=1).reshape(4, top + 1, -1)
-            o = out[:, a:a + _TABLE_CHUNK]
-            np.multiply(c[3], dx, out=o)
+            lxc, xc = lx[a:a + _TABLE_CHUNK], x[a:a + _TABLE_CHUNK]
+            m = lxc.size
+            j = index.locate(lxc)
+            np.take(grid, j, out=dx[:m], mode="clip")
+            np.subtract(lxc, dx[:m], out=dx[:m])
+            c = gather[:coef.shape[0] * m].reshape(coef.shape[0], m)
+            np.take(coef, j, axis=1, out=c, mode="clip")
+            c = c.reshape(4, top + 1, m)
+            o = horner[:(top + 1) * m].reshape(top + 1, m)
+            np.multiply(c[3], dx[:m], out=o)
             for k in (2, 1, 0):
                 o += c[k]
                 if k:
-                    o *= dx
-        return _assemble(x, out, what)
+                    o *= dx[:m]
+            res[:, a:a + _TABLE_CHUNK] = _assemble(xc, o, what)
+        return tuple(res)
+
+
+def _union(base, ladder, lo, hi):
+    """The sorted, duplicate-free union of the table's node sets, cut to
+    [lo, hi]."""
+    grid = np.concatenate([base, ladder])
+    return np.unique(grid[(grid >= lo) & (grid <= hi)])
+
+
+class _TableIndex:
+    """Interval index into a power table's grid, computed from its structure.
+
+    locate(lx) equals np.searchsorted(grid, lx, side="right") - 1 for keys
+    with lo < lx < hi, without a search. A floor on the uniform base and a
+    log on the ladder estimate, in each node set, the last node at or below
+    lx; both estimates are within one of it, and one step against the set's
+    nodes (the ladder padded with -inf and +inf sentinels) makes them exact.
+    Each set's index then maps to its node's position in the merged grid,
+    and the larger position is the answer. A node np.unique dropped as a
+    duplicate maps to its twin's position, so duplicates need no care.
+    """
+
+    def __init__(self, grid, base, ladder, lk, h0, rows):
+        self.base = base
+        self.lo = base[0]
+        self.scale = (base.size - 1) / (base[-1] - base[0])
+        self.base_pos = np.searchsorted(grid, base, side="right") - 1
+        self.rungs = ladder.size // 2
+        if self.rungs:
+            self.ladder = np.concatenate([[-np.inf], ladder, [np.inf]])
+            self.ladder_pos = np.concatenate(
+                [[-1], np.searchsorted(grid, ladder, side="right") - 1])
+            self.lk, self.log_h0 = lk, np.log(h0)
+            self.per_rung = 1.0 / np.log(_TABLE_LADDER)
+        self._f, self._g = np.empty(rows), np.empty(rows)
+        self._i, self._j, self._k = np.empty((3, rows), dtype=np.intp)
+        self._mask = np.empty(rows, dtype=bool)
+
+    def _step(self, i, lx, nodes):
+        """nodes[i] <= lx < nodes[i + 1], given i within one of that."""
+        g, mask = self._g[:lx.size], self._mask[:lx.size]
+        np.take(nodes, i, out=g, mode="clip")
+        np.greater(g, lx, out=mask)
+        i -= mask
+        np.take(nodes[1:], i, out=g, mode="clip")
+        np.less_equal(g, lx, out=mask)
+        i += mask
+
+    def locate(self, lx):
+        """The grid intervals of the keys lx (at most `rows` of them), in a
+        buffer that the next call overwrites."""
+        m = lx.size
+        f, i, j, mask = self._f[:m], self._i[:m], self._j[:m], self._mask[:m]
+        # base node i sits at lo + i * step; f > 0, so truncation floors
+        np.subtract(lx, self.lo, out=f)
+        f *= self.scale
+        np.minimum(f, self.base.size - 2, out=f)
+        i[:] = f
+        self._step(i, lx, self.base)
+        np.take(self.base_pos, i, out=j, mode="clip")
+        if not self.rungs:
+            return j
+        # above the kink, padded ladder node R + 1 + r sits at
+        # lk + h0 * ratio**r, so the index is R + 1 + floor(u) with u the
+        # log of |lx - lk| / h0 in rungs; below it, node R - r sits at
+        # lk - h0 * ratio**r and the index is R - ceil(u). Clipping u to
+        # [-1/2, R - 1/2] keeps both in range (u = -inf at lx = lk).
+        R, k = self.rungs, self._k[:m]
+        np.subtract(lx, self.lk, out=f)
+        np.less(f, 0.0, out=mask)
+        np.abs(f, out=f)
+        with np.errstate(divide="ignore"):
+            np.log(f, out=f)
+        f -= self.log_h0
+        f *= self.per_rung
+        np.maximum(f, -0.5, out=f)
+        np.minimum(f, R - 0.5, out=f)
+        np.negative(f, out=f, where=mask)
+        # R + 1 + floor(+-u) by truncation, as R + 1 +- u >= 1.5
+        f += R + 1
+        i[:] = f
+        i -= mask
+        self._step(i, lx, self.ladder)
+        np.take(self.ladder_pos, i, out=k, mode="clip")
+        np.maximum(j, k, out=j)
+        return j
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +681,10 @@ class ProductPricing:
 
     def hessian(self, t, x):
         x = self._check(x)
+        if self.d == 1:
+            # bitwise the general form below: Γ times an empty product, 1.0
+            gamma = self.factors[0].value_delta_gamma(t, x[:, 0])[2]
+            return gamma[:, None, None]
         B = x.shape[0]
         vals = np.empty((B, self.d))
         dels = np.empty((B, self.d))

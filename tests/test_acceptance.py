@@ -37,11 +37,18 @@ def _verdict(capsys, num, name, ok, detail):
     assert ok, line
 
 
+def _slopes(spec, pricing, etas, n_paths, seed, ns=SWEEP_NS):
+    """The fitted rate slope of each net family, all from one error_curve
+    pass; each equals the slope of a pass with that family alone."""
+    curves = error_curve(spec, pricing, ns, etas, n_paths, seed,
+                         workers=WORKERS)
+    return [fit_rate([(p.n, p.estimate.rms) for p in pts]).slope
+            for pts in curves]
+
+
 def _slope(spec, pricing, eta, n_paths, seed, ns=SWEEP_NS):
-    [pts] = error_curve(spec, pricing, ns, [eta], n_paths, seed,
-                        workers=WORKERS)
-    fit = fit_rate([(p.n, p.estimate.rms) for p in pts])
-    return fit.slope
+    [slope] = _slopes(spec, pricing, [eta], n_paths, seed, ns)
+    return slope
 
 
 def test_criterion_01_quadratic_analytic_oracle(capsys):
@@ -90,8 +97,7 @@ def test_criterion_05_product_payoff_eta_net(capsys):
         {"kind": "digital", "K": 1.0, "s": 1.0},
     ]}, 1.0)
     spec = gbm_diagonal(3, 1.0, np.ones(3))
-    slope = _slope(spec, pricing, 0.75, 100000, 205)
-    slope_eq = _slope(spec, pricing, None, 100000, 205)
+    slope, slope_eq = _slopes(spec, pricing, [0.75, None], 100000, 205)
     _verdict(capsys, 5, "3-factor product eta=0.75",
              -0.58 <= slope <= -0.42,
              f"slope {slope:+.4f}, window [-0.58, -0.42]; "

@@ -336,3 +336,37 @@ def test_import_does_not_load_scipy_stats():
                          capture_output=True, text=True, check=True,
                          timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_power_and_sum_digital_do_not_load_scipy_linalg(tmp_path):
+    # the Gauss nodes come from numpy.linalg; a fresh interpreter runs a
+    # power theta scan priced off the table, a sum-digital value, and
+    # builds every node size
+    cfg = write_config(tmp_path / "p.json", {
+        "model": {"case": "C2", "d": 1, "s": [1.0], "x0": [1.0]},
+        "payoff": {"key": "power", "params": {"K": 1.0, "alpha": 0.25},
+                   "T": 1.0},
+        "analysis": {"theta_points": 5, "theta_N": 4096},
+        "engine": {"master_seed": 3},
+    })
+    code = (
+        "import sys, numpy as np\n"
+        "import hedgenet.pricing as p\n"
+        "from hedgenet.cli import main\n"
+        "assert p._TABLE_MIN_ROWS <= 4096\n"
+        f"assert main(['theta', '--config', {cfg!r}, "
+        f"'--out', {str(tmp_path / 'run')!r}]) == 0\n"
+        "p.SumDigital2D(2.0, (1.0, 1.0), (1.0, 1.0), 1.0).value(\n"
+        "    0.5, np.ones((8, 2)))\n"
+        "for n in p.QUAD_NODES:\n"
+        "    p._legendre01(n), p._hermite(n)\n"
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith('scipy.linalg')))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env.pop("HEDGENET_SEED", None)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.splitlines()[-1] == "[]"

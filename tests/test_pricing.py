@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import roots_hermite, roots_legendre
 from scipy.stats import norm
 
 import hedgenet.pricing as pricing
 from hedgenet.models import gbm_diagonal, path_states
 from hedgenet.pricing import (
     QUAD_ATOL,
+    QUAD_NODES,
     QUAD_RTOL,
     BMQuadratic,
     Factor1D,
@@ -14,6 +18,8 @@ from hedgenet.pricing import (
     QuadratureError,
     SumDigital2D,
     _assemble,
+    _hermite,
+    _legendre01,
     _power_log_derivatives,
     _power_moments,
     _power_moments_raw,
@@ -253,6 +259,68 @@ class TestPower:
         bounds = (1.3e-6, 1.0e-4, 3.5e-4)
         assert all(e <= b for e, b in zip(errors, bounds)), errors
 
+    @staticmethod
+    def assert_index_exact(f, tau, lo, hi, keys):
+        """_TableIndex.locate against searchsorted on the table's grid, at
+        the given keys, at every node, one ulp either side of every node,
+        and at log K; keys outside (lo, hi) are dropped."""
+        nodes = f._table_nodes(tau, lo, hi)
+        grid = pricing._union(*nodes[:2], lo, hi)
+        keys = np.concatenate([
+            keys, grid, np.nextafter(grid, -np.inf),
+            np.nextafter(grid, np.inf), [nodes[2]],
+        ])
+        keys = keys[(keys > lo) & (keys < hi)]
+        index = pricing._TableIndex(grid, *nodes, keys.size)
+        want = np.searchsorted(grid, keys, side="right") - 1
+        assert np.array_equal(index.locate(keys), want)
+
+    @pytest.mark.parametrize("tau", [1.0, 0.3, 1e-3, 1e-8])
+    def test_table_index_is_searchsorted(self, tau):
+        f = Factor1D("power", K=1.0, alpha=0.25, s=1.0, T=1.0)
+        lx = np.random.default_rng(2).normal(0.0, 0.7, 20000)
+        self.assert_index_exact(f, tau, lx.min() - 1e-9, lx.max() + 1e-9, lx)
+
+    def test_table_index_zero_strike(self):
+        # K = 0: the grid is the uniform base alone
+        f = Factor1D("power", K=0.0, alpha=0.25, s=1.0, T=1.0)
+        lo, hi = -2.0, 1.5
+        assert f._table_nodes(0.5, lo, hi)[1].size == 0
+        lx = np.random.default_rng(6).uniform(lo, hi, 5000)
+        self.assert_index_exact(f, 0.5, lo, hi, lx)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tau=st.floats(1e-10, 1.0), log_k=st.floats(-3.0, 3.0),
+           s=st.floats(0.1, 3.0), lo=st.floats(-6.0, 6.0),
+           width=st.floats(1e-6, 12.0), seed=st.integers(0, 2**32 - 1))
+    def test_table_index_property(self, tau, log_k, s, lo, width, seed):
+        f = Factor1D("power", K=float(np.exp(log_k)), alpha=0.25, s=s,
+                     T=1.0)
+        hi = lo + width
+        lx = np.random.default_rng(seed).uniform(lo, hi, 200)
+        self.assert_index_exact(f, tau, lo, hi, lx)
+
+    def test_table_chunks_are_exact(self, monkeypatch):
+        # reused chunk buffers, partial last chunk included: the outputs
+        # do not depend on the chunk size
+        f = Factor1D("power", K=1.0, alpha=0.25, s=1.0, T=1.0)
+        x = np.exp(np.random.default_rng(8).normal(0.0, 0.6, 10000))
+        want = f.value_delta_gamma(0.7, x)
+        monkeypatch.setattr(pricing, "_TABLE_CHUNK", 1500)
+        for got, ref in zip(f.value_delta_gamma(0.7, x), want):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("n", QUAD_NODES)
+    def test_gauss_nodes_are_scipys(self, n):
+        u, w = roots_legendre(n)
+        got_u, got_w = _legendre01(n)
+        assert np.array_equal(got_u, 0.5 * (u + 1.0))
+        assert np.array_equal(got_w, 0.5 * w)
+        z, w = roots_hermite(n)
+        got_z, got_w = _hermite(n)
+        assert np.array_equal(got_z, np.sqrt(2.0) * z)
+        assert np.array_equal(got_w, w / np.sqrt(np.pi))
+
 
 class TestProduct:
     def test_constant_factors(self):
@@ -331,6 +399,16 @@ class TestProduct:
         x = np.exp(np.random.default_rng(4).normal(0.0, 0.5, (300, 1)))
         got = ProductPricing([f]).gradient(0.2, x)
         assert np.array_equal(got[:, 0], f.delta(0.2, x[:, 0]))
+
+    @pytest.mark.parametrize("rows", [300, 5000])  # direct and table path
+    def test_one_factor_hessian_is_the_product_form(self, rows):
+        power = Factor1D("power")
+        x = np.exp(np.random.default_rng(12).normal(0.0, 0.5, (rows, 1)))
+        got = ProductPricing([power]).hessian(0.4, x)
+        ref = ProductPricing([power, Factor1D("const")]).hessian(
+            0.4, np.hstack([x, np.ones_like(x)]))
+        assert got.shape == (rows, 1, 1)
+        assert np.array_equal(got[:, 0, 0], ref[:, 0, 0])
 
     def test_dimension_check(self):
         p = ProductPricing([Factor1D("call"), Factor1D("digital")])
