@@ -87,10 +87,19 @@ def _states_at(spec, times, n_paths, master_seed):
         yield x
 
 
+def _a_diagonal(spec, x):
+    """A_ii(x), shape (B, d). For uncorrelated diagonal GBM it is
+    (s_i x_i)^2 directly, bitwise the diagonal of a_matrix."""
+    if spec.exactness == "gbm-diagonal" and spec.corr_chol is None:
+        sx = spec.vols * x
+        return sx * sx
+    return np.einsum("bii->bi", a_matrix(spec, x))
+
+
 def _pair_moments(spec, pricing, t, x):
     """Mean and stderr of A_aa A_bb (d2F_ab)^2 for every pair, shape (d,d)."""
     hess = pricing.hessian(t, x)
-    a_diag = np.einsum("bii->bi", a_matrix(spec, x))
+    a_diag = _a_diagonal(spec, x)
     vals = a_diag[:, :, None] * a_diag[:, None, :] * hess * hess
     mean = vals.mean(axis=0)
     stderr = vals.std(axis=0, ddof=1) / math.sqrt(x.shape[0])

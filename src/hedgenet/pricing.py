@@ -16,9 +16,10 @@ pricing never imports scipy.linalg.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import eval_hermite, eval_legendre, ndtr, roots_hermite
@@ -202,7 +203,6 @@ def _power_moments_raw(x, K, alpha, s, tau, n_nodes, count=3):
     kinked = ~smooth
 
     if np.any(kinked):
-        xs = x[kinked]
         zks = zk[kinked]
         V = np.maximum(13.0 + alpha * sig - zks, 2.0) + 7.0
         u, w = _legendre01(n_nodes)
@@ -289,20 +289,23 @@ def _assemble(x, d, what: tuple):
 #: highest log-price derivative D_k that each output is assembled from
 _ORDER = {"value": 0, "delta": 1, "gamma": 2}
 
-# Grid of the power-factor table (Factor1D._table_grid). The errors quoted
-# are sup errors against direct quadrature for value / delta / gamma,
-# relative to the largest of each over a 16384-path GBM batch at t = T - tau.
+# Node map of the power-factor table (_NodeMap); its two terms take their
+# densities from these three constants. The errors quoted are sup errors
+# against direct quadrature for value / delta / gamma, relative to the
+# largest of each over a 16384-path GBM batch at t = T - tau.
 
-#: uniform points over a batch's log-price range; they bound the error where
-#: the kink is smoothed out (tau >= 0.1: at most 3.6e-7 / 1.2e-5 / 3.1e-5)
+#: the linear term puts this many levels, less one, over a batch's
+#: log-price range, as a uniform base would; it bounds the error where the
+#: kink is smoothed out (tau >= 0.1: at most 6.0e-8 / 1.0e-6 / 5.6e-6)
 _TABLE_BASE = 100
 
-#: first offset of the ladder from log K, in units of s sqrt(tau); it bounds
-#: the error on the innermost intervals (tau = 1e-8: 7.9e-7 / 4.8e-6 / 1.0e-4)
+#: h0, the asinh term's scale, in units of s sqrt(tau); it bounds the error
+#: on the innermost intervals (tau = 1e-8: 3.5e-7 / 6.7e-6 / 2.4e-5)
 _TABLE_RUNG0 = 1.0 / 8.0
 
-#: ratio of the geometric ladder of offsets from log K; it bounds the error
-#: around a sharp kink (tau <= 1e-2: at most 3.8e-6 / 6.2e-5 / 2.4e-4)
+#: r: far from log K the asinh term puts one level per offset ratio r, as a
+#: geometric ladder would; it bounds the error around a sharp kink
+#: (tau <= 1e-2: at most 1.5e-6 / 4.2e-5 / 1.4e-4)
 _TABLE_LADDER = 1.2
 
 #: rows of a table lookup evaluated at once
@@ -441,46 +444,30 @@ class Factor1D:
                                    _tau(t, self.T), 3)
         return _assemble(x, d, what)
 
-    def _table_nodes(self, tau, lo, hi):
-        """The power table's two node sets in log-price, each sorted: a
-        uniform base on [lo, hi], and a geometric ladder of offsets
-        h0 * _TABLE_LADDER**r on either side of the kink log K (empty for
-        K = 0). Also returns log K and h0, which place the ladder."""
-        base = np.linspace(lo, hi, _TABLE_BASE)
-        if self.K == 0.0:
-            return base, base[:0], 0.0, 0.0
-        h0 = _TABLE_RUNG0 * self.s * np.sqrt(tau)
-        rungs = np.ceil(np.log(max((hi - lo) / h0, 2.0))
-                        / np.log(_TABLE_LADDER))
-        ladder = h0 * _TABLE_LADDER ** np.arange(rungs)
-        lk = np.log(self.K)
-        return base, np.concatenate([lk - ladder[::-1], lk + ladder]), lk, h0
-
     def _table_grid(self, tau, lo, hi):
-        """Log-price abscissae on [lo, hi]: the union of both node sets."""
-        base, ladder, _, _ = self._table_nodes(tau, lo, hi)
-        return _union(base, ladder, lo, hi)
+        """Log-price abscissae on [lo, hi]: the node map's integer levels."""
+        return _NodeMap(self.K, self.s, tau, lo, hi).nodes()
 
     def _power_eval_table(self, t, x, what: tuple):
         """Cubic Hermite interpolation in log-price of a quadrature table.
 
         The table holds D_0 ... D_{m+1}, m the highest order the outputs
-        need (_ORDER), on _table_grid's nodes over the batch's range. Each
-        D_k is interpolated with D_{k+1} as its exact slope; the outputs
-        are assembled from the interpolants as on the direct path. Every
-        interval's cubics are stored in power form in the offset from its
-        left node, so one index (_TableIndex) and one gather serve every
-        output. Rows are indexed, evaluated and assembled in chunks of
-        _TABLE_CHUNK through buffers reused from chunk to chunk, so no
-        temporary grows with the batch.
+        need (_ORDER), at the integer levels of _NodeMap over the batch's
+        range. Each D_k is interpolated with D_{k+1} as its exact slope; the
+        outputs are assembled from the interpolants as on the direct path.
+        Every interval's cubics are stored in power form in the offset from
+        its left node, so one index (the floor of the key's map level) and
+        one gather serve every output. Rows are indexed, evaluated and
+        assembled in chunks of _TABLE_CHUNK through buffers reused from
+        chunk to chunk, so no temporary grows with the batch.
         """
         tau = _tau(t, self.T)
         top = max(_ORDER[w] for w in what)
         lx = np.log(x)
         # lo and hi bracket the batch, so every point has a right node
         lo, hi = lx.min() - 1e-9, lx.max() + 1e-9
-        nodes = self._table_nodes(tau, lo, hi)
-        grid = _union(*nodes[:2], lo, hi)
+        nmap = _NodeMap(self.K, self.s, tau, lo, hi)
+        grid = nmap.nodes()
         d = _power_log_derivatives(np.exp(grid), self.K, self.alpha, self.s,
                                    tau, top + 2)
         # on each interval, the cubic through (f0, s0) and (f1, s1) in
@@ -494,15 +481,15 @@ class Factor1D:
             (s0 + s1 - 2.0 * secant) / (h * h),
         ])
         rows = min(_TABLE_CHUNK, x.size)
-        index = _TableIndex(grid, *nodes, rows)
         gather = np.empty(coef.shape[0] * rows)
         horner = np.empty((top + 1) * rows)
-        dx = np.empty(rows)
+        level, dx = np.empty(rows), np.empty(rows)
+        index = np.empty(rows, dtype=np.intp)
         res = np.empty((len(what), x.size))
         for a in range(0, x.size, _TABLE_CHUNK):
             lxc, xc = lx[a:a + _TABLE_CHUNK], x[a:a + _TABLE_CHUNK]
             m = lxc.size
-            j = index.locate(lxc)
+            j = nmap.interval(lxc, index[:m], level[:m], dx[:m])
             np.take(grid, j, out=dx[:m], mode="clip")
             np.subtract(lxc, dx[:m], out=dx[:m])
             c = gather[:coef.shape[0] * m].reshape(coef.shape[0], m)
@@ -518,90 +505,78 @@ class Factor1D:
         return tuple(res)
 
 
-def _union(base, ladder, lo, hi):
-    """The sorted, duplicate-free union of the table's node sets, cut to
-    [lo, hi]."""
-    grid = np.concatenate([base, ladder])
-    return np.unique(grid[(grid >= lo) & (grid <= hi)])
+class _NodeMap:
+    """The power table's node map of log-price y on [lo, hi],
 
+        w(y) = a (y - lo) + b (asinh((y - lk) / h0) - q0),
 
-class _TableIndex:
-    """Interval index into a power table's grid, computed from its structure.
-
-    locate(lx) equals np.searchsorted(grid, lx, side="right") - 1 for keys
-    with lo < lx < hi, without a search. A floor on the uniform base and a
-    log on the ladder estimate, in each node set, the last node at or below
-    lx; both estimates are within one of it, and one step against the set's
-    nodes (the ladder padded with -inf and +inf sentinels) makes them exact.
-    Each set's index then maps to its node's position in the merged grid,
-    and the larger position is the answer. A node np.unique dropped as a
-    duplicate maps to its twin's position, so duplicates need no care.
+    with w(lo) = 0 and w(hi) = n, an integer; the nodes sit at its integer
+    levels. The linear term has the density of _TABLE_BASE uniform points;
+    the asinh term that of a geometric ladder of ratio _TABLE_LADDER around
+    lk = log K, from h0 = _TABLE_RUNG0 s sqrt(tau). One factor scales both
+    to make n an integer. K = 0 keeps the linear term alone (b = 0).
     """
 
-    def __init__(self, grid, base, ladder, lk, h0, rows):
-        self.base = base
-        self.lo = base[0]
-        self.scale = (base.size - 1) / (base[-1] - base[0])
-        self.base_pos = np.searchsorted(grid, base, side="right") - 1
-        self.rungs = ladder.size // 2
-        if self.rungs:
-            self.ladder = np.concatenate([[-np.inf], ladder, [np.inf]])
-            self.ladder_pos = np.concatenate(
-                [[-1], np.searchsorted(grid, ladder, side="right") - 1])
-            self.lk, self.log_h0 = lk, np.log(h0)
-            self.per_rung = 1.0 / np.log(_TABLE_LADDER)
-        self._f, self._g = np.empty(rows), np.empty(rows)
-        self._i, self._j, self._k = np.empty((3, rows), dtype=np.intp)
-        self._mask = np.empty(rows, dtype=bool)
+    lk, h0, q0 = 0.0, 1.0, 0.0
 
-    def _step(self, i, lx, nodes):
-        """nodes[i] <= lx < nodes[i + 1], given i within one of that."""
-        g, mask = self._g[:lx.size], self._mask[:lx.size]
-        np.take(nodes, i, out=g, mode="clip")
-        np.greater(g, lx, out=mask)
-        i -= mask
-        np.take(nodes[1:], i, out=g, mode="clip")
-        np.less_equal(g, lx, out=mask)
-        i += mask
+    def __init__(self, K, s, tau, lo, hi):
+        self.lo, self.hi, self.n = lo, hi, _TABLE_BASE - 1
+        self.a, self.b = self.n / (hi - lo), 0.0
+        if K == 0.0:
+            return
+        self.h0 = _TABLE_RUNG0 * s * math.sqrt(tau)
+        self.lk = math.log(K)
+        self.q0 = math.asinh((lo - self.lk) / self.h0)
+        self.q1 = math.asinh((hi - self.lk) / self.h0)
+        self.rungs = (self.q1 - self.q0) / math.log(_TABLE_LADDER)
+        self.n = math.ceil(_TABLE_BASE - 1 + self.rungs)
+        c = self.n / (_TABLE_BASE - 1 + self.rungs)
+        self.a *= c
+        self.b = c / math.log(_TABLE_LADDER)
 
-    def locate(self, lx):
-        """The grid intervals of the keys lx (at most `rows` of them), in a
-        buffer that the next call overwrites."""
-        m = lx.size
-        f, i, j, mask = self._f[:m], self._i[:m], self._j[:m], self._mask[:m]
-        # base node i sits at lo + i * step; f > 0, so truncation floors
-        np.subtract(lx, self.lo, out=f)
-        f *= self.scale
-        np.minimum(f, self.base.size - 2, out=f)
-        i[:] = f
-        self._step(i, lx, self.base)
-        np.take(self.base_pos, i, out=j, mode="clip")
-        if not self.rungs:
-            return j
-        # above the kink, padded ladder node R + 1 + r sits at
-        # lk + h0 * ratio**r, so the index is R + 1 + floor(u) with u the
-        # log of |lx - lk| / h0 in rungs; below it, node R - r sits at
-        # lk - h0 * ratio**r and the index is R - ceil(u). Clipping u to
-        # [-1/2, R - 1/2] keeps both in range (u = -inf at lx = lk).
-        R, k = self.rungs, self._k[:m]
-        np.subtract(lx, self.lk, out=f)
-        np.less(f, 0.0, out=mask)
-        np.abs(f, out=f)
-        with np.errstate(divide="ignore"):
-            np.log(f, out=f)
-        f -= self.log_h0
-        f *= self.per_rung
-        np.maximum(f, -0.5, out=f)
-        np.minimum(f, R - 0.5, out=f)
-        np.negative(f, out=f, where=mask)
-        # R + 1 + floor(+-u) by truncation, as R + 1 +- u >= 1.5
-        f += R + 1
-        i[:] = f
-        i -= mask
-        self._step(i, lx, self.ladder)
-        np.take(self.ladder_pos, i, out=k, mode="clip")
-        np.maximum(j, k, out=j)
-        return j
+    def level(self, y, out=None, tmp=None):
+        """w(y), into out if given (tmp: scratch of y's shape)."""
+        out = np.subtract(y, self.lo, out=out)
+        out *= self.a
+        if self.b:
+            tmp = np.subtract(y, self.lk, out=tmp)
+            tmp /= self.h0
+            np.arcsinh(tmp, out=tmp)
+            tmp -= self.q0
+            tmp *= self.b
+            out += tmp
+        return out
+
+    def interval(self, y, out, level=None, tmp=None):
+        """min(floor(w(y)), n - 1) for keys lo <= y <= hi, into the integer
+        array out."""
+        level = np.minimum(self.level(y, level, tmp), self.n - 1, out=level)
+        # truncation floors: rounding keeps every level above -1
+        out[...] = level
+        return out
+
+    def nodes(self):
+        """y_k with w(y_k) = k for k = 0 ... n, y_0 = lo and y_n = hi."""
+        if not self.b:
+            return np.linspace(self.lo, self.hi, self.n + 1)
+        # Newton from the interpolant of w over the uniform base and the
+        # ladder's rungs, each at most n + 1 points: the guess is within
+        # about 2e-2 levels, and three steps take every node to rounding
+        k = np.arange(self.n + 1.0)
+        m = int(self.rungs) + 2
+        y = np.concatenate([
+            k[:_TABLE_BASE] * ((self.hi - self.lo) / (_TABLE_BASE - 1))
+            + self.lo,
+            np.sinh(k[:m] * ((self.q1 - self.q0) / (m - 1)) + self.q0)
+            * self.h0 + self.lk,
+        ])
+        y.sort()
+        y = np.interp(k, self.level(y), y)
+        for _ in range(3):
+            y -= (self.level(y) - k) / (
+                self.a + self.b / np.hypot(self.h0, y - self.lk))
+        y[0], y[-1] = self.lo, self.hi
+        return y
 
 
 # ---------------------------------------------------------------------------

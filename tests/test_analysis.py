@@ -134,6 +134,32 @@ class TestEstimateTheta:
         got = [x.tobytes() for x in _states_at(spec, times, 500, 3)]
         assert got == want
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_a_diagonal_is_a_matrix_diagonal(self, d):
+        # uncorrelated diagonal GBM reads (s_i x_i)^2 directly, bitwise
+        from hedgenet.analysis import _a_diagonal
+        from hedgenet.models import a_matrix
+
+        spec = gbm_diagonal(d, [0.7, 1.0, 1.3][:d], 1.0)
+        x = np.exp(np.random.default_rng(4).normal(0.0, 0.8, (1000, d)))
+        want = np.einsum("bii->bi", a_matrix(spec, x))
+        assert _a_diagonal(spec, x).tobytes() == want.tobytes()
+
+    def test_a_diagonal_of_a_correlated_spec_is_general(self, monkeypatch):
+        import hedgenet.analysis as analysis
+        from hedgenet.models import a_matrix
+
+        corr = [[1.0, 0.5], [0.5, 1.0]]
+        spec = gbm_diagonal(2, [0.7, 1.3], 1.0, corr=corr)
+        x = np.exp(np.random.default_rng(4).normal(0.0, 0.8, (1000, 2)))
+        calls = []
+        monkeypatch.setattr(
+            analysis, "a_matrix",
+            lambda *args: calls.append(1) or a_matrix(*args))
+        got = analysis._a_diagonal(spec, x)
+        assert calls == [1]
+        assert np.array_equal(got, np.einsum("bii->bi", a_matrix(spec, x)))
+
     def test_rejects_grid_outside_window(self):
         with pytest.raises(ValueError):
             estimate_theta(SPEC_GBM, DIGITAL, t_grid=[0.1, 0.6],

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,39 @@ class TestNestedSweep:
         )
         loo = est.jackknife_rms()
         assert min(loo) < est.rms < max(loo)
+
+    def test_sums_are_the_array_fsums(self, monkeypatch):
+        # per batch, the sums of e^2 and e^4 and the group sums of e^2 are
+        # bitwise math.fsum over the error arrays, in both modes
+        def errors(spec, pricing, plans, seed, idx, scheme):
+            u = np.sin(idx.astype(float) * 0.37) * (1.0 + idx % 7)
+            return [[(u, u * 1e-3 + 1e5)] for _ in plans]
+
+        monkeypatch.setattr(hedging, "_batch_errors", errors)
+        n = BATCH_SIZE + 500
+        est = estimate_l2_error(HedgeExperiment(
+            SPEC_GBM, DIGITAL, equidistant_net(1.0, 4), n, 25,
+            error_mode="both"))
+        bounds = hedging._group_bounds(n)
+        for mode, k in (("terminal", 0), ("running_sup", 1)):
+            s2, s4, groups = [], [], [[] for _ in bounds[1:]]
+            for lo in range(0, n, BATCH_SIZE):
+                hi = min(lo + BATCH_SIZE, n)
+                idx = np.arange(lo, hi, dtype=np.uint64)
+                e2 = errors(None, None, [0], 0, idx, None)[0][0][k] ** 2
+                s2.append(math.fsum(e2))
+                s4.append(math.fsum(e2 * e2))
+                for g, (a, c) in enumerate(zip(bounds, bounds[1:])):
+                    if a < hi and c > lo:
+                        groups[g].append(
+                            math.fsum(e2[max(a, lo) - lo:min(c, hi) - lo]))
+            want = HedgeErrorEstimate(
+                mean_sq=math.fsum(s2) / n,
+                stderr_mean_sq=math.sqrt(max(
+                    math.fsum(s4) / n - (math.fsum(s2) / n) ** 2, 0.0) / n),
+                n_paths=n, mode=mode,
+                group_sq_sums=tuple(math.fsum(g) for g in groups))
+            assert est[mode] == want
 
 
 class TestJointSweeps:
