@@ -228,22 +228,21 @@ def _power_moments_raw(x, K, alpha, s, tau, n_nodes, count=3):
     return out
 
 
-def _power_moments(x, K, alpha, s, tau, count=3):
-    """Node-doubling wrapper around _power_moments_raw, stopped per point.
+def _node_doubling(raw, size, count, name):
+    """Per-point node doubling over QUAD_NODES, the quadratures' one driver.
 
-    Each point keeps the moments of the first level in QUAD_NODES at which
-    they differ from the previous level's by at most QUAD_RTOL times its
-    scale (QUAD_ATOL floors the tolerance); only the points that have not
-    converged go on to the next level. QuadratureError is raised if any
-    point still fails at the last level.
+    raw(rows, n) gives the count moments of the points rows by the n-node
+    rule. Each point keeps the moments of the first level at which they
+    differ from the previous level's by at most QUAD_RTOL times its scale
+    (QUAD_ATOL floors the tolerance); only the points that have not
+    converged go on. QuadratureError is raised if any still fails at the
+    last level.
     """
-    x = np.asarray(x, dtype=float)
-    xf = x.ravel()
-    out = np.empty((count, xf.size))
-    todo = np.arange(xf.size)
-    prev = _power_moments_raw(xf, K, alpha, s, tau, QUAD_NODES[0], count)
+    out = np.empty((count, size))
+    todo = np.arange(size)
+    prev = raw(slice(None), QUAD_NODES[0])
     for n in QUAD_NODES[1:]:
-        cur = _power_moments_raw(xf[todo], K, alpha, s, tau, n, count)
+        cur = raw(todo, n)
         # The higher moments may be cancellation-dominated; judge them
         # relative to the value moment's magnitude, not their own.
         scale = np.maximum(np.abs(cur), np.abs(cur[0])[None, :])
@@ -252,11 +251,21 @@ def _power_moments(x, K, alpha, s, tau, count=3):
         out[:, todo[done]] = cur[:, done]
         todo, prev = todo[~done], cur[:, ~done]
         if todo.size == 0:
-            return out.reshape((count,) + x.shape)
+            return out
     raise QuadratureError(
-        f"power-payoff quadrature did not converge to {QUAD_RTOL} "
+        f"{name} quadrature did not converge to {QUAD_RTOL} "
         f"with up to {QUAD_NODES[-1]} nodes"
     )
+
+
+def _power_moments(x, K, alpha, s, tau, count=3):
+    """_power_moments_raw by per-point node doubling (_node_doubling)."""
+    xf = np.asarray(x, dtype=float).ravel()
+    out = _node_doubling(
+        lambda rows, n: _power_moments_raw(xf[rows], K, alpha, s, tau, n,
+                                           count),
+        xf.size, count, "power-payoff")
+    return out.reshape((count,) + np.shape(x))
 
 
 def _power_log_derivatives(x, K, alpha, s, tau, count):
@@ -443,10 +452,6 @@ class Factor1D:
         d = _power_log_derivatives(x, self.K, self.alpha, self.s,
                                    _tau(t, self.T), 3)
         return _assemble(x, d, what)
-
-    def _table_grid(self, tau, lo, hi):
-        """Log-price abscissae on [lo, hi]: the node map's integer levels."""
-        return _NodeMap(self.K, self.s, tau, lo, hi).nodes()
 
     def _power_eval_table(self, t, x, what: tuple):
         """Cubic Hermite interpolation in log-price of a quadrature table.
@@ -681,12 +686,10 @@ class ProductPricing:
 class SumDigital2D:
     """Digital on a positive weighted sum of two lognormal assets.
 
-    Value by one-dimensional Gauss-Hermite integration over the second asset
-    conditioning the closed-form one-asset digital; derivatives by central
-    finite differences with relative step ``h_rel``.
+    Value and Greeks by one-dimensional quadrature over the second asset,
+    conditioning the closed-form one-asset digital (_moments_raw): the value
+    and its first and second x-derivatives are integrands on the same nodes.
     """
-
-    h_rel = 1e-4
 
     def __init__(self, K, lam, s, T):
         self.K = float(K)
@@ -710,89 +713,80 @@ class SumDigital2D:
         x = self._check(x)
         return (x @ self.lam >= self.K).astype(float)
 
-    def _value_raw(self, t, x1, x2, n_nodes):
-        """Condition on the second asset; split at the point z* where the
-        effective strike K - l2*X2 hits zero. Above z* the conditional value
-        is exactly 1, contributing ndtr(-z*); below, a power-mapped
-        Gauss-Legendre rule handles the (C-infinity but non-analytic) flat
-        approach at z*.
+    def _moments_raw(self, tau, x1, x2, n_nodes, count):
+        """The first count of V, V_1, V_2, V_11, V_12, V_22 (x-derivatives)
+        by the n_nodes rule. Given the second asset's z-score z, the payoff
+        is the one-asset digital N(d2(z)) with strike k_eff = K - l2 X2(z),
+        which hits 0 at z*. Above z* it is 1, giving N(-z*); below, a
+        power-mapped Gauss-Legendre rule handles the flat approach at z*.
+        The Greeks are integrands on the same nodes, with d(d2)/dx1 = a1 =
+        1/(x1 st1), d(d2)/dx2 = a2 = y2/(x2 k_eff st1), d(a1)/dx1 = -a1/x1
+        and d(a2)/dx2 = st1 a2^2; their boundary terms at z* cancel, as the
+        conditional value there is 1 and the derivative integrands vanish.
         """
-        tau = _tau(t, self.T)
         l1, l2 = self.lam
-        s1, s2 = self.s
-        if l2 == 0.0:
-            return bs_digital_value(t, x1, self.K / l1, s1, self.T)
-        if l1 == 0.0:
-            return bs_digital_value(t, x2, self.K / l2, s2, self.T)
-        st1 = s1 * np.sqrt(tau)
-        st2 = s2 * np.sqrt(tau)
+        st1, st2 = self.s * np.sqrt(tau)
         zstar = (np.log(self.K / (l2 * x2)) + 0.5 * st2 * st2) / st2
         W = np.maximum(zstar + 13.0, 0.0)
         u, w = _legendre01(n_nodes)
-        up = u * u
-        dup = 2.0 * u * w
-        z = zstar[:, None] - W[:, None] * up[None, :]
-        dz = W[:, None] * dup[None, :]
-        y2 = l2 * x2[:, None] * np.exp(st2 * z - 0.5 * st2 * st2)
-        keff = self.K - y2
+        z = zstar[:, None] - W[:, None] * (u * u)[None, :]
+        wz = _phi(z) * (W[:, None] * (2.0 * u * w)[None, :])
+        # reused buffers: z for y2, a2; wz for g; keff for ga2; d2 for g d2
+        y2 = np.exp(st2 * z - 0.5 * st2 * st2, out=z)
+        y2 *= l2 * x2[:, None]
+        # next to z*, K - y2 can round below 0; clamped, d2 = +inf there
+        keff = np.maximum(self.K - y2, 0.0)
         with np.errstate(divide="ignore"):
             d2 = (np.log(l1 * x1[:, None] / keff) - 0.5 * st1 * st1) / st1
-        left = (ndtr(d2) * _phi(z) * dz).sum(axis=1)
-        return left + ndtr(-zstar)
+        out = np.empty((count, x1.size))
+        out[0] = (ndtr(d2) * wz).sum(axis=1) + ndtr(-zstar)
+        if count == 1:
+            return out
+        # where k_eff = 0 the derivative integrands are 0: zero weight, and
+        # a finite d2 and a2 = 0 so that no 0 * inf arises
+        dead = keff == 0.0
+        d2[dead], wz[dead], keff[dead] = 0.0, 0.0, np.inf
+        g = np.multiply(_phi(d2), wz, out=wz)
+        a1 = 1.0 / (x1 * st1)
+        a2 = np.divide(y2, keff * (x2 * st1)[:, None], out=y2)
+        ga2 = np.multiply(g, a2, out=keff)
+        out[1] = g.sum(axis=1) * a1
+        out[2] = ga2.sum(axis=1)
+        if count == 3:
+            return out
+        gd2 = np.multiply(g, d2, out=d2)
+        out[3] = -((gd2 + st1 * g).sum(axis=1) * a1 * a1)
+        out[4] = -((gd2 * a2).sum(axis=1) * a1)
+        out[5] = ((st1 * g - gd2) * a2 * a2).sum(axis=1)
+        return out
+
+    def _moments(self, t, x, count):
+        """The first count of V, V_1, V_2, V_11, V_12, V_22 by per-point node
+        doubling, which judges just these: the value for value(), with the
+        gradient for gradient(), all six for hessian()."""
+        x = self._check(x)
+        tau = _tau(t, self.T)
+        if self.lam.min() == 0.0:  # the one-asset digital on x_k
+            k = int(self.lam[0] == 0.0)
+            args = (t, x[:, k], self.K / self.lam[k], self.s[k], self.T)
+            out = np.zeros((6, x.shape[0]))
+            out[0], out[1 + k], out[3 + 2 * k] = (
+                bs_digital_value(*args), bs_digital_delta(*args),
+                bs_digital_gamma(*args))
+            return out[:count]
+        return _node_doubling(
+            lambda rows, n: self._moments_raw(tau, x[rows, 0], x[rows, 1], n,
+                                              count),
+            x.shape[0], count, "sum-digital")
 
     def value(self, t, x):
-        x = self._check(x)
-        x1, x2 = x[:, 0], x[:, 1]
-        if self.lam[0] == 0.0 or self.lam[1] == 0.0:
-            return self._value_raw(t, x1, x2, QUAD_NODES[0])
-        prev = None
-        for n in QUAD_NODES:
-            cur = self._value_raw(t, x1, x2, n)
-            if prev is not None:
-                tol = QUAD_RTOL * np.maximum(np.abs(cur), QUAD_ATOL / QUAD_RTOL)
-                if np.all(np.abs(cur - prev) <= tol):
-                    return cur
-            prev = cur
-        raise QuadratureError("sum-digital quadrature did not converge")
+        return self._moments(t, x, 1)[0]
 
     def gradient(self, t, x):
-        x = self._check(x)
-        grad = np.empty_like(x)
-        for k in range(2):
-            h = self.h_rel * x[:, k]
-            xp, xm = x.copy(), x.copy()
-            xp[:, k] += h
-            xm[:, k] -= h
-            grad[:, k] = (self.value(t, xp) - self.value(t, xm)) / (2.0 * h)
-        return grad
+        return self._moments(t, x, 3)[1:].T.copy()
 
     def hessian(self, t, x):
-        x = self._check(x)
-        B = x.shape[0]
-        hess = np.empty((B, 2, 2))
-        v0 = self.value(t, x)
-        hs = self.h_rel * x
-        for k in range(2):
-            xp, xm = x.copy(), x.copy()
-            xp[:, k] += hs[:, k]
-            xm[:, k] -= hs[:, k]
-            hess[:, k, k] = (
-                self.value(t, xp) - 2.0 * v0 + self.value(t, xm)
-            ) / hs[:, k] ** 2
-        xpp, xpm, xmp, xmm = (x.copy() for _ in range(4))
-        xpp += hs
-        xmm -= hs
-        xpm[:, 0] += hs[:, 0]
-        xpm[:, 1] -= hs[:, 1]
-        xmp[:, 0] -= hs[:, 0]
-        xmp[:, 1] += hs[:, 1]
-        cross = (
-            self.value(t, xpp) - self.value(t, xpm)
-            - self.value(t, xmp) + self.value(t, xmm)
-        ) / (4.0 * hs[:, 0] * hs[:, 1])
-        hess[:, 0, 1] = cross
-        hess[:, 1, 0] = cross
-        return hess
+        return self._moments(t, x, 6)[[3, 4, 4, 5]].T.reshape(-1, 2, 2)
 
 
 class BMQuadratic:
@@ -819,15 +813,16 @@ class BMQuadratic:
 
     def value(self, t, x):
         x = self._check(x)
-        if t >= self.T:
-            raise ValueError("pricing functions are defined for t < T only")
+        _tau(t, self.T)
         return (x * x).sum(axis=1) + self.d * (self.T - t)
 
     def gradient(self, t, x):
+        _tau(t, self.T)
         return 2.0 * self._check(x)
 
     def hessian(self, t, x):
         x = self._check(x)
+        _tau(t, self.T)
         return np.broadcast_to(
             2.0 * np.eye(self.d), (x.shape[0], self.d, self.d)
         ).copy()

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import hedgenet.pricing as pricing
 from hedgenet.analysis import (
     RATE_N_MIN,
     choose_eta,
+    default_theta_grid,
     estimate_h2,
     estimate_theta,
     fit_rate,
@@ -159,6 +161,22 @@ class TestEstimateTheta:
         got = analysis._a_diagonal(spec, x)
         assert calls == [1]
         assert np.array_equal(got, np.einsum("bii->bi", a_matrix(spec, x)))
+
+    def test_power_table_m_t_bias(self, monkeypatch):
+        # The theta scan prices each grid time's batch off the power table;
+        # its Gamma error enters m(t) squared. Priced again directly (no
+        # batch reaches _TABLE_MIN_ROWS), m(t) moves by at most 2.6e-5
+        # (relative, at tau = 1e-3), the table lying above at every
+        # tau <= 0.1. 25000 paths keep the direct scan near 6 s; the
+        # 100000-path scan of the benchmark measures 2.5e-5.
+        power = make_pricing("power", {"K": 1.0, "alpha": 0.25, "s": 1.0},
+                             1.0)
+        table = estimate_theta(SPEC_GBM, power, None, 25000, 1).rows
+        monkeypatch.setattr(pricing, "_TABLE_MIN_ROWS", 25001)
+        direct = estimate_theta(SPEC_GBM, power, None, 25000, 1).rows
+        assert [r[0] for r in table] == list(default_theta_grid(1.0))
+        gap = np.array([a[1] / b[1] - 1.0 for a, b in zip(table, direct)])
+        assert np.abs(gap).max() <= 5.2e-5, gap
 
     def test_rejects_grid_outside_window(self):
         with pytest.raises(ValueError):

@@ -283,6 +283,23 @@ class TestThetaH2Commands:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["positive_3se"] is True
 
+    def test_h2_sum_digital(self, tmp_path):
+        # the two-asset sum-digital end to end: its Hessian at 9 times
+        p = write_config(tmp_path / "s.json", {
+            "model": {"case": "C2", "d": 2, "s": [1.0, 1.0],
+                      "x0": [1.0, 1.0]},
+            "payoff": {"key": "sum_digital_2d", "params": {"K": 2.0},
+                       "T": 1.0},
+            "analysis": {"theta_N": 2000},
+            "engine": {"master_seed": 3},
+        })
+        out = tmp_path / "run"
+        assert main(["h2", "--config", p, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert np.isfinite(summary["h2_inf"])
+        assert np.isfinite(summary["h2_inf_stderr"])
+        assert summary["positive_3se"] is True
+
 
 class TestSimulateAndReport:
     def test_simulate_csv(self, tmp_path):
