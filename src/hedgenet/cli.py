@@ -395,8 +395,11 @@ def run_config(args) -> int:
     cfg = load_config(args.config)
     if getattr(args, "workers", None) is not None:
         cfg["engine"]["workers"] = args.workers
-    artifacts = args.command_fn(args, cfg, build_spec(cfg),
-                                build_pricing(cfg))
+    spec, pricing = build_spec(cfg), build_pricing(cfg)
+    if pricing.d != spec.d:
+        raise UsageError(f"the payoff has dimension {pricing.d}, "
+                         f"the model {spec.d}")
+    artifacts = args.command_fn(args, cfg, spec, pricing)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, content in artifacts.items():

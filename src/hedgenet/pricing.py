@@ -31,8 +31,6 @@ __all__ = [
     "SumDigital2D",
     "BMQuadratic",
     "make_pricing",
-    "bs_call_value",
-    "bs_digital_value",
 ]
 
 #: F and its derivatives are never evaluated closer to maturity than this.
@@ -54,56 +52,33 @@ def _phi(z):
     return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
+# The catalogue classes (ProductPricing, SumDigital2D, BMQuadratic) take
+# the time t and own the horizon T; each call checks its states and t < T
+# once and prices everything below in the time to maturity tau = T - t.
+
+def _horizon(T) -> float:
+    if not T > 0.0:
+        raise ValueError("horizon must be positive")
+    return float(T)
+
+
 def _tau(t: float, T: float) -> float:
     if t >= T:
         raise ValueError("pricing functions are defined for t < T only")
     return max(T - t, TAU_FLOOR)
 
 
-# ---------------------------------------------------------------------------
-# closed-form lognormal factors (driftless, vol s, remaining time tau)
-# ---------------------------------------------------------------------------
+def _states(x, d: int):
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"states must have shape (B, {d})")
+    return x
+
 
 def _d12(x, K, s, tau):
     """d2 and s sqrt(tau); d1 is d2 + s sqrt(tau), formed where it is used."""
     st = s * np.sqrt(tau)
     return (np.log(x / K) - 0.5 * st * st) / st, st
-
-
-def bs_call_value(t, x, K, s, T):
-    x = np.asarray(x, dtype=float)
-    d2, st = _d12(x, K, s, _tau(t, T))
-    return x * ndtr(d2 + st) - K * ndtr(d2)
-
-
-def bs_call_delta(t, x, K, s, T):
-    x = np.asarray(x, dtype=float)
-    d2, st = _d12(x, K, s, _tau(t, T))
-    return ndtr(d2 + st)
-
-
-def bs_call_gamma(t, x, K, s, T):
-    x = np.asarray(x, dtype=float)
-    d2, st = _d12(x, K, s, _tau(t, T))
-    return _phi(d2 + st) / (x * st)
-
-
-def bs_digital_value(t, x, K, s, T):
-    x = np.asarray(x, dtype=float)
-    d2, _ = _d12(x, K, s, _tau(t, T))
-    return ndtr(d2)
-
-
-def bs_digital_delta(t, x, K, s, T):
-    x = np.asarray(x, dtype=float)
-    d2, st = _d12(x, K, s, _tau(t, T))
-    return _phi(d2) / (x * st)
-
-
-def bs_digital_gamma(t, x, K, s, T):
-    x = np.asarray(x, dtype=float)
-    d2, st = _d12(x, K, s, _tau(t, T))
-    return -_phi(d2) * (d2 + st) / (x * st) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +304,8 @@ _TABLE_MIN_ROWS = 4096
 
 @dataclass(frozen=True)
 class Factor1D:
-    """One coordinate of a product payoff under driftless lognormal dynamics.
+    """One coordinate of a product payoff under driftless lognormal dynamics,
+    priced in the time to maturity tau > 0.
 
     kind "const" is the neutral factor f = 1 for coordinates without
     optionality. The call and digital factors are closed forms. The power
@@ -343,7 +319,6 @@ class Factor1D:
     K: float = 1.0
     alpha: float = 0.25
     s: float = 1.0
-    T: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("call", "digital", "power", "const"):
@@ -351,8 +326,8 @@ class Factor1D:
         if self.kind != "const":
             if self.K < 0.0:
                 raise ValueError("strike must be non-negative")
-            if self.s <= 0.0 or self.T <= 0.0:
-                raise ValueError("vol and horizon must be positive")
+            if self.s <= 0.0:
+                raise ValueError("vol must be positive")
         if self.kind == "power":
             if not (0.0 < self.alpha < 1.0):
                 raise ValueError("power exponent must lie in (0, 1)")
@@ -384,39 +359,36 @@ class Factor1D:
 
     # -- scalar-batch evaluation -------------------------------------------
 
-    def value(self, t, x):
-        return self._eval(t, x, ("value",))[0]
+    def value(self, tau, x):
+        return self._eval(tau, x, ("value",))[0]
 
-    def delta(self, t, x):
-        return self._eval(t, x, ("delta",))[0]
+    def delta(self, tau, x):
+        return self._eval(tau, x, ("delta",))[0]
 
-    def gamma(self, t, x):
-        return self._eval(t, x, ("gamma",))[0]
+    def value_delta(self, tau, x):
+        return self._eval(tau, x, ("value", "delta"))
 
-    def value_delta(self, t, x):
-        return self._eval(t, x, ("value", "delta"))
+    def value_delta_gamma(self, tau, x):
+        return self._eval(tau, x, ("value", "delta", "gamma"))
 
-    def value_delta_gamma(self, t, x):
-        return self._eval(t, x, ("value", "delta", "gamma"))
-
-    def _eval(self, t, x, what: tuple):
+    def _eval(self, tau, x, what: tuple):
+        if not tau > 0.0:
+            raise ValueError(f"factors are priced at tau > 0 only, not {tau}")
         x = np.asarray(x, dtype=float)
         if self.kind == "const":
             one = np.ones_like(x)
             zero = np.zeros_like(x)
             return tuple(one if w == "value" else zero for w in what)
         if self.kind == "call":
-            return self._call_eval(t, x, what)
+            return self._call_eval(tau, x, what)
         if self.kind == "digital":
-            return self._digital_eval(t, x, what)
-        return self._power_eval(t, x, what)
+            return self._digital_eval(tau, x, what)
+        return self._power_eval(tau, x, what)
 
-    # -- closed-form factors -----------------------------------------------
-    # One _d12 serves every requested output. Each output uses the arithmetic
-    # of its bs_* function, so the results are bitwise equal to theirs.
+    # -- closed-form factors: one _d12 serves every requested output -------
 
-    def _call_eval(self, t, x, what: tuple):
-        d2, st = _d12(x, self.K, self.s, _tau(t, self.T))
+    def _call_eval(self, tau, x, what: tuple):
+        d2, st = _d12(x, self.K, self.s, tau)
         d1 = d2 + st
         nd1 = ndtr(d1)
         out = []
@@ -429,8 +401,8 @@ class Factor1D:
                 out.append(_phi(d1) / (x * st))
         return tuple(out)
 
-    def _digital_eval(self, t, x, what: tuple):
-        d2, st = _d12(x, self.K, self.s, _tau(t, self.T))
+    def _digital_eval(self, tau, x, what: tuple):
+        d2, st = _d12(x, self.K, self.s, tau)
         pd2 = _phi(d2) if what != ("value",) else None
         out = []
         for w in what:
@@ -444,16 +416,15 @@ class Factor1D:
 
     # -- power factor internals --------------------------------------------
 
-    def _power_eval(self, t, x, what: tuple):
+    def _power_eval(self, tau, x, what: tuple):
         if x.size >= _TABLE_MIN_ROWS and x.ndim == 1:
-            return self._power_eval_table(t, x, what)
+            return self._power_eval_table(tau, x, what)
         # D_0, D_1, D_2 whatever is asked, so that node doubling judges the
         # same three moments for every output
-        d = _power_log_derivatives(x, self.K, self.alpha, self.s,
-                                   _tau(t, self.T), 3)
+        d = _power_log_derivatives(x, self.K, self.alpha, self.s, tau, 3)
         return _assemble(x, d, what)
 
-    def _power_eval_table(self, t, x, what: tuple):
+    def _power_eval_table(self, tau, x, what: tuple):
         """Cubic Hermite interpolation in log-price of a quadrature table.
 
         The table holds D_0 ... D_{m+1}, m the highest order the outputs
@@ -466,7 +437,6 @@ class Factor1D:
         assembled in chunks of _TABLE_CHUNK through buffers reused from
         chunk to chunk, so no temporary grows with the batch.
         """
-        tau = _tau(t, self.T)
         top = max(_ORDER[w] for w in what)
         lx = np.log(x)
         # lo and hi bracket the batch, so every point has a right node
@@ -589,51 +559,41 @@ class _NodeMap:
 # ---------------------------------------------------------------------------
 
 class ProductPricing:
-    """Coordinate-wise product payoff f(x) = prod_i f_i(x_i).
+    """Coordinate-wise product payoff f(x) = prod_i f_i(x_i) at horizon T.
 
     Valid for diagonal models with sigma_ii(x) = s_i * x_i; then
-    F(t, x) = prod_i F_i(t, x_i) and all derivatives factorize.
+    F(t, x) = prod_i F_i(T - t, x_i) and all derivatives factorize.
     """
 
-    def __init__(self, factors: Sequence[Factor1D]):
+    def __init__(self, factors: Sequence[Factor1D], T: float):
         factors = tuple(factors)
         if not factors:
             raise ValueError("need at least one factor")
-        T = factors[0].T
-        for f in factors:
-            if f.kind != "const" and f.T != T:
-                raise ValueError("all factors must share the horizon")
         self.factors = factors
         self.d = len(factors)
-        self.T = T
+        self.T = _horizon(T)
         self.theta_hint = max([f.theta_hint for f in factors] + [0.5]) \
             if self.d > 1 else factors[0].theta_hint
 
-    def _check(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.d:
-            raise ValueError(f"states must have shape (B, {self.d})")
-        return x
-
     def payoff(self, x):
-        x = self._check(x)
+        x = _states(x, self.d)
         out = np.ones(x.shape[0])
         for i, f in enumerate(self.factors):
             out *= f.payoff(x[:, i])
         return out
 
     def value(self, t, x):
-        x = self._check(x)
+        x, tau = _states(x, self.d), _tau(t, self.T)
         out = np.ones(x.shape[0])
         for i, f in enumerate(self.factors):
-            out *= f.value(t, x[:, i])
+            out *= f.value(tau, x[:, i])
         return out
 
-    def _vd(self, t, x):
+    def _vd(self, tau, x):
         vals = np.empty(x.shape)
         dels = np.empty(x.shape)
         for i, f in enumerate(self.factors):
-            vals[:, i], dels[:, i] = f.value_delta(t, x[:, i])
+            vals[:, i], dels[:, i] = f.value_delta(tau, x[:, i])
         return vals, dels
 
     @staticmethod
@@ -652,25 +612,25 @@ class ProductPricing:
         return out
 
     def gradient(self, t, x):
-        x = self._check(x)
+        x, tau = _states(x, self.d), _tau(t, self.T)
         if self.d == 1:
-            return self.factors[0].delta(t, x[:, 0])[:, None]
-        vals, dels = self._vd(t, x)
+            return self.factors[0].delta(tau, x[:, 0])[:, None]
+        vals, dels = self._vd(tau, x)
         dels *= self._others(vals)
         return dels
 
     def hessian(self, t, x):
-        x = self._check(x)
+        x, tau = _states(x, self.d), _tau(t, self.T)
         if self.d == 1:
             # bitwise the general form below: Γ times an empty product, 1.0
-            gamma = self.factors[0].value_delta_gamma(t, x[:, 0])[2]
+            gamma = self.factors[0].value_delta_gamma(tau, x[:, 0])[2]
             return gamma[:, None, None]
         B = x.shape[0]
         vals = np.empty((B, self.d))
         dels = np.empty((B, self.d))
         gams = np.empty((B, self.d))
         for i, f in enumerate(self.factors):
-            v, dl, g = f.value_delta_gamma(t, x[:, i])
+            v, dl, g = f.value_delta_gamma(tau, x[:, i])
             vals[:, i], dels[:, i], gams[:, i] = v, dl, g
         hess = np.empty((B, self.d, self.d))
         others = self._others(vals)
@@ -689,28 +649,32 @@ class SumDigital2D:
     Value and Greeks by one-dimensional quadrature over the second asset,
     conditioning the closed-form one-asset digital (_moments_raw): the value
     and its first and second x-derivatives are integrands on the same nodes.
+    A zero weight leaves the one-asset digital factor on the other asset.
     """
 
     def __init__(self, K, lam, s, T):
         self.K = float(K)
         self.lam = np.asarray(lam, dtype=float)
         self.s = np.asarray(s, dtype=float)
-        self.T = float(T)
+        self.T = _horizon(T)
         if self.lam.shape != (2,) or self.s.shape != (2,):
             raise ValueError("sum digital is implemented for d = 2 only")
         if np.any(self.lam < 0.0) or self.lam.max() <= 0.0:
             raise ValueError("weights must be non-negative, not all zero")
+        if not self.K > 0.0:
+            raise ValueError("strike must be positive")
+        if not np.all(self.s > 0.0):
+            raise ValueError("vols must be positive")
         self.d = 2
         self.theta_hint = 0.75
-
-    def _check(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != 2:
-            raise ValueError("states must have shape (B, 2)")
-        return x
+        self._k = int(self.lam[0] == 0.0)
+        self._single = (
+            Factor1D("digital", K=self.K / self.lam[self._k],
+                     s=self.s[self._k])
+            if self.lam.min() == 0.0 else None)
 
     def payoff(self, x):
-        x = self._check(x)
+        x = _states(x, self.d)
         return (x @ self.lam >= self.K).astype(float)
 
     def _moments_raw(self, tau, x1, x2, n_nodes, count):
@@ -764,15 +728,12 @@ class SumDigital2D:
         """The first count of V, V_1, V_2, V_11, V_12, V_22 by per-point node
         doubling, which judges just these: the value for value(), with the
         gradient for gradient(), all six for hessian()."""
-        x = self._check(x)
-        tau = _tau(t, self.T)
-        if self.lam.min() == 0.0:  # the one-asset digital on x_k
-            k = int(self.lam[0] == 0.0)
-            args = (t, x[:, k], self.K / self.lam[k], self.s[k], self.T)
+        x, tau = _states(x, self.d), _tau(t, self.T)
+        if self._single is not None:
+            k = self._k
             out = np.zeros((6, x.shape[0]))
             out[0], out[1 + k], out[3 + 2 * k] = (
-                bs_digital_value(*args), bs_digital_delta(*args),
-                bs_digital_gamma(*args))
+                self._single.value_delta_gamma(tau, x[:, k]))
             return out[:count]
         return _node_doubling(
             lambda rows, n: self._moments_raw(tau, x[rows, 0], x[rows, 1], n,
@@ -798,49 +759,42 @@ class BMQuadratic:
 
     def __init__(self, d, T):
         self.d = int(d)
-        self.T = float(T)
+        self.T = _horizon(T)
         self.theta_hint = 0.0
 
-    def _check(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.d:
-            raise ValueError(f"states must have shape (B, {self.d})")
-        return x
-
     def payoff(self, x):
-        x = self._check(x)
+        x = _states(x, self.d)
         return (x * x).sum(axis=1)
 
     def value(self, t, x):
-        x = self._check(x)
-        _tau(t, self.T)
-        return (x * x).sum(axis=1) + self.d * (self.T - t)
+        x, tau = _states(x, self.d), _tau(t, self.T)
+        return (x * x).sum(axis=1) + self.d * tau
 
     def gradient(self, t, x):
+        x = _states(x, self.d)
         _tau(t, self.T)
-        return 2.0 * self._check(x)
+        return 2.0 * x
 
     def hessian(self, t, x):
-        x = self._check(x)
+        x = _states(x, self.d)
         _tau(t, self.T)
         return np.broadcast_to(
             2.0 * np.eye(self.d), (x.shape[0], self.d, self.d)
         ).copy()
 
 
-def _factor(kind: str, p: dict, T: float) -> Factor1D:
+def _factor(kind: str, p: dict) -> Factor1D:
     """A factor from its config parameters; alpha matters to power only."""
-    return Factor1D(kind, K=p.get("K", 1.0), alpha=p.get("alpha", 0.25),
-                    s=p.get("s", 1.0), T=T)
+    return Factor1D(kind, **{k: p[k] for k in ("K", "alpha", "s") if k in p})
 
 
 def make_pricing(key: str, params: dict, T: float):
     """Catalogue constructor used by the CLI config."""
     p = dict(params or {})
     if key in ("call", "digital", "power"):
-        return ProductPricing([_factor(key, p, T)])
+        return ProductPricing([_factor(key, p)], T)
     if key == "product":
-        return ProductPricing([_factor(f["kind"], f, T) for f in p["factors"]])
+        return ProductPricing([_factor(f["kind"], f) for f in p["factors"]], T)
     if key == "sum_digital_2d":
         return SumDigital2D(
             K=p.get("K", 2.0), lam=p.get("lam", (1.0, 1.0)),

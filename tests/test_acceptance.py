@@ -127,22 +127,22 @@ def test_criterion_06_theta_estimates(capsys):
 def test_criterion_07_call_curvature_closed_form(capsys):
     # E[(X^2 d2F)^2] for the unit-strike call factor has a closed form
     T, K1 = 1.0, 1.0
-    factor = Factor1D("call", K=K1, s=1.0, T=T)
+    factor = Factor1D("call", K=K1, s=1.0)
     worst = 0.0
     for t in (0.0, 0.5, 0.9):
         cf = K1 / (2.0 * math.pi * math.sqrt(T * T - t * t)) * math.exp(
             -(T / 2.0 + math.log(K1)) ** 2 / (T + t)
         )
         if t == 0.0:
-            mc = float(SPEC_GBM.x0[0] ** 4 * factor.gamma(
-                0.0, np.asarray([SPEC_GBM.x0[0]])
-            )[0] ** 2)
+            mc = float(SPEC_GBM.x0[0] ** 4 * factor.value_delta_gamma(
+                T - 0.0, np.asarray([SPEC_GBM.x0[0]])
+            )[2][0] ** 2)
             dev = abs(mc - cf) / cf
             assert dev < 1e-12
             continue
         [x] = _states_at(SPEC_GBM, [t], 400000, 207)
         x = x[:, 0]
-        vals = (x * x * factor.gamma(t, x)) ** 2
+        vals = (x * x * factor.value_delta_gamma(T - t, x)[2]) ** 2
         se = float(vals.std(ddof=1)) / math.sqrt(vals.size)
         worst = max(worst, abs(float(vals.mean()) - cf) / se)
     _verdict(capsys, 7, "curvature moment closed form", worst < 3.0,

@@ -251,6 +251,20 @@ class TestRateCommand:
             assert message in capsys.readouterr().err
             assert not out.exists()
 
+    def test_dimension_mismatch_is_a_usage_error(self, tmp_path, capsys):
+        # a one-asset call on a two-asset model, rejected before any path
+        cfg = dict(DIGITAL_CFG, payoff={"key": "call", "params": {},
+                                        "T": 1.0},
+                   model={"case": "C2", "d": 2, "s": [1.0, 1.0],
+                          "x0": [1.0, 1.0]})
+        p = write_config(tmp_path / "c.json", cfg)
+        for cmd in ("rate", "simulate", "theta", "h2"):
+            out = tmp_path / cmd
+            assert main([cmd, "--config", p, "--out", str(out)]) == 2
+            assert ("the payoff has dimension 1, the model 2"
+                    in capsys.readouterr().err)
+            assert not out.exists()
+
     def test_manifest_contents(self, tmp_path):
         p = write_config(tmp_path / "q.json", QUAD_CFG)
         out = tmp_path / "run"
@@ -299,6 +313,19 @@ class TestThetaH2Commands:
         assert np.isfinite(summary["h2_inf"])
         assert np.isfinite(summary["h2_inf_stderr"])
         assert summary["positive_3se"] is True
+
+    def test_sum_digital_zero_strike_is_a_usage_error(self, tmp_path,
+                                                       capsys):
+        p = write_config(tmp_path / "s.json", {
+            "model": {"case": "C2", "d": 2, "s": [1.0, 1.0],
+                      "x0": [1.0, 1.0]},
+            "payoff": {"key": "sum_digital_2d", "params": {"K": 0.0},
+                       "T": 1.0},
+        })
+        out = tmp_path / "run"
+        assert main(["h2", "--config", p, "--out", str(out)]) == 2
+        assert "strike must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulateAndReport:

@@ -42,7 +42,7 @@ class TestPathError:
 
     def test_linear_payoff_perfect_hedge(self):
         # driftless forward: delta is constant, discrete hedge is exact
-        pr = ProductPricing([Factor1D("call", K=1e-300, s=1.0, T=1.0)])
+        pr = ProductPricing([Factor1D("call", K=1e-300, s=1.0)], 1.0)
         net = equidistant_net(1.0, 4)
         M = 16
         for i in range(5):
@@ -382,7 +382,7 @@ class TestHedgeIncrement:
         kinds = ["call", "digital", "const", "call"]
         spec = gbm_diagonal(d, 0.6, 1.0)
         pricing = ProductPricing([Factor1D(kinds[i % 4], s=0.6)
-                                  for i in range(d)])
+                                  for i in range(d)], 1.0)
 
         def sweep():
             return [p.estimate for p in error_curve(

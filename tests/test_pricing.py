@@ -23,22 +23,22 @@ from hedgenet.pricing import (
     _power_log_derivatives,
     _power_moments,
     _power_moments_raw,
-    bs_call_delta,
-    bs_call_gamma,
-    bs_call_value,
-    bs_digital_delta,
-    bs_digital_gamma,
-    bs_digital_value,
     make_pricing,
 )
 
 ONE = np.array([1.0])
 
+# unit-strike, unit-vol factors; the tests below price them at horizon
+# T = 1, so at the time to maturity tau = 1 - t
+CALL = Factor1D("call", K=1.0, s=1.0)
+DIGITAL = Factor1D("digital", K=1.0, s=1.0)
+POWER = Factor1D("power", K=1.0, alpha=0.25, s=1.0)
 
-def direct_power(t, x, what):
-    """The power factor K = 1, alpha = 0.25, s = T = 1 priced by direct
+
+def direct_power(tau, x, what):
+    """The power factor K = 1, alpha = 0.25, s = 1 priced by direct
     quadrature, as Factor1D prices batches below _TABLE_MIN_ROWS rows."""
-    d = _power_log_derivatives(x, 1.0, 0.25, 1.0, pricing._tau(t, 1.0), 3)
+    d = _power_log_derivatives(x, 1.0, 0.25, 1.0, tau, 3)
     return _assemble(x, d, what)
 
 
@@ -84,53 +84,61 @@ class TestCall:
             lambda z: max(np.exp(z) - 1.0, 0.0) * norm.pdf(z, -0.5, 1.0),
             -10, 10,
         )
-        v = bs_call_value(0.0, ONE, 1.0, 1.0, 1.0)[0]
+        v = CALL.value(1.0, ONE)[0]
         assert v == pytest.approx(oracle, rel=1e-9)
         assert v == pytest.approx(0.3829249225480263, rel=1e-12)
 
     def test_hessian_matches_printed_formula(self):
         # gamma(0, 1) = phi(1/2) for K=s=T=1
-        g = bs_call_gamma(0.0, ONE, 1.0, 1.0, 1.0)[0]
+        g = CALL.value_delta_gamma(1.0, ONE)[2][0]
         assert g == pytest.approx(norm.pdf(0.5), rel=1e-12)
 
     def test_zero_strike_is_forward(self):
         x = np.array([0.5, 1.0, 2.0])
-        v = bs_call_value(0.3, x, 1e-300, 1.0, 1.0)
+        v = Factor1D("call", K=1e-300, s=1.0).value(1.0 - 0.3, x)
         assert np.allclose(v, x, rtol=1e-9)
 
     def test_rejects_t_at_maturity(self):
-        with pytest.raises(ValueError):
-            bs_call_value(1.0, ONE, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="tau > 0"):
+            CALL.value(1.0 - 1.0, ONE)
 
     def test_delta_matches_fd(self):
         x = np.array([0.8, 1.0, 1.3])
         h = 1e-6
-        fd = (bs_call_value(0.4, x + h, 1.0, 1.0, 1.0)
-              - bs_call_value(0.4, x - h, 1.0, 1.0, 1.0)) / (2 * h)
-        assert np.allclose(bs_call_delta(0.4, x, 1.0, 1.0, 1.0), fd, rtol=1e-7)
+        fd = (CALL.value(0.6, x + h) - CALL.value(0.6, x - h)) / (2 * h)
+        assert np.allclose(CALL.delta(0.6, x), fd, rtol=1e-7)
 
 
 class TestDigital:
     def test_value(self):
-        v = bs_digital_value(0.0, ONE, 1.0, 1.0, 1.0)[0]
+        v = DIGITAL.value(1.0, ONE)[0]
         assert v == pytest.approx(norm.cdf(-0.5), rel=1e-12)
 
     def test_limits(self):
-        assert bs_digital_value(0.0, np.array([1e8]), 1.0, 1.0, 1.0)[0] == \
+        assert DIGITAL.value(1.0, np.array([1e8]))[0] == \
             pytest.approx(1.0, abs=1e-12)
-        assert bs_digital_value(0.0, np.array([1e-8]), 1.0, 1.0, 1.0)[0] == \
+        assert DIGITAL.value(1.0, np.array([1e-8]))[0] == \
             pytest.approx(0.0, abs=1e-12)
 
     def test_gradient(self):
-        g = bs_digital_delta(0.0, ONE, 1.0, 1.0, 1.0)[0]
+        g = DIGITAL.delta(1.0, ONE)[0]
         assert g == pytest.approx(norm.pdf(-0.5), rel=1e-12)
 
     def test_gamma_matches_fd(self):
         x = np.array([0.9, 1.0, 1.2])
         h = 1e-5
-        fd = (bs_digital_delta(0.5, x + h, 1.0, 1.0, 1.0)
-              - bs_digital_delta(0.5, x - h, 1.0, 1.0, 1.0)) / (2 * h)
-        assert np.allclose(bs_digital_gamma(0.5, x, 1.0, 1.0, 1.0), fd, rtol=1e-6)
+        fd = (DIGITAL.delta(0.5, x + h) - DIGITAL.delta(0.5, x - h)) / (2 * h)
+        assert np.allclose(DIGITAL.value_delta_gamma(0.5, x)[2], fd, rtol=1e-6)
+
+
+class TestFactorTime:
+    @pytest.mark.parametrize("tau", [0.0, -0.1, np.nan])
+    @pytest.mark.parametrize("kind", ["call", "digital", "power", "const"])
+    def test_rejects_tau_not_positive(self, kind, tau):
+        f = Factor1D(kind)
+        for method in ("value", "delta", "value_delta", "value_delta_gamma"):
+            with pytest.raises(ValueError, match="tau > 0"):
+                getattr(f, method)(tau, ONE)
 
 
 def node_map(f, tau, lo, hi):
@@ -139,25 +147,24 @@ def node_map(f, tau, lo, hi):
 
 class TestPower:
     def test_zero_strike_lognormal_moment(self):
-        f = Factor1D("power", K=0.0, alpha=0.25, s=1.0, T=1.0)
-        v = f.value(0.0, ONE)[0]
+        f = Factor1D("power", K=0.0, alpha=0.25, s=1.0)
+        v = f.value(1.0, ONE)[0]
         assert v == pytest.approx(np.exp(0.25 * (0.25 - 1.0) / 2.0), rel=1e-10)
 
     def test_value_vs_monte_carlo(self):
-        f = Factor1D("power", K=1.0, alpha=0.25, s=1.0, T=1.0)
         spec = gbm_diagonal(1, 1.0, 1.0)
         [(_, _, x)] = path_states(spec, [[0.0, 1.0]], 21,
                                   np.arange(2_000_000))
         xT = x[:, 0]
         pay = np.maximum(xT - 1.0, 0.0) ** 0.25
         se = pay.std(ddof=1) / np.sqrt(pay.size)
-        assert abs(f.value(0.0, ONE)[0] - pay.mean()) < 3.0 * se
+        assert abs(POWER.value(1.0, ONE)[0] - pay.mean()) < 3.0 * se
 
     def test_alpha_near_one_approaches_call(self):
         with pytest.warns(UserWarning):
-            f = Factor1D("power", K=1.0, alpha=0.999, s=1.0, T=1.0)
-        c = bs_call_value(0.0, ONE, 1.0, 1.0, 1.0)[0]
-        assert abs(f.value(0.0, ONE)[0] - c) < 1e-2
+            f = Factor1D("power", K=1.0, alpha=0.999, s=1.0)
+        c = CALL.value(1.0, ONE)[0]
+        assert abs(f.value(1.0, ONE)[0] - c) < 1e-2
 
     def test_alpha_range(self):
         with pytest.raises(ValueError):
@@ -168,35 +175,34 @@ class TestPower:
             Factor1D("power", K=1.0, alpha=0.6)
 
     def test_delta_gamma_match_fd(self):
-        f = Factor1D("power", K=1.0, alpha=0.25, s=1.0, T=1.0)
         x = np.array([0.6, 0.95, 1.0, 1.05, 2.0])
         h = 1e-5 * x
-        vp = f.value(0.5, x + h)
-        vm = f.value(0.5, x - h)
-        assert np.allclose(f.delta(0.5, x), (vp - vm) / (2 * h), rtol=1e-5)
-        v0 = f.value(0.5, x)
+        vp = POWER.value(0.5, x + h)
+        vm = POWER.value(0.5, x - h)
+        assert np.allclose(POWER.delta(0.5, x), (vp - vm) / (2 * h), rtol=1e-5)
+        v0 = POWER.value(0.5, x)
         fd_gamma = (vp - 2 * v0 + vm) / (h * h)
-        assert np.allclose(f.gamma(0.5, x), fd_gamma, rtol=1e-3, atol=1e-5)
+        assert np.allclose(POWER.value_delta_gamma(0.5, x)[2], fd_gamma,
+                           rtol=1e-3, atol=1e-5)
 
     def test_table_path_matches_direct(self):
-        f = Factor1D("power", K=1.0, alpha=0.25, s=1.0, T=1.0)
         rng = np.random.default_rng(3)
         x = np.exp(rng.normal(0.0, 0.7, 5000))  # above _TABLE_MIN_ROWS
-        vt, dt_ = f.value_delta(0.3, x)
-        vd, dd = direct_power(0.3, x, ("value", "delta"))
+        vt, dt_ = POWER.value_delta(1.0 - 0.3, x)
+        vd, dd = direct_power(1.0 - 0.3, x, ("value", "delta"))
         # pointwise: measured 1.6e-6 (value) and 8.0e-7 (delta)
         assert np.allclose(vt, vd, rtol=3e-6, atol=0.0)
         assert np.allclose(dt_, dd, rtol=1.6e-6, atol=0.0)
 
     def test_near_maturity_floor(self):
-        f = Factor1D("power", K=1.0, alpha=0.25, s=1.0, T=1.0)
-        v = f.value(1.0 - 1e-15, np.array([2.0]))[0]
+        # the catalogue prices t within TAU_FLOOR of T at tau = TAU_FLOOR
+        p = make_pricing("power", {"K": 1.0, "alpha": 0.25, "s": 1.0}, 1.0)
+        v = p.value(1.0 - 1e-15, np.array([[2.0]]))[0]
         assert np.isfinite(v) and v == pytest.approx(1.0, rel=1e-4)
 
     @pytest.mark.parametrize("tau", [1.0, 0.3, 1e-3, 1e-8])
     def test_per_point_doubling_matches_finest_rule(self, tau):
-        f = Factor1D("power", K=1.0, alpha=0.25, s=1.0, T=1.0)
-        x = np.exp(node_map(f, tau, np.log(0.05), np.log(20.0)).nodes())
+        x = np.exp(node_map(POWER, tau, np.log(0.05), np.log(20.0)).nodes())
         for count in (3, 4):  # the direct path's moments, and the table's
             got = _power_moments(x, 1.0, 0.25, 1.0, tau, count)
             ref = _power_moments_raw(x, 1.0, 0.25, 1.0, tau, 512, count)
@@ -230,12 +236,11 @@ class TestPower:
         """Sup error of the table against direct quadrature for the states of
         an n_paths batch at t = T - tau, relative to the batch's largest
         |value|, |delta| and |gamma|."""
-        f = Factor1D("power", K=1.0, alpha=0.25, s=1.0, T=1.0)
         t = 1.0 - tau
         z = np.random.default_rng(11).standard_normal(n_paths)
         x = np.exp(np.sqrt(t) * z - 0.5 * t)
-        table = f.value_delta_gamma(t, x)
-        exact = direct_power(t, x, ("value", "delta", "gamma"))
+        table = POWER.value_delta_gamma(1.0 - t, x)
+        exact = direct_power(1.0 - t, x, ("value", "delta", "gamma"))
         return [np.abs(a - b).max() / np.abs(b).max()
                 for a, b in zip(table, exact)]
 
@@ -304,19 +309,18 @@ class TestPower:
 
     @pytest.mark.parametrize("tau", [1.0, 0.3, 1e-3, 1e-8])
     def test_table_floor_index(self, tau):
-        f = Factor1D("power", K=1.0, alpha=0.25, s=1.0, T=1.0)
         lx = np.random.default_rng(2).normal(0.0, 0.7, 20000)
         lo, hi = lx.min() - 1e-9, lx.max() + 1e-9
-        grid, got, want = self.assert_floor_index(f, tau, lo, hi, lx)
+        grid, got, want = self.assert_floor_index(POWER, tau, lo, hi, lx)
         # at log K = 0 the nodes sit at integer levels to 1e-12, and the
         # random keys are away from them
-        level = node_map(f, tau, lo, hi).level(grid)
+        level = node_map(POWER, tau, lo, hi).level(grid)
         assert np.abs(level - np.arange(grid.size)).max() <= 1e-12
         assert np.array_equal(got[:lx.size], want[:lx.size])
 
     def test_table_index_zero_strike(self):
         # K = 0: the map is its linear term, its nodes the uniform base
-        f = Factor1D("power", K=0.0, alpha=0.25, s=1.0, T=1.0)
+        f = Factor1D("power", K=0.0, alpha=0.25, s=1.0)
         lo, hi = -2.0, 1.5
         nmap = node_map(f, 0.5, lo, hi)
         assert nmap.b == 0.0 and nmap.n == pricing._TABLE_BASE - 1
@@ -330,8 +334,7 @@ class TestPower:
            s=st.floats(0.1, 3.0), lo=st.floats(-6.0, 6.0),
            width=st.floats(1e-6, 12.0), seed=st.integers(0, 2**32 - 1))
     def test_table_index_property(self, tau, log_k, s, lo, width, seed):
-        f = Factor1D("power", K=float(np.exp(log_k)), alpha=0.25, s=s,
-                     T=1.0)
+        f = Factor1D("power", K=float(np.exp(log_k)), alpha=0.25, s=s)
         hi = lo + width
         lx = np.random.default_rng(seed).uniform(lo, hi, 200)
         self.assert_floor_index(f, tau, lo, hi, lx)
@@ -339,11 +342,10 @@ class TestPower:
     def test_table_chunks_are_exact(self, monkeypatch):
         # reused chunk buffers, partial last chunk included: the outputs
         # do not depend on the chunk size
-        f = Factor1D("power", K=1.0, alpha=0.25, s=1.0, T=1.0)
         x = np.exp(np.random.default_rng(8).normal(0.0, 0.6, 10000))
-        want = f.value_delta_gamma(0.7, x)
+        want = POWER.value_delta_gamma(0.3, x)
         monkeypatch.setattr(pricing, "_TABLE_CHUNK", 1500)
-        for got, ref in zip(f.value_delta_gamma(0.7, x), want):
+        for got, ref in zip(POWER.value_delta_gamma(0.3, x), want):
             assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("n", QUAD_NODES)
@@ -360,28 +362,22 @@ class TestPower:
 
 class TestProduct:
     def test_constant_factors(self):
-        p = ProductPricing([Factor1D("const"), Factor1D("const")])
+        p = ProductPricing([Factor1D("const"), Factor1D("const")], 1.0)
         x = np.array([[2.0, 3.0]])
         assert p.value(0.5, x)[0] == 1.0
         assert np.all(p.gradient(0.5, x) == 0.0)
         assert np.all(p.hessian(0.5, x) == 0.0)
 
     def test_two_factor_value(self):
-        p = ProductPricing([
-            Factor1D("call", K=1.0, s=1.0, T=1.0),
-            Factor1D("digital", K=1.0, s=1.0, T=1.0),
-        ])
+        p = ProductPricing([CALL, DIGITAL], 1.0)
         x = np.array([[1.0, 1.0]])
-        expect = bs_call_value(0.0, ONE, 1.0, 1.0, 1.0)[0] * norm.cdf(-0.5)
+        expect = CALL.value(1.0, ONE)[0] * norm.cdf(-0.5)
         assert p.value(0.0, x)[0] == pytest.approx(expect, rel=1e-12)
         assert expect == pytest.approx(0.118146, abs=1e-6)
 
     def test_off_diagonal_hessian(self):
         # product of the two factor deltas: Phi(1/2) * phi(-1/2)
-        p = ProductPricing([
-            Factor1D("call", K=1.0, s=1.0, T=1.0),
-            Factor1D("digital", K=1.0, s=1.0, T=1.0),
-        ])
+        p = ProductPricing([CALL, DIGITAL], 1.0)
         x = np.array([[1.0, 1.0]])
         expect = norm.cdf(0.5) * norm.pdf(-0.5)
         got = p.hessian(0.0, x)[0, 0, 1]
@@ -403,26 +399,18 @@ class TestProduct:
         assert np.allclose(p.hessian(0.5, x), fd_hessian(p, 0.5, x),
                            rtol=1e-3, atol=1e-6)
 
-    @pytest.mark.parametrize("kind", ["call", "digital"])
-    def test_closed_form_factors_are_the_bs_functions(self, kind):
-        f = Factor1D(kind, K=1.1, s=0.8, T=1.0)
-        x = np.exp(np.random.default_rng(5).normal(0.0, 0.5, 1000))
-        fns = {"call": (bs_call_value, bs_call_delta, bs_call_gamma),
-               "digital": (bs_digital_value, bs_digital_delta,
-                           bs_digital_gamma)}[kind]
-        ref = [fn(0.4, x, 1.1, 0.8, 1.0) for fn in fns]
-        for got, want in zip(f.value_delta_gamma(0.4, x), ref):
-            assert np.array_equal(got, want)
-        for got, want in zip(f.value_delta(0.4, x), ref[:2]):
-            assert np.array_equal(got, want)
+    @pytest.mark.parametrize("T", [0.0, -1.0, np.nan])
+    def test_rejects_horizon_not_positive(self, T):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            ProductPricing([CALL], T)
 
     def test_gradient_is_delta_times_the_other_values(self):
         factors = [Factor1D("call"), Factor1D("power"), Factor1D("digital")]
-        p = ProductPricing(factors)
+        p = ProductPricing(factors, 1.0)
         x = np.exp(np.random.default_rng(9).normal(0.0, 0.5, (500, 3)))
-        vals = np.stack([f.value(0.6, x[:, i])
+        vals = np.stack([f.value(1.0 - 0.6, x[:, i])
                          for i, f in enumerate(factors)], axis=1)
-        dels = np.stack([f.delta(0.6, x[:, i])
+        dels = np.stack([f.delta(1.0 - 0.6, x[:, i])
                          for i, f in enumerate(factors)], axis=1)
         want = np.stack([dels[:, k] * np.prod(np.delete(vals, k, axis=1),
                                               axis=1) for k in range(3)],
@@ -433,21 +421,21 @@ class TestProduct:
     def test_one_factor_gradient_is_the_delta(self, kind):
         f = Factor1D(kind)
         x = np.exp(np.random.default_rng(4).normal(0.0, 0.5, (300, 1)))
-        got = ProductPricing([f]).gradient(0.2, x)
-        assert np.array_equal(got[:, 0], f.delta(0.2, x[:, 0]))
+        got = ProductPricing([f], 1.0).gradient(0.2, x)
+        assert np.array_equal(got[:, 0], f.delta(1.0 - 0.2, x[:, 0]))
 
     @pytest.mark.parametrize("rows", [300, 5000])  # direct and table path
     def test_one_factor_hessian_is_the_product_form(self, rows):
         power = Factor1D("power")
         x = np.exp(np.random.default_rng(12).normal(0.0, 0.5, (rows, 1)))
-        got = ProductPricing([power]).hessian(0.4, x)
-        ref = ProductPricing([power, Factor1D("const")]).hessian(
+        got = ProductPricing([power], 1.0).hessian(0.4, x)
+        ref = ProductPricing([power, Factor1D("const")], 1.0).hessian(
             0.4, np.hstack([x, np.ones_like(x)]))
         assert got.shape == (rows, 1, 1)
         assert np.array_equal(got[:, 0, 0], ref[:, 0, 0])
 
     def test_dimension_check(self):
-        p = ProductPricing([Factor1D("call"), Factor1D("digital")])
+        p = ProductPricing([Factor1D("call"), Factor1D("digital")], 1.0)
         with pytest.raises(ValueError):
             p.value(0.0, np.array([[1.0, 1.0, 1.0]]))
 
@@ -467,14 +455,24 @@ class TestSumDigital:
         x = np.array([[0.8, 5.0], [1.0, 0.1], [1.3, 2.0]])
         for lam, k in (((1.0, 0.0), 0), ((0.0, 2.0), 1)):
             sd = SumDigital2D(1.0, lam, (1.0, 0.7), 1.0)
-            args = (0.2, x[:, k], 1.0 / lam[k], (1.0, 0.7)[k], 1.0)
-            assert np.array_equal(sd.value(0.2, x), bs_digital_value(*args))
+            v, dl, g = Factor1D("digital", K=1.0 / lam[k],
+                                s=(1.0, 0.7)[k]).value_delta_gamma(
+                1.0 - 0.2, x[:, k])
+            assert np.array_equal(sd.value(0.2, x), v)
             grad = np.zeros_like(x)
-            grad[:, k] = bs_digital_delta(*args)
+            grad[:, k] = dl
             assert np.array_equal(sd.gradient(0.2, x), grad)
             hess = np.zeros((3, 2, 2))
-            hess[:, k, k] = bs_digital_gamma(*args)
+            hess[:, k, k] = g
             assert np.array_equal(sd.hessian(0.2, x), hess)
+
+    @pytest.mark.parametrize("K, s", [
+        (-1.0, (1.0, 1.0)), (0.0, (1.0, 1.0)), (np.nan, (1.0, 1.0)),
+        (2.0, (0.0, 1.0)), (2.0, (1.0, -1.0)),
+    ])
+    def test_rejects_strike_and_vols_not_positive(self, K, s):
+        with pytest.raises(ValueError, match="must be positive"):
+            SumDigital2D(K, (1.0, 1.0), s, 1.0)
 
     def test_value_vs_monte_carlo(self):
         sd = SumDigital2D(2.0, (1.0, 1.0), (1.0, 1.0), 1.0)
@@ -605,7 +603,7 @@ class TestThetaHints:
         assert p.theta_hint == 0.75
 
     def test_product_hint_floors_at_half(self):
-        p = ProductPricing([Factor1D("call"), Factor1D("call")])
+        p = ProductPricing([Factor1D("call"), Factor1D("call")], 1.0)
         assert p.theta_hint == 0.5
 
 
@@ -650,7 +648,7 @@ class TestStatisticalInvariants:
             [(_, _, x)] = path_states(spec, [[0.0, t]], 51,
                                       np.arange(100000))
             x = x[:, 0]
-            g = x * x * bs_digital_gamma(t, x, 1.0, 1.0, 1.0)
+            g = x * x * DIGITAL.value_delta_gamma(1.0 - t, x)[2]
             ms.append((g * g).mean())
         slope = np.polyfit(np.log(1.0 - ts), np.log(ms), 1)[0]
         assert slope == pytest.approx(-1.5, abs=0.15)
@@ -673,6 +671,8 @@ class TestMakePricing:
         ("call", {}), ("digital", {}), ("power", {}),
         ("product", {"factors": [{"kind": "call"}, {"kind": "power"}]}),
         ("sum_digital_2d", {}), ("bm_quadratic", {"d": 2}),
+        # no factor of this product checks the time, the product does
+        ("product", {"factors": [{"kind": "const"}, {"kind": "const"}]}),
     ])
     def test_rejects_maturity(self, key, params, method):
         pr = make_pricing(key, params, 1.0)
