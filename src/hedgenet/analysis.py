@@ -37,13 +37,12 @@ RATE_N_MIN = 8
 
 @dataclass(frozen=True)
 class ThetaFit:
-    """theta estimated from log m(t) ~ const - 2 theta log(T - t)."""
+    """theta estimated from log m ~ const - 2 theta log tau."""
 
     theta_hat: float
     ci95: tuple
-    grid: tuple  # ((t, m_hat), ...) of the points fitted
     r2: float
-    #: (t, m_hat, stderr) at every grid time, nonpositive m_hat included
+    #: (tau, m_hat, stderr) at every grid time, nonpositive m_hat included
     rows: tuple = ()
 
     def __post_init__(self):
@@ -75,14 +74,14 @@ class RateFit:
     points_used: tuple
 
 
-def _states_at(spec, times, n_paths, master_seed):
-    """Exact-sampled X_t for paths 0..N-1 at each of ``times``, in order.
+def _states_at(spec, T, taus, n_paths, master_seed):
+    """Exact-sampled states of paths 0..N-1 at each of ``taus``, from x0 at T.
 
     Each is one transition from x0, and all are made from the one draw of
     step index 0; only the state being yielded is kept.
     """
     idx = np.arange(n_paths, dtype=np.uint64)
-    grids = [[0.0, t] for t in times]
+    grids = [[T, tau] for tau in taus]
     for _, _, x in path_states(spec, grids, master_seed, idx):
         yield x
 
@@ -96,9 +95,9 @@ def _a_diagonal(spec, x):
     return np.einsum("bii->bi", a_matrix(spec, x))
 
 
-def _pair_moments(spec, pricing, t, x):
+def _pair_moments(spec, pricing, tau, x):
     """Mean and stderr of A_aa A_bb (d2F_ab)^2 for every pair, shape (d,d)."""
-    hess = pricing.hessian(t, x)
+    hess = pricing.hessian(tau, x)
     a_diag = _a_diagonal(spec, x)
     vals = a_diag[:, :, None] * a_diag[:, None, :] * hess * hess
     mean = vals.mean(axis=0)
@@ -107,53 +106,49 @@ def _pair_moments(spec, pricing, t, x):
 
 
 def default_theta_grid(T: float, n_points: int = 20) -> np.ndarray:
-    """20 points log-spaced in T - t over the window [T/2, T - 1e-3]."""
-    gap = np.geomspace(T / 2.0, 1e-3, n_points)
-    return T - gap
+    """20 times to maturity log-spaced over the window [1e-3, T/2]."""
+    return np.geomspace(T / 2.0, 1e-3, n_points)
 
 
-def estimate_theta(spec, pricing, t_grid=None, n_paths: int = DEFAULT_N,
+def estimate_theta(spec, pricing, tau_grid=None, n_paths: int = DEFAULT_N,
                    master_seed: int = 0) -> ThetaFit:
-    """Fit the blow-up exponent of m(t) = sup_ab E[A_aa A_bb |d2F_ab|^2].
+    """Fit the blow-up exponent of m(tau) = sup_ab E[A_aa A_bb |d2F_ab|^2].
 
     The sup over coordinate pairs is exhaustive (d is small); the exponent
-    comes from OLS of log m(t) on log(T - t), slope = -2 theta, with a
-    delta-method confidence interval. Grid times whose m(t) estimate is not
+    comes from OLS of log m(tau) on log tau, slope = -2 theta, with a
+    delta-method confidence interval. Grid times whose m estimate is not
     positive stay in ``rows`` but are left out of the fit.
     """
     T = pricing.T
-    if t_grid is None:
-        t_grid = default_theta_grid(T)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid < T / 2.0 - 1e-12) or np.any(t_grid > T - 1e-3 + 1e-12):
-        raise ValueError("theta grid must lie within [T/2, T - 1e-3]")
-    ms, ts, rows = [], [], []
-    for t, x in zip(t_grid, _states_at(spec, t_grid, n_paths, master_seed)):
-        mean, stderr = _pair_moments(spec, pricing, t, x)
+    if tau_grid is None:
+        tau_grid = default_theta_grid(T)
+    tau_grid = np.asarray(tau_grid, dtype=float)
+    if np.any(tau_grid < 1e-3) or np.any(tau_grid > T / 2.0):
+        raise ValueError("theta grid must lie within tau in [1e-3, T/2]")
+    rows = []
+    for tau, x in zip(tau_grid,
+                      _states_at(spec, T, tau_grid, n_paths, master_seed)):
+        mean, stderr = _pair_moments(spec, pricing, tau, x)
         k = np.unravel_index(np.argmax(mean), mean.shape)
-        m = float(mean[k])
-        rows.append((float(t), m, float(stderr[k])))
-        if m <= 0.0:
-            warnings.warn(f"nonpositive m({t:g}) estimate excluded", stacklevel=2)
-            continue
-        ms.append(m)
-        ts.append(t)
-    if len(ms) < 3:
+        rows.append((float(tau), float(mean[k]), float(stderr[k])))
+        if mean[k] <= 0.0:
+            warnings.warn(f"nonpositive m estimate at tau = {tau:g} "
+                          "excluded", stacklevel=2)
+    fitted = [(tau, m) for tau, m, _ in rows if m > 0.0]
+    if len(fitted) < 3:
         raise ValueError("too few usable grid points for the theta fit")
-    lx = np.log(T - np.asarray(ts))
-    ly = np.log(ms)
-    slope, intercept, se_slope, r2 = _ols(lx, ly)
+    slope, intercept, se_slope, r2 = _ols(*np.log(fitted).T)
     theta = -slope / 2.0
     half = 1.96 * se_slope / 2.0
     return ThetaFit(
-        theta_hat=theta, ci95=(theta - half, theta + half),
-        grid=tuple(zip(ts, ms)), r2=r2, rows=tuple(rows),
+        theta_hat=theta, ci95=(theta - half, theta + half), r2=r2,
+        rows=tuple(rows),
     )
 
 
-def theta_grid_table(fit: ThetaFit):
-    """(t, m_hat, stderr) rows backing a ThetaFit, for CSV export."""
-    return list(fit.rows)
+def theta_grid_table(fit: ThetaFit, T: float):
+    """(t = T - tau, m_hat, stderr) rows backing a ThetaFit, for CSV export."""
+    return [(T - tau, m, se) for tau, m, se in fit.rows]
 
 
 def estimate_h2(spec, pricing, u_grid, n_paths: int = DEFAULT_N,
@@ -161,9 +156,11 @@ def estimate_h2(spec, pricing, u_grid, n_paths: int = DEFAULT_N,
     """MC curve of H^2(u) = E || sigma(X_u)^T d2F(u, X_u) sigma(X_u) ||_F^2."""
     points = []
     u_grid = np.asarray(u_grid, dtype=float)
-    for u, x in zip(u_grid, _states_at(spec, u_grid, n_paths, master_seed)):
+    taus = pricing.T - u_grid
+    states = _states_at(spec, pricing.T, taus, n_paths, master_seed)
+    for u, tau, x in zip(u_grid, taus, states):
         sig = sigma_matrix(spec, x)
-        hess = pricing.hessian(u, x)
+        hess = pricing.hessian(tau, x)
         core = np.swapaxes(sig, -1, -2) @ hess @ sig
         vals = (core * core).sum(axis=(-1, -2))
         mean = float(vals.mean())
@@ -258,24 +255,25 @@ def one_step_profile(spec, pricing, a: float, u_grid, n_paths: int = DEFAULT_N,
     """One-interval error profile: LHS(u) vs the integral of m(t) over [a, u].
 
     LHS(u) = sum_{k,l} E[ (dF_k(u, X_u) - dF_k(a, X_a))^2 sigma_kl(X_u)^2 ]
-    for the same path sampled at a then u. Returns a list of
+    for the same path sampled at the dates a then u. Returns a list of
     (u, lhs, lhs_stderr, integral_of_m) rows.
     """
     u_grid = np.asarray(u_grid, dtype=float)
     if np.any(u_grid < a):
         raise ValueError("u grid must not precede the interval start a")
     idx = np.arange(n_paths, dtype=np.uint64)
+    T = pricing.T
 
     # m(t) on a shared integration grid, then cumulative trapezoid.
     t_int = np.linspace(a, float(u_grid.max()), n_integral)
     m_vals = []
-    states = _states_at(spec, t_int[t_int != 0.0], n_paths, master_seed)
+    states = _states_at(spec, T, T - t_int[t_int != 0.0], n_paths, master_seed)
     for t in t_int:
         if t == 0.0:
             x = np.broadcast_to(spec.x0, (n_paths, spec.d))
         else:
             x = next(states)
-        mean, _ = _pair_moments(spec, pricing, t, x)
+        mean, _ = _pair_moments(spec, pricing, T - t, x)
         m_vals.append(float(mean.max()))
     m_vals = np.asarray(m_vals)
     cum = np.concatenate(
@@ -290,9 +288,10 @@ def one_step_profile(spec, pricing, a: float, u_grid, n_paths: int = DEFAULT_N,
         # [x0, X_a, X_u], or [x0, X_u] when a = 0 and X_a is x0
         xs = [np.broadcast_to(spec.x0, (n_paths, spec.d))]
         xs += [x for _, _, x in path_states(
-            spec, [[0.0, a, u] if a > 0.0 else [0.0, u]], master_seed, idx)]
+            spec, [[T, T - a, T - u] if a > 0.0 else [T, T - u]],
+            master_seed, idx)]
         xa, xu = xs[-2], xs[-1]
-        dgrad = pricing.gradient(u, xu) - pricing.gradient(a, xa)
+        dgrad = pricing.gradient(T - u, xu) - pricing.gradient(T - a, xa)
         sig = sigma_matrix(spec, xu)
         row_sq = (sig * sig).sum(axis=-1)  # sum_l sigma_kl^2, shape (B, d)
         vals = (dgrad * dgrad * row_sq).sum(axis=1)

@@ -312,7 +312,8 @@ def cmd_theta(args, cfg, spec, pricing) -> dict:
     eta = choose_eta(min(max(fit.theta_hat, 0.0), 1.0 - 1e-9))
     print(f"theta_hat = {fit.theta_hat:.4f}  eta = {eta:.4f}")
     return {
-        "theta_fit.csv": (["t", "m_t", "stderr"], theta_grid_table(fit)),
+        "theta_fit.csv": (["t", "m_t", "stderr"],
+                          theta_grid_table(fit, pricing.T)),
         "summary.json": {
             "command": "theta",
             "payoff": cfg["payoff"]["key"],

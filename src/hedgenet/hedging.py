@@ -1,9 +1,10 @@
 """Monte Carlo estimation of the discrete-hedging L2 error.
 
 The error along a path is computed through the martingale-tracking identity:
-the continuous hedge integral up to t equals F(t, X_t) - F(0, X_0) exactly,
-so only the discrete hedge sum is ever accumulated and the continuous side is
-never discretized. At t = T the terminal value f(X_T) replaces F.
+the continuous hedge integral up to t equals F(T - t, X_t) - F(T, X_0)
+exactly, so only the discrete hedge sum is ever accumulated and the
+continuous side is never discretized. At t = T the terminal value f(X_T)
+replaces F. Grids and prices are in the time to maturity tau = T - t.
 
 One path stream serves every net of a sweep. Each batch of paths is
 simulated once on the sorted union of the nets' grids (their knots, or
@@ -188,7 +189,7 @@ def _acting(times, per_net) -> tuple:
 
 
 def _plan(grids, knots, want_sup) -> _Plan:
-    times = np.unique(np.concatenate(grids))
+    times = np.unique(np.concatenate(grids))[::-1]
     return _Plan(
         times=times,
         n_nets=len(knots),
@@ -242,8 +243,9 @@ def _batch_errors(spec, pricing, plans, master_seed, path_indices, scheme):
     for plan in plans:
         # All paths start at x0: price and hedge once, broadcast.
         xs.append(x0)
-        v0s.append(pricing.value(0.0, x0[:1])[0])
-        grad = np.broadcast_to(pricing.gradient(0.0, x0[:1])[0], x0.shape)
+        v0s.append(pricing.value(pricing.T, x0[:1])[0])
+        grad = np.broadcast_to(pricing.gradient(pricing.T, x0[:1])[0],
+                               x0.shape)
         # (gradient, nets holding it): each distinct hedge ratio once
         holders.append([(grad, tuple(range(plan.n_nets)))])
         gains.append([np.zeros(B) for _ in range(plan.n_nets)])
@@ -261,9 +263,9 @@ def _batch_errors(spec, pricing, plans, master_seed, path_indices, scheme):
                 gain[i] += inc
         xs[g] = x
         if j < plan.times.size - 1:
-            t = plan.times[j]
+            tau = plan.times[j]
             if sup is not None and plan.monitor[j]:
-                v = pricing.value(t, x) - v0s[g]
+                v = pricing.value(tau, x) - v0s[g]
                 for i in plan.monitor[j]:
                     np.maximum(sup[i], np.abs(v - gain[i]), out=sup[i])
             moving = plan.rebalance[j]
@@ -274,7 +276,7 @@ def _batch_errors(spec, pricing, plans, master_seed, path_indices, scheme):
                     (h, rest) for h, nets in holders[g]
                     if (rest := tuple(i for i in nets if i not in moving))
                 ]
-                holders[g].append((pricing.gradient(t, x), moving))
+                holders[g].append((pricing.gradient(tau, x), moving))
             continue
         pay = pricing.payoff(x) - v0s[g]
         for i, e in enumerate(gain):
@@ -293,9 +295,9 @@ def path_error(spec, pricing, net: TimeNet, monitor_points: int,
     """(terminal_error, sup_abs_error) of a single hedged path.
 
     The supremum is taken over ``refine(net, monitor_points)``, with the
-    t = T value computed from the terminal payoff.
+    tau = 0 value computed from the terminal payoff.
     """
-    plan = _plan([refine(net, monitor_points)], [net.knots], want_sup=True)
+    plan = _plan([refine(net, monitor_points)], [net.taus], want_sup=True)
     [[(terminal, sup)]] = _batch_errors(
         spec, pricing, [plan], seed.master_seed,
         np.array([seed.path_index], dtype=np.uint64), scheme,
@@ -398,9 +400,9 @@ def estimate_sweep(sweeps: Sequence[Sequence[HedgeExperiment]],
                              "and monitor points")
     plans = [
         _plan(
-            [e.monitoring_grid() if e.needs_sup else e.net.knots
+            [e.monitoring_grid() if e.needs_sup else e.net.taus
              for e in exps],
-            [e.net.knots for e in exps],
+            [e.net.taus for e in exps],
             first.needs_sup,
         )
         for exps in sweeps

@@ -218,14 +218,16 @@ def check_scheme(spec: DiffusionSpec, scheme: str) -> None:
 def path_states(spec, grids, master_seed, path_indices, scheme="exact"):
     """Stream a batch of paths from x0 over several time grids in lockstep.
 
-    Yields (g, j, X^g_{t_j}): grid g's state at its time j, for j in
-    1 .. len(grids[g]) - 1. Each yielded state array (B, d) is new. The
-    step to t_j draws its normals at step index j - 1, keyed by
-    (master_seed, path_index, j - 1), so the paths are independent of
-    batching and worker scheduling. The normals of a step index are drawn
-    once, into the batch stream's buffer, and every grid that has that
-    step makes it from them with its own dt; the next step index
-    overwrites the buffer. A grid's state is dropped once the grid ends.
+    A grid holds decreasing times to maturity, from x0 at its first; models
+    are time-homogeneous, so the step to tau_j has length tau_{j-1} - tau_j.
+    Yields (g, j, X^g at tau_j), j in 1 .. len(grids[g]) - 1, each state
+    array (B, d) new. The step to tau_j draws its normals at step index
+    j - 1, keyed by (master_seed, path_index, j - 1), so the paths are
+    independent of batching and worker scheduling. The normals of a step
+    index are drawn once, into the batch stream's buffer, and every grid
+    that has that step makes it from them with its own step length; the
+    next step index overwrites the buffer. A grid's state is dropped once
+    the grid ends.
     """
     check_scheme(spec, scheme)
     grids = [np.asarray(times, dtype=float) for times in grids]
@@ -242,7 +244,7 @@ def path_states(spec, grids, master_seed, path_indices, scheme="exact"):
             del stream  # its keys and word buffer; z stays
         for g in list(states):
             times = grids[g]
-            x = step(spec, states[g], times[j] - times[j - 1], z)
+            x = step(spec, states[g], times[j - 1] - times[j], z)
             if j + 1 < times.size:
                 states[g] = x
             else:

@@ -62,14 +62,15 @@ def pde_residual(spec, pricing, t: float, x,
         h_t = 1e-5 * T
     if not (0.05 * T <= t <= 0.95 * T):
         raise ValueError("residual check is defined on the bulk of [0, T]")
+    tau = T - t
     x = np.asarray(x, dtype=float).reshape(1, -1)
-    vp = pricing.value(t + h_t, x)[0]
-    vm = pricing.value(t - h_t, x)[0]
+    vp = pricing.value(tau - h_t, x)[0]
+    vm = pricing.value(tau + h_t, x)[0]
     if not (np.isfinite(vp) and np.isfinite(vm)):
         raise ValueError("time step produced non-finite values")
     dt_term = (vp - vm) / (2.0 * h_t)
     a = a_matrix(spec, x)[0]
-    hess = pricing.hessian(t, x)[0]
+    hess = pricing.hessian(tau, x)[0]
     if not np.all(np.isfinite(hess)):
         raise ValueError("hessian evaluation produced non-finite values")
     space_term = 0.5 * float((a * hess).sum())
@@ -109,7 +110,7 @@ def mc_payoff_expectation(spec, payoff, n_paths: int, master_seed: int,
         fn = payoff.payoff
         T = payoff.T
     idx = np.arange(n_paths, dtype=np.uint64)
-    [(_, _, xT)] = path_states(spec, [[0.0, T]], master_seed, idx)
+    [(_, _, xT)] = path_states(spec, [[T, 0.0]], master_seed, idx)
     vals = np.asarray(fn(xT), dtype=float)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n_paths))

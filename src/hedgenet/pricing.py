@@ -1,13 +1,13 @@
-"""Pricing functions F(t, x) with gradients and Hessians.
+"""Pricing functions F(tau, x), tau = T - t, with gradients and Hessians.
 
 The catalogue covers the payoffs used in the experiments: vanilla call,
 digital, fractional-power call, their coordinate-wise products under diagonal
 geometric Brownian motion, a two-asset weighted-sum digital, and an analytic
 quadratic payoff for Brownian motion used as a closed-form oracle.
 
-All value functions solve d/dt F + (1/2) sum A_kl d2F/dx_k dx_l = 0 with the
-terminal condition F(T-, x) -> f(x); drift never enters F, it only shows up in
-the simulated state dynamics.
+All value functions solve -d/dtau F + (1/2) sum A_kl d2F/dx_k dx_l = 0 with
+the terminal condition F(0+, x) -> f(x); drift never enters F, it only shows
+up in the simulated state dynamics.
 
 The Gauss-Legendre and Gauss-Hermite rules of the quadratures are scipy's,
 bit for bit, but their eigenvalues come from numpy.linalg (_gauss), so
@@ -33,9 +33,6 @@ __all__ = [
     "make_pricing",
 ]
 
-#: F and its derivatives are never evaluated closer to maturity than this.
-TAU_FLOOR = 1e-12
-
 #: Node-doubling stopping rule for the quadrature-backed factors.
 QUAD_RTOL = 1e-9
 QUAD_ATOL = 1e-30
@@ -49,12 +46,10 @@ class QuadratureError(RuntimeError):
 
 
 def _phi(z):
-    return np.exp(-0.5 * z * z) / _SQRT_2PI
+    # z * z overflows only where the density is 0 (d2 at a subnormal tau)
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * z * z) / _SQRT_2PI
 
-
-# The catalogue classes (ProductPricing, SumDigital2D, BMQuadratic) take
-# the time t and own the horizon T; each call checks its states and t < T
-# once and prices everything below in the time to maturity tau = T - t.
 
 def _horizon(T) -> float:
     if not T > 0.0:
@@ -62,10 +57,10 @@ def _horizon(T) -> float:
     return float(T)
 
 
-def _tau(t: float, T: float) -> float:
-    if t >= T:
-        raise ValueError("pricing functions are defined for t < T only")
-    return max(T - t, TAU_FLOOR)
+def _maturity(tau) -> float:
+    if not tau > 0.0:
+        raise ValueError(f"prices are defined at tau > 0 only, not {tau}")
+    return tau
 
 
 def _states(x, d: int):
@@ -143,6 +138,11 @@ def _hermite(n):
 
 #: exponent of the cusp-absorbing map v = V * u**_KINK_POW
 _KINK_POW = 6.0
+
+#: The power factor prices tau below this at TAU_FLOOR. Closer to maturity
+#: the quadrature's x e^{s sqrt(tau) z} - K cancels: at tau = 1e-20 none of
+#: 801 kink positions z in [-29.6, -8] converged, at 1e-12 all did.
+TAU_FLOOR = 1e-12
 
 #: kink positions below this z-score are outside the Gaussian support and the
 #: plain Gauss-Hermite rule applies (the integrand is then smooth).
@@ -323,9 +323,11 @@ class Factor1D:
     def __post_init__(self):
         if self.kind not in ("call", "digital", "power", "const"):
             raise ValueError(f"unknown factor kind {self.kind!r}")
-        if self.kind != "const":
-            if self.K < 0.0:
-                raise ValueError("strike must be non-negative")
+        if not all(map(math.isfinite, (self.K, self.alpha, self.s))):
+            raise ValueError("strike, exponent and vol must be finite")
+        if self.kind != "const":  # the call and digital forms divide by K
+            if self.K < 0.0 or self.K == 0.0 and self.kind != "power":
+                raise ValueError("strike must be positive (or 0 for power)")
             if self.s <= 0.0:
                 raise ValueError("vol must be positive")
         if self.kind == "power":
@@ -372,8 +374,7 @@ class Factor1D:
         return self._eval(tau, x, ("value", "delta", "gamma"))
 
     def _eval(self, tau, x, what: tuple):
-        if not tau > 0.0:
-            raise ValueError(f"factors are priced at tau > 0 only, not {tau}")
+        _maturity(tau)
         x = np.asarray(x, dtype=float)
         if self.kind == "const":
             one = np.ones_like(x)
@@ -417,6 +418,7 @@ class Factor1D:
     # -- power factor internals --------------------------------------------
 
     def _power_eval(self, tau, x, what: tuple):
+        tau = max(tau, TAU_FLOOR)
         if x.size >= _TABLE_MIN_ROWS and x.ndim == 1:
             return self._power_eval_table(tau, x, what)
         # D_0, D_1, D_2 whatever is asked, so that node doubling judges the
@@ -562,7 +564,7 @@ class ProductPricing:
     """Coordinate-wise product payoff f(x) = prod_i f_i(x_i) at horizon T.
 
     Valid for diagonal models with sigma_ii(x) = s_i * x_i; then
-    F(t, x) = prod_i F_i(T - t, x_i) and all derivatives factorize.
+    F(tau, x) = prod_i F_i(tau, x_i), each F_i checking tau.
     """
 
     def __init__(self, factors: Sequence[Factor1D], T: float):
@@ -582,8 +584,8 @@ class ProductPricing:
             out *= f.payoff(x[:, i])
         return out
 
-    def value(self, t, x):
-        x, tau = _states(x, self.d), _tau(t, self.T)
+    def value(self, tau, x):
+        x = _states(x, self.d)
         out = np.ones(x.shape[0])
         for i, f in enumerate(self.factors):
             out *= f.value(tau, x[:, i])
@@ -611,16 +613,16 @@ class ProductPricing:
             acc *= vals[:, k]
         return out
 
-    def gradient(self, t, x):
-        x, tau = _states(x, self.d), _tau(t, self.T)
+    def gradient(self, tau, x):
+        x = _states(x, self.d)
         if self.d == 1:
             return self.factors[0].delta(tau, x[:, 0])[:, None]
         vals, dels = self._vd(tau, x)
         dels *= self._others(vals)
         return dels
 
-    def hessian(self, t, x):
-        x, tau = _states(x, self.d), _tau(t, self.T)
+    def hessian(self, tau, x):
+        x = _states(x, self.d)
         if self.d == 1:
             # bitwise the general form below: Γ times an empty product, 1.0
             gamma = self.factors[0].value_delta_gamma(tau, x[:, 0])[2]
@@ -724,11 +726,11 @@ class SumDigital2D:
         out[5] = ((st1 * g - gd2) * a2 * a2).sum(axis=1)
         return out
 
-    def _moments(self, t, x, count):
+    def _moments(self, tau, x, count):
         """The first count of V, V_1, V_2, V_11, V_12, V_22 by per-point node
         doubling, which judges just these: the value for value(), with the
         gradient for gradient(), all six for hessian()."""
-        x, tau = _states(x, self.d), _tau(t, self.T)
+        x, tau = _states(x, self.d), _maturity(tau)
         if self._single is not None:
             k = self._k
             out = np.zeros((6, x.shape[0]))
@@ -740,20 +742,20 @@ class SumDigital2D:
                                               count),
             x.shape[0], count, "sum-digital")
 
-    def value(self, t, x):
-        return self._moments(t, x, 1)[0]
+    def value(self, tau, x):
+        return self._moments(tau, x, 1)[0]
 
-    def gradient(self, t, x):
-        return self._moments(t, x, 3)[1:].T.copy()
+    def gradient(self, tau, x):
+        return self._moments(tau, x, 3)[1:].T.copy()
 
-    def hessian(self, t, x):
-        return self._moments(t, x, 6)[[3, 4, 4, 5]].T.reshape(-1, 2, 2)
+    def hessian(self, tau, x):
+        return self._moments(tau, x, 6)[[3, 4, 4, 5]].T.reshape(-1, 2, 2)
 
 
 class BMQuadratic:
     """f(x) = sum x_i^2 under standard Brownian motion (case C1, sigma = I).
 
-    F(t, x) = sum x_i^2 + d (T - t) solves the heat-type pricing equation
+    F(tau, x) = sum x_i^2 + d tau solves the heat-type pricing equation
     exactly; used as an analytic oracle.
     """
 
@@ -766,18 +768,18 @@ class BMQuadratic:
         x = _states(x, self.d)
         return (x * x).sum(axis=1)
 
-    def value(self, t, x):
-        x, tau = _states(x, self.d), _tau(t, self.T)
+    def value(self, tau, x):
+        x, tau = _states(x, self.d), _maturity(tau)
         return (x * x).sum(axis=1) + self.d * tau
 
-    def gradient(self, t, x):
+    def gradient(self, tau, x):
         x = _states(x, self.d)
-        _tau(t, self.T)
+        _maturity(tau)
         return 2.0 * x
 
-    def hessian(self, t, x):
+    def hessian(self, tau, x):
         x = _states(x, self.d)
-        _tau(t, self.T)
+        _maturity(tau)
         return np.broadcast_to(
             2.0 * np.eye(self.d), (x.shape[0], self.d, self.d)
         ).copy()

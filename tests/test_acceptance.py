@@ -140,7 +140,7 @@ def test_criterion_07_call_curvature_closed_form(capsys):
             dev = abs(mc - cf) / cf
             assert dev < 1e-12
             continue
-        [x] = _states_at(SPEC_GBM, [t], 400000, 207)
+        [x] = _states_at(SPEC_GBM, T, [T - t], 400000, 207)
         x = x[:, 0]
         vals = (x * x * factor.value_delta_gamma(T - t, x)[2]) ** 2
         se = float(vals.std(ddof=1)) / math.sqrt(vals.size)
@@ -217,16 +217,18 @@ def test_criterion_11_property_rollup(capsys):
     ]}, 1.0)
     x0 = np.array([[1.1, 0.9]])
     h = 1e-5
-    grad = pr.gradient(0.4, x0)[0]
-    hess = pr.hessian(0.4, x0)[0]
+    grad = pr.gradient(1.0 - 0.4, x0)[0]
+    hess = pr.hessian(1.0 - 0.4, x0)[0]
     fd_ok = True
     for i in range(2):
         xp, xm = x0.copy(), x0.copy()
         xp[0, i] += h
         xm[0, i] -= h
-        fd = (pr.value(0.4, xp)[0] - pr.value(0.4, xm)[0]) / (2.0 * h)
+        fd = (pr.value(1.0 - 0.4, xp)[0]
+              - pr.value(1.0 - 0.4, xm)[0]) / (2.0 * h)
         fd_ok &= abs(fd - grad[i]) <= 1e-5 * max(1.0, abs(grad[i]))
-        fdh = (pr.gradient(0.4, xp)[0] - pr.gradient(0.4, xm)[0]) / (2.0 * h)
+        fdh = (pr.gradient(1.0 - 0.4, xp)[0]
+               - pr.gradient(1.0 - 0.4, xm)[0]) / (2.0 * h)
         fd_ok &= np.allclose(fdh, hess[i], rtol=1e-4, atol=1e-7)
     checks.append(("gradient/hessian fd", bool(fd_ok)))
 

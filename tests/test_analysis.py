@@ -12,6 +12,7 @@ from hedgenet.analysis import (
     estimate_theta,
     fit_rate,
     one_step_profile,
+    theta_grid_table,
 )
 from hedgenet.models import bm_constant, gbm_diagonal
 from hedgenet.pricing import BMQuadratic, make_pricing
@@ -107,7 +108,7 @@ class TestEstimateTheta:
         fit = estimate_theta(SPEC_BM1, QUAD1, n_paths=100000, master_seed=5)
         assert abs(fit.theta_hat) <= 0.05
         # m(t) = 4 identically: hessian 2, A = 1
-        for _, m in fit.grid:
+        for _, m, _ in fit.rows:
             assert m == pytest.approx(4.0)
 
     def test_digital(self):
@@ -117,12 +118,14 @@ class TestEstimateTheta:
         assert fit.r2 > 0.99
 
     def test_rows_carry_every_grid_time(self):
-        grid = [0.5, 0.7, 0.9]
-        fit = estimate_theta(SPEC_GBM, DIGITAL, t_grid=grid, n_paths=2000,
+        grid = [0.5, 0.3, 0.1]
+        fit = estimate_theta(SPEC_GBM, DIGITAL, tau_grid=grid, n_paths=2000,
                              master_seed=5)
         assert [r[0] for r in fit.rows] == grid
-        assert [r[:2] for r in fit.rows] == [tuple(g) for g in fit.grid]
-        assert all(se > 0.0 for _, _, se in fit.rows)
+        assert all(m > 0.0 and se > 0.0 for _, m, se in fit.rows)
+        # the CSV rows carry the dates t = T - tau
+        assert [r[0] for r in theta_grid_table(fit, 1.0)] == \
+            [1.0 - tau for tau in grid]
 
     def test_states_are_one_step_each_from_one_draw(self):
         from hedgenet.analysis import _states_at
@@ -130,10 +133,11 @@ class TestEstimateTheta:
         from hedgenet.rng import normals
 
         spec = gbm_diagonal(2, [1.0, 0.5], [1.0, 2.0])
-        times = [0.5, 0.7, 0.999]
+        taus = [0.5, 0.3, 0.001]
         z = normals(3, np.arange(500), 0, 2)
-        want = [exact_step(spec, spec.x0, t, z).tobytes() for t in times]
-        got = [x.tobytes() for x in _states_at(spec, times, 500, 3)]
+        want = [exact_step(spec, spec.x0, 1.0 - tau, z).tobytes()
+                for tau in taus]
+        got = [x.tobytes() for x in _states_at(spec, 1.0, taus, 500, 3)]
         assert got == want
 
     @pytest.mark.parametrize("d", [1, 3])
@@ -180,14 +184,17 @@ class TestEstimateTheta:
 
     def test_rejects_grid_outside_window(self):
         with pytest.raises(ValueError):
-            estimate_theta(SPEC_GBM, DIGITAL, t_grid=[0.1, 0.6],
+            estimate_theta(SPEC_GBM, DIGITAL, tau_grid=[0.9, 0.4],
+                           n_paths=1000, master_seed=0)
+        with pytest.raises(ValueError):
+            estimate_theta(SPEC_GBM, DIGITAL, tau_grid=[0.1, 0.01, 9e-4],
                            n_paths=1000, master_seed=0)
 
     def test_warns_on_extreme_theta(self):
         from hedgenet.analysis import ThetaFit
 
         with pytest.warns(UserWarning):
-            ThetaFit(theta_hat=1.3, ci95=(1.2, 1.4), grid=(), r2=1.0)
+            ThetaFit(theta_hat=1.3, ci95=(1.2, 1.4), r2=1.0)
 
 
 class TestEstimateH2:
@@ -222,8 +229,8 @@ class TestEstimateH2:
         spec = gbm_diagonal(2, 1.0, [1.0, 1.0])
         u = 0.5
         curve = estimate_h2(spec, pr, [u], 20000, 3)
-        [x] = _states_at(spec, [u], 20000, 3)
-        mean, _ = _pair_moments(spec, pr, u, x)
+        [x] = _states_at(spec, 1.0, [1.0 - u], 20000, 3)
+        mean, _ = _pair_moments(spec, pr, 1.0 - u, x)
         assert curve.points[0][1] == pytest.approx(mean.sum(), rel=1e-10)
 
 

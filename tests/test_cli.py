@@ -31,21 +31,50 @@ QUAD_CFG = {
 }
 
 
+def read_net(path):
+    """The (t, tau) rows of a net CSV."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,tau"
+    return [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+
+
 class TestNetCommand:
     def test_equidistant(self, tmp_path, capsys):
         out = tmp_path / "net.csv"
         assert main(["net", "--T", "1", "--n", "4", "--eta", "0",
                      "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "t"
-        assert [float(v) for v in lines[1:]] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert read_net(out) == [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5),
+                                 (0.75, 0.25), (1.0, 0.0)]
 
     def test_eta_half(self, tmp_path):
         out = tmp_path / "net.csv"
         assert main(["net", "--T", "1", "--n", "2", "--eta", "0.5",
                      "--out", str(out)]) == 0
-        vals = [float(v) for v in out.read_text().splitlines()[1:]]
-        assert vals == [0.0, 0.75, 1.0]
+        assert read_net(out) == [(0.0, 1.0), (0.75, 0.25), (1.0, 0.0)]
+
+    @pytest.mark.parametrize("n, eta", [(256, 0.9), (4096, 0.8), (8, 0.95),
+                                        (512, 0.95), (64, 0.99)])
+    def test_nets_whose_dates_round_to_maturity(self, tmp_path, n, eta):
+        # near maturity these nets' dates round to T; their times to
+        # maturity stay strictly decreasing down to 0
+        out = tmp_path / "net.csv"
+        assert main(["net", "--T", "1", "--n", str(n), "--eta", str(eta),
+                     "--out", str(out)]) == 0
+        rows = read_net(out)
+        t, tau = (np.array(c) for c in zip(*rows))
+        assert len(rows) == n + 1
+        assert tau[0] == 1.0 and tau[-1] == 0.0 and np.all(np.diff(tau) < 0)
+        assert tau[-2] == (1.0 / n) ** (1.0 / (1.0 - eta))
+        assert np.array_equal(t, 1.0 - tau)
+        if (n, eta) == (256, 0.9):
+            assert tau[-2] == pytest.approx(8.27e-25, rel=1e-3)
+
+    def test_underflowing_net_rejected(self, tmp_path, capsys):
+        out = tmp_path / "net.csv"
+        assert main(["net", "--T", "1", "--n", "8", "--eta", "0.999",
+                     "--out", str(out)]) == 2
+        assert "underflows to 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eta_one_rejected(self, tmp_path, capsys):
         rc = main(["net", "--T", "1", "--n", "4", "--eta", "1.0",
@@ -156,7 +185,7 @@ class TestRateCommand:
                                                          capsys):
         cfg = dict(DIGITAL_CFG, nets={
             "families": [{"family": "equidistant"},
-                         {"family": "eta", "eta": 0.9}],
+                         {"family": "eta", "eta": 0.995}],
             "n_list": [8, 16, 32, 64, 128, 256],
         })
         p = write_config(tmp_path / "d.json", cfg)
@@ -164,10 +193,27 @@ class TestRateCommand:
             out = tmp_path / cmd
             assert main([cmd, "--config", p, "--out", str(out)]) == 2
             err = capsys.readouterr().err
-            # n = 8 ... 32 are representable; n = 64 is the first that is not
-            assert "eta=0.9 and n=64" in err
-            assert "double precision" in err
+            # n = 8 ... 32 are representable; at n = 64 the last positive
+            # time to maturity (1/64)^200 underflows to 0
+            assert "eta=0.995 and n=64" in err
+            assert "underflows to 0" in err
             assert not out.exists()
+
+    def test_digital_eta_near_one_runs(self, tmp_path):
+        # eta = 0.95: from n = 8 on, the nets' dates round to T near
+        # maturity, which their times to maturity do not
+        cfg = dict(DIGITAL_CFG, nets={
+            "families": [{"family": "eta", "eta": 0.95}],
+            "n_list": [8, 16, 32, 64, 128],
+        }, engine={"N": 2000, "master_seed": 5})
+        p = write_config(tmp_path / "d.json", cfg)
+        out = tmp_path / "run"
+        assert main(["rate", "--config", p, "--out", str(out)]) == 0
+        rows = (out / "rate_fit.csv").read_text().splitlines()[1:]
+        rms = [float(r.split(",")[1]) for r in rows]
+        assert len(rms) == 5 and all(np.isfinite(rms)) and min(rms) > 0.0
+        [fam] = json.loads((out / "summary.json").read_text())["families"]
+        assert fam["eta"] == 0.95 and np.isfinite(fam["slope"])
 
     def test_families_with_the_same_net_share_one_sweep(self, tmp_path,
                                                         monkeypatch):
@@ -313,6 +359,15 @@ class TestThetaH2Commands:
         assert np.isfinite(summary["h2_inf"])
         assert np.isfinite(summary["h2_inf_stderr"])
         assert summary["positive_3se"] is True
+
+    def test_digital_zero_strike_is_a_usage_error(self, tmp_path, capsys):
+        cfg = dict(DIGITAL_CFG, payoff={"key": "digital",
+                                        "params": {"K": 0.0}, "T": 1.0})
+        p = write_config(tmp_path / "d.json", cfg)
+        out = tmp_path / "run"
+        assert main(["theta", "--config", p, "--out", str(out)]) == 2
+        assert "strike must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sum_digital_zero_strike_is_a_usage_error(self, tmp_path,
                                                        capsys):

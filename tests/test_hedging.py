@@ -310,9 +310,9 @@ class TestJointSweeps:
     @staticmethod
     def union_steps(exps):
         return hedging._plan(
-            [e.monitoring_grid() if e.needs_sup else e.net.knots
+            [e.monitoring_grid() if e.needs_sup else e.net.taus
              for e in exps],
-            [e.net.knots for e in exps], False,
+            [e.net.taus for e in exps], False,
         ).times.size - 1
 
     @pytest.mark.parametrize("mode", ["terminal", "both"])

@@ -17,7 +17,8 @@ from hedgenet.timenets import equidistant_net, refine
 
 
 def states(spec, times, master_seed, path_indices, scheme="exact"):
-    """(B, len(times), d): x0, then every state path_states yields."""
+    """(B, len(times), d): x0, then every state path_states yields; times
+    are times to maturity, decreasing."""
     path_indices = np.asarray(path_indices)
     xs = [np.broadcast_to(spec.x0, (path_indices.size, spec.d))]
     xs += [x for _, _, x in path_states(spec, [times], master_seed,
@@ -83,7 +84,7 @@ class TestAMatrix:
 class TestExactSampling:
     def test_gbm_lognormal_moments(self):
         spec = gbm_diagonal(1, 1.0, 1.0)
-        x = states(spec, [0.0, 1.0], 7, np.arange(100000))[:, 1, 0]
+        x = states(spec, [1.0, 0.0], 7, np.arange(100000))[:, 1, 0]
         n = x.size
         se_mean = x.std(ddof=1) / np.sqrt(n)
         assert abs(x.mean() - 1.0) < 3.0 * se_mean
@@ -93,7 +94,7 @@ class TestExactSampling:
 
     def test_bm_increment_covariance(self):
         spec = bm_constant(np.eye(2), [0.0, 0.0])
-        s = states(spec, [0.0, 0.5, 1.0], 3, np.arange(100000))
+        s = states(spec, [1.0, 0.5, 0.0], 3, np.arange(100000))
         for j in (1, 2):
             inc = s[:, j, :] - s[:, j - 1, :]
             cov = np.cov(inc.T)
@@ -101,14 +102,14 @@ class TestExactSampling:
 
     def test_drift(self):
         spec = gbm_diagonal(1, 1.0, 1.0, mu=0.2)
-        x = states(spec, [0.0, 1.0], 7, np.arange(100000))[:, 1, 0]
+        x = states(spec, [1.0, 0.0], 7, np.arange(100000))[:, 1, 0]
         lx = np.log(x)
         # E ln X_1 = mu - s^2/2 = -0.3
         assert abs(lx.mean() + 0.3) < 3.0 * lx.std(ddof=1) / np.sqrt(x.size)
 
     def test_correlation_applied(self):
         spec = gbm_diagonal(2, 1.0, [1.0, 1.0], corr=[[1.0, 0.8], [0.8, 1.0]])
-        x = states(spec, [0.0, 1.0], 5, np.arange(100000))[:, 1, :]
+        x = states(spec, [1.0, 0.0], 5, np.arange(100000))[:, 1, :]
         corr = np.corrcoef(np.log(x).T)[0, 1]
         assert corr == pytest.approx(0.8, abs=0.01)
 
@@ -126,18 +127,18 @@ class TestExactSampling:
 
     def test_c2_positivity(self):
         spec = gbm_diagonal(3, 2.0, [0.5, 1.0, 2.0])
-        s = states(spec, np.linspace(0, 1, 17), 9, np.arange(1000))
+        s = states(spec, np.linspace(1, 0, 17), 9, np.arange(1000))
         assert np.all(s > 0.0)
 
     def test_rejects_general(self):
         spec = general_diffusion("C1", 1, [0.0], lambda x: np.ones(x.shape + (1,)))
         with pytest.raises(ValueError):
-            next(path_states(spec, [[0.0, 1.0]], 0, np.arange(4), "exact"))
+            next(path_states(spec, [[1.0, 0.0]], 0, np.arange(4), "exact"))
 
     def test_rejects_unknown_scheme(self):
         spec = gbm_diagonal(1, 1.0, 1.0)
         with pytest.raises(ValueError, match="scheme must be one of"):
-            next(path_states(spec, [[0.0, 1.0]], 0, np.arange(4),
+            next(path_states(spec, [[1.0, 0.0]], 0, np.arange(4),
                              "milstein"))
 
 
@@ -177,7 +178,7 @@ class TestEuler:
         )
         n_steps, n_paths = 64, 50000
         s = states(
-            spec, np.linspace(0.0, 1.0, n_steps + 1), 13,
+            spec, np.linspace(1.0, 0.0, n_steps + 1), 13,
             np.arange(n_paths), "euler",
         )
         xT = s[:, -1, 0]
@@ -196,17 +197,17 @@ class TestPathSample:
         assert all(x.shape == (1, 2) for _, x in steps)
         # the first step leaves x0 with the draws of step index 0
         z = normals(0, idx, 0, 2)
-        first = exact_step(spec, spec.x0[None, :], times[1], z)
+        first = exact_step(spec, spec.x0[None, :], times[0] - times[1], z)
         assert np.array_equal(steps[0][1], first)
         # a zero-length first step stays exactly at x0
-        [(_, _, x)] = path_states(spec, [[0.0, 0.0]], 0, idx)
+        [(_, _, x)] = path_states(spec, [[1.0, 1.0]], 0, idx)
         assert np.array_equal(x[0], [1.5, 0.5])
 
 
     def test_lockstep_grids_equal_their_own_streams(self):
         spec = gbm_diagonal(2, [1.0, 0.5], [1.0, 2.0])
-        grids = [np.linspace(0.0, 1.0, 5), [0.0, 0.3], [0.0],
-                 np.linspace(0.0, 1.0, 9)]
+        grids = [np.linspace(1.0, 0.0, 5), [1.0, 0.7], [1.0],
+                 np.linspace(1.0, 0.0, 9)]
         idx = np.arange(10, 60)
         got = list(path_states(spec, grids, 4, idx))
         # step index by step index, every grid that has the step, in order
@@ -247,12 +248,12 @@ class TestInPlaceStream:
     def test_states_are_new_and_equal_the_public_steps(self, name, scheme):
         spec = self.SPECS[name]
         step = exact_step if scheme == "exact" else euler_step
-        times = np.array([0.0, 0.1, 0.35, 0.5, 1.0])
+        times = np.array([1.0, 0.9, 0.65, 0.5, 0.0])
         idx = np.arange(40, 80)
         got = [x for _, _, x in path_states(spec, [times], 6, idx, scheme)]
         x = np.broadcast_to(spec.x0, (idx.size, 2)).copy()
         for j, state in enumerate(got, start=1):
-            x = step(spec, x, times[j] - times[j - 1],
+            x = step(spec, x, times[j - 1] - times[j],
                      normals(6, idx, j - 1, 2))
             assert state.tobytes() == x.tobytes()
         for a, b in itertools.combinations(got, 2):

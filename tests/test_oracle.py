@@ -77,10 +77,10 @@ class TestPdeResidual:
 
 class TestAnalyticQuadraticError:
     def test_examples(self):
-        assert analytic_quadratic_error(TimeNet(1.0, np.array([0.0, 1.0])), 1, 1.0) == 2.0
+        assert analytic_quadratic_error(TimeNet(1.0, np.array([1.0, 0.0])), 1, 1.0) == 2.0
         assert analytic_quadratic_error(equidistant_net(1.0, 4), 1, 1.0) == \
             pytest.approx(0.5)
-        net = TimeNet(1.0, np.array([0.0, 0.75, 1.0]))
+        net = TimeNet(1.0, np.array([1.0, 0.25, 0.0]))
         assert analytic_quadratic_error(net, 2, 1.0) == pytest.approx(2.5)
 
     def test_mc_validation_n1(self):
@@ -129,7 +129,7 @@ class TestMcPayoffExpectation:
         ]}, 1.0)
         spec = gbm_diagonal(2, 1.0, [1.0, 1.0])
         m, se = mc_payoff_expectation(spec, pr, 200000, 12)
-        prod = pr.value(0.0, np.array([[1.0, 1.0]]))[0]
+        prod = pr.value(1.0, np.array([[1.0, 1.0]]))[0]
         assert abs(m - prod) < 3.0 * se
 
     def test_catalogue_values_match_mc(self):
@@ -141,5 +141,5 @@ class TestMcPayoffExpectation:
         for key, params, spec in cases:
             pr = make_pricing(key, params, 1.0)
             m, se = mc_payoff_expectation(spec, pr, 1_000_000, 99)
-            v = pr.value(0.0, np.asarray([spec.x0]))[0]
+            v = pr.value(1.0, np.asarray([spec.x0]))[0]
             assert abs(v - m) < 3.0 * se, key

@@ -28,8 +28,8 @@ from hedgenet.pricing import (
 
 ONE = np.array([1.0])
 
-# unit-strike, unit-vol factors; the tests below price them at horizon
-# T = 1, so at the time to maturity tau = 1 - t
+# unit-strike, unit-vol factors; every price takes the time to maturity
+# tau, and the catalogue tests below use the horizon T = 1
 CALL = Factor1D("call", K=1.0, s=1.0)
 DIGITAL = Factor1D("digital", K=1.0, s=1.0)
 POWER = Factor1D("power", K=1.0, alpha=0.25, s=1.0)
@@ -42,35 +42,36 @@ def direct_power(tau, x, what):
     return _assemble(x, d, what)
 
 
-def fd_gradient(model, t, x, h_rel=1e-5):
+def fd_gradient(model, tau, x, h_rel=1e-5):
     grad = np.empty_like(x)
     for k in range(x.shape[1]):
         h = h_rel * np.abs(x[:, k])
         xp, xm = x.copy(), x.copy()
         xp[:, k] += h
         xm[:, k] -= h
-        grad[:, k] = (model.value(t, xp) - model.value(t, xm)) / (2.0 * h)
+        grad[:, k] = (model.value(tau, xp) - model.value(tau, xm)) / (2.0 * h)
     return grad
 
 
-def fd_hessian(model, t, x, h_rel=1e-4):
+def fd_hessian(model, tau, x, h_rel=1e-4):
     B, d = x.shape
     hess = np.empty((B, d, d))
-    v0 = model.value(t, x)
+    v0 = model.value(tau, x)
     hs = h_rel * np.abs(x)
     for i in range(d):
         xp, xm = x.copy(), x.copy()
         xp[:, i] += hs[:, i]
         xm[:, i] -= hs[:, i]
-        hess[:, i, i] = (model.value(t, xp) - 2 * v0 + model.value(t, xm)) / hs[:, i] ** 2
+        hess[:, i, i] = (model.value(tau, xp) - 2 * v0
+                         + model.value(tau, xm)) / hs[:, i] ** 2
         for j in range(i + 1, d):
             pp, pm, mp, mm = (x.copy() for _ in range(4))
             pp[:, i] += hs[:, i]; pp[:, j] += hs[:, j]
             pm[:, i] += hs[:, i]; pm[:, j] -= hs[:, j]
             mp[:, i] -= hs[:, i]; mp[:, j] += hs[:, j]
             mm[:, i] -= hs[:, i]; mm[:, j] -= hs[:, j]
-            cross = (model.value(t, pp) - model.value(t, pm)
-                     - model.value(t, mp) + model.value(t, mm)) / (
+            cross = (model.value(tau, pp) - model.value(tau, pm)
+                     - model.value(tau, mp) + model.value(tau, mm)) / (
                 4.0 * hs[:, i] * hs[:, j])
             hess[:, i, j] = cross
             hess[:, j, i] = cross
@@ -131,6 +132,23 @@ class TestDigital:
         assert np.allclose(DIGITAL.value_delta_gamma(0.5, x)[2], fd, rtol=1e-6)
 
 
+class TestFactorParameters:
+    @pytest.mark.parametrize("kind, params", [
+        ("call", {"K": np.nan}), ("digital", {"K": np.inf}),
+        ("power", {"K": np.nan}), ("call", {"s": np.nan}),
+        ("digital", {"s": np.inf}), ("power", {"alpha": np.nan}),
+        ("const", {"K": np.nan}),
+        ("call", {"K": 0.0}), ("digital", {"K": 0.0}),
+        ("call", {"K": -1.0}), ("power", {"K": -1.0}),
+        ("digital", {"s": 0.0}), ("power", {"s": -1.0}),
+    ])
+    def test_rejects_bad_parameters(self, kind, params):
+        # a NaN strike or vol used to give NaN prices, and a zero strike
+        # divided by zero in the call and digital closed forms
+        with pytest.raises(ValueError, match="must be"):
+            Factor1D(kind, **params)
+
+
 class TestFactorTime:
     @pytest.mark.parametrize("tau", [0.0, -0.1, np.nan])
     @pytest.mark.parametrize("kind", ["call", "digital", "power", "const"])
@@ -153,7 +171,7 @@ class TestPower:
 
     def test_value_vs_monte_carlo(self):
         spec = gbm_diagonal(1, 1.0, 1.0)
-        [(_, _, x)] = path_states(spec, [[0.0, 1.0]], 21,
+        [(_, _, x)] = path_states(spec, [[1.0, 0.0]], 21,
                                   np.arange(2_000_000))
         xT = x[:, 0]
         pay = np.maximum(xT - 1.0, 0.0) ** 0.25
@@ -195,10 +213,12 @@ class TestPower:
         assert np.allclose(dt_, dd, rtol=1.6e-6, atol=0.0)
 
     def test_near_maturity_floor(self):
-        # the catalogue prices t within TAU_FLOOR of T at tau = TAU_FLOOR
+        # the power factor prices tau below TAU_FLOOR at TAU_FLOOR
         p = make_pricing("power", {"K": 1.0, "alpha": 0.25, "s": 1.0}, 1.0)
-        v = p.value(1.0 - 1e-15, np.array([[2.0]]))[0]
+        x = np.array([[2.0]])
+        v = p.value(1e-15, x)[0]
         assert np.isfinite(v) and v == pytest.approx(1.0, rel=1e-4)
+        assert v == p.value(pricing.TAU_FLOOR, x)[0]
 
     @pytest.mark.parametrize("tau", [1.0, 0.3, 1e-3, 1e-8])
     def test_per_point_doubling_matches_finest_rule(self, tau):
@@ -372,7 +392,7 @@ class TestProduct:
         p = ProductPricing([CALL, DIGITAL], 1.0)
         x = np.array([[1.0, 1.0]])
         expect = CALL.value(1.0, ONE)[0] * norm.cdf(-0.5)
-        assert p.value(0.0, x)[0] == pytest.approx(expect, rel=1e-12)
+        assert p.value(1.0, x)[0] == pytest.approx(expect, rel=1e-12)
         assert expect == pytest.approx(0.118146, abs=1e-6)
 
     def test_off_diagonal_hessian(self):
@@ -380,10 +400,10 @@ class TestProduct:
         p = ProductPricing([CALL, DIGITAL], 1.0)
         x = np.array([[1.0, 1.0]])
         expect = norm.cdf(0.5) * norm.pdf(-0.5)
-        got = p.hessian(0.0, x)[0, 0, 1]
+        got = p.hessian(1.0, x)[0, 0, 1]
         assert got == pytest.approx(expect, rel=1e-12)
         # independent finite-difference confirmation
-        fd = fd_hessian(p, 0.0, x)[0, 0, 1]
+        fd = fd_hessian(p, 1.0, x)[0, 0, 1]
         assert got == pytest.approx(fd, rel=1e-6)
 
     def test_three_factor_derivatives_match_fd(self):
@@ -415,13 +435,14 @@ class TestProduct:
         want = np.stack([dels[:, k] * np.prod(np.delete(vals, k, axis=1),
                                               axis=1) for k in range(3)],
                         axis=1)
-        assert np.allclose(p.gradient(0.6, x), want, rtol=1e-14, atol=0.0)
+        assert np.allclose(p.gradient(1.0 - 0.6, x), want, rtol=1e-14,
+                           atol=0.0)
 
     @pytest.mark.parametrize("kind", ["call", "digital", "power"])
     def test_one_factor_gradient_is_the_delta(self, kind):
         f = Factor1D(kind)
         x = np.exp(np.random.default_rng(4).normal(0.0, 0.5, (300, 1)))
-        got = ProductPricing([f], 1.0).gradient(0.2, x)
+        got = ProductPricing([f], 1.0).gradient(1.0 - 0.2, x)
         assert np.array_equal(got[:, 0], f.delta(1.0 - 0.2, x[:, 0]))
 
     @pytest.mark.parametrize("rows", [300, 5000])  # direct and table path
@@ -437,15 +458,17 @@ class TestProduct:
     def test_dimension_check(self):
         p = ProductPricing([Factor1D("call"), Factor1D("digital")], 1.0)
         with pytest.raises(ValueError):
-            p.value(0.0, np.array([[1.0, 1.0, 1.0]]))
+            p.value(1.0, np.array([[1.0, 1.0, 1.0]]))
 
 
 SPEC_GBM2 = gbm_diagonal(2, 1.0, [1.0, 1.0])
 
 
 def gbm2_states(t, n_paths):
-    """The seed-3 GBM states (s = 1, x0 = 1) of n_paths paths at time t."""
-    [(_, _, x)] = path_states(SPEC_GBM2, [[0.0, t]], 3, np.arange(n_paths))
+    """The seed-3 GBM states (s = 1, x0 = 1) of n_paths paths at the date t
+    of the horizon T = 1."""
+    [(_, _, x)] = path_states(SPEC_GBM2, [[1.0, 1.0 - t]], 3,
+                              np.arange(n_paths))
     return x
 
 
@@ -458,13 +481,13 @@ class TestSumDigital:
             v, dl, g = Factor1D("digital", K=1.0 / lam[k],
                                 s=(1.0, 0.7)[k]).value_delta_gamma(
                 1.0 - 0.2, x[:, k])
-            assert np.array_equal(sd.value(0.2, x), v)
+            assert np.array_equal(sd.value(1.0 - 0.2, x), v)
             grad = np.zeros_like(x)
             grad[:, k] = dl
-            assert np.array_equal(sd.gradient(0.2, x), grad)
+            assert np.array_equal(sd.gradient(1.0 - 0.2, x), grad)
             hess = np.zeros((3, 2, 2))
             hess[:, k, k] = g
-            assert np.array_equal(sd.hessian(0.2, x), hess)
+            assert np.array_equal(sd.hessian(1.0 - 0.2, x), hess)
 
     @pytest.mark.parametrize("K, s", [
         (-1.0, (1.0, 1.0)), (0.0, (1.0, 1.0)), (np.nan, (1.0, 1.0)),
@@ -476,11 +499,11 @@ class TestSumDigital:
 
     def test_value_vs_monte_carlo(self):
         sd = SumDigital2D(2.0, (1.0, 1.0), (1.0, 1.0), 1.0)
-        [(_, _, xT)] = path_states(SPEC_GBM2, [[0.0, 1.0]], 77,
+        [(_, _, xT)] = path_states(SPEC_GBM2, [[1.0, 0.0]], 77,
                                    np.arange(2_000_000))
         pay = (xT.sum(axis=1) >= 2.0).astype(float)
         se = pay.std(ddof=1) / np.sqrt(pay.size)
-        v = sd.value(0.0, np.array([[1.0, 1.0]]))[0]
+        v = sd.value(1.0, np.array([[1.0, 1.0]]))[0]
         assert abs(v - pay.mean()) < 3.0 * se
 
     def test_symmetry(self):
@@ -522,18 +545,19 @@ class TestSumDigital:
         # The gradient and the Hessian are integrands of the value's
         # quadrature; central differences of the value, extrapolated, must
         # agree with them to 1e-8 of each Greek's largest |entry| over 256
-        # states. Steps are 1/5 of the log-price scale x s sqrt(T - t).
-        # Measured: at most 1.3e-9 (a diagonal entry at t = 0.95).
+        # states at the date t. Steps are 1/5 of the log-price scale
+        # x s sqrt(tau). Measured: at most 1.3e-9 (a diagonal entry at
+        # t = 0.95).
         sd = SumDigital2D(2.0, (1.0, 1.0), (1.0, 1.0), 1.0)
-        x = gbm2_states(t, 256)
-        h = 0.2 * np.sqrt(1.0 - t) * x
+        x, tau = gbm2_states(t, 256), 1.0 - t
+        h = 0.2 * np.sqrt(tau) * x
 
         def value(a, b):
-            return sd.value(t, x + h * [a, b])
+            return sd.value(tau, x + h * [a, b])
 
         v0 = value(0.0, 0.0)
         e = np.eye(2)
-        grad, hess = sd.gradient(t, x), sd.hessian(t, x)
+        grad, hess = sd.gradient(tau, x), sd.hessian(tau, x)
         assert np.array_equal(hess[:, 0, 1], hess[:, 1, 0])
         greeks, fd = [], []
         for k in range(2):
@@ -559,9 +583,9 @@ class TestSumDigital:
         # passes. The value and gradient converge up to t = 0.99, the
         # Hessian up to t = 0.98.
         sd = SumDigital2D(2.0, (1.0, 1.0), (1.0, 1.0), 1.0)
-        x = gbm2_states(t, 16384)
-        greeks = ((sd.value(t, x), sd.gradient(t, x)) if t == 0.99
-                  else (sd.hessian(t, x),))
+        x, tau = gbm2_states(t, 16384), 1.0 - t
+        greeks = ((sd.value(tau, x), sd.gradient(tau, x)) if t == 0.99
+                  else (sd.hessian(tau, x),))
         assert all(np.all(np.isfinite(g)) for g in greeks)
 
     def test_quadrature_error_when_unreachable(self, monkeypatch):
@@ -574,18 +598,18 @@ class TestSumDigital:
 class TestBMQuadratic:
     def test_values(self):
         p = BMQuadratic(1, 1.0)
-        assert p.value(0.0, np.array([[0.0]]))[0] == 1.0
+        assert p.value(1.0, np.array([[0.0]]))[0] == 1.0
         assert np.array_equal(
-            p.gradient(0.0, np.array([[1.0, 2.0][:1]])), [[2.0]]
+            p.gradient(1.0, np.array([[1.0, 2.0][:1]])), [[2.0]]
         )
         p2 = BMQuadratic(2, 1.0)
-        assert np.array_equal(p2.gradient(0.0, np.array([[1.0, 2.0]])), [[2.0, 4.0]])
+        assert np.array_equal(p2.gradient(1.0, np.array([[1.0, 2.0]])), [[2.0, 4.0]])
 
     def test_pde_identity_exact(self):
         # dF/dt = -d and (1/2) tr(2I) = d cancel exactly
         p = BMQuadratic(3, 1.0)
         x = np.array([[0.3, -0.2, 1.0]])
-        h = p.hessian(0.0, x)[0]
+        h = p.hessian(1.0, x)[0]
         assert -p.d + 0.5 * np.trace(h) == 0.0
 
 
@@ -616,11 +640,11 @@ class TestStatisticalInvariants:
     def test_martingale_tracking(self, key, params):
         pr = make_pricing(key, params, 1.0)
         spec = gbm_diagonal(1, 1.0, 1.0)
-        v0 = pr.value(0.0, np.array([[1.0]]))[0]
+        v0 = pr.value(1.0, np.array([[1.0]]))[0]
         for t in (0.25, 0.75):
-            [(_, _, x)] = path_states(spec, [[0.0, t]], 31,
+            [(_, _, x)] = path_states(spec, [[1.0, 1.0 - t]], 31,
                                       np.arange(100000))
-            v = pr.value(t, x)
+            v = pr.value(1.0 - t, x)
             se = v.std(ddof=1) / np.sqrt(v.size)
             assert abs(v.mean() - v0) < 3.0 * se
 
@@ -630,9 +654,9 @@ class TestStatisticalInvariants:
         gaps = []
         for eps in (0.1, 0.01, 0.001):
             (_, _, x), (_, _, xT) = path_states(
-                spec, [[0.0, 1.0 - eps, 1.0]], 41, np.arange(100000)
+                spec, [[1.0, eps, 0.0]], 41, np.arange(100000)
             )
-            v = pr.value(1.0 - eps, x)
+            v = pr.value(eps, x)
             f = pr.payoff(xT)
             d = (v - f) ** 2
             gaps.append((d.mean(), d.std(ddof=1) / np.sqrt(d.size)))
@@ -640,17 +664,17 @@ class TestStatisticalInvariants:
             assert m2 < m1 + 2.0 * (s1 + s2)
 
     def test_digital_gamma_blowup_slope(self):
-        # E[(x^2 F'')^2] ~ (T-t)^{-1.5}
+        # E[(x^2 F'')^2] ~ tau^{-1.5}
         spec = gbm_diagonal(1, 1.0, 1.0)
-        ts = 1.0 - np.geomspace(0.5, 0.001, 12)
+        taus = np.geomspace(0.5, 0.001, 12)
         ms = []
-        for t in ts:
-            [(_, _, x)] = path_states(spec, [[0.0, t]], 51,
+        for tau in taus:
+            [(_, _, x)] = path_states(spec, [[1.0, tau]], 51,
                                       np.arange(100000))
             x = x[:, 0]
-            g = x * x * DIGITAL.value_delta_gamma(1.0 - t, x)[2]
+            g = x * x * DIGITAL.value_delta_gamma(tau, x)[2]
             ms.append((g * g).mean())
-        slope = np.polyfit(np.log(1.0 - ts), np.log(ms), 1)[0]
+        slope = np.polyfit(np.log(taus), np.log(ms), 1)[0]
         assert slope == pytest.approx(-1.5, abs=0.15)
 
 
@@ -671,10 +695,11 @@ class TestMakePricing:
         ("call", {}), ("digital", {}), ("power", {}),
         ("product", {"factors": [{"kind": "call"}, {"kind": "power"}]}),
         ("sum_digital_2d", {}), ("bm_quadratic", {"d": 2}),
-        # no factor of this product checks the time, the product does
+        # a product of const factors checks tau too
         ("product", {"factors": [{"kind": "const"}, {"kind": "const"}]}),
     ])
     def test_rejects_maturity(self, key, params, method):
         pr = make_pricing(key, params, 1.0)
-        with pytest.raises(ValueError, match="defined for t < T only"):
-            getattr(pr, method)(1.0, np.ones((3, pr.d)))
+        for tau in (0.0, -0.5, np.nan):
+            with pytest.raises(ValueError, match="tau > 0"):
+                getattr(pr, method)(tau, np.ones((3, pr.d)))

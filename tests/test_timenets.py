@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 import hedgenet.timenets as tn
+from hedgenet.pricing import make_pricing
 from hedgenet.timenets import (
     TimeNet,
     equidistant_net,
@@ -13,26 +16,36 @@ from hedgenet.timenets import (
 
 
 class TestTimeNetValidation:
+    # a net holds times to maturity, from T down to 0
     def test_rejects_nonzero_start(self):
-        with pytest.raises(ValueError):
-            TimeNet(1.0, np.array([0.1, 1.0]))
+        with pytest.raises(ValueError, match="from exactly T to 0"):
+            TimeNet(1.0, np.array([0.9, 0.0]))
 
     def test_rejects_wrong_end(self):
-        with pytest.raises(ValueError):
-            TimeNet(1.0, np.array([0.0, 0.9]))
+        with pytest.raises(ValueError, match="from exactly T to 0"):
+            TimeNet(1.0, np.array([1.0, 0.1]))
 
     def test_rejects_non_monotone(self):
-        with pytest.raises(ValueError):
-            TimeNet(1.0, np.array([0.0, 0.5, 0.5, 1.0]))
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            TimeNet(1.0, np.array([1.0, 0.5, 0.5, 0.0]))
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            TimeNet(1.0, np.array([1.0, 0.3, 0.6, 0.0]))
 
     def test_rejects_single_knot(self):
         with pytest.raises(ValueError):
-            TimeNet(1.0, np.array([0.0]))
+            TimeNet(1.0, np.array([1.0]))
 
     def test_knots_are_frozen(self):
         net = equidistant_net(1.0, 4)
         with pytest.raises(ValueError):
             net.knots[1] = 0.3
+        with pytest.raises(ValueError):
+            net.taus[1] = 0.3
+
+    def test_knots_are_the_dates_of_the_taus(self):
+        net = eta_net(2.0, 8, 0.5)
+        assert np.array_equal(net.knots, 2.0 - net.taus)
+        assert np.array_equal(net.spacings(), net.taus[:-1] - net.taus[1:])
 
 
 class TestEtaNet:
@@ -55,12 +68,10 @@ class TestEtaNet:
             assert net.knots[-1] == 1.0
             assert net.knots.size == n + 1
 
-    def test_knots_rounding_to_maturity_rejected(self):
-        for eta, n in ((0.9, 256), (0.95, 512), (0.99, 64), (0.999, 8)):
-            with pytest.raises(ValueError, match="double precision") as e:
-                eta_net(1.0, n, eta)
-            assert f"eta={eta:g}" in str(e.value)
-            assert f"n={n}" in str(e.value)
+    def test_underflowing_net_rejected(self):
+        with pytest.raises(ValueError, match="underflows to 0") as e:
+            eta_net(1.0, 8, 0.999)
+        assert "eta=0.999" in str(e.value) and "n=8" in str(e.value)
 
     def test_eta_zero_bitwise_equals_equidistant(self):
         for n in (1, 3, 7, 64):
@@ -99,21 +110,21 @@ class TestEquidistant:
 
 class TestRefine:
     def test_trivial_net(self):
-        g = refine(TimeNet(1.0, np.array([0.0, 1.0])), 2)
-        assert np.array_equal(g, [0.0, 0.5, 1.0])
+        g = refine(TimeNet(1.0, np.array([1.0, 0.0])), 2)
+        assert np.array_equal(g, [1.0, 0.5, 0.0])
 
     def test_union_of_grids(self):
-        g = refine(TimeNet(1.0, np.array([0.0, 0.75, 1.0])), 4)
-        assert np.array_equal(g, [0.0, 0.25, 0.5, 0.75, 1.0])
+        g = refine(TimeNet(1.0, np.array([1.0, 0.25, 0.0])), 4)
+        assert np.array_equal(g, [1.0, 0.75, 0.5, 0.25, 0.0])
 
     def test_coincident_grids(self):
-        g = refine(TimeNet(1.0, np.array([0.0, 0.5, 1.0])), 2)
-        assert np.array_equal(g, [0.0, 0.5, 1.0])
+        g = refine(TimeNet(1.0, np.array([1.0, 0.5, 0.0])), 2)
+        assert np.array_equal(g, [1.0, 0.5, 0.0])
 
     def test_contains_all_knots(self):
         net = eta_net(1.0, 8, 0.75)
         g = refine(net, 64)
-        assert np.all(np.isin(net.knots, g))
+        assert np.all(np.isin(net.taus, g))
 
     def test_monotone_refinement(self):
         net = eta_net(1.0, 4, 0.5)
@@ -126,19 +137,18 @@ class TestRefine:
             refine(equidistant_net(1.0, 4), 2)
 
     def test_knot_index_consistency(self):
-        # every fine step lies inside one net interval (t_{i-1}, t_i]
+        # every fine step lies inside one net interval [tau_i, tau_{i-1})
         net = eta_net(1.0, 4, 0.75)
         g = refine(net, 16)
-        idx = np.searchsorted(net.knots, g, side="left")
+        idx = np.searchsorted(-net.taus, -g, side="left")
         for j in range(1, g.size):
             i = idx[j]
-            assert net.knots[i - 1] <= g[j - 1] < g[j] \
-                <= net.knots[i]
+            assert net.taus[i - 1] >= g[j - 1] > g[j] >= net.taus[i]
 
 
 class TestLemmaFunctional:
     def test_single_interval_theta_zero(self):
-        net = TimeNet(1.0, np.array([0.0, 1.0]))
+        net = TimeNet(1.0, np.array([1.0, 0.0]))
         assert lemma_net_functional(net, 0.0) == pytest.approx(0.5)
 
     def test_equidistant_theta_zero(self):
@@ -195,6 +205,50 @@ class TestLemmaFunctional:
         path = tmp_path / "net.csv"
         net.to_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "t"
-        got = np.array([float(v) for v in lines[1:]])
-        assert np.array_equal(got, net.knots)
+        assert lines[0] == "t,tau"
+        got = np.array([[float(v) for v in line.split(",")]
+                        for line in lines[1:]])
+        assert np.array_equal(got[:, 0], net.knots)
+        assert np.array_equal(got[:, 1], net.taus)
+
+
+ETAS = st.floats(0.0, 1.0, exclude_max=True)
+
+# the call, digital and power payoffs at their default strike and vol
+PAYOFFS = [make_pricing(key, {}, 1.0) for key in ("call", "digital", "power")]
+
+
+def _underflows(n, eta):
+    return (1.0 / n) ** (1.0 / (1.0 - eta)) == 0.0
+
+
+class TestEtaNetProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(n=st.integers(1, 4096), eta=ETAS)
+    @example(n=8, eta=0.999)  # underflows
+    @example(n=256, eta=0.9)  # its dates round to T
+    def test_builds_exactly_when_no_tau_underflows(self, n, eta):
+        # an eta-net fails exactly when its last positive time to maturity
+        # underflows; otherwise its times strictly decrease, and the net
+        # with 2n intervals holds them bit for bit at its even indices
+        if _underflows(n, eta):
+            with pytest.raises(ValueError, match="underflows to 0"):
+                eta_net(1.0, n, eta)
+            return
+        taus = eta_net(1.0, n, eta).taus
+        assert taus[0] == 1.0 and taus[-1] == 0.0
+        assert np.all(np.diff(taus) < 0.0)
+        if not _underflows(2 * n, eta):
+            assert eta_net(1.0, 2 * n, eta).taus[::2].tobytes() \
+                == taus.tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 4096), eta=ETAS)
+    @example(n=1500, eta=0.99)  # its last positive tau is subnormal
+    def test_gradients_finite_at_every_tau(self, n, eta):
+        if _underflows(n, eta):
+            return
+        x = np.array([[0.3], [0.9], [1.0], [1.1], [3.0]])
+        for tau in eta_net(1.0, n, eta).taus[:-1]:
+            for p in PAYOFFS:
+                assert np.all(np.isfinite(p.gradient(tau, x))), (p, tau)
