@@ -32,7 +32,6 @@ from .pricing import (
     make_pricing,
 )
 from .hedging import (
-    HedgeExperiment,
     HedgeErrorEstimate,
     ErrorCurvePoint,
     path_error,

@@ -105,6 +105,12 @@ def _pair_moments(spec, pricing, tau, x):
     return mean, stderr
 
 
+def _check_paths(n_paths) -> None:
+    """A standard error needs at least two paths."""
+    if n_paths < 2:
+        raise ValueError(f"need at least two paths, not {n_paths!r}")
+
+
 def default_theta_grid(T: float, n_points: int = 20) -> np.ndarray:
     """20 times to maturity log-spaced over the window [1e-3, T/2]."""
     return np.geomspace(T / 2.0, 1e-3, n_points)
@@ -119,6 +125,7 @@ def estimate_theta(spec, pricing, tau_grid=None, n_paths: int = DEFAULT_N,
     delta-method confidence interval. Grid times whose m estimate is not
     positive stay in ``rows`` but are left out of the fit.
     """
+    _check_paths(n_paths)
     T = pricing.T
     if tau_grid is None:
         tau_grid = default_theta_grid(T)
@@ -154,6 +161,7 @@ def theta_grid_table(fit: ThetaFit, T: float):
 def estimate_h2(spec, pricing, u_grid, n_paths: int = DEFAULT_N,
                 master_seed: int = 0) -> H2Curve:
     """MC curve of H^2(u) = E || sigma(X_u)^T d2F(u, X_u) sigma(X_u) ||_F^2."""
+    _check_paths(n_paths)
     points = []
     u_grid = np.asarray(u_grid, dtype=float)
     taus = pricing.T - u_grid

@@ -30,7 +30,7 @@ from .analysis import (
     fit_rate,
     theta_grid_table,
 )
-from .hedging import error_curve, family_nets, path_error
+from .hedging import M_FACTOR, error_curve, family_nets, path_error
 from .models import SCHEMES, bm_constant, gbm_diagonal
 from .pricing import make_pricing
 from .rng import SeedSpec
@@ -59,7 +59,7 @@ DEFAULT_CONFIG = {
     },
     "engine": {
         "N": 100000,
-        "monitor_factor": 32,
+        "monitor_factor": M_FACTOR,
         "master_seed": 20260823,
         "mode": "terminal",
         "scheme": "exact",
@@ -199,11 +199,18 @@ def _resolve_families(cfg, pricing):
     return out
 
 
+def _count(name, value, least=1):
+    """Reject anything but an integer >= least (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        what = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise UsageError(f"{name} must be {what}, not {value!r}")
+
+
 def _engine_mode(cfg, allowed) -> str:
-    """The engine block's mode, checked with N and the scheme before work."""
-    N = cfg["engine"]["N"]
-    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
-        raise UsageError(f"engine.N must be a positive integer, not {N!r}")
+    """The engine block's mode, checked with the rest of the block before
+    work."""
+    for key in ("N", "monitor_factor", "workers"):
+        _count(f"engine.{key}", cfg["engine"][key])
     scheme = cfg["engine"]["scheme"]
     if scheme not in SCHEMES:
         raise UsageError(f"engine.scheme must be one of {', '.join(SCHEMES)}"
@@ -213,6 +220,22 @@ def _engine_mode(cfg, allowed) -> str:
         raise UsageError(f"engine.mode must be one of {', '.join(allowed)} "
                          f"for this command, not {mode!r}")
     return mode
+
+
+def _analysis(cfg, T) -> dict:
+    """The analysis block, checked before work."""
+    a = cfg["analysis"]
+    _count("analysis.theta_N", a["theta_N"], 2)
+    _count("analysis.theta_points", a["theta_points"], 3)
+    u_grid = a["u_grid"]
+    if u_grid is not None and not (
+        isinstance(u_grid, list) and u_grid
+        and all(isinstance(u, (int, float)) and not isinstance(u, bool)
+                and 0.0 <= u < T for u in u_grid)
+    ):
+        raise UsageError(f"analysis.u_grid must be null or a non-empty list "
+                         f"of dates u with 0 <= u < T, not {u_grid!r}")
+    return a
 
 
 def _sweeps(cfg, spec, pricing, families, mode):
@@ -306,8 +329,9 @@ def cmd_rate(args, cfg, spec, pricing) -> dict:
 
 
 def cmd_theta(args, cfg, spec, pricing) -> dict:
-    grid = default_theta_grid(pricing.T, cfg["analysis"]["theta_points"])
-    fit = estimate_theta(spec, pricing, grid, cfg["analysis"]["theta_N"],
+    a = _analysis(cfg, pricing.T)
+    grid = default_theta_grid(pricing.T, a["theta_points"])
+    fit = estimate_theta(spec, pricing, grid, a["theta_N"],
                          cfg["engine"]["master_seed"])
     eta = choose_eta(min(max(fit.theta_hat, 0.0), 1.0 - 1e-9))
     print(f"theta_hat = {fit.theta_hat:.4f}  eta = {eta:.4f}")
@@ -327,13 +351,12 @@ def cmd_theta(args, cfg, spec, pricing) -> dict:
 
 def cmd_h2(args, cfg, spec, pricing) -> dict:
     T = pricing.T
-    u_grid = cfg["analysis"]["u_grid"]
+    a = _analysis(cfg, T)
+    u_grid = a["u_grid"]
     if u_grid is None:
         u_grid = list(np.linspace(0.1 * T, 0.9 * T, 9))
-    curve = estimate_h2(
-        spec, pricing, u_grid, cfg["analysis"]["theta_N"],
-        cfg["engine"]["master_seed"],
-    )
+    curve = estimate_h2(spec, pricing, u_grid, a["theta_N"],
+                        cfg["engine"]["master_seed"])
     h2_min, se_min = curve.infimum()
     print(f"inf H^2 = {h2_min:.5g} (stderr {se_min:.2g})")
     return {
@@ -376,11 +399,11 @@ def cmd_simulate(args, cfg, spec, pricing) -> dict:
     if args.dump_paths:
         net = eta_net(pricing.T, int(cfg["nets"]["n_list"][0]),
                       families[0][1])
-        M = eng["monitor_factor"] * net.n_intervals
         artifacts["path_errors.csv"] = (
             ["path", "terminal_error", "sup_abs_error"],
             [
-                (str(i), *path_error(spec, pricing, net, M,
+                (str(i), *path_error(spec, pricing, net,
+                                     eng["monitor_factor"],
                                      SeedSpec(eng["master_seed"], i),
                                      eng["scheme"]))
                 for i in range(min(args.dump_paths, eng["N"]))

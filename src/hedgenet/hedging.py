@@ -6,6 +6,13 @@ exactly, so only the discrete hedge sum is ever accumulated and the
 continuous side is never discretized. At t = T the terminal value f(X_T)
 replaces F. Grids and prices are in the time to maturity tau = T - t.
 
+``estimate_sweep`` is the engine: one set of settings (model, payoff, path
+count, seed, error mode, scheme) and one list of nets per family. In the
+running-sup modes a net of n intervals is monitored on
+``refine(net, monitor_factor * n)``, so M = monitor_factor * n. An eta of 0
+is the equidistant net. ``estimate_l2_error`` is the sweep of one net and
+``error_curve`` the sweep of one eta-net family per eta.
+
 One path stream serves every net of a sweep. Each batch of paths is
 simulated once on the sorted union of the nets' grids (their knots, or
 their monitoring grids in running-sup modes), and every net keeps its own
@@ -35,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .models import DiffusionSpec, check_scheme, path_states
+from .models import check_scheme, path_states
 from .rng import SeedSpec
 from .timenets import TimeNet, eta_net, refine
 
@@ -44,7 +51,6 @@ from .models import exact_step  # noqa: F401
 from .rng import normals  # noqa: F401
 
 __all__ = [
-    "HedgeExperiment",
     "HedgeErrorEstimate",
     "ErrorCurvePoint",
     "path_error",
@@ -62,52 +68,6 @@ M_FACTOR = 32
 
 #: contiguous path-index groups of the delete-one-group jackknife
 JACKKNIFE_GROUPS = 16
-
-
-@dataclass(frozen=True)
-class HedgeExperiment:
-    """One hedging-error Monte Carlo run."""
-
-    spec: DiffusionSpec
-    pricing: object
-    net: TimeNet
-    n_paths: int
-    master_seed: int
-    error_mode: str = "terminal"  # "terminal" | "running_sup" | "both"
-    monitor_points: Optional[int] = None  # M; defaults to M_FACTOR * n
-    scheme: str = "exact"  # "exact" | "euler"
-
-    def __post_init__(self):
-        if self.error_mode not in ("terminal", "running_sup", "both"):
-            raise ValueError("unknown error mode")
-        check_scheme(self.spec, self.scheme)
-        if self.pricing.T != self.net.horizon:
-            raise ValueError("pricing horizon must equal the net horizon")
-        if self.spec.d != self.pricing.d:
-            raise ValueError("diffusion and payoff dimensions differ")
-        if self.n_paths < 1:
-            raise ValueError("need at least one path")
-        if (
-            self.monitor_points is not None
-            and self.monitor_points < self.net.n_intervals
-        ):
-            raise ValueError("monitor points must be >= the net cardinality")
-
-    @property
-    def needs_sup(self) -> bool:
-        return self.error_mode in ("running_sup", "both")
-
-    @property
-    def modes(self) -> tuple:
-        if self.error_mode == "both":
-            return ("terminal", "running_sup")
-        return (self.error_mode,)
-
-    def monitoring_grid(self) -> np.ndarray:
-        M = self.monitor_points
-        if M is None:
-            M = M_FACTOR * self.net.n_intervals
-        return refine(self.net, M)
 
 
 def _group_bounds(n_paths: int) -> list:
@@ -290,14 +250,22 @@ def _batch_errors(spec, pricing, plans, master_seed, path_indices, scheme):
     ]
 
 
-def path_error(spec, pricing, net: TimeNet, monitor_points: int,
+def _check_count(name, value) -> None:
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1):
+        raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+
+
+def path_error(spec, pricing, net: TimeNet, monitor_factor: int,
                seed: SeedSpec, scheme: str = "exact"):
     """(terminal_error, sup_abs_error) of a single hedged path.
 
-    The supremum is taken over ``refine(net, monitor_points)``, with the
+    The supremum is taken over ``refine(net, monitor_factor * n)``, with the
     tau = 0 value computed from the terminal payoff.
     """
-    plan = _plan([refine(net, monitor_points)], [net.taus], want_sup=True)
+    _check_count("monitor_factor", monitor_factor)
+    plan = _plan([refine(net, monitor_factor * net.n_intervals)],
+                 [net.taus], want_sup=True)
     [[(terminal, sup)]] = _batch_errors(
         spec, pricing, [plan], seed.master_seed,
         np.array([seed.path_index], dtype=np.uint64), scheme,
@@ -305,14 +273,11 @@ def path_error(spec, pricing, net: TimeNet, monitor_points: int,
     return float(terminal[0]), float(sup[0])
 
 
-def _run_batches(exp: HedgeExperiment, plans, workers: int):
+def _run_batches(spec, pricing, plans, n_paths, master_seed, scheme, modes,
+                 workers):
     """Per batch, plan and net, for each mode: exact sums of e^2 and e^4,
     and the exact sum of e^2 over each jackknife group the batch overlaps.
-
-    ``exp`` gives the settings the sweeps' experiments share; the nets come
-    from ``plans``.
     """
-    n_paths = exp.n_paths
     bounds = _group_bounds(n_paths)
     n_batches = -(-n_paths // BATCH_SIZE)
 
@@ -320,9 +285,7 @@ def _run_batches(exp: HedgeExperiment, plans, workers: int):
         lo = b * BATCH_SIZE
         hi = min(lo + BATCH_SIZE, n_paths)
         idx = np.arange(lo, hi, dtype=np.uint64)
-        errors = _batch_errors(
-            exp.spec, exp.pricing, plans, exp.master_seed, idx, exp.scheme,
-        )
+        errors = _batch_errors(spec, pricing, plans, master_seed, idx, scheme)
         cuts = [
             (g, max(a, lo) - lo, min(c, hi) - lo)
             for g, (a, c) in enumerate(zip(bounds, bounds[1:]))
@@ -333,7 +296,7 @@ def _run_batches(exp: HedgeExperiment, plans, workers: int):
             plan_sums = []
             for terminal, sup in plan_errors:
                 sums = {}
-                for mode in exp.modes:
+                for mode in modes:
                     e = terminal if mode == "terminal" else sup
                     e2 = e * e
                     # fsum reads a list faster than an array; each list is
@@ -370,113 +333,105 @@ def _summarize(batch_sums, mode, n_paths) -> HedgeErrorEstimate:
     )
 
 
-def estimate_sweep(sweeps: Sequence[Sequence[HedgeExperiment]],
-                   workers: int = 1):
-    """MC estimates for sweeps of experiments that differ only in their
-    net, all in one pass.
+def estimate_sweep(spec, pricing, families: Sequence[Sequence[TimeNet]],
+                   n_paths: int, master_seed: int,
+                   error_mode: str = "terminal", scheme: str = "exact",
+                   workers: int = 1, monitor_factor: int = M_FACTOR):
+    """MC estimates of E|error|^2 on every net of every family, in one pass.
 
-    Every batch of paths is simulated once per sweep on the union of the
-    sweep's grids and hedged on each of its nets, so the estimates of a
-    sweep share common random numbers. The sweeps share the paths too, each
-    sampled on its own union grid, and their streams advance in lockstep so
-    the normals of a step index are drawn once for all of them. Every
-    estimate equals the one a separate pass of its sweep gives. Returns,
-    per sweep, one dict per experiment, keyed by mode like
-    ``estimate_l2_error``. Results are bitwise independent of the worker
+    ``error_mode`` is "terminal", "running_sup" or "both"; in the running-sup
+    modes a net of n intervals takes its supremum over
+    ``refine(net, monitor_factor * n)``. Every argument is checked before
+    any path is drawn.
+
+    Every batch of paths is simulated once per family on the union of the
+    family's grids and hedged on each of its nets, so the estimates of a
+    family share common random numbers. The families share the paths too,
+    each sampled on its own union grid, and their streams advance in
+    lockstep so the normals of a step index are drawn once for all of them.
+    Every estimate equals the one a separate pass of its family gives.
+    Returns, per family, one dict per net, keyed by mode, of
+    HedgeErrorEstimate. Results are bitwise independent of the worker
     count.
     """
-    sweeps = [list(exps) for exps in sweeps]
-    if not sweeps or not all(sweeps):
-        raise ValueError("need at least one experiment per sweep")
-    first = sweeps[0][0]
-    for e in (e for exps in sweeps for e in exps):
-        if not (
-            e.spec is first.spec and e.pricing is first.pricing
-            and (e.n_paths, e.master_seed, e.error_mode, e.scheme)
-            == (first.n_paths, first.master_seed, first.error_mode,
-                first.scheme)
-        ):
-            raise ValueError("a sweep's experiments may differ only in net "
-                             "and monitor points")
+    if error_mode not in ("terminal", "running_sup", "both"):
+        raise ValueError(f"unknown error mode {error_mode!r}")
+    check_scheme(spec, scheme)
+    _check_count("n_paths", n_paths)
+    _check_count("monitor_factor", monitor_factor)
+    families = [list(nets) for nets in families]
+    if any(net.horizon != pricing.T for nets in families for net in nets):
+        raise ValueError("pricing horizon must equal the net horizon")
+    if spec.d != pricing.d:
+        raise ValueError("diffusion and payoff dimensions differ")
+    if not families or not all(families):
+        raise ValueError("need at least one net per family")
+    modes = (("terminal", "running_sup") if error_mode == "both"
+             else (error_mode,))
+    want_sup = error_mode != "terminal"
     plans = [
         _plan(
-            [e.monitoring_grid() if e.needs_sup else e.net.taus
-             for e in exps],
-            [e.net.taus for e in exps],
-            first.needs_sup,
+            [refine(net, monitor_factor * net.n_intervals) if want_sup
+             else net.taus for net in nets],
+            [net.taus for net in nets],
+            want_sup,
         )
-        for exps in sweeps
+        for nets in families
     ]
-    results = _run_batches(first, plans, workers)
+    results = _run_batches(spec, pricing, plans, n_paths, master_seed,
+                           scheme, modes, workers)
     return [
-        [{m: _summarize([r[k][i] for r in results], m, first.n_paths)
-          for m in first.modes}
-         for i in range(len(exps))]
-        for k, exps in enumerate(sweeps)
+        [{m: _summarize([r[k][i] for r in results], m, n_paths)
+          for m in modes}
+         for i in range(len(nets))]
+        for k, nets in enumerate(families)
     ]
 
 
-def estimate_l2_error(exp: HedgeExperiment, workers: int = 1):
-    """MC estimates of E|error|^2, one HedgeErrorEstimate per requested mode.
-
-    Returns a dict keyed by mode ("terminal" and/or "running_sup"). Results
-    are bitwise independent of the worker count.
-    """
-    return estimate_sweep([[exp]], workers)[0][0]
-
-
-def family_nets(T: float, n_list: Sequence[int], eta: Optional[float]):
-    """One eta-net per n; eta None or 0 gives the equidistant net."""
-    return [eta_net(T, int(n), float(eta or 0.0)) for n in n_list]
+def estimate_l2_error(spec, pricing, net: TimeNet, n_paths: int,
+                      master_seed: int, error_mode: str = "terminal",
+                      scheme: str = "exact", workers: int = 1,
+                      monitor_factor: int = M_FACTOR):
+    """MC estimates of E|error|^2 on one net: ``estimate_sweep`` of the one
+    family [net]. Returns a dict keyed by mode of HedgeErrorEstimate."""
+    return estimate_sweep(spec, pricing, [[net]], n_paths, master_seed,
+                          error_mode, scheme, workers, monitor_factor)[0][0]
 
 
-def error_curve(spec, pricing, n_list: Sequence[int],
-                etas: Sequence[Optional[float]], n_paths: int,
-                master_seed: int, error_mode: str = "terminal",
+def family_nets(T: float, n_list: Sequence[int], eta: float):
+    """One eta-net per n; eta = 0 gives the equidistant net."""
+    return [eta_net(T, int(n), eta) for n in n_list]
+
+
+def error_curve(spec, pricing, n_list: Sequence[int], etas: Sequence[float],
+                n_paths: int, master_seed: int, error_mode: str = "terminal",
                 scheme: str = "exact", workers: int = 1,
                 monitor_factor: int = M_FACTOR):
     """Sweep the net cardinality n of each family and estimate the error at
     each n.
 
-    ``etas`` lists the families: eta None (or 0) selects the equidistant
-    one. The sweeps are one pass of ``estimate_sweep``: every n of a family
-    is hedged on the same paths, sampled on the union of the family's nets'
-    grids (with ``scheme="euler"``, the Euler scheme on that union grid).
-    These common random numbers correlate the points across n;
-    ``fit_rate`` takes their ``jackknife_rms`` for a valid slope CI. Every
-    family sees the same paths and draws the normals of each step index
-    once, so its points equal those of a call with that family alone. The
-    largest n of a nested sweep (n_list = 8, 16, ..., 512) gets exactly its
-    standalone estimate.
+    ``etas`` lists the families: eta = 0 is the equidistant one. The sweeps
+    are one pass of ``estimate_sweep``: every n of a family is hedged on the
+    same paths, sampled on the union of the family's nets' grids (with
+    ``scheme="euler"``, the Euler scheme on that union grid). These common
+    random numbers correlate the points across n; ``fit_rate`` takes their
+    ``jackknife_rms`` for a valid slope CI. Every family sees the same paths
+    and draws the normals of each step index once, so its points equal
+    those of a call with that family alone. The largest n of a nested sweep
+    (n_list = 8, 16, ..., 512) gets exactly its standalone estimate.
     Returns, per eta, one ErrorCurvePoint per n, carrying an estimate per
     requested mode.
     """
     if list(n_list) != sorted(n_list):
         raise ValueError("n_list must be ascending")
-    sweeps = [
-        [
-            HedgeExperiment(
-                spec=spec, pricing=pricing, net=net, n_paths=n_paths,
-                master_seed=master_seed, error_mode=error_mode,
-                scheme=scheme,
-                monitor_points=(
-                    None if error_mode == "terminal"
-                    else monitor_factor * net.n_intervals
-                ),
-            )
-            for net in family_nets(pricing.T, n_list, eta)
-        ]
-        for eta in etas
-    ]
+    families = [family_nets(pricing.T, n_list, eta) for eta in etas]
+    ests = estimate_sweep(spec, pricing, families, n_paths, master_seed,
+                          error_mode, scheme, workers, monitor_factor)
     return [
         [
-            ErrorCurvePoint(
-                n=e.net.n_intervals, estimates=est,
-                family="equidistant" if not eta else "eta",
-                eta=float(eta or 0.0),
-            )
-            for e, est in zip(exps, ests)
+            ErrorCurvePoint(n=net.n_intervals, estimates=est,
+                            family="eta" if eta else "equidistant", eta=eta)
+            for net, est in zip(nets, fam_ests)
         ]
-        for eta, exps, ests in zip(etas, sweeps,
-                                   estimate_sweep(sweeps, workers))
+        for eta, nets, fam_ests in zip(etas, families, ests)
     ]

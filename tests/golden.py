@@ -1,0 +1,136 @@
+"""Golden artifacts: the benchmark workloads' data files, pinned by digest.
+
+The four workloads of ``perfbench/workloads.py`` (their CLI configs, here at
+N = 4096 paths) run through ``hedgenet.cli.main`` at seeds 1 and 7. Every
+data artifact is hashed with SHA-256: ``rate_fit.csv``, ``summary.json`` and
+``theta_fit.csv`` as written, ``experiments.csv`` without its ``wall_ms``
+column (a timing). ``golden_digests.json`` holds the digests together with
+the numpy and scipy versions that made them; ``test_golden.py`` compares.
+
+A change that moves numbers on purpose regenerates the digests with
+
+    PYTHONPATH=src python tests/golden.py
+
+and names every moved artifact, with its largest relative change.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+from hedgenet.cli import main as hedgenet
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+
+SEEDS = (1, 7)
+
+#: paths per workload; power_theta keeps enough rows for its table route
+N = 4096
+
+GBM1 = {"case": "C2", "d": 1, "s": [1.0], "x0": [1.0]}
+GBM3 = {"case": "C2", "d": 3, "s": [1.0, 1.0, 1.0], "x0": [1.0, 1.0, 1.0]}
+
+#: name: (command, config without the seed, --workers flag)
+WORKLOADS = {
+    "digital_rate": ("rate", {
+        "model": GBM1,
+        "payoff": {"key": "digital", "params": {"K": 1.0}, "T": 1.0},
+        "nets": {"families": [{"family": "equidistant"},
+                              {"family": "eta", "eta": "auto"}],
+                 "n_list": [8, 16, 32, 64, 128, 256, 512]},
+        "engine": {"N": N},
+    }, 1),
+    "product3_rate": ("rate", {
+        "model": GBM3,
+        "payoff": {"key": "product", "T": 1.0, "params": {"factors": [
+            {"kind": "call", "K": 1.0},
+            {"kind": "power", "K": 1.0, "alpha": 0.25},
+            {"kind": "digital", "K": 1.0},
+        ]}},
+        "nets": {"families": [{"family": "eta", "eta": 0.75},
+                              {"family": "equidistant"}],
+                 "n_list": [8, 16, 32, 64, 128]},
+        "engine": {"N": N},
+    }, 1),
+    "call_sup": ("simulate", {
+        "model": GBM1,
+        "payoff": {"key": "call", "params": {"K": 1.0}, "T": 1.0},
+        "nets": {"families": [{"family": "equidistant"}],
+                 "n_list": [4, 16, 64]},
+        "engine": {"N": N, "mode": "both", "monitor_factor": 32},
+    }, 2),
+    "power_theta": ("theta", {
+        "model": GBM1,
+        "payoff": {"key": "power", "params": {"K": 1.0, "alpha": 0.25},
+                   "T": 1.0},
+        "analysis": {"theta_points": 20, "theta_N": N},
+    }, None),
+}
+
+ARTIFACTS = {
+    "rate": ("rate_fit.csv", "summary.json"),
+    "simulate": ("experiments.csv", "summary.json"),
+    "theta": ("theta_fit.csv", "summary.json"),
+}
+
+
+def versions() -> dict:
+    return {"numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def _drop_wall_ms(data: bytes) -> bytes:
+    lines = data.decode().splitlines()
+    col = lines[0].split(",").index("wall_ms")
+    return "\n".join(
+        ",".join(c for i, c in enumerate(line.split(",")) if i != col)
+        for line in lines
+    ).encode()
+
+
+def workload_digests(name: str, work_dir) -> dict:
+    """{"<seed>/<artifact>": sha256} of one workload at every seed.
+
+    The run must not see a ``HEDGENET_SEED`` override.
+    """
+    command, config, workers = WORKLOADS[name]
+    out = {}
+    for seed in SEEDS:
+        cfg = json.loads(json.dumps(config))
+        cfg.setdefault("engine", {})["master_seed"] = seed
+        run = Path(work_dir) / f"{name}-{seed}"
+        cfg_path = run.with_suffix(".json")
+        cfg_path.write_text(json.dumps(cfg))
+        args = [command, "--config", str(cfg_path), "--out", str(run)]
+        if workers is not None:
+            args += ["--workers", str(workers)]
+        if hedgenet(args) != 0:
+            raise RuntimeError(f"{name} at seed {seed} failed")
+        for artifact in ARTIFACTS[command]:
+            data = (run / artifact).read_bytes()
+            if artifact == "experiments.csv":
+                data = _drop_wall_ms(data)
+            out[f"{seed}/{artifact}"] = hashlib.sha256(data).hexdigest()
+    return out
+
+
+def main() -> int:
+    os.environ.pop("HEDGENET_SEED", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {name: workload_digests(name, tmp) for name in WORKLOADS}
+    DIGESTS.write_text(json.dumps({"versions": versions(),
+                                   "digests": digests},
+                                  indent=2, sort_keys=True) + "\n")
+    print(f"wrote {DIGESTS}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

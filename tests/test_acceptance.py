@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hedgenet.analysis import _states_at, estimate_h2, estimate_theta, fit_rate
-from hedgenet.hedging import HedgeExperiment, error_curve, estimate_l2_error
+from hedgenet.hedging import error_curve, estimate_l2_error
 from hedgenet.models import bm_constant, gbm_diagonal
 from hedgenet.oracle import analytic_quadratic_error, pde_residual
 from hedgenet.pricing import BMQuadratic, Factor1D, make_pricing
@@ -56,14 +56,11 @@ def test_criterion_01_quadratic_analytic_oracle(capsys):
     for d in (1, 3):
         spec = bm_constant(np.eye(d), np.zeros(d))
         pricing = BMQuadratic(d, 1.0)
-        for eta in (None, 0.5):
+        for eta in (0.0, 0.5):
             for n in (1, 4, 16):
-                net = (equidistant_net(1.0, n) if eta is None
-                       else eta_net(1.0, n, eta))
-                est = estimate_l2_error(
-                    HedgeExperiment(spec, pricing, net, 100000, 101),
-                    workers=WORKERS,
-                )["terminal"]
+                net = eta_net(1.0, n, eta)
+                est = estimate_l2_error(spec, pricing, net, 100000, 101,
+                                        workers=WORKERS)["terminal"]
                 cf = analytic_quadratic_error(net, d, 1.0)
                 worst = max(
                     worst, abs(est.mean_sq - cf) / est.stderr_mean_sq
@@ -73,7 +70,7 @@ def test_criterion_01_quadratic_analytic_oracle(capsys):
 
 
 def test_criterion_02_digital_equidistant_quarter_rate(capsys):
-    slope = _slope(SPEC_GBM, DIGITAL, None, 200000, 202)
+    slope = _slope(SPEC_GBM, DIGITAL, 0.0, 200000, 202)
     _verdict(capsys, 2, "digital equidistant", -0.31 <= slope <= -0.19,
              f"slope {slope:+.4f}, window [-0.31, -0.19]")
 
@@ -85,7 +82,7 @@ def test_criterion_03_digital_eta_net_half_rate(capsys):
 
 
 def test_criterion_04_call_equidistant_half_rate(capsys):
-    slope = _slope(SPEC_GBM, CALL, None, 200000, 202)
+    slope = _slope(SPEC_GBM, CALL, 0.0, 200000, 202)
     _verdict(capsys, 4, "call equidistant", -0.56 <= slope <= -0.44,
              f"slope {slope:+.4f}, window [-0.56, -0.44]")
 
@@ -97,7 +94,7 @@ def test_criterion_05_product_payoff_eta_net(capsys):
         {"kind": "digital", "K": 1.0, "s": 1.0},
     ]}, 1.0)
     spec = gbm_diagonal(3, 1.0, np.ones(3))
-    slope, slope_eq = _slopes(spec, pricing, [0.75, None], 100000, 205)
+    slope, slope_eq = _slopes(spec, pricing, [0.75, 0.0], 100000, 205)
     _verdict(capsys, 5, "3-factor product eta=0.75",
              -0.58 <= slope <= -0.42,
              f"slope {slope:+.4f}, window [-0.58, -0.42]; "
@@ -169,11 +166,8 @@ def test_criterion_09_doob_sup_comparison(capsys):
     for name, pricing in (("digital", DIGITAL), ("call", CALL)):
         for n in (4, 64):
             est = estimate_l2_error(
-                HedgeExperiment(
-                    SPEC_GBM, pricing, equidistant_net(1.0, n), 50000, 209,
-                    error_mode="both", monitor_points=32 * n,
-                ),
-                workers=WORKERS,
+                SPEC_GBM, pricing, equidistant_net(1.0, n), 50000, 209,
+                error_mode="both", workers=WORKERS, monitor_factor=32,
             )
             term, sup = est["terminal"], est["running_sup"]
             noise = (term.stderr_mean_sq / term.mean_sq
@@ -247,9 +241,9 @@ def test_criterion_11_property_rollup(capsys):
 
     # the estimator is bitwise independent of the worker count
     net = eta_net(1.0, 16, 0.75)
-    exp = HedgeExperiment(SPEC_GBM, DIGITAL, net, 60000, 211)
     vals = {
-        estimate_l2_error(exp, workers=w)["terminal"].mean_sq
+        estimate_l2_error(SPEC_GBM, DIGITAL, net, 60000, 211,
+                          workers=w)["terminal"].mean_sq
         for w in (1, 4, 16)
     }
     checks.append(("worker determinism {1,4,16}", len(vals) == 1))

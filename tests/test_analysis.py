@@ -234,6 +234,18 @@ class TestEstimateH2:
         assert curve.points[0][1] == pytest.approx(mean.sum(), rel=1e-10)
 
 
+@pytest.mark.parametrize("n_paths", [0, 1])
+@pytest.mark.parametrize("estimate", [estimate_theta, estimate_h2])
+def test_a_standard_error_needs_two_paths(estimate, n_paths, monkeypatch):
+    import hedgenet.models as models
+
+    drawn = []
+    monkeypatch.setattr(models, "normals", lambda *a, **k: drawn.append(a))
+    with pytest.raises(ValueError, match="at least two paths"):
+        estimate(SPEC_GBM, DIGITAL, [0.5], n_paths, 3)
+    assert drawn == []
+
+
 class TestOneStepProfile:
     def test_u_equals_a_is_zero(self):
         rows = one_step_profile(SPEC_GBM, DIGITAL, 0.5, [0.5], 1000, 0)

@@ -297,6 +297,36 @@ class TestRateCommand:
             assert message in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("cmd, engine, flags, bad", [
+        ("simulate", {"mode": "running_sup", "monitor_factor": 0}, [],
+         "monitor_factor must be a positive integer, not 0"),
+        ("simulate", {"mode": "running_sup", "monitor_factor": 1.5}, [],
+         "monitor_factor must be a positive integer, not 1.5"),
+        ("simulate", {"mode": "running_sup", "monitor_factor": "x"}, [],
+         "monitor_factor must be a positive integer, not 'x'"),
+        ("rate", {"workers": "two"}, [],
+         "workers must be a positive integer, not 'two'"),
+        ("rate", {"workers": 0}, [],
+         "workers must be a positive integer, not 0"),
+        ("rate", {"workers": -3}, [],
+         "workers must be a positive integer, not -3"),
+        ("rate", {"workers": 2.5}, [],
+         "workers must be a positive integer, not 2.5"),
+        ("rate", {}, ["--workers", "0"],
+         "workers must be a positive integer, not 0"),
+    ])
+    def test_engine_counts_are_checked_before_simulating(
+            self, tmp_path, capsys, monkeypatch, cmd, engine, flags, bad):
+        import hedgenet.models as models
+
+        monkeypatch.setattr(models, "normals", None)  # no path is drawn
+        cfg = dict(DIGITAL_CFG, engine=dict(DIGITAL_CFG["engine"], **engine))
+        p = write_config(tmp_path / "d.json", cfg)
+        out = tmp_path / cmd
+        assert main([cmd, "--config", p, "--out", str(out), *flags]) == 2
+        assert f"error: engine.{bad}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dimension_mismatch_is_a_usage_error(self, tmp_path, capsys):
         # a one-asset call on a two-asset model, rejected before any path
         cfg = dict(DIGITAL_CFG, payoff={"key": "call", "params": {},
@@ -359,6 +389,28 @@ class TestThetaH2Commands:
         assert np.isfinite(summary["h2_inf"])
         assert np.isfinite(summary["h2_inf_stderr"])
         assert summary["positive_3se"] is True
+
+    @pytest.mark.parametrize("cmd, analysis, bad", [
+        ("theta", {"theta_N": 0}, "theta_N must be an integer >= 2, not 0"),
+        ("h2", {"theta_N": 0}, "theta_N must be an integer >= 2, not 0"),
+        ("theta", {"theta_N": 1}, "theta_N must be an integer >= 2, not 1"),
+        ("h2", {"theta_N": 1}, "theta_N must be an integer >= 2, not 1"),
+        ("theta", {"theta_points": 2},
+         "theta_points must be an integer >= 3, not 2"),
+        ("h2", {"u_grid": [1.0]}, "u_grid must be null or a non-empty list"),
+        ("h2", {"u_grid": []}, "u_grid must be null or a non-empty list"),
+    ])
+    def test_analysis_block_is_checked_before_work(
+            self, tmp_path, capsys, monkeypatch, cmd, analysis, bad):
+        import hedgenet.models as models
+
+        monkeypatch.setattr(models, "normals", None)  # no path is drawn
+        p = write_config(tmp_path / "d.json",
+                         dict(DIGITAL_CFG, analysis=analysis))
+        out = tmp_path / cmd
+        assert main([cmd, "--config", p, "--out", str(out)]) == 2
+        assert f"error: analysis.{bad}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_digital_zero_strike_is_a_usage_error(self, tmp_path, capsys):
         cfg = dict(DIGITAL_CFG, payoff={"key": "digital",

@@ -9,7 +9,6 @@ from hedgenet.hedging import (
     BATCH_SIZE,
     ErrorCurvePoint,
     HedgeErrorEstimate,
-    HedgeExperiment,
     error_curve,
     estimate_l2_error,
     estimate_sweep,
@@ -20,7 +19,7 @@ from hedgenet.models import bm_constant, gbm_diagonal, general_diffusion
 from hedgenet.oracle import analytic_quadratic_error
 from hedgenet.pricing import BMQuadratic, Factor1D, ProductPricing, make_pricing
 from hedgenet.rng import SeedSpec, normals
-from hedgenet.timenets import equidistant_net, eta_net
+from hedgenet.timenets import equidistant_net, eta_net, refine
 
 SPEC_BM1 = bm_constant(np.eye(1), [0.0])
 QUAD1 = BMQuadratic(1, 1.0)
@@ -32,9 +31,8 @@ class TestPathError:
     def test_single_interval_quadratic(self):
         # n=1, f = x^2 under BM from 0: error = W_1^2 - 1 exactly
         net = equidistant_net(1.0, 1)
-        M = 4
         for i in range(10):
-            term, sup = path_error(SPEC_BM1, QUAD1, net, M, SeedSpec(3, i))
+            term, sup = path_error(SPEC_BM1, QUAD1, net, 4, SeedSpec(3, i))
             # the monitoring grid has 4 steps of size 1/4
             w1 = sum(0.5 * normals(3, i, j, 1)[0] for j in range(4))
             assert term == pytest.approx(w1 * w1 - 1.0, rel=1e-10)
@@ -44,136 +42,159 @@ class TestPathError:
         # driftless forward: delta is constant, discrete hedge is exact
         pr = ProductPricing([Factor1D("call", K=1e-300, s=1.0)], 1.0)
         net = equidistant_net(1.0, 4)
-        M = 16
         for i in range(5):
-            term, sup = path_error(SPEC_GBM, pr, net, M, SeedSpec(8, i))
+            term, sup = path_error(SPEC_GBM, pr, net, 4, SeedSpec(8, i))
             assert abs(term) < 1e-10
             assert sup < 1e-10
 
     def test_reproducible(self):
         net = equidistant_net(1.0, 2)
-        M = 8
-        a = path_error(SPEC_GBM, DIGITAL, net, M, SeedSpec(5, 7))
-        b = path_error(SPEC_GBM, DIGITAL, net, M, SeedSpec(5, 7))
+        a = path_error(SPEC_GBM, DIGITAL, net, 4, SeedSpec(5, 7))
+        b = path_error(SPEC_GBM, DIGITAL, net, 4, SeedSpec(5, 7))
         assert a == b
 
     def test_sup_dominates_terminal(self):
         net = eta_net(1.0, 8, 0.75)
-        M = 64
         for i in range(20):
-            term, sup = path_error(SPEC_GBM, DIGITAL, net, M, SeedSpec(1, i))
+            term, sup = path_error(SPEC_GBM, DIGITAL, net, 8, SeedSpec(1, i))
             assert sup >= abs(term)
 
 
 class TestEstimateL2:
     def test_quadratic_closed_form_n4(self):
         net = equidistant_net(1.0, 4)
-        exp = HedgeExperiment(SPEC_BM1, QUAD1, net, 100000, 42)
-        est = estimate_l2_error(exp)["terminal"]
+        est = estimate_l2_error(SPEC_BM1, QUAD1, net, 100000, 42)["terminal"]
         assert abs(est.mean_sq - 0.5) < 3.0 * est.stderr_mean_sq
         assert est.rms == pytest.approx(np.sqrt(est.mean_sq))
 
     def test_quadratic_d3_additivity(self):
         spec3 = bm_constant(np.eye(3), np.zeros(3))
         net = equidistant_net(1.0, 4)
-        est = estimate_l2_error(
-            HedgeExperiment(spec3, BMQuadratic(3, 1.0), net, 100000, 42)
-        )["terminal"]
+        est = estimate_l2_error(spec3, BMQuadratic(3, 1.0), net, 100000,
+                                42)["terminal"]
         assert abs(est.mean_sq - 1.5) < 3.0 * est.stderr_mean_sq
         assert analytic_quadratic_error(net, 3, 1.0) == pytest.approx(1.5)
 
     def test_prefix_stability(self):
         net = equidistant_net(1.0, 2)
-        M = 8
-        small = estimate_l2_error(
-            HedgeExperiment(SPEC_GBM, DIGITAL, net, 20000, 9)
-        )["terminal"]
+        small = estimate_l2_error(SPEC_GBM, DIGITAL, net, 20000, 9)["terminal"]
         # doubling N keeps the first paths identical, so the means are close
         # and single-path errors are bitwise equal
-        a = path_error(SPEC_GBM, DIGITAL, net, M, SeedSpec(9, 123))
-        big = estimate_l2_error(
-            HedgeExperiment(SPEC_GBM, DIGITAL, net, 40000, 9)
-        )["terminal"]
-        b = path_error(SPEC_GBM, DIGITAL, net, M, SeedSpec(9, 123))
+        a = path_error(SPEC_GBM, DIGITAL, net, 4, SeedSpec(9, 123))
+        big = estimate_l2_error(SPEC_GBM, DIGITAL, net, 40000, 9)["terminal"]
+        b = path_error(SPEC_GBM, DIGITAL, net, 4, SeedSpec(9, 123))
         assert a == b
         assert abs(small.mean_sq - big.mean_sq) < 5.0 * small.stderr_mean_sq
 
     def test_worker_count_invariance(self):
         net = eta_net(1.0, 8, 0.75)
         results = [
-            estimate_l2_error(
-                HedgeExperiment(SPEC_GBM, DIGITAL, net, 50000, 77), workers=w
-            )["terminal"].mean_sq
+            estimate_l2_error(SPEC_GBM, DIGITAL, net, 50000, 77,
+                              workers=w)["terminal"].mean_sq
             for w in (1, 4, 16)
         ]
         assert results[0] == results[1] == results[2]
 
     def test_both_modes(self):
         net = equidistant_net(1.0, 4)
-        exp = HedgeExperiment(
-            SPEC_GBM, DIGITAL, net, 5000, 3, error_mode="both",
-            monitor_points=64,
-        )
-        est = estimate_l2_error(exp)
+        est = estimate_l2_error(SPEC_GBM, DIGITAL, net, 5000, 3,
+                                error_mode="both", monitor_factor=16)
         assert set(est) == {"terminal", "running_sup"}
         assert est["running_sup"].mean_sq >= est["terminal"].mean_sq
 
     def test_monitoring_resolution_stability(self):
         net = equidistant_net(1.0, 8)
         sups = []
-        for M in (128, 256):
-            exp = HedgeExperiment(
+        for factor in (16, 32):  # M = 128, 256
+            sups.append(estimate_l2_error(
                 SPEC_GBM, DIGITAL, net, 50000, 5, error_mode="running_sup",
-                monitor_points=M,
-            )
-            sups.append(estimate_l2_error(exp)["running_sup"])
+                monitor_factor=factor)["running_sup"])
         a, b = sups
         assert abs(a.mean_sq - b.mean_sq) < 3.0 * (
             a.stderr_mean_sq + b.stderr_mean_sq
         )
 
-    def test_validation(self):
-        net = equidistant_net(2.0, 4)  # horizon mismatch
-        with pytest.raises(ValueError):
-            HedgeExperiment(SPEC_GBM, DIGITAL, net, 100, 0)
-        net = equidistant_net(1.0, 4)
-        with pytest.raises(ValueError):
-            HedgeExperiment(SPEC_GBM, DIGITAL, net, 100, 0, monitor_points=2)
-        with pytest.raises(ValueError):
-            HedgeExperiment(SPEC_GBM, DIGITAL, net, 100, 0, error_mode="max")
 
-    def test_scheme_checked_on_construction(self):
-        net = equidistant_net(1.0, 4)
-        with pytest.raises(ValueError, match="scheme must be one of"):
-            HedgeExperiment(SPEC_GBM, DIGITAL, net, 100, 0, scheme="milstein")
-        general = general_diffusion(
-            "C1", 1, [0.0], lambda x: np.ones(x.shape + (1,)))
-        with pytest.raises(ValueError, match="exact sampling"):
-            HedgeExperiment(general, QUAD1, net, 100, 0, scheme="exact")
-        HedgeExperiment(general, QUAD1, net, 100, 0, scheme="euler")
+GENERAL = general_diffusion("C1", 1, [0.0], lambda x: np.ones(x.shape + (1,)))
+
+
+#: one bad argument of the engine each
+BAD_ARGUMENTS = {
+    "mode": {"error_mode": "max"},
+    "scheme": {"scheme": "milstein"},
+    "exact-general": {"spec": GENERAL, "pricing": QUAD1},
+    "no-paths": {"n_paths": 0},
+    "factor-0": {"monitor_factor": 0},
+    "factor-1.5": {"monitor_factor": 1.5},
+    "horizon": {"net": equidistant_net(2.0, 4)},
+    "dimension": {"spec": gbm_diagonal(2, 1.0, 1.0)},
+    "empty-family": {"net": None},
+}
+
+
+class TestValidation:
+    """Every argument of the engine is checked before any path is drawn."""
+
+    # error_curve builds its nets at the payoff's horizon, and
+    # estimate_l2_error takes one net, never an empty family
+    @pytest.mark.parametrize("entry, case", [
+        (entry, case)
+        for entry in ("estimate_sweep", "estimate_l2_error", "error_curve")
+        for case in BAD_ARGUMENTS
+        if (entry, case) not in {("error_curve", "horizon"),
+                                 ("estimate_l2_error", "empty-family")}
+    ])
+    def test_bad_argument_fails_before_any_draw(self, entry, case,
+                                                monkeypatch):
+        import hedgenet.models as models
+
+        drawn = []
+        monkeypatch.setattr(models, "normals",
+                            lambda *a, **k: drawn.append(a))
+        with pytest.raises(ValueError):
+            self.call(entry, **BAD_ARGUMENTS[case])
+        assert drawn == []
+
+    @staticmethod
+    def call(entry, spec=SPEC_GBM, pricing=DIGITAL,
+             net=equidistant_net(1.0, 4), n_paths=100, **kw):
+        if entry == "estimate_sweep":
+            return estimate_sweep(spec, pricing,
+                                  [[] if net is None else [net]],
+                                  n_paths, 0, **kw)
+        if entry == "estimate_l2_error":
+            return estimate_l2_error(spec, pricing, net, n_paths, 0, **kw)
+        return error_curve(spec, pricing,
+                           [] if net is None else [net.n_intervals], [0.0],
+                           n_paths, 0, **kw)
+
+    def test_general_diffusion_runs_euler(self):
+        est = self.call("estimate_l2_error", spec=GENERAL, pricing=QUAD1,
+                        scheme="euler")
+        assert est["terminal"].mean_sq > 0.0
 
 
 class TestErrorCurve:
     def test_quadratic_halves_per_doubling(self):
-        [pts] = error_curve(SPEC_BM1, QUAD1, [1, 2, 4, 8], [None], 50000, 11)
+        [pts] = error_curve(SPEC_BM1, QUAD1, [1, 2, 4, 8], [0.0], 50000, 11)
         for a, b in zip(pts, pts[1:]):
             ratio = b.estimate.mean_sq / a.estimate.mean_sq
             assert ratio == pytest.approx(0.5, abs=0.05)
 
     def test_families_label(self):
-        et, eq = error_curve(SPEC_GBM, DIGITAL, [8, 16], [0.75, None], 2000,
+        et, eq = error_curve(SPEC_GBM, DIGITAL, [8, 16], [0.75, 0.0], 2000,
                              1)
         assert all(p.family == "eta" and p.eta == 0.75 for p in et)
         assert all(p.family == "equidistant" for p in eq)
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
-            error_curve(SPEC_GBM, DIGITAL, [16, 8], [None], 100, 0)
+            error_curve(SPEC_GBM, DIGITAL, [16, 8], [0.0], 100, 0)
 
     def test_net_family_separation(self):
         # the headline effect, at modest N
         ns = [32, 64, 128]
-        eq, et = error_curve(SPEC_GBM, DIGITAL, ns, [None, 0.75], 20000, 13)
+        eq, et = error_curve(SPEC_GBM, DIGITAL, ns, [0.0, 0.75], 20000, 13)
         ratios = [
             b.estimate.rms / a.estimate.rms for a, b in zip(eq, et)
         ]
@@ -187,19 +208,16 @@ class TestNestedSweep:
     def test_largest_n_matches_standalone_terminal(self):
         [pts] = error_curve(SPEC_GBM, DIGITAL, self.NS, [0.75], 5000, 21)
         net = eta_net(1.0, self.NS[-1], 0.75)
-        alone = estimate_l2_error(
-            HedgeExperiment(SPEC_GBM, DIGITAL, net, 5000, 21)
-        )["terminal"]
+        alone = estimate_l2_error(SPEC_GBM, DIGITAL, net, 5000, 21)["terminal"]
         assert pts[-1].estimate == alone
 
     def test_largest_n_matches_standalone_both_modes(self):
-        exps = [
-            HedgeExperiment(SPEC_GBM, DIGITAL, net, 3000, 22,
-                            error_mode="both", monitor_points=8 * n)
-            for n, net in zip(self.NS, family_nets(1.0, self.NS, 0.75))
-        ]
-        [sweep] = estimate_sweep([exps])
-        assert sweep[-1] == estimate_l2_error(exps[-1])
+        nets = family_nets(1.0, self.NS, 0.75)
+        settings = dict(error_mode="both", monitor_factor=8)
+        [sweep] = estimate_sweep(SPEC_GBM, DIGITAL, [nets], 3000, 22,
+                                 **settings)
+        assert sweep[-1] == estimate_l2_error(SPEC_GBM, DIGITAL, nets[-1],
+                                              3000, 22, **settings)
         assert set(sweep[0]) == {"terminal", "running_sup"}
 
     def test_worker_count_invariance(self):
@@ -215,26 +233,17 @@ class TestNestedSweep:
         ns = [8, 12, 20, 30]
         [pts] = error_curve(SPEC_GBM, DIGITAL, ns, [0.75], 20000, 24)
         for p, net in zip(pts, family_nets(1.0, ns, 0.75)):
-            alone = estimate_l2_error(
-                HedgeExperiment(SPEC_GBM, DIGITAL, net, 20000, 24)
-            )["terminal"]
+            alone = estimate_l2_error(SPEC_GBM, DIGITAL, net, 20000,
+                                      24)["terminal"]
             se = np.hypot(p.estimate.stderr_mean_sq, alone.stderr_mean_sq)
             assert abs(p.estimate.mean_sq - alone.mean_sq) < 4.0 * se
-
-    def test_rejects_mixed_experiments(self):
-        nets = family_nets(1.0, [4, 8], None)
-        with pytest.raises(ValueError):
-            estimate_sweep([[
-                HedgeExperiment(SPEC_GBM, DIGITAL, nets[0], 100, 1),
-                HedgeExperiment(SPEC_GBM, DIGITAL, nets[1], 100, 2),
-            ]])
 
     def test_jackknife_ci_covers_exact_slope(self):
         # E|error|^2 = 2 / n exactly for x^2 under BM, so the slope is -1/2
         covered = 0
         for seed in range(40):
             [pts] = error_curve(SPEC_BM1, QUAD1, [8, 16, 32, 64, 128],
-                                [None], 4000, seed)
+                                [0.0], 4000, seed)
             fit = fit_rate(
                 [(p.n, p.estimate.rms) for p in pts],
                 jackknife=[p.estimate.jackknife_rms() for p in pts],
@@ -243,10 +252,8 @@ class TestNestedSweep:
         assert covered >= 34
 
     def test_group_sums_add_up(self):
-        est = estimate_l2_error(
-            HedgeExperiment(SPEC_GBM, DIGITAL, equidistant_net(1.0, 4),
-                            BATCH_SIZE + 500, 25)
-        )["terminal"]
+        est = estimate_l2_error(SPEC_GBM, DIGITAL, equidistant_net(1.0, 4),
+                                BATCH_SIZE + 500, 25)["terminal"]
         assert len(est.group_sq_sums) == 16
         assert sum(est.group_sq_sums) == pytest.approx(
             est.mean_sq * est.n_paths, rel=1e-12
@@ -263,9 +270,8 @@ class TestNestedSweep:
 
         monkeypatch.setattr(hedging, "_batch_errors", errors)
         n = BATCH_SIZE + 500
-        est = estimate_l2_error(HedgeExperiment(
-            SPEC_GBM, DIGITAL, equidistant_net(1.0, 4), n, 25,
-            error_mode="both"))
+        est = estimate_l2_error(SPEC_GBM, DIGITAL, equidistant_net(1.0, 4), n,
+                                25, error_mode="both")
         bounds = hedging._group_bounds(n)
         for mode, k in (("terminal", 0), ("running_sup", 1)):
             s2, s4, groups = [], [], [[] for _ in bounds[1:]]
@@ -293,36 +299,36 @@ class TestJointSweeps:
     every estimate equals that of a separate pass of its family."""
 
     NS = [8, 12, 16]  # not nested
-    ETAS = [None, 0.75]
+    ETAS = [0.0, 0.75]
 
-    def sweeps(self, mode, n_paths):
-        """An equidistant sweep over NS and an eta sweep over 8 and 16:
-        union grids of 25 and 17 knots."""
-        return [
-            [HedgeExperiment(SPEC_GBM, DIGITAL, net, n_paths, 31,
-                             error_mode=mode,
-                             monitor_points=None if mode == "terminal"
-                             else 4 * net.n_intervals)
-             for net in family_nets(1.0, ns, eta)]
-            for ns, eta in ((self.NS, None), ([8, 16], 0.75))
-        ]
+    #: an equidistant family over NS and an eta family over 8 and 16
+    FAMILIES = [family_nets(1.0, NS, 0.0), family_nets(1.0, [8, 16], 0.75)]
 
     @staticmethod
-    def union_steps(exps):
+    def sweep(families, mode, n_paths, workers=1):
+        return estimate_sweep(SPEC_GBM, DIGITAL, families, n_paths, 31,
+                              error_mode=mode, workers=workers,
+                              monitor_factor=4)
+
+    @staticmethod
+    def union_steps(nets, mode):
+        """Steps of a family's union grid in ``mode``."""
         return hedging._plan(
-            [e.monitoring_grid() if e.needs_sup else e.net.taus
-             for e in exps],
-            [e.net.taus for e in exps], False,
+            [net.taus if mode == "terminal"
+             else refine(net, 4 * net.n_intervals) for net in nets],
+            [net.taus for net in nets], False,
         ).times.size - 1
 
     @pytest.mark.parametrize("mode", ["terminal", "both"])
     def test_joint_equals_separate(self, mode):
         # two batches, so the worker threads draw too
-        sweeps = self.sweeps(mode, BATCH_SIZE + 500)
-        assert len({self.union_steps(exps) for exps in sweeps}) == 2
-        separate = [estimate_sweep([exps])[0] for exps in sweeps]
+        n_paths = BATCH_SIZE + 500
+        assert len({self.union_steps(nets, mode)
+                    for nets in self.FAMILIES}) == 2
+        separate = [self.sweep([nets], mode, n_paths)[0]
+                    for nets in self.FAMILIES]
         for workers in (1, 2):
-            joint = estimate_sweep(sweeps, workers)
+            joint = self.sweep(self.FAMILIES, mode, n_paths, workers)
             assert joint == separate
         assert all(set(est) == ({"terminal"} if mode == "terminal" else
                                 {"terminal", "running_sup"})
@@ -347,17 +353,16 @@ class TestJointSweeps:
             drawn.append(a[2]) or real_normals(*a, **k)))
         monkeypatch.setattr(models, "exact_step", lambda *a: (
             steps.append(a[2]) or real_step(*a)))
-        sweeps = self.sweeps("both", 100)
-        estimate_sweep(sweeps)
-        sizes = [self.union_steps(exps) for exps in sweeps]
+        self.sweep(self.FAMILIES, "both", 100)
+        sizes = [self.union_steps(nets, "both") for nets in self.FAMILIES]
         assert drawn == list(range(max(sizes)))
         assert len(steps) == sum(sizes)
 
     def test_rejects_an_empty_sweep(self):
         with pytest.raises(ValueError):
-            estimate_sweep([[], self.sweeps("terminal", 100)[0]])
+            self.sweep([[], self.FAMILIES[0]], "terminal", 100)
         with pytest.raises(ValueError):
-            estimate_sweep([])
+            self.sweep([], "terminal", 100)
 
 
 class TestHedgeIncrement:
@@ -386,7 +391,7 @@ class TestHedgeIncrement:
 
         def sweep():
             return [p.estimate for p in error_curve(
-                spec, pricing, [2, 4, 8], [None], 500, 17)[0]]
+                spec, pricing, [2, 4, 8], [0.0], 500, 17)[0]]
 
         got = sweep()
         monkeypatch.setattr(hedging, "_row_dots",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from hedgenet.hedging import HedgeExperiment, estimate_l2_error
+from hedgenet.hedging import estimate_l2_error
 from hedgenet.models import bm_constant, gbm_diagonal
 from hedgenet.oracle import (
     analytic_quadratic_error,
@@ -99,9 +99,8 @@ class TestAnalyticQuadraticError:
         net = (equidistant_net(1.0, n) if eta is None
                else eta_net(1.0, n, eta))
         spec = bm_constant(np.eye(1), [0.0])
-        est = estimate_l2_error(
-            HedgeExperiment(spec, BMQuadratic(1, 1.0), net, 50000, 8)
-        )["terminal"]
+        est = estimate_l2_error(spec, BMQuadratic(1, 1.0), net, 50000,
+                                8)["terminal"]
         cf = analytic_quadratic_error(net, 1, 1.0)
         assert abs(est.mean_sq - cf) < 3.0 * est.stderr_mean_sq
 
