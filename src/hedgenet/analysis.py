@@ -78,12 +78,16 @@ def _states_at(spec, T, taus, n_paths, master_seed):
     """Exact-sampled states of paths 0..N-1 at each of ``taus``, from x0 at T.
 
     Each is one transition from x0, and all are made from the one draw of
-    step index 0; only the state being yielded is kept.
+    step index 0; only the state being yielded is kept. One Euler step over
+    [tau, T] is no sample of X_tau, so a 'general' spec is refused here,
+    before any draw.
     """
+    if spec.exactness == "general":
+        raise ValueError("one-step sampling needs an exact transition; a "
+                         "'general' spec has none")
     idx = np.arange(n_paths, dtype=np.uint64)
     grids = [[T, tau] for tau in taus]
-    for _, _, x in path_states(spec, grids, master_seed, idx):
-        yield x
+    return (x for _, _, x in path_states(spec, grids, master_seed, idx))
 
 
 def _a_diagonal(spec, x):

@@ -31,7 +31,7 @@ from .analysis import (
     theta_grid_table,
 )
 from .hedging import M_FACTOR, error_curve, family_nets, path_error
-from .models import SCHEMES, bm_constant, gbm_diagonal
+from .models import bm_constant, gbm_diagonal
 from .pricing import make_pricing
 from .rng import SeedSpec
 from .timenets import eta_net
@@ -62,7 +62,6 @@ DEFAULT_CONFIG = {
         "monitor_factor": M_FACTOR,
         "master_seed": 20260823,
         "mode": "terminal",
-        "scheme": "exact",
         "workers": 1,
     },
     "analysis": {
@@ -81,18 +80,9 @@ def _fmt(v) -> str:
     return "%.17g" % float(v)
 
 
-def _deep_merge(base, override):
-    out = copy.deepcopy(base)
-    for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _deep_merge(out[k], v)
-        else:
-            out[k] = copy.deepcopy(v)
-    return out
-
-
 def load_config(path) -> dict:
-    """Parse a JSON config, materialize defaults, apply the env seed override."""
+    """Parse a JSON config, materialize defaults, apply the env seed override,
+    then check the blocks' keys and the seed."""
     try:
         with open(path) as f:
             user = json.load(f)
@@ -102,16 +92,28 @@ def load_config(path) -> dict:
         raise UsageError(f"config {path} is not valid JSON: {e}")
     if not isinstance(user, dict):
         raise UsageError("config root must be a JSON object")
-    for key in user:
-        if key not in DEFAULT_CONFIG:
-            raise UsageError(f"unknown config block {key!r}")
-    cfg = _deep_merge(DEFAULT_CONFIG, user)
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    for block, body in user.items():
+        if block not in DEFAULT_CONFIG:
+            raise UsageError(f"unknown config block {block!r}")
+        if not isinstance(body, dict):
+            raise UsageError(f"config block {block!r} must be a JSON object")
+        for key in body:
+            if key not in DEFAULT_CONFIG[block]:
+                raise UsageError(f"unknown config key {block}.{key}")
+        # every key is a default's, so the user's value replaces it whole
+        cfg[block].update(body)
     env_seed = os.environ.get("HEDGENET_SEED")
     if env_seed is not None:
         try:
             cfg["engine"]["master_seed"] = int(env_seed)
         except ValueError:
             raise UsageError("HEDGENET_SEED must be an integer")
+    seed = cfg["engine"]["master_seed"]
+    if (isinstance(seed, bool) or not isinstance(seed, int)
+            or not 0 <= seed < 2**64):
+        raise UsageError(f"engine.master_seed must be an integer with "
+                         f"0 <= seed < 2**64, not {seed!r}")
     return cfg
 
 
@@ -211,10 +213,6 @@ def _engine_mode(cfg, allowed) -> str:
     work."""
     for key in ("N", "monitor_factor", "workers"):
         _count(f"engine.{key}", cfg["engine"][key])
-    scheme = cfg["engine"]["scheme"]
-    if scheme not in SCHEMES:
-        raise UsageError(f"engine.scheme must be one of {', '.join(SCHEMES)}"
-                         f", not {scheme!r}")
     mode = cfg["engine"]["mode"]
     if mode not in allowed:
         raise UsageError(f"engine.mode must be one of {', '.join(allowed)} "
@@ -258,7 +256,7 @@ def _sweeps(cfg, spec, pricing, families, mode):
     t0 = time.perf_counter()
     curves = error_curve(
         spec, pricing, n_list, etas, eng["N"], eng["master_seed"],
-        error_mode=mode, scheme=eng["scheme"], workers=eng["workers"],
+        error_mode=mode, workers=eng["workers"],
         monitor_factor=eng["monitor_factor"],
     )
     return dict(zip(etas, curves)), int((time.perf_counter() - t0) * 1000)
@@ -397,15 +395,13 @@ def cmd_simulate(args, cfg, spec, pricing) -> dict:
                          "experiments": len(rows)},
     }
     if args.dump_paths:
-        net = eta_net(pricing.T, int(cfg["nets"]["n_list"][0]),
-                      families[0][1])
+        net = eta_net(pricing.T, cfg["nets"]["n_list"][0], families[0][1])
         artifacts["path_errors.csv"] = (
             ["path", "terminal_error", "sup_abs_error"],
             [
                 (str(i), *path_error(spec, pricing, net,
                                      eng["monitor_factor"],
-                                     SeedSpec(eng["master_seed"], i),
-                                     eng["scheme"]))
+                                     SeedSpec(eng["master_seed"], i)))
                 for i in range(min(args.dump_paths, eng["N"]))
             ],
         )

@@ -7,7 +7,7 @@ continuous side is never discretized. At t = T the terminal value f(X_T)
 replaces F. Grids and prices are in the time to maturity tau = T - t.
 
 ``estimate_sweep`` is the engine: one set of settings (model, payoff, path
-count, seed, error mode, scheme) and one list of nets per family. In the
+count, seed, error mode) and one list of nets per family. In the
 running-sup modes a net of n intervals is monitored on
 ``refine(net, monitor_factor * n)``, so M = monitor_factor * n. An eta of 0
 is the equidistant net. ``estimate_l2_error`` is the sweep of one net and
@@ -17,9 +17,9 @@ One path stream serves every net of a sweep. Each batch of paths is
 simulated once on the sorted union of the nets' grids (their knots, or
 their monitoring grids in running-sup modes), and every net keeps its own
 hedge account on those shared paths. These are the common random numbers of
-a sweep: every n sees the same paths, sampled on the union grid, which with
-``scheme="euler"`` means the Euler scheme on the union grid. A single net is
-the sweep whose union grid is its own grid.
+a sweep: every n sees the same paths, sampled on the union grid by the
+model's own sampler. A single net is the sweep whose union grid is its own
+grid.
 
 Several sweeps (the net families of one comparison) run in one pass. Each
 keeps its own union grid, and so its own estimates, but the draws are keyed
@@ -27,10 +27,15 @@ by (master_seed, path, step index) alone, so the families share the normals
 of each step index: the streams of all union grids advance in lockstep and
 draw each step index once.
 
-Path errors are pure functions of (master_seed, path_index) and the union
-grid, batches are a fixed size regardless of worker count, and per-batch
-sums use exact (fsum) accumulation, so every estimate is bitwise independent
-of scheduling.
+A path's draws are pure functions of (master_seed, path_index). Its error
+is too, given the union grid, except for a payoff with a power factor: a
+batch of at least ``pricing._TABLE_MIN_ROWS`` rows prices that factor off a
+table spanning the batch's own log-price range, so a path's error moves
+with the batch it is in (one path measured moved 5.7e-6 and 3.1e-5
+relative, in batches of 4096 and 6000), and ``path_error`` or a run with a
+larger n_paths need not reproduce the errors a sweep summed. Batch bounds are fixed whatever the worker count, and
+per-batch sums use exact (fsum) accumulation, so every estimate is bitwise
+independent of scheduling.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .models import check_scheme, path_states
+from .models import path_states
 from .rng import SeedSpec
 from .timenets import TimeNet, eta_net, refine
 
@@ -182,7 +187,7 @@ def _row_dots(dx, grad, prod, dots):
     return dots
 
 
-def _batch_errors(spec, pricing, plans, master_seed, path_indices, scheme):
+def _batch_errors(spec, pricing, plans, master_seed, path_indices):
     """Per plan and net, (terminal_error, sup_abs_error or None) for a batch
     of paths.
 
@@ -214,7 +219,7 @@ def _batch_errors(spec, pricing, plans, master_seed, path_indices, scheme):
     # scratch of the hedge increments, reused at every step of every plan
     dx, prod, dots = np.empty((B, spec.d)), np.empty((B, spec.d)), np.empty(B)
     for g, j, x in path_states(spec, [plan.times for plan in plans],
-                               master_seed, path_indices, scheme):
+                               master_seed, path_indices):
         plan, gain, sup = plans[g], gains[g], sups[g]
         np.subtract(x, xs[g], out=dx)
         for grad, nets in holders[g]:
@@ -257,7 +262,7 @@ def _check_count(name, value) -> None:
 
 
 def path_error(spec, pricing, net: TimeNet, monitor_factor: int,
-               seed: SeedSpec, scheme: str = "exact"):
+               seed: SeedSpec):
     """(terminal_error, sup_abs_error) of a single hedged path.
 
     The supremum is taken over ``refine(net, monitor_factor * n)``, with the
@@ -268,13 +273,12 @@ def path_error(spec, pricing, net: TimeNet, monitor_factor: int,
                  [net.taus], want_sup=True)
     [[(terminal, sup)]] = _batch_errors(
         spec, pricing, [plan], seed.master_seed,
-        np.array([seed.path_index], dtype=np.uint64), scheme,
+        np.array([seed.path_index], dtype=np.uint64),
     )
     return float(terminal[0]), float(sup[0])
 
 
-def _run_batches(spec, pricing, plans, n_paths, master_seed, scheme, modes,
-                 workers):
+def _run_batches(spec, pricing, plans, n_paths, master_seed, modes, workers):
     """Per batch, plan and net, for each mode: exact sums of e^2 and e^4,
     and the exact sum of e^2 over each jackknife group the batch overlaps.
     """
@@ -285,7 +289,7 @@ def _run_batches(spec, pricing, plans, n_paths, master_seed, scheme, modes,
         lo = b * BATCH_SIZE
         hi = min(lo + BATCH_SIZE, n_paths)
         idx = np.arange(lo, hi, dtype=np.uint64)
-        errors = _batch_errors(spec, pricing, plans, master_seed, idx, scheme)
+        errors = _batch_errors(spec, pricing, plans, master_seed, idx)
         cuts = [
             (g, max(a, lo) - lo, min(c, hi) - lo)
             for g, (a, c) in enumerate(zip(bounds, bounds[1:]))
@@ -335,8 +339,8 @@ def _summarize(batch_sums, mode, n_paths) -> HedgeErrorEstimate:
 
 def estimate_sweep(spec, pricing, families: Sequence[Sequence[TimeNet]],
                    n_paths: int, master_seed: int,
-                   error_mode: str = "terminal", scheme: str = "exact",
-                   workers: int = 1, monitor_factor: int = M_FACTOR):
+                   error_mode: str = "terminal", workers: int = 1,
+                   monitor_factor: int = M_FACTOR):
     """MC estimates of E|error|^2 on every net of every family, in one pass.
 
     ``error_mode`` is "terminal", "running_sup" or "both"; in the running-sup
@@ -356,7 +360,6 @@ def estimate_sweep(spec, pricing, families: Sequence[Sequence[TimeNet]],
     """
     if error_mode not in ("terminal", "running_sup", "both"):
         raise ValueError(f"unknown error mode {error_mode!r}")
-    check_scheme(spec, scheme)
     _check_count("n_paths", n_paths)
     _check_count("monitor_factor", monitor_factor)
     families = [list(nets) for nets in families]
@@ -378,8 +381,8 @@ def estimate_sweep(spec, pricing, families: Sequence[Sequence[TimeNet]],
         )
         for nets in families
     ]
-    results = _run_batches(spec, pricing, plans, n_paths, master_seed,
-                           scheme, modes, workers)
+    results = _run_batches(spec, pricing, plans, n_paths, master_seed, modes,
+                           workers)
     return [
         [{m: _summarize([r[k][i] for r in results], m, n_paths)
           for m in modes}
@@ -390,33 +393,30 @@ def estimate_sweep(spec, pricing, families: Sequence[Sequence[TimeNet]],
 
 def estimate_l2_error(spec, pricing, net: TimeNet, n_paths: int,
                       master_seed: int, error_mode: str = "terminal",
-                      scheme: str = "exact", workers: int = 1,
-                      monitor_factor: int = M_FACTOR):
+                      workers: int = 1, monitor_factor: int = M_FACTOR):
     """MC estimates of E|error|^2 on one net: ``estimate_sweep`` of the one
     family [net]. Returns a dict keyed by mode of HedgeErrorEstimate."""
     return estimate_sweep(spec, pricing, [[net]], n_paths, master_seed,
-                          error_mode, scheme, workers, monitor_factor)[0][0]
+                          error_mode, workers, monitor_factor)[0][0]
 
 
 def family_nets(T: float, n_list: Sequence[int], eta: float):
     """One eta-net per n; eta = 0 gives the equidistant net."""
-    return [eta_net(T, int(n), eta) for n in n_list]
+    return [eta_net(T, n, eta) for n in n_list]
 
 
 def error_curve(spec, pricing, n_list: Sequence[int], etas: Sequence[float],
                 n_paths: int, master_seed: int, error_mode: str = "terminal",
-                scheme: str = "exact", workers: int = 1,
-                monitor_factor: int = M_FACTOR):
+                workers: int = 1, monitor_factor: int = M_FACTOR):
     """Sweep the net cardinality n of each family and estimate the error at
     each n.
 
     ``etas`` lists the families: eta = 0 is the equidistant one. The sweeps
     are one pass of ``estimate_sweep``: every n of a family is hedged on the
-    same paths, sampled on the union of the family's nets' grids (with
-    ``scheme="euler"``, the Euler scheme on that union grid). These common
-    random numbers correlate the points across n; ``fit_rate`` takes their
-    ``jackknife_rms`` for a valid slope CI. Every family sees the same paths
-    and draws the normals of each step index once, so its points equal
+    same paths, sampled on the union of the family's nets' grids. These
+    common random numbers correlate the points across n; ``fit_rate`` takes
+    their ``jackknife_rms`` for a valid slope CI. Every family sees the same
+    paths and draws the normals of each step index once, so its points equal
     those of a call with that family alone. The largest n of a nested sweep
     (n_list = 8, 16, ..., 512) gets exactly its standalone estimate.
     Returns, per eta, one ErrorCurvePoint per n, carrying an estimate per
@@ -426,7 +426,7 @@ def error_curve(spec, pricing, n_list: Sequence[int], etas: Sequence[float],
         raise ValueError("n_list must be ascending")
     families = [family_nets(pricing.T, n_list, eta) for eta in etas]
     ests = estimate_sweep(spec, pricing, families, n_paths, master_seed,
-                          error_mode, scheme, workers, monitor_factor)
+                          error_mode, workers, monitor_factor)
     return [
         [
             ErrorCurvePoint(n=net.n_intervals, estimates=est,

@@ -2,11 +2,11 @@
 
 Two state spaces are supported: Brownian-type diffusions on R^d (case C1) and
 exponential diffusions on (0, inf)^d (case C2, simulated through the log
-process so positivity is automatic). Exact transition sampling is available
-for constant-coefficient models ("bm-constant", "gbm-diagonal"); everything
-else falls back to Euler-Maruyama stepping. ``path_states`` is the one
-time-step loop: every consumer of simulated paths takes its states from it,
-and consumers of the same paths on several time grids share its draws.
+process so positivity is automatic). The model picks its sampler: the exact
+transition of a constant-coefficient model ("bm-constant", "gbm-diagonal"),
+else Euler-Maruyama. ``path_states`` is the one time-step loop: every
+consumer of simulated paths takes its states from it, and consumers of the
+same paths on several time grids share its draws.
 """
 
 from __future__ import annotations
@@ -20,20 +20,13 @@ from .rng import _BatchStream, normals
 
 __all__ = [
     "DiffusionSpec",
-    "SCHEMES",
     "gbm_diagonal",
     "bm_constant",
     "general_diffusion",
     "a_matrix",
     "sigma_matrix",
-    "drift_vector",
-    "check_scheme",
     "path_states",
 ]
-
-#: path-sampling schemes: exact transitions, or Euler-Maruyama (log-Euler
-#: in case C2)
-SCHEMES = ("exact", "euler")
 
 
 @dataclass(frozen=True)
@@ -138,21 +131,6 @@ def sigma_matrix(spec: DiffusionSpec, x) -> np.ndarray:
     return sig
 
 
-def drift_vector(spec: DiffusionSpec, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if spec.exactness == "gbm-diagonal":
-        if spec.drift_rates is None:
-            return np.zeros_like(x)
-        return spec.drift_rates * x
-    if spec.exactness == "bm-constant":
-        if spec.const_drift is None:
-            return np.zeros_like(x)
-        return np.broadcast_to(spec.const_drift, x.shape).copy()
-    if spec.drift_fn is None:
-        return np.zeros_like(x)
-    return np.asarray(spec.drift_fn(x), dtype=float)
-
-
 def a_matrix(spec: DiffusionSpec, x) -> np.ndarray:
     """A(x) = sigma(x) sigma(x)^T, symmetric positive semi-definite."""
     sig = sigma_matrix(spec, x)
@@ -192,30 +170,23 @@ def exact_step(spec: DiffusionSpec, x, dt: float, z) -> np.ndarray:
 
 
 def euler_step(spec: DiffusionSpec, x, dt: float, z) -> np.ndarray:
-    """One Euler-Maruyama step; C2 specs step the log process."""
-    sqdt = np.sqrt(dt)
+    """One Euler-Maruyama step of a 'general' spec (log-Euler in case C2)."""
+    if spec.exactness != "general":
+        raise ValueError("Euler sampling is for 'general' specs only; this "
+                         "one has an exact transition")
+    sig = sigma_matrix(spec, x)
+    drift = (0.0 if spec.drift_fn is None
+             else np.asarray(spec.drift_fn(x), dtype=float))
+    dw = (np.sqrt(dt) * z)[..., None, :]
     if spec.case == "C1":
-        sig = sigma_matrix(spec, x)
-        dw = (sqdt * z)[..., None, :]
-        return x + drift_vector(spec, x) * dt + (sig * dw).sum(axis=-1)
+        return x + drift * dt + (sig * dw).sum(axis=-1)
     # C2: Euler on y = log x keeps the state strictly positive.
-    sig = sigma_matrix(spec, x) / x[..., :, None]
-    bhat = drift_vector(spec, x) / x - 0.5 * (sig * sig).sum(axis=-1)
-    dw = (sqdt * z)[..., None, :]
-    y = np.log(x) + bhat * dt + (sig * dw).sum(axis=-1)
-    return np.exp(y)
+    sig = sig / x[..., :, None]
+    bhat = drift / x - 0.5 * (sig * sig).sum(axis=-1)
+    return np.exp(np.log(x) + bhat * dt + (sig * dw).sum(axis=-1))
 
 
-def check_scheme(spec: DiffusionSpec, scheme: str) -> None:
-    """Reject an unknown scheme, and exact sampling of a 'general' spec."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {', '.join(SCHEMES)}, "
-                         f"not {scheme!r}")
-    if scheme == "exact" and spec.exactness == "general":
-        raise ValueError("exact sampling is unavailable for 'general' specs")
-
-
-def path_states(spec, grids, master_seed, path_indices, scheme="exact"):
+def path_states(spec, grids, master_seed, path_indices):
     """Stream a batch of paths from x0 over several time grids in lockstep.
 
     A grid holds decreasing times to maturity, from x0 at its first; models
@@ -227,12 +198,12 @@ def path_states(spec, grids, master_seed, path_indices, scheme="exact"):
     index are drawn once, into the batch stream's buffer, and every grid
     that has that step makes it from them with its own step length; the
     next step index overwrites the buffer. A grid's state is dropped once
-    the grid ends.
+    the grid ends. The step is ``exact_step``, or ``euler_step`` for a
+    'general' spec.
     """
-    check_scheme(spec, scheme)
     grids = [np.asarray(times, dtype=float) for times in grids]
     path_indices = np.asarray(path_indices)
-    step = exact_step if scheme == "exact" else euler_step
+    step = euler_step if spec.exactness == "general" else exact_step
     stream = _BatchStream(master_seed, path_indices, spec.d)
     # no step writes to its x, so the start needs no copy of x0
     x0 = np.broadcast_to(spec.x0, (path_indices.size, spec.d))

@@ -100,8 +100,12 @@ def mc_payoff_expectation(spec, payoff, n_paths: int, master_seed: int,
     """(mean, stderr) of the terminal payoff by exact one-step sampling.
 
     ``payoff`` may be a callable on terminal states or a pricing model, in
-    which case its own payoff and horizon are used.
+    which case its own payoff and horizon are used. One Euler step over
+    [0, T] is no sample of X_T, so a 'general' spec is refused.
     """
+    if spec.exactness == "general":
+        raise ValueError("one-step sampling needs an exact transition; a "
+                         "'general' spec has none")
     if callable(payoff):
         fn = payoff
         if T is None:

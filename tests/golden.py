@@ -1,10 +1,12 @@
 """Golden artifacts: the benchmark workloads' data files, pinned by digest.
 
 The four workloads of ``perfbench/workloads.py`` (their CLI configs, here at
-N = 4096 paths) run through ``hedgenet.cli.main`` at seeds 1 and 7. Every
-data artifact is hashed with SHA-256: ``rate_fit.csv``, ``summary.json`` and
-``theta_fit.csv`` as written, ``experiments.csv`` without its ``wall_ms``
-column (a timing). ``golden_digests.json`` holds the digests together with
+N = 4096 paths) run through ``hedgenet.cli.main`` at seeds 1 and 7, and so
+do two runs that write the artifacts they do not: ``h2`` on the digital
+workload's model and payoff, and ``call_sup`` with ``--dump-paths``. Every
+data artifact a run writes, all but ``manifest.json``, is hashed with
+SHA-256: ``experiments.csv`` without its ``wall_ms`` column (a timing), the
+rest as written. ``golden_digests.json`` holds the digests together with
 the numpy and scipy versions that made them; ``test_golden.py`` compares.
 
 A change that moves numbers on purpose regenerates the digests with
@@ -38,16 +40,26 @@ N = 4096
 GBM1 = {"case": "C2", "d": 1, "s": [1.0], "x0": [1.0]}
 GBM3 = {"case": "C2", "d": 3, "s": [1.0, 1.0, 1.0], "x0": [1.0, 1.0, 1.0]}
 
-#: name: (command, config without the seed, --workers flag)
+DIGITAL = {"key": "digital", "params": {"K": 1.0}, "T": 1.0}
+
+CALL_SUP = {
+    "model": GBM1,
+    "payoff": {"key": "call", "params": {"K": 1.0}, "T": 1.0},
+    "nets": {"families": [{"family": "equidistant"}],
+             "n_list": [4, 16, 64]},
+    "engine": {"N": N, "mode": "both", "monitor_factor": 32},
+}
+
+#: name: (command, config without the seed, extra CLI flags)
 WORKLOADS = {
     "digital_rate": ("rate", {
         "model": GBM1,
-        "payoff": {"key": "digital", "params": {"K": 1.0}, "T": 1.0},
+        "payoff": DIGITAL,
         "nets": {"families": [{"family": "equidistant"},
                               {"family": "eta", "eta": "auto"}],
                  "n_list": [8, 16, 32, 64, 128, 256, 512]},
         "engine": {"N": N},
-    }, 1),
+    }, ["--workers", "1"]),
     "product3_rate": ("rate", {
         "model": GBM3,
         "payoff": {"key": "product", "T": 1.0, "params": {"factors": [
@@ -59,26 +71,19 @@ WORKLOADS = {
                               {"family": "equidistant"}],
                  "n_list": [8, 16, 32, 64, 128]},
         "engine": {"N": N},
-    }, 1),
-    "call_sup": ("simulate", {
-        "model": GBM1,
-        "payoff": {"key": "call", "params": {"K": 1.0}, "T": 1.0},
-        "nets": {"families": [{"family": "equidistant"}],
-                 "n_list": [4, 16, 64]},
-        "engine": {"N": N, "mode": "both", "monitor_factor": 32},
-    }, 2),
+    }, ["--workers", "1"]),
+    "call_sup": ("simulate", CALL_SUP, ["--workers", "2"]),
     "power_theta": ("theta", {
         "model": GBM1,
         "payoff": {"key": "power", "params": {"K": 1.0, "alpha": 0.25},
                    "T": 1.0},
         "analysis": {"theta_points": 20, "theta_N": N},
-    }, None),
-}
-
-ARTIFACTS = {
-    "rate": ("rate_fit.csv", "summary.json"),
-    "simulate": ("experiments.csv", "summary.json"),
-    "theta": ("theta_fit.csv", "summary.json"),
+    }, []),
+    "digital_h2": ("h2", {
+        "model": GBM1, "payoff": DIGITAL, "analysis": {"theta_N": N},
+    }, []),
+    "call_sup_paths": ("simulate", CALL_SUP,
+                       ["--workers", "2", "--dump-paths", "16"]),
 }
 
 
@@ -100,7 +105,7 @@ def workload_digests(name: str, work_dir) -> dict:
 
     The run must not see a ``HEDGENET_SEED`` override.
     """
-    command, config, workers = WORKLOADS[name]
+    command, config, flags = WORKLOADS[name]
     out = {}
     for seed in SEEDS:
         cfg = json.loads(json.dumps(config))
@@ -108,16 +113,16 @@ def workload_digests(name: str, work_dir) -> dict:
         run = Path(work_dir) / f"{name}-{seed}"
         cfg_path = run.with_suffix(".json")
         cfg_path.write_text(json.dumps(cfg))
-        args = [command, "--config", str(cfg_path), "--out", str(run)]
-        if workers is not None:
-            args += ["--workers", str(workers)]
-        if hedgenet(args) != 0:
+        if hedgenet([command, "--config", str(cfg_path), "--out", str(run),
+                     *flags]) != 0:
             raise RuntimeError(f"{name} at seed {seed} failed")
-        for artifact in ARTIFACTS[command]:
-            data = (run / artifact).read_bytes()
-            if artifact == "experiments.csv":
+        for path in sorted(run.iterdir()):
+            if path.name == "manifest.json":
+                continue
+            data = path.read_bytes()
+            if path.name == "experiments.csv":
                 data = _drop_wall_ms(data)
-            out[f"{seed}/{artifact}"] = hashlib.sha256(data).hexdigest()
+            out[f"{seed}/{path.name}"] = hashlib.sha256(data).hexdigest()
     return out
 
 

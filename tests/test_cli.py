@@ -112,6 +112,45 @@ class TestConfig:
             assert f"unknown config block {block!r}" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        # a misspelt key would run on its default while the manifest
+        # records it as if it had been used
+        for block, key in (("model", "vol"), ("payoff", "strike"),
+                           ("nets", "n"), ("engine", "workerz"),
+                           ("analysis", "theta_n")):
+            p = write_config(tmp_path / "bad.json",
+                             dict(DIGITAL_CFG, **{block: {key: 1}}))
+            for cmd in ("rate", "theta"):
+                out = tmp_path / cmd
+                assert main([cmd, "--config", p, "--out", str(out)]) == 2
+                assert (f"unknown config key {block}.{key}"
+                        in capsys.readouterr().err)
+                assert not out.exists()
+
+    @pytest.mark.parametrize("seed, env, bad", [
+        (-1, None, "-1"), (2**64, None, str(2**64)), (1.5, None, "1.5"),
+        (True, None, "True"), ("7", None, "'7'"),
+        # the environment's override is checked too
+        (5, "-1", "-1"),
+    ])
+    def test_master_seed_is_checked_before_work(self, tmp_path, capsys,
+                                                monkeypatch, seed, env, bad):
+        import hedgenet.models as models
+
+        monkeypatch.setattr(models, "normals", None)  # no path is drawn
+        if env is None:
+            monkeypatch.delenv("HEDGENET_SEED", raising=False)
+        else:
+            monkeypatch.setenv("HEDGENET_SEED", env)
+        p = write_config(tmp_path / "d.json", dict(
+            DIGITAL_CFG, engine=dict(DIGITAL_CFG["engine"], master_seed=seed)))
+        for cmd in ("rate", "theta"):
+            out = tmp_path / cmd
+            assert main([cmd, "--config", p, "--out", str(out)]) == 2
+            assert (f"engine.master_seed must be an integer with 0 <= seed "
+                    f"< 2**64, not {bad}" in capsys.readouterr().err)
+            assert not out.exists()
+
     def test_invalid_json_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -284,9 +323,12 @@ class TestRateCommand:
         # simulate fits no rate, so it runs any n_list
         ({"nets": {"n_list": [4, 8, 16, 32]}}, ("rate",),
          "at least 4 values of n >= 8"),
-        # an unknown scheme used to run Euler silently
-        ({"engine": {"scheme": "milstein"}}, ("rate", "simulate"),
-         "engine.scheme must be one of exact, euler, not 'milstein'"),
+        # the model picks its sampler, so a scheme is no config key
+        ({"engine": {"scheme": "exact"}}, ("rate", "simulate"),
+         "unknown config key engine.scheme"),
+        # a fractional n is rejected, not truncated to another net
+        ({"nets": {"n_list": [8, 16.5, 32, 64]}}, ("rate", "simulate"),
+         "n must be an integer >= 1"),
     ])
     def test_invalid_block_is_a_usage_error(self, tmp_path, capsys, block,
                                             cmds, message):

@@ -1,6 +1,7 @@
-"""The benchmark workloads' data artifacts keep their committed bytes.
+"""The benchmark workloads' data artifacts keep their committed bytes, and
+so do those of two runs that write the artifacts no workload writes.
 
-``golden.py`` runs each workload at seeds 1 and 7 and hashes its data
+``golden.py`` runs each of them at seeds 1 and 7 and hashes its data
 files; ``golden_digests.json`` holds the digests and the numpy and scipy
 versions that made them. Other versions may round differently, so a
 version mismatch fails, naming both, rather than comparing.

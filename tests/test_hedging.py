@@ -95,6 +95,19 @@ class TestEstimateL2:
         ]
         assert results[0] == results[1] == results[2]
 
+    def test_power_factor_worker_count_invariance(self):
+        # both batches are priced off power tables spanning their own paths,
+        # so a path's error depends on its batch; the batch bounds do not
+        # depend on the worker count, and so neither does the estimate
+        power = make_pricing("power", {"K": 1.0, "alpha": 0.25, "s": 1.0},
+                             1.0)
+        results = [
+            estimate_l2_error(SPEC_GBM, power, eta_net(1.0, 16, 0.75),
+                              BATCH_SIZE + 4096, 5, workers=w)
+            for w in (1, 2)
+        ]
+        assert results[0] == results[1]
+
     def test_both_modes(self):
         net = equidistant_net(1.0, 4)
         est = estimate_l2_error(SPEC_GBM, DIGITAL, net, 5000, 3,
@@ -121,8 +134,6 @@ GENERAL = general_diffusion("C1", 1, [0.0], lambda x: np.ones(x.shape + (1,)))
 #: one bad argument of the engine each
 BAD_ARGUMENTS = {
     "mode": {"error_mode": "max"},
-    "scheme": {"scheme": "milstein"},
-    "exact-general": {"spec": GENERAL, "pricing": QUAD1},
     "no-paths": {"n_paths": 0},
     "factor-0": {"monitor_factor": 0},
     "factor-1.5": {"monitor_factor": 1.5},
@@ -169,8 +180,7 @@ class TestValidation:
                            n_paths, 0, **kw)
 
     def test_general_diffusion_runs_euler(self):
-        est = self.call("estimate_l2_error", spec=GENERAL, pricing=QUAD1,
-                        scheme="euler")
+        est = self.call("estimate_l2_error", spec=GENERAL, pricing=QUAD1)
         assert est["terminal"].mean_sq > 0.0
 
 
@@ -264,7 +274,7 @@ class TestNestedSweep:
     def test_sums_are_the_array_fsums(self, monkeypatch):
         # per batch, the sums of e^2 and e^4 and the group sums of e^2 are
         # bitwise math.fsum over the error arrays, in both modes
-        def errors(spec, pricing, plans, seed, idx, scheme):
+        def errors(spec, pricing, plans, seed, idx):
             u = np.sin(idx.astype(float) * 0.37) * (1.0 + idx % 7)
             return [[(u, u * 1e-3 + 1e5)] for _ in plans]
 
@@ -278,7 +288,7 @@ class TestNestedSweep:
             for lo in range(0, n, BATCH_SIZE):
                 hi = min(lo + BATCH_SIZE, n)
                 idx = np.arange(lo, hi, dtype=np.uint64)
-                e2 = errors(None, None, [0], 0, idx, None)[0][0][k] ** 2
+                e2 = errors(None, None, [0], 0, idx)[0][0][k] ** 2
                 s2.append(math.fsum(e2))
                 s4.append(math.fsum(e2 * e2))
                 for g, (a, c) in enumerate(zip(bounds, bounds[1:])):

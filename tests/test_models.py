@@ -13,17 +13,36 @@ from hedgenet.models import (
     path_states,
 )
 from hedgenet.rng import normals
-from hedgenet.timenets import equidistant_net, refine
+from hedgenet.timenets import equidistant_net, eta_net, refine
 
 
-def states(spec, times, master_seed, path_indices, scheme="exact"):
+def states(spec, times, master_seed, path_indices):
     """(B, len(times), d): x0, then every state path_states yields; times
     are times to maturity, decreasing."""
     path_indices = np.asarray(path_indices)
     xs = [np.broadcast_to(spec.x0, (path_indices.size, spec.d))]
     xs += [x for _, _, x in path_states(spec, [times], master_seed,
-                                        path_indices, scheme)]
+                                        path_indices)]
     return np.stack(xs, axis=1)
+
+
+def general_replica(spec):
+    """A GBM or BM spec as a 'general' one, which path_states samples by
+    Euler: the same coefficients as functions of x, the correlation folded
+    into sigma_fn."""
+    chol = np.eye(spec.d) if spec.corr_chol is None else spec.corr_chol
+    if spec.case == "C2":
+        mu = 0.0 if spec.drift_rates is None else spec.drift_rates
+        return general_diffusion(
+            "C2", spec.d, spec.x0,
+            lambda x: (spec.vols * x)[..., :, None] * chol,
+            lambda x: mu * x)
+    drift = 0.0 if spec.const_drift is None else spec.const_drift
+    return general_diffusion(
+        "C1", spec.d, spec.x0,
+        lambda x: np.broadcast_to(spec.const_sigma @ chol,
+                                  x.shape + (spec.d,)),
+        lambda x: np.broadcast_to(drift, x.shape))
 
 
 class TestSpecValidation:
@@ -132,31 +151,47 @@ class TestExactSampling:
 
     def test_rejects_general(self):
         spec = general_diffusion("C1", 1, [0.0], lambda x: np.ones(x.shape + (1,)))
-        with pytest.raises(ValueError):
-            next(path_states(spec, [[1.0, 0.0]], 0, np.arange(4), "exact"))
-
-    def test_rejects_unknown_scheme(self):
-        spec = gbm_diagonal(1, 1.0, 1.0)
-        with pytest.raises(ValueError, match="scheme must be one of"):
-            next(path_states(spec, [[1.0, 0.0]], 0, np.arange(4),
-                             "milstein"))
+        z = normals(0, np.arange(4), 0, 1)
+        with pytest.raises(ValueError, match="non-'general' spec"):
+            exact_step(spec, np.zeros((4, 1)), 0.5, z)
 
 
 class TestEuler:
-    def test_log_euler_exact_for_gbm(self):
-        # constant log-coefficients: the log-Euler step is the exact transition
-        spec = gbm_diagonal(1, 1.0, 1.0, mu=0.1)
-        times = refine(equidistant_net(1.0, 8), 8)
-        a = states(spec, times, 2, [0], "exact")
-        b = states(spec, times, 2, [0], "euler")
-        assert np.allclose(a, b, rtol=1e-12)
+    REPLICATED = {
+        "gbm": gbm_diagonal(3, [1.0, 0.5, 0.8], [1.0, 2.0, 0.5],
+                            mu=[0.1, -0.2, 0.05],
+                            corr=[[1.0, 0.6, 0.3], [0.6, 1.0, -0.2],
+                                  [0.3, -0.2, 1.0]]),
+        "bm": bm_constant([[1.0, 0.0], [0.3, 0.8]], [0.0, 1.0],
+                          drift=[0.1, 0.2], corr=[[1.0, -0.4], [-0.4, 1.0]]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REPLICATED))
+    def test_general_replica_matches_the_exact_stream(self, name):
+        # constant (log-)coefficients: the (log-)Euler step of the general
+        # replica is the exact transition, up to rounding
+        spec = self.REPLICATED[name]
+        times = refine(eta_net(1.0, 16, 0.75), 512)
+        idx = np.arange(64)
+        exact = states(spec, times, 2, idx)
+        euler = states(general_replica(spec), times, 2, idx)
+        assert times.size > 500
+        scale = np.maximum(np.abs(exact), 1.0)
+        assert np.max(np.abs(euler - exact) / scale) < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(REPLICATED))
+    def test_rejects_an_exact_spec(self, name):
+        spec = self.REPLICATED[name]
+        z = normals(0, np.arange(4), 0, spec.d)
+        with pytest.raises(ValueError, match="'general' specs only"):
+            euler_step(spec, np.ones((4, spec.d)), 0.5, z)
 
     def test_zero_sigma_constant_path(self):
         spec = general_diffusion(
             "C1", 1, [0.7], lambda x: np.zeros(x.shape + (1,))
         )
         times = refine(equidistant_net(1.0, 4), 4)
-        assert np.all(states(spec, times, 0, [0], "euler") == 0.7)
+        assert np.all(states(spec, times, 0, [0]) == 0.7)
 
     def test_same_seed_identical(self):
         spec = general_diffusion(
@@ -165,8 +200,8 @@ class TestEuler:
             lambda x: -x,
         )
         times = refine(equidistant_net(1.0, 16), 16)
-        a = states(spec, times, 4, [1], "euler")
-        b = states(spec, times, 4, [1], "euler")
+        a = states(spec, times, 4, [1])
+        b = states(spec, times, 4, [1])
         assert np.array_equal(a, b)
 
     def test_mean_reverting_drift_bias(self):
@@ -179,7 +214,7 @@ class TestEuler:
         n_steps, n_paths = 64, 50000
         s = states(
             spec, np.linspace(1.0, 0.0, n_steps + 1), 13,
-            np.arange(n_paths), "euler",
+            np.arange(n_paths),
         )
         xT = s[:, -1, 0]
         se = xT.std(ddof=1) / np.sqrt(n_paths)
@@ -243,14 +278,17 @@ class TestInPlaceStream:
         assert x.tobytes() == x_before and z.tobytes() == z_before
         assert not np.shares_memory(out, x) and not np.shares_memory(out, z)
 
+    # Euler runs on the general replica of each spec
     @pytest.mark.parametrize("scheme", ["exact", "euler"])
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_states_are_new_and_equal_the_public_steps(self, name, scheme):
         spec = self.SPECS[name]
-        step = exact_step if scheme == "exact" else euler_step
+        step = exact_step
+        if scheme == "euler":
+            spec, step = general_replica(spec), euler_step
         times = np.array([1.0, 0.9, 0.65, 0.5, 0.0])
         idx = np.arange(40, 80)
-        got = [x for _, _, x in path_states(spec, [times], 6, idx, scheme)]
+        got = [x for _, _, x in path_states(spec, [times], 6, idx)]
         x = np.broadcast_to(spec.x0, (idx.size, 2)).copy()
         for j, state in enumerate(got, start=1):
             x = step(spec, x, times[j - 1] - times[j],
