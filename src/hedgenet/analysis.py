@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import stdtrit
 
-from .models import a_matrix, path_states, sigma_matrix
+from .models import a_matrix, one_step_states, path_states, sigma_matrix
+from .rng import check_count
 
 __all__ = [
     "ThetaFit",
@@ -74,22 +75,6 @@ class RateFit:
     points_used: tuple
 
 
-def _states_at(spec, T, taus, n_paths, master_seed):
-    """Exact-sampled states of paths 0..N-1 at each of ``taus``, from x0 at T.
-
-    Each is one transition from x0, and all are made from the one draw of
-    step index 0; only the state being yielded is kept. One Euler step over
-    [tau, T] is no sample of X_tau, so a 'general' spec is refused here,
-    before any draw.
-    """
-    if spec.exactness == "general":
-        raise ValueError("one-step sampling needs an exact transition; a "
-                         "'general' spec has none")
-    idx = np.arange(n_paths, dtype=np.uint64)
-    grids = [[T, tau] for tau in taus]
-    return (x for _, _, x in path_states(spec, grids, master_seed, idx))
-
-
 def _a_diagonal(spec, x):
     """A_ii(x), shape (B, d). For uncorrelated diagonal GBM it is
     (s_i x_i)^2 directly, bitwise the diagonal of a_matrix."""
@@ -109,14 +94,9 @@ def _pair_moments(spec, pricing, tau, x):
     return mean, stderr
 
 
-def _check_paths(n_paths) -> None:
-    """A standard error needs at least two paths."""
-    if n_paths < 2:
-        raise ValueError(f"need at least two paths, not {n_paths!r}")
-
-
 def default_theta_grid(T: float, n_points: int = 20) -> np.ndarray:
-    """20 times to maturity log-spaced over the window [1e-3, T/2]."""
+    """n_points (>= 3) times to maturity log-spaced over [1e-3, T/2]."""
+    check_count("n_points", n_points, 3)
     return np.geomspace(T / 2.0, 1e-3, n_points)
 
 
@@ -129,16 +109,17 @@ def estimate_theta(spec, pricing, tau_grid=None, n_paths: int = DEFAULT_N,
     delta-method confidence interval. Grid times whose m estimate is not
     positive stay in ``rows`` but are left out of the fit.
     """
-    _check_paths(n_paths)
+    check_count("n_paths", n_paths, 2)
     T = pricing.T
     if tau_grid is None:
         tau_grid = default_theta_grid(T)
     tau_grid = np.asarray(tau_grid, dtype=float)
-    if np.any(tau_grid < 1e-3) or np.any(tau_grid > T / 2.0):
-        raise ValueError("theta grid must lie within tau in [1e-3, T/2]")
+    if (tau_grid.ndim != 1 or tau_grid.size < 3 or np.any(tau_grid < 1e-3)
+            or np.any(tau_grid > T / 2.0)):
+        raise ValueError("theta grid must be >= 3 times tau in [1e-3, T/2]")
     rows = []
-    for tau, x in zip(tau_grid,
-                      _states_at(spec, T, tau_grid, n_paths, master_seed)):
+    for tau, x in zip(tau_grid, one_step_states(spec, T, tau_grid, n_paths,
+                                                master_seed)):
         mean, stderr = _pair_moments(spec, pricing, tau, x)
         k = np.unravel_index(np.argmax(mean), mean.shape)
         rows.append((float(tau), float(mean[k]), float(stderr[k])))
@@ -162,14 +143,24 @@ def theta_grid_table(fit: ThetaFit, T: float):
     return [(T - tau, m, se) for tau, m, se in fit.rows]
 
 
+def check_dates(u_grid, T) -> np.ndarray:
+    """H^2 dates as floats: a non-empty sequence of numbers 0 <= u < T."""
+    if not (np.ndim(u_grid) == 1 and len(u_grid) and all(
+            isinstance(u, (int, float, np.integer, np.floating))
+            and not isinstance(u, bool) and 0.0 <= u < T for u in u_grid)):
+        raise ValueError(f"u_grid must be a non-empty sequence of dates u "
+                         f"with 0 <= u < T, not {u_grid!r}")
+    return np.asarray(u_grid, dtype=float)
+
+
 def estimate_h2(spec, pricing, u_grid, n_paths: int = DEFAULT_N,
                 master_seed: int = 0) -> H2Curve:
     """MC curve of H^2(u) = E || sigma(X_u)^T d2F(u, X_u) sigma(X_u) ||_F^2."""
-    _check_paths(n_paths)
+    check_count("n_paths", n_paths, 2)
+    u_grid = check_dates(u_grid, pricing.T)
     points = []
-    u_grid = np.asarray(u_grid, dtype=float)
     taus = pricing.T - u_grid
-    states = _states_at(spec, pricing.T, taus, n_paths, master_seed)
+    states = one_step_states(spec, pricing.T, taus, n_paths, master_seed)
     for u, tau, x in zip(u_grid, taus, states):
         sig = sigma_matrix(spec, x)
         hess = pricing.hessian(tau, x)
@@ -270,6 +261,7 @@ def one_step_profile(spec, pricing, a: float, u_grid, n_paths: int = DEFAULT_N,
     for the same path sampled at the dates a then u. Returns a list of
     (u, lhs, lhs_stderr, integral_of_m) rows.
     """
+    check_count("n_paths", n_paths, 2)
     u_grid = np.asarray(u_grid, dtype=float)
     if np.any(u_grid < a):
         raise ValueError("u grid must not precede the interval start a")
@@ -279,7 +271,8 @@ def one_step_profile(spec, pricing, a: float, u_grid, n_paths: int = DEFAULT_N,
     # m(t) on a shared integration grid, then cumulative trapezoid.
     t_int = np.linspace(a, float(u_grid.max()), n_integral)
     m_vals = []
-    states = _states_at(spec, T, T - t_int[t_int != 0.0], n_paths, master_seed)
+    states = one_step_states(spec, T, T - t_int[t_int != 0.0], n_paths,
+                             master_seed)
     for t in t_int:
         if t == 0.0:
             x = np.broadcast_to(spec.x0, (n_paths, spec.d))

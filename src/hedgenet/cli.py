@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     RATE_N_MIN,
+    check_dates,
     choose_eta,
     default_theta_grid,
     estimate_h2,
@@ -33,7 +34,7 @@ from .analysis import (
 from .hedging import M_FACTOR, error_curve, family_nets, path_error
 from .models import bm_constant, gbm_diagonal
 from .pricing import make_pricing
-from .rng import SeedSpec
+from .rng import SeedSpec, check_count, check_seed
 from .timenets import eta_net
 
 __all__ = ["main", "load_config", "config_hash", "DEFAULT_CONFIG"]
@@ -109,11 +110,7 @@ def load_config(path) -> dict:
             cfg["engine"]["master_seed"] = int(env_seed)
         except ValueError:
             raise UsageError("HEDGENET_SEED must be an integer")
-    seed = cfg["engine"]["master_seed"]
-    if (isinstance(seed, bool) or not isinstance(seed, int)
-            or not 0 <= seed < 2**64):
-        raise UsageError(f"engine.master_seed must be an integer with "
-                         f"0 <= seed < 2**64, not {seed!r}")
+    _usage(check_seed, cfg["engine"]["master_seed"], "engine.master_seed")
     return cfg
 
 
@@ -201,18 +198,19 @@ def _resolve_families(cfg, pricing):
     return out
 
 
-def _count(name, value, least=1):
-    """Reject anything but an integer >= least (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        what = "a positive integer" if least == 1 else f"an integer >= {least}"
-        raise UsageError(f"{name} must be {what}, not {value!r}")
+def _usage(fn, *args):
+    """fn(*args), its ValueError raised as a usage error."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        raise UsageError(str(e))
 
 
 def _engine_mode(cfg, allowed) -> str:
     """The engine block's mode, checked with the rest of the block before
     work."""
     for key in ("N", "monitor_factor", "workers"):
-        _count(f"engine.{key}", cfg["engine"][key])
+        _usage(check_count, f"engine.{key}", cfg["engine"][key])
     mode = cfg["engine"]["mode"]
     if mode not in allowed:
         raise UsageError(f"engine.mode must be one of {', '.join(allowed)} "
@@ -223,14 +221,13 @@ def _engine_mode(cfg, allowed) -> str:
 def _analysis(cfg, T) -> dict:
     """The analysis block, checked before work."""
     a = cfg["analysis"]
-    _count("analysis.theta_N", a["theta_N"], 2)
-    _count("analysis.theta_points", a["theta_points"], 3)
+    _usage(check_count, "analysis.theta_N", a["theta_N"], 2)
+    _usage(check_count, "analysis.theta_points", a["theta_points"], 3)
     u_grid = a["u_grid"]
-    if u_grid is not None and not (
-        isinstance(u_grid, list) and u_grid
-        and all(isinstance(u, (int, float)) and not isinstance(u, bool)
-                and 0.0 <= u < T for u in u_grid)
-    ):
+    try:
+        if u_grid is not None:
+            check_dates(u_grid, T)
+    except ValueError:
         raise UsageError(f"analysis.u_grid must be null or a non-empty list "
                          f"of dates u with 0 <= u < T, not {u_grid!r}")
     return a
@@ -267,10 +264,7 @@ def _sweeps(cfg, spec, pricing, families, mode):
 # ---------------------------------------------------------------------------
 
 def cmd_net(args) -> int:
-    try:
-        net = eta_net(args.T, args.n, args.eta)
-    except ValueError as e:
-        raise UsageError(str(e))
+    net = _usage(eta_net, args.T, args.n, args.eta)
     net.to_csv(args.out)
     dt = net.spacings()
     print(

@@ -33,9 +33,9 @@ batch of at least ``pricing._TABLE_MIN_ROWS`` rows prices that factor off a
 table spanning the batch's own log-price range, so a path's error moves
 with the batch it is in (one path measured moved 5.7e-6 and 3.1e-5
 relative, in batches of 4096 and 6000), and ``path_error`` or a run with a
-larger n_paths need not reproduce the errors a sweep summed. Batch bounds are fixed whatever the worker count, and
-per-batch sums use exact (fsum) accumulation, so every estimate is bitwise
-independent of scheduling.
+larger n_paths need not reproduce the errors a sweep summed. Batch bounds
+are fixed whatever the worker count, and per-batch sums use exact (fsum)
+accumulation, so every estimate is bitwise independent of scheduling.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .models import path_states
-from .rng import SeedSpec
+from .rng import SeedSpec, check_count
 from .timenets import TimeNet, eta_net, refine
 
 # Not called here: perfbench/tracer.py wraps these two names in this module.
@@ -255,12 +255,6 @@ def _batch_errors(spec, pricing, plans, master_seed, path_indices):
     ]
 
 
-def _check_count(name, value) -> None:
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < 1):
-        raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
-
-
 def path_error(spec, pricing, net: TimeNet, monitor_factor: int,
                seed: SeedSpec):
     """(terminal_error, sup_abs_error) of a single hedged path.
@@ -268,7 +262,7 @@ def path_error(spec, pricing, net: TimeNet, monitor_factor: int,
     The supremum is taken over ``refine(net, monitor_factor * n)``, with the
     tau = 0 value computed from the terminal payoff.
     """
-    _check_count("monitor_factor", monitor_factor)
+    check_count("monitor_factor", monitor_factor)
     plan = _plan([refine(net, monitor_factor * net.n_intervals)],
                  [net.taus], want_sup=True)
     [[(terminal, sup)]] = _batch_errors(
@@ -360,8 +354,9 @@ def estimate_sweep(spec, pricing, families: Sequence[Sequence[TimeNet]],
     """
     if error_mode not in ("terminal", "running_sup", "both"):
         raise ValueError(f"unknown error mode {error_mode!r}")
-    _check_count("n_paths", n_paths)
-    _check_count("monitor_factor", monitor_factor)
+    check_count("n_paths", n_paths)
+    check_count("workers", workers)
+    check_count("monitor_factor", monitor_factor)
     families = [list(nets) for nets in families]
     if any(net.horizon != pricing.T for nets in families for net in nets):
         raise ValueError("pricing horizon must equal the net horizon")

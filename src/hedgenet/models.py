@@ -221,3 +221,15 @@ def path_states(spec, grids, master_seed, path_indices):
             else:
                 del states[g]
             yield g, j, x
+
+
+def one_step_states(spec, T, taus, n_paths, master_seed):
+    """States of paths 0..N-1 at each of ``taus``, each one exact transition
+    from x0 at T made from the draw of step index 0. One Euler step over
+    [tau, T] is no sample of X_tau, so a 'general' spec is refused."""
+    if spec.exactness == "general":
+        raise ValueError("one-step sampling needs an exact transition; a "
+                         "'general' spec has none")
+    idx = np.arange(n_paths, dtype=np.uint64)
+    grids = [[T, tau] for tau in taus]
+    return (x for _, _, x in path_states(spec, grids, master_seed, idx))

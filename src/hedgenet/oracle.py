@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import a_matrix, path_states
+from .models import a_matrix, one_step_states
+from .rng import check_count
 from .timenets import TimeNet
 
 __all__ = [
@@ -103,9 +104,7 @@ def mc_payoff_expectation(spec, payoff, n_paths: int, master_seed: int,
     which case its own payoff and horizon are used. One Euler step over
     [0, T] is no sample of X_T, so a 'general' spec is refused.
     """
-    if spec.exactness == "general":
-        raise ValueError("one-step sampling needs an exact transition; a "
-                         "'general' spec has none")
+    check_count("n_paths", n_paths, 2)
     if callable(payoff):
         fn = payoff
         if T is None:
@@ -113,8 +112,7 @@ def mc_payoff_expectation(spec, payoff, n_paths: int, master_seed: int,
     else:
         fn = payoff.payoff
         T = payoff.T
-    idx = np.arange(n_paths, dtype=np.uint64)
-    [(_, _, xT)] = path_states(spec, [[T, 0.0]], master_seed, idx)
+    [xT] = one_step_states(spec, T, [0.0], n_paths, master_seed)
     vals = np.asarray(fn(xT), dtype=float)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n_paths))

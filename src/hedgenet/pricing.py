@@ -210,19 +210,22 @@ def _node_doubling(raw, size, count, name):
     rule. Each point keeps the moments of the first level at which they
     differ from the previous level's by at most QUAD_RTOL times its scale
     (QUAD_ATOL floors the tolerance); only the points that have not
-    converged go on. QuadratureError is raised if any still fails at the
-    last level.
+    converged go on. raw may add a veto row after the moments: a point
+    whose veto is not 0 is not accepted at that level, its rule having
+    missed a feature of the integrand. QuadratureError is raised if any
+    point still fails at the last level.
     """
     out = np.empty((count, size))
     todo = np.arange(size)
-    prev = raw(slice(None), QUAD_NODES[0])
+    prev = raw(slice(None), QUAD_NODES[0])[:count]
     for n in QUAD_NODES[1:]:
         cur = raw(todo, n)
+        veto, cur = cur[count:].any(axis=0), cur[:count]
         # The higher moments may be cancellation-dominated; judge them
         # relative to the value moment's magnitude, not their own.
         scale = np.maximum(np.abs(cur), np.abs(cur[0])[None, :])
         tol = QUAD_RTOL * np.maximum(scale, QUAD_ATOL / QUAD_RTOL)
-        done = np.all(np.abs(cur - prev) <= tol, axis=0)
+        done = np.all(np.abs(cur - prev) <= tol, axis=0) & ~veto
         out[:, todo[done]] = cur[:, done]
         todo, prev = todo[~done], cur[:, ~done]
         if todo.size == 0:
@@ -681,14 +684,22 @@ class SumDigital2D:
 
     def _moments_raw(self, tau, x1, x2, n_nodes, count):
         """The first count of V, V_1, V_2, V_11, V_12, V_22 (x-derivatives)
-        by the n_nodes rule. Given the second asset's z-score z, the payoff
-        is the one-asset digital N(d2(z)) with strike k_eff = K - l2 X2(z),
-        which hits 0 at z*. Above z* it is 1, giving N(-z*); below, a
-        power-mapped Gauss-Legendre rule handles the flat approach at z*.
-        The Greeks are integrands on the same nodes, with d(d2)/dx1 = a1 =
-        1/(x1 st1), d(d2)/dx2 = a2 = y2/(x2 k_eff st1), d(a1)/dx1 = -a1/x1
-        and d(a2)/dx2 = st1 a2^2; their boundary terms at z* cancel, as the
-        conditional value there is 1 and the derivative integrands vanish.
+        by the n_nodes rule, then _node_doubling's veto row. Given the second
+        asset's z-score z, the payoff is the one-asset digital N(d2(z)) with
+        strike k_eff = K - l2 X2(z), which hits 0 at z*. Above z* it is 1,
+        giving N(-z*); below, a power-mapped Gauss-Legendre rule handles the
+        flat approach at z*. The Greeks are integrands on the same nodes,
+        with d(d2)/dx1 = a1 = 1/(x1 st1), d(d2)/dx2 = a2 = y2/(x2 k_eff st1),
+        d(a1)/dx1 = -a1/x1 and d(a2)/dx2 = st1 a2^2; their boundary terms at
+        z* cancel, as the conditional value there is 1 and the derivative
+        integrands vanish.
+
+        Near maturity N(d2(z)) steps from 0 to 1 at z_sw, where d2 = 0, over
+        a z-interval of width O(sqrt(tau)), and no node need fall in it:
+        when z* >> 13 none lies in the Gaussian bulk. The veto marks a point
+        whose every node sees N(d2) as exactly 0 or 1 while the rule's
+        phi-weight on its nodes with d2 > 0 is not, to QUAD_RTOL, the exact
+        N(z*) - N(max(z_sw, z* - W)).
         """
         l1, l2 = self.lam
         st1, st2 = self.s * np.sqrt(tau)
@@ -704,8 +715,17 @@ class SumDigital2D:
         keff = np.maximum(self.K - y2, 0.0)
         with np.errstate(divide="ignore"):
             d2 = (np.log(l1 * x1[:, None] / keff) - 0.5 * st1 * st1) / st1
-        out = np.empty((count, x1.size))
-        out[0] = (ndtr(d2) * wz).sum(axis=1) + ndtr(-zstar)
+        out = np.empty((count + 1, x1.size))
+        nd = ndtr(d2)
+        out[0] = (nd * wz).sum(axis=1) + ndtr(-zstar)
+        k_sw = self.K - l1 * x1 * np.exp(-0.5 * st1 * st1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z_sw = np.where(k_sw > 0.0, (np.log(k_sw / (l2 * x2))
+                                         + 0.5 * st2 * st2) / st2, -np.inf)
+        weight = ndtr(zstar) - ndtr(np.maximum(z_sw, zstar - W))
+        out[-1] = (np.all((nd == 0.0) | (nd == 1.0), axis=1)
+                   & (np.abs((wz * (d2 > 0.0)).sum(axis=1) - weight)
+                      > QUAD_RTOL))
         if count == 1:
             return out
         # where k_eff = 0 the derivative integrands are 0: zero weight, and

@@ -21,12 +21,28 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-__all__ = ["SeedSpec", "normals", "uniforms"]
+__all__ = ["SeedSpec", "check_count", "check_seed", "normals", "uniforms"]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
+
+
+def check_count(name, value, least=1) -> None:
+    """A count is a Python or numpy integer, not a bool, and >= least."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        what = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise ValueError(f"{name} must be {what}, not {value!r}")
+
+
+def check_seed(value, name="master_seed") -> None:
+    """A master seed is an integer, not a bool, that a uint64 holds."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not 0 <= value < 2**64):
+        raise ValueError(f"{name} must be an integer with 0 <= seed < 2**64, "
+                         f"not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -37,8 +53,8 @@ class SeedSpec:
     path_index: int = 0
 
     def __post_init__(self):
-        if self.master_seed < 0 or self.path_index < 0:
-            raise ValueError("seed components must be non-negative")
+        check_seed(self.master_seed)
+        check_count("path_index", self.path_index, 0)
 
 
 def _mix_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
@@ -60,6 +76,7 @@ def _mix(z) -> np.ndarray:
 
 def _path_keys(master_seed, path_index) -> np.ndarray:
     """The first two links of the chain: a word per path, broadcastable."""
+    check_seed(master_seed)
     with np.errstate(over="ignore"):
         z = _mix(np.uint64(master_seed) + _GOLDEN)
         return _mix(z + _GOLDEN * (np.asarray(path_index, dtype=np.uint64)

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import check_count
+
 __all__ = [
     "TimeNet",
     "eta_net",
@@ -81,8 +83,7 @@ def eta_net(T: float, n: int, eta: float) -> TimeNet:
     """Net tau_i = T * ((n - i)/n)^(1/(1-eta)); eta = 0 is equidistant."""
     if T <= 0.0:
         raise ValueError("horizon must be positive")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("n must be an integer >= 1")
+    check_count("n", n)
     if not (0.0 <= eta < 1.0):
         raise ValueError("eta must be < 1 (and >= 0)")
     # (n - i) / n is exact at both ends and one double for every n it divides
@@ -99,6 +100,7 @@ def eta_net(T: float, n: int, eta: float) -> TimeNet:
 def refine(net: TimeNet, M: int) -> np.ndarray:
     """The net's times to maturity joined with an M+1 point equidistant
     monitoring grid, decreasing from exactly T to exactly 0."""
+    check_count("M", M)
     if M < net.n_intervals:
         raise ValueError("M must be at least the number of net intervals")
     j = np.arange(M + 1)

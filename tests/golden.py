@@ -13,7 +13,10 @@ A change that moves numbers on purpose regenerates the digests with
 
     PYTHONPATH=src python tests/golden.py
 
-and names every moved artifact, with its largest relative change.
+which prints ``moved: <workload> <seed>/<artifact>`` for every digest that
+differs from the committed file, or ``no digest moved``, before it writes
+the file. The change names every moved artifact, with its largest relative
+change.
 """
 
 from __future__ import annotations
@@ -130,6 +133,14 @@ def main() -> int:
     os.environ.pop("HEDGENET_SEED", None)
     with tempfile.TemporaryDirectory() as tmp:
         digests = {name: workload_digests(name, tmp) for name in WORKLOADS}
+    committed = json.loads(DIGESTS.read_text())["digests"]
+    moved = [f"{name} {key}" for name, made in digests.items()
+             for key, digest in made.items()
+             if committed.get(name, {}).get(key) != digest]
+    for line in moved:
+        print(f"moved: {line}")
+    if not moved:
+        print("no digest moved")
     DIGESTS.write_text(json.dumps({"versions": versions(),
                                    "digests": digests},
                                   indent=2, sort_keys=True) + "\n")

@@ -10,9 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from hedgenet.analysis import _states_at, estimate_h2, estimate_theta, fit_rate
+from hedgenet.analysis import estimate_h2, estimate_theta, fit_rate
 from hedgenet.hedging import error_curve, estimate_l2_error
-from hedgenet.models import bm_constant, gbm_diagonal
+from hedgenet.models import bm_constant, gbm_diagonal, one_step_states
 from hedgenet.oracle import analytic_quadratic_error, pde_residual
 from hedgenet.pricing import BMQuadratic, Factor1D, make_pricing
 from hedgenet.timenets import (
@@ -137,7 +137,7 @@ def test_criterion_07_call_curvature_closed_form(capsys):
             dev = abs(mc - cf) / cf
             assert dev < 1e-12
             continue
-        [x] = _states_at(SPEC_GBM, T, [T - t], 400000, 207)
+        [x] = one_step_states(SPEC_GBM, T, [T - t], 400000, 207)
         x = x[:, 0]
         vals = (x * x * factor.value_delta_gamma(T - t, x)[2]) ** 2
         se = float(vals.std(ddof=1)) / math.sqrt(vals.size)

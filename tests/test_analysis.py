@@ -129,8 +129,7 @@ class TestEstimateTheta:
             [1.0 - tau for tau in grid]
 
     def test_states_are_one_step_each_from_one_draw(self):
-        from hedgenet.analysis import _states_at
-        from hedgenet.models import exact_step
+        from hedgenet.models import exact_step, one_step_states
         from hedgenet.rng import normals
 
         spec = gbm_diagonal(2, [1.0, 0.5], [1.0, 2.0])
@@ -138,7 +137,7 @@ class TestEstimateTheta:
         z = normals(3, np.arange(500), 0, 2)
         want = [exact_step(spec, spec.x0, 1.0 - tau, z).tobytes()
                 for tau in taus]
-        got = [x.tobytes() for x in _states_at(spec, 1.0, taus, 500, 3)]
+        got = [x.tobytes() for x in one_step_states(spec, 1.0, taus, 500, 3)]
         assert got == want
 
     @pytest.mark.parametrize("d", [1, 3])
@@ -220,7 +219,8 @@ class TestEstimateH2:
     def test_diagonal_equivalence_with_pair_sum(self):
         # for diagonal models H^2(u) equals the sum over coordinate pairs of
         # E[A_aa A_bb (d2F_ab)^2] -- same samples, so equality is numerical
-        from hedgenet.analysis import _pair_moments, _states_at
+        from hedgenet.analysis import _pair_moments
+        from hedgenet.models import one_step_states
         from hedgenet.models import a_matrix
 
         pr = make_pricing("product", {"factors": [
@@ -230,7 +230,7 @@ class TestEstimateH2:
         spec = gbm_diagonal(2, 1.0, [1.0, 1.0])
         u = 0.5
         curve = estimate_h2(spec, pr, [u], 20000, 3)
-        [x] = _states_at(spec, 1.0, [1.0 - u], 20000, 3)
+        [x] = one_step_states(spec, 1.0, [1.0 - u], 20000, 3)
         mean, _ = _pair_moments(spec, pr, 1.0 - u, x)
         assert curve.points[0][1] == pytest.approx(mean.sum(), rel=1e-10)
 
@@ -242,7 +242,7 @@ def test_a_standard_error_needs_two_paths(estimate, n_paths, monkeypatch):
 
     drawn = []
     monkeypatch.setattr(models, "normals", lambda *a, **k: drawn.append(a))
-    with pytest.raises(ValueError, match="at least two paths"):
+    with pytest.raises(ValueError, match="n_paths must be an integer >= 2"):
         estimate(SPEC_GBM, DIGITAL, [0.5], n_paths, 3)
     assert drawn == []
 

@@ -328,7 +328,7 @@ class TestRateCommand:
          "unknown config key engine.scheme"),
         # a fractional n is rejected, not truncated to another net
         ({"nets": {"n_list": [8, 16.5, 32, 64]}}, ("rate", "simulate"),
-         "n must be an integer >= 1"),
+         "n must be a positive integer"),
     ])
     def test_invalid_block_is_a_usage_error(self, tmp_path, capsys, block,
                                             cmds, message):

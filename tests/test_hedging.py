@@ -140,6 +140,10 @@ BAD_ARGUMENTS = {
     "horizon": {"net": equidistant_net(2.0, 4)},
     "dimension": {"spec": gbm_diagonal(2, 1.0, 1.0)},
     "empty-family": {"net": None},
+    **{f"workers-{w}": {"workers": w} for w in (0, -3, 2.5, True)},
+    **{f"seed-{name}": {"master_seed": seed} for name, seed in (
+        ("1.5", 1.5), ("True", True), ("-1", -1), ("2**64", 2**64),
+        ("str", "1"))},
 }
 
 
@@ -168,16 +172,17 @@ class TestValidation:
 
     @staticmethod
     def call(entry, spec=SPEC_GBM, pricing=DIGITAL,
-             net=equidistant_net(1.0, 4), n_paths=100, **kw):
+             net=equidistant_net(1.0, 4), n_paths=100, master_seed=0, **kw):
         if entry == "estimate_sweep":
             return estimate_sweep(spec, pricing,
                                   [[] if net is None else [net]],
-                                  n_paths, 0, **kw)
+                                  n_paths, master_seed, **kw)
         if entry == "estimate_l2_error":
-            return estimate_l2_error(spec, pricing, net, n_paths, 0, **kw)
+            return estimate_l2_error(spec, pricing, net, n_paths,
+                                     master_seed, **kw)
         return error_curve(spec, pricing,
                            [] if net is None else [net.n_intervals], [0.0],
-                           n_paths, 0, **kw)
+                           n_paths, master_seed, **kw)
 
     def test_general_diffusion_runs_euler(self):
         est = self.call("estimate_l2_error", spec=GENERAL, pricing=QUAD1)

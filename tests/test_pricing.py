@@ -594,6 +594,50 @@ class TestSumDigital:
         with pytest.raises(QuadratureError, match="sum-digital quadrature"):
             sd.value(0.5, np.array([[1.1, 0.9]]))
 
+    # Without the veto each of these returned the value 0 and a zero
+    # gradient, where the price is about 1 (0.5 at the kink x = (1, 1)):
+    # no node lay in the Gaussian bulk, so every level agreed on N(-z*).
+    @pytest.mark.parametrize("x, tau", [
+        ((1.5, 1.5), 1e-12), ((1.2, 1.0), 1e-10), ((1.2, 1.0), 1e-12),
+        ((3.0, 0.1), 1e-10), ((3.0, 0.1), 1e-12), ((1.0, 1.0), 1e-10),
+        ((1.0, 1.0), 1e-12),
+    ])
+    def test_raises_where_its_rule_misses_the_step(self, x, tau):
+        sd = SumDigital2D(2.0, (1.0, 1.0), (1.0, 1.0), 1.0)
+        for method in (sd.value, sd.gradient):
+            with pytest.raises(QuadratureError):
+                method(tau, np.array([x]))
+
+    @pytest.mark.parametrize("x, want", [((0.1, 3.0), 1.0), ((0.5, 0.5), 0.0)])
+    def test_prices_away_from_the_step_at_maturity(self, x, want):
+        sd = SumDigital2D(2.0, (1.0, 1.0), (1.0, 1.0), 1.0)
+        x = np.array([x])
+        assert sd.value(1e-12, x)[0] == want
+        assert np.all(sd.gradient(1e-12, x) == 0.0)
+
+    @pytest.mark.parametrize("tau", [0.5, 0.1, 0.05, 0.02, 0.01, 1e-3])
+    def test_veto_moves_no_price_the_rule_resolves(self, tau, monkeypatch):
+        # 4096 states: every value, gradient and Hessian is bitwise the one
+        # node doubling gives without the veto row, or both raise (the
+        # Hessian at tau = 0.01, all three at 1e-3)
+        sd = SumDigital2D(2.0, (1.0, 1.0), (1.0, 1.0), 1.0)
+        x = gbm2_states(1.0 - tau, 4096)
+
+        def prices():
+            out = []
+            for method in (sd.value, sd.gradient, sd.hessian):
+                try:
+                    out.append(method(tau, x).tobytes())
+                except QuadratureError:
+                    out.append(None)
+            return out
+
+        with_veto = prices()
+        raw = SumDigital2D._moments_raw
+        monkeypatch.setattr(SumDigital2D, "_moments_raw",
+                            lambda self, *a: raw(self, *a)[:-1])
+        assert prices() == with_veto
+
 
 class TestBMQuadratic:
     def test_values(self):

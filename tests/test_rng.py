@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
+from hedgenet.analysis import (
+    default_theta_grid,
+    estimate_h2,
+    estimate_theta,
+    one_step_profile,
+)
+from hedgenet.hedging import path_error
+from hedgenet.models import gbm_diagonal
+from hedgenet.oracle import mc_payoff_expectation
+from hedgenet.pricing import Factor1D, ProductPricing
 from hedgenet.rng import SeedSpec, _BatchStream, normals, uniforms
+from hedgenet.timenets import eta_net, refine
 
 
 class TestSeedSpec:
@@ -10,6 +21,64 @@ class TestSeedSpec:
             SeedSpec(-1)
         with pytest.raises(ValueError):
             SeedSpec(0, -3)
+
+
+SPEC = gbm_diagonal(1, 1.0, 1.0)
+DIGITAL = ProductPricing([Factor1D("digital", K=1.0, s=1.0)], T=1.0)
+NET = eta_net(1.0, 2, 0.0)
+GRID = [0.5, 0.1, 0.01]
+
+#: the one-step Monte Carlo entries, each called as fn(n_paths, master_seed)
+ONE_STEP = {
+    "estimate_theta": lambda n, s: estimate_theta(SPEC, DIGITAL, GRID, n, s),
+    "estimate_h2": lambda n, s: estimate_h2(SPEC, DIGITAL, [0.5], n, s),
+    "one_step_profile": lambda n, s: one_step_profile(
+        SPEC, DIGITAL, 0.5, [0.6], n, s),
+    "mc_payoff_expectation": lambda n, s: mc_payoff_expectation(
+        SPEC, DIGITAL, n, s),
+}
+
+BAD_SEEDS = (1.5, True, -1, 2**64, "1")
+
+#: every library entry outside the hedging engine that takes a count, a
+#: seed or a date grid, called on a bad one
+BAD_INPUTS = {
+    **{f"eta_net-n-{n}": lambda n=n: eta_net(1.0, n, 0.0)
+       for n in (True, 2.5, 0)},
+    **{f"refine-M-{M}": lambda M=M: refine(NET, M) for M in (2.5, 8.0, 0)},
+    **{f"default_theta_grid-{k}": lambda k=k: default_theta_grid(1.0, k)
+       for k in (2, 0, 20.0)},
+    "estimate_theta-2-times": lambda: estimate_theta(
+        SPEC, DIGITAL, [0.5, 0.1], 100),
+    **{f"{name}-n_paths-{n}": lambda fn=fn, n=n: fn(n, 0)
+       for name, fn in ONE_STEP.items() for n in (2.5, 1, 0, True)},
+    **{f"{name}-seed-{seed!r}": lambda fn=fn, seed=seed: fn(100, seed)
+       for name, fn in ONE_STEP.items() for seed in BAD_SEEDS},
+    **{f"SeedSpec-seed-{seed!r}": lambda seed=seed: SeedSpec(seed)
+       for seed in BAD_SEEDS},
+    **{f"normals-seed-{seed!r}": lambda seed=seed: normals(seed, 0, 0, 1)
+       for seed in BAD_SEEDS},
+    "SeedSpec-path-0.5": lambda: SeedSpec(1, 0.5),
+    "SeedSpec-path--1": lambda: SeedSpec(1, -1),
+    "path_error-SeedSpec(1.5, 0.5)": lambda: path_error(
+        SPEC, DIGITAL, NET, 4, SeedSpec(1.5, 0.5)),
+    "path_error-monitor_factor-True": lambda: path_error(
+        SPEC, DIGITAL, NET, True, SeedSpec(1)),
+    **{f"estimate_h2-date-{u}": lambda u=u: estimate_h2(
+        SPEC, DIGITAL, u, 100)
+       for u in ([1.0], [1.5], [np.nan], [-0.1], [], [True], 0.5)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_count_seed_or_date_fails_before_any_draw(case, monkeypatch):
+    import hedgenet.models as models
+
+    drawn = []
+    monkeypatch.setattr(models, "normals", lambda *a, **k: drawn.append(a))
+    with pytest.raises(ValueError):
+        BAD_INPUTS[case]()
+    assert drawn == []
 
 
 class TestUniforms:
