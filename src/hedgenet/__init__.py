@@ -23,7 +23,7 @@ from .models import (
     a_matrix,
     path_states,
 )
-from .rng import SeedSpec
+from .rng import ArgumentError, SeedSpec
 from .pricing import (
     Factor1D,
     ProductPricing,

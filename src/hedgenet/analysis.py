@@ -15,8 +15,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import stdtrit
 
-from .models import a_matrix, one_step_states, path_states, sigma_matrix
-from .rng import check_count
+from .models import (a_matrix, check_dimensions, one_step_states,
+                     path_states, sigma_matrix)
+from .rng import ArgumentError, check_count
 
 __all__ = [
     "ThetaFit",
@@ -110,13 +111,14 @@ def estimate_theta(spec, pricing, tau_grid=None, n_paths: int = DEFAULT_N,
     positive stay in ``rows`` but are left out of the fit.
     """
     check_count("n_paths", n_paths, 2)
+    check_dimensions(spec, pricing)
     T = pricing.T
     if tau_grid is None:
         tau_grid = default_theta_grid(T)
     tau_grid = np.asarray(tau_grid, dtype=float)
     if (tau_grid.ndim != 1 or tau_grid.size < 3 or np.any(tau_grid < 1e-3)
             or np.any(tau_grid > T / 2.0)):
-        raise ValueError("theta grid must be >= 3 times tau in [1e-3, T/2]")
+        raise ArgumentError("theta grid must be >= 3 times tau in [1e-3, T/2]")
     rows = []
     for tau, x in zip(tau_grid, one_step_states(spec, T, tau_grid, n_paths,
                                                 master_seed)):
@@ -148,8 +150,8 @@ def check_dates(u_grid, T) -> np.ndarray:
     if not (np.ndim(u_grid) == 1 and len(u_grid) and all(
             isinstance(u, (int, float, np.integer, np.floating))
             and not isinstance(u, bool) and 0.0 <= u < T for u in u_grid)):
-        raise ValueError(f"u_grid must be a non-empty sequence of dates u "
-                         f"with 0 <= u < T, not {u_grid!r}")
+        raise ArgumentError(f"u_grid must be a non-empty sequence of dates u "
+                            f"with 0 <= u < T, not {u_grid!r}")
     return np.asarray(u_grid, dtype=float)
 
 
@@ -157,6 +159,7 @@ def estimate_h2(spec, pricing, u_grid, n_paths: int = DEFAULT_N,
                 master_seed: int = 0) -> H2Curve:
     """MC curve of H^2(u) = E || sigma(X_u)^T d2F(u, X_u) sigma(X_u) ||_F^2."""
     check_count("n_paths", n_paths, 2)
+    check_dimensions(spec, pricing)
     u_grid = check_dates(u_grid, pricing.T)
     points = []
     taus = pricing.T - u_grid
@@ -179,7 +182,7 @@ def choose_eta(theta: float) -> float:
     the midpoint of the admissible interval (2 theta - 1, 1).
     """
     if not (0.0 <= theta < 1.0):
-        raise ValueError("theta must lie in [0, 1)")
+        raise ArgumentError("theta must lie in [0, 1)")
     return 0.0 if theta < 0.5 else float(theta)
 
 
@@ -205,6 +208,15 @@ def _ols(x, y):
     return slope, intercept, se, r2
 
 
+def check_rate_ns(ns) -> None:
+    """The n of a rate fit: positive integers, 4 or more >= RATE_N_MIN."""
+    for n in ns:
+        check_count("n", n)
+    if sum(n >= RATE_N_MIN for n in ns) < 4:
+        raise ArgumentError(f"a rate fit needs at least 4 values of n >= "
+                            f"{RATE_N_MIN}")
+
+
 def fit_rate(points: Sequence,
              jackknife: Optional[Sequence] = None) -> RateFit:
     """OLS of log rms on log n; points with n < RATE_N_MIN are dropped.
@@ -220,10 +232,11 @@ def fit_rate(points: Sequence,
     degrees of freedom.
     """
     points = list(points)
+    check_rate_ns([n for n, _ in points])
+    if jackknife is not None and len(jackknife) != len(points):
+        raise ArgumentError("need one set of jackknife rms values per point")
     keep = [i for i, (n, _) in enumerate(points) if n >= RATE_N_MIN]
     used = [(int(points[i][0]), float(points[i][1])) for i in keep]
-    if len(used) < 4:
-        raise ValueError("rate fit needs at least 4 points with n >= 8")
     if any(r <= 0.0 for _, r in used):
         raise ValueError("rms values must be positive")
     rms = np.array([r for _, r in used])
@@ -235,8 +248,6 @@ def fit_rate(points: Sequence,
     if jackknife is None:
         tcrit = stdtrit(len(used) - 2, 0.975)
     else:
-        if len(jackknife) != len(points):
-            raise ValueError("need one set of jackknife rms values per point")
         # log rms with each group left out, shape (points used, groups)
         loo = np.log(np.asarray([jackknife[i] for i in keep], dtype=float))
         G = loo.shape[1]
@@ -258,15 +269,17 @@ def one_step_profile(spec, pricing, a: float, u_grid, n_paths: int = DEFAULT_N,
     """One-interval error profile: LHS(u) vs the integral of m(t) over [a, u].
 
     LHS(u) = sum_{k,l} E[ (dF_k(u, X_u) - dF_k(a, X_a))^2 sigma_kl(X_u)^2 ]
-    for the same path sampled at the dates a then u. Returns a list of
-    (u, lhs, lhs_stderr, integral_of_m) rows.
+    for the same path sampled at the dates a then u, 0 <= a <= u < T.
+    Returns a list of (u, lhs, lhs_stderr, integral_of_m) rows.
     """
     check_count("n_paths", n_paths, 2)
-    u_grid = np.asarray(u_grid, dtype=float)
-    if np.any(u_grid < a):
-        raise ValueError("u grid must not precede the interval start a")
-    idx = np.arange(n_paths, dtype=np.uint64)
+    check_count("n_integral", n_integral, 2)
+    check_dimensions(spec, pricing)
     T = pricing.T
+    u_grid = check_dates(u_grid, T)
+    if not 0.0 <= a <= u_grid.min():
+        raise ArgumentError(f"need 0 <= a <= u for each date u, not a = {a!r}")
+    idx = np.arange(n_paths, dtype=np.uint64)
 
     # m(t) on a shared integration grid, then cumulative trapezoid.
     t_int = np.linspace(a, float(u_grid.max()), n_integral)

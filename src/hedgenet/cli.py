@@ -5,6 +5,8 @@ theta (blow-up exponent scan), h2 (error-density curve), simulate (raw error
 estimates), report (aggregate a directory of runs). Experiments are described
 by a single JSON config; all defaults are materialized into the run manifest
 so every run is self-describing and byte-reproducible for a fixed seed.
+Exit code 2 is any ArgumentError, from a config check here or from a library
+function's own checks before work; every other failure exits 1.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    RATE_N_MIN,
     check_dates,
+    check_rate_ns,
     choose_eta,
     default_theta_grid,
     estimate_h2,
@@ -31,10 +33,10 @@ from .analysis import (
     fit_rate,
     theta_grid_table,
 )
-from .hedging import M_FACTOR, error_curve, family_nets, path_error
+from .hedging import M_FACTOR, error_curve, path_error
 from .models import bm_constant, gbm_diagonal
 from .pricing import make_pricing
-from .rng import SeedSpec, check_count, check_seed
+from .rng import ArgumentError, SeedSpec, check_count, check_seed
 from .timenets import eta_net
 
 __all__ = ["main", "load_config", "config_hash", "DEFAULT_CONFIG"]
@@ -73,35 +75,32 @@ DEFAULT_CONFIG = {
 }
 
 
-class UsageError(Exception):
-    """Invalid arguments or config; exit code 2."""
-
-
 def _fmt(v) -> str:
     return "%.17g" % float(v)
 
 
 def load_config(path) -> dict:
     """Parse a JSON config, materialize defaults, apply the env seed override,
-    then check the blocks' keys and the seed."""
+    then check the blocks' keys, the seed and that nets.n_list is a list."""
     try:
         with open(path) as f:
             user = json.load(f)
     except OSError as e:
-        raise UsageError(f"cannot read config {path}: {e}")
+        raise ArgumentError(f"cannot read config {path}: {e}")
     except json.JSONDecodeError as e:
-        raise UsageError(f"config {path} is not valid JSON: {e}")
+        raise ArgumentError(f"config {path} is not valid JSON: {e}")
     if not isinstance(user, dict):
-        raise UsageError("config root must be a JSON object")
+        raise ArgumentError("config root must be a JSON object")
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     for block, body in user.items():
         if block not in DEFAULT_CONFIG:
-            raise UsageError(f"unknown config block {block!r}")
+            raise ArgumentError(f"unknown config block {block!r}")
         if not isinstance(body, dict):
-            raise UsageError(f"config block {block!r} must be a JSON object")
+            raise ArgumentError(f"config block {block!r} must be a JSON "
+                                "object")
         for key in body:
             if key not in DEFAULT_CONFIG[block]:
-                raise UsageError(f"unknown config key {block}.{key}")
+                raise ArgumentError(f"unknown config key {block}.{key}")
         # every key is a default's, so the user's value replaces it whole
         cfg[block].update(body)
     env_seed = os.environ.get("HEDGENET_SEED")
@@ -109,8 +108,10 @@ def load_config(path) -> dict:
         try:
             cfg["engine"]["master_seed"] = int(env_seed)
         except ValueError:
-            raise UsageError("HEDGENET_SEED must be an integer")
-    _usage(check_seed, cfg["engine"]["master_seed"], "engine.master_seed")
+            raise ArgumentError("HEDGENET_SEED must be an integer")
+    check_seed(cfg["engine"]["master_seed"], "engine.master_seed")
+    if not isinstance(cfg["nets"]["n_list"], list):
+        raise ArgumentError("nets.n_list must be a JSON list")
     return cfg
 
 
@@ -134,8 +135,8 @@ def build_spec(cfg: dict):
             return bm_constant(sigma=sigma, x0=m["x0"], drift=m["drift"],
                                corr=m["corr"])
     except (KeyError, ValueError) as e:
-        raise UsageError(f"invalid model block: {e}")
-    raise UsageError(f"unknown model case {m['case']!r}")
+        raise ArgumentError(f"invalid model block: {e}")
+    raise ArgumentError(f"unknown model case {m['case']!r}")
 
 
 def build_pricing(cfg: dict):
@@ -156,7 +157,7 @@ def build_pricing(cfg: dict):
             params.setdefault("d", m["d"])
         return make_pricing(key, params, p["T"])
     except (IndexError, KeyError, ValueError) as e:
-        raise UsageError(f"invalid payoff block: {e}")
+        raise ArgumentError(f"invalid payoff block: {e}")
 
 
 def _write_csv(path, header, rows):
@@ -189,67 +190,49 @@ def _resolve_families(cfg, pricing):
             try:
                 eta = float(eta)
             except (TypeError, ValueError):
-                raise UsageError(f"eta must be a number, not {eta!r}")
+                raise ArgumentError(f"eta must be a number, not {eta!r}")
             out.append(("eta", eta))
         else:
-            raise UsageError(f"unknown net family {name!r}")
+            raise ArgumentError(f"unknown net family {name!r}")
     if not out:
-        raise UsageError("config lists no net families")
+        raise ArgumentError("config lists no net families")
     return out
-
-
-def _usage(fn, *args):
-    """fn(*args), its ValueError raised as a usage error."""
-    try:
-        return fn(*args)
-    except ValueError as e:
-        raise UsageError(str(e))
 
 
 def _engine_mode(cfg, allowed) -> str:
     """The engine block's mode, checked with the rest of the block before
     work."""
     for key in ("N", "monitor_factor", "workers"):
-        _usage(check_count, f"engine.{key}", cfg["engine"][key])
+        check_count(f"engine.{key}", cfg["engine"][key])
     mode = cfg["engine"]["mode"]
     if mode not in allowed:
-        raise UsageError(f"engine.mode must be one of {', '.join(allowed)} "
-                         f"for this command, not {mode!r}")
+        raise ArgumentError(f"engine.mode must be one of {', '.join(allowed)}"
+                            f" for this command, not {mode!r}")
     return mode
 
 
 def _analysis(cfg, T) -> dict:
     """The analysis block, checked before work."""
     a = cfg["analysis"]
-    _usage(check_count, "analysis.theta_N", a["theta_N"], 2)
-    _usage(check_count, "analysis.theta_points", a["theta_points"], 3)
+    check_count("analysis.theta_N", a["theta_N"], 2)
+    check_count("analysis.theta_points", a["theta_points"], 3)
     u_grid = a["u_grid"]
     try:
         if u_grid is not None:
             check_dates(u_grid, T)
-    except ValueError:
-        raise UsageError(f"analysis.u_grid must be null or a non-empty list "
-                         f"of dates u with 0 <= u < T, not {u_grid!r}")
+    except ArgumentError:
+        raise ArgumentError("analysis.u_grid must be null or a non-empty list"
+                            f" of dates u with 0 <= u < T, not {u_grid!r}")
     return a
 
 
 def _sweeps(cfg, spec, pricing, families, mode):
     """({eta: error_curve points}, wall_ms): one sweep per distinct net
-    family, all in one error_curve pass that wall_ms times.
-
-    Every net is built here before any path is simulated, so an
-    unrepresentable net fails the run up front. The equidistant family is
-    eta = 0, so an eta family that resolves to 0 shares its sweep.
+    family, all in one error_curve pass that wall_ms times. The equidistant
+    family is eta = 0, so an eta family that resolves to 0 shares its sweep.
     """
     eng, n_list = cfg["engine"], cfg["nets"]["n_list"]
     etas = list(dict.fromkeys(eta for _, eta in families))
-    try:
-        if list(n_list) != sorted(n_list):
-            raise ValueError("n_list must be ascending")
-        for eta in etas:
-            family_nets(pricing.T, n_list, eta)
-    except (TypeError, ValueError) as e:
-        raise UsageError(f"invalid nets block: {e}")
     t0 = time.perf_counter()
     curves = error_curve(
         spec, pricing, n_list, etas, eng["N"], eng["master_seed"],
@@ -264,7 +247,7 @@ def _sweeps(cfg, spec, pricing, families, mode):
 # ---------------------------------------------------------------------------
 
 def cmd_net(args) -> int:
-    net = _usage(eta_net, args.T, args.n, args.eta)
+    net = eta_net(args.T, args.n, args.eta)
     net.to_csv(args.out)
     dt = net.spacings()
     print(
@@ -281,13 +264,7 @@ def cmd_rate(args, cfg, spec, pricing) -> dict:
     # one rate fit per family, so one mode
     mode = _engine_mode(cfg, ("terminal", "running_sup"))
     families = _resolve_families(cfg, pricing)
-    try:
-        fits = sum(n >= RATE_N_MIN for n in cfg["nets"]["n_list"])
-    except TypeError as e:
-        raise UsageError(f"invalid nets block: {e}")
-    if fits < 4:
-        raise UsageError(f"a rate fit needs at least 4 values of n >= "
-                         f"{RATE_N_MIN} in nets.n_list")
+    check_rate_ns(cfg["nets"]["n_list"])
     sweeps, _ = _sweeps(cfg, spec, pricing, families, mode)
     rows = []
     summaries = []
@@ -410,9 +387,6 @@ def run_config(args) -> int:
     if getattr(args, "workers", None) is not None:
         cfg["engine"]["workers"] = args.workers
     spec, pricing = build_spec(cfg), build_pricing(cfg)
-    if pricing.d != spec.d:
-        raise UsageError(f"the payoff has dimension {pricing.d}, "
-                         f"the model {spec.d}")
     artifacts = args.command_fn(args, cfg, spec, pricing)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -434,7 +408,7 @@ def run_config(args) -> int:
 def cmd_report(args) -> int:
     root = Path(args.dir)
     if not root.is_dir():
-        raise UsageError(f"{root} is not a directory")
+        raise ArgumentError(f"{root} is not a directory")
     summaries = sorted(root.glob("**/summary.json"))
     if not summaries:
         print(f"error: no run summaries found under {root}", file=sys.stderr)
@@ -543,7 +517,7 @@ def main(argv=None) -> int:
         return int(e.code) if e.code else 0
     try:
         return args.func(args)
-    except UsageError as e:
+    except ArgumentError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # runtime failures (I/O, quadrature, ...)

@@ -47,8 +47,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .models import path_states
-from .rng import SeedSpec, check_count
+from .models import check_dimensions, path_states
+from .rng import ArgumentError, SeedSpec, check_count
 from .timenets import TimeNet, eta_net, refine
 
 # Not called here: perfbench/tracer.py wraps these two names in this module.
@@ -61,7 +61,6 @@ __all__ = [
     "path_error",
     "estimate_l2_error",
     "estimate_sweep",
-    "family_nets",
     "error_curve",
 ]
 
@@ -163,6 +162,22 @@ def _plan(grids, knots, want_sup) -> _Plan:
     )
 
 
+def _plans(spec, pricing, families, monitor_factor, want_sup) -> list:
+    """One plan per family of nets, made once its arguments pass."""
+    check_count("monitor_factor", monitor_factor)
+    check_dimensions(spec, pricing)
+    if not families or not all(families):
+        raise ArgumentError("need at least one net per family")
+    if any(net.horizon != pricing.T for nets in families for net in nets):
+        raise ArgumentError("pricing horizon must equal the net horizon")
+    return [
+        _plan([refine(net, monitor_factor * net.n_intervals) if want_sup
+               else net.taus for net in nets],
+              [net.taus for net in nets], want_sup)
+        for nets in families
+    ]
+
+
 def _row_dots(dx, grad, prod, dots):
     """``(dx * grad).sum(axis=1)``, using ``prod`` (B, d) and ``dots`` (B,)
     as scratch; the result is a view of one of them.
@@ -262,11 +277,9 @@ def path_error(spec, pricing, net: TimeNet, monitor_factor: int,
     The supremum is taken over ``refine(net, monitor_factor * n)``, with the
     tau = 0 value computed from the terminal payoff.
     """
-    check_count("monitor_factor", monitor_factor)
-    plan = _plan([refine(net, monitor_factor * net.n_intervals)],
-                 [net.taus], want_sup=True)
+    plans = _plans(spec, pricing, [[net]], monitor_factor, want_sup=True)
     [[(terminal, sup)]] = _batch_errors(
-        spec, pricing, [plan], seed.master_seed,
+        spec, pricing, plans, seed.master_seed,
         np.array([seed.path_index], dtype=np.uint64),
     )
     return float(terminal[0]), float(sup[0])
@@ -353,29 +366,14 @@ def estimate_sweep(spec, pricing, families: Sequence[Sequence[TimeNet]],
     count.
     """
     if error_mode not in ("terminal", "running_sup", "both"):
-        raise ValueError(f"unknown error mode {error_mode!r}")
+        raise ArgumentError(f"unknown error mode {error_mode!r}")
     check_count("n_paths", n_paths)
     check_count("workers", workers)
-    check_count("monitor_factor", monitor_factor)
     families = [list(nets) for nets in families]
-    if any(net.horizon != pricing.T for nets in families for net in nets):
-        raise ValueError("pricing horizon must equal the net horizon")
-    if spec.d != pricing.d:
-        raise ValueError("diffusion and payoff dimensions differ")
-    if not families or not all(families):
-        raise ValueError("need at least one net per family")
+    plans = _plans(spec, pricing, families, monitor_factor,
+                   want_sup=error_mode != "terminal")
     modes = (("terminal", "running_sup") if error_mode == "both"
              else (error_mode,))
-    want_sup = error_mode != "terminal"
-    plans = [
-        _plan(
-            [refine(net, monitor_factor * net.n_intervals) if want_sup
-             else net.taus for net in nets],
-            [net.taus for net in nets],
-            want_sup,
-        )
-        for nets in families
-    ]
     results = _run_batches(spec, pricing, plans, n_paths, master_seed, modes,
                            workers)
     return [
@@ -395,11 +393,6 @@ def estimate_l2_error(spec, pricing, net: TimeNet, n_paths: int,
                           error_mode, workers, monitor_factor)[0][0]
 
 
-def family_nets(T: float, n_list: Sequence[int], eta: float):
-    """One eta-net per n; eta = 0 gives the equidistant net."""
-    return [eta_net(T, n, eta) for n in n_list]
-
-
 def error_curve(spec, pricing, n_list: Sequence[int], etas: Sequence[float],
                 n_paths: int, master_seed: int, error_mode: str = "terminal",
                 workers: int = 1, monitor_factor: int = M_FACTOR):
@@ -417,9 +410,9 @@ def error_curve(spec, pricing, n_list: Sequence[int], etas: Sequence[float],
     Returns, per eta, one ErrorCurvePoint per n, carrying an estimate per
     requested mode.
     """
+    families = [[eta_net(pricing.T, n, eta) for n in n_list] for eta in etas]
     if list(n_list) != sorted(n_list):
-        raise ValueError("n_list must be ascending")
-    families = [family_nets(pricing.T, n_list, eta) for eta in etas]
+        raise ArgumentError("n_list must be ascending")
     ests = estimate_sweep(spec, pricing, families, n_paths, master_seed,
                           error_mode, workers, monitor_factor)
     return [

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .rng import _BatchStream, normals
+from .rng import ArgumentError, _BatchStream, normals
 
 __all__ = [
     "DiffusionSpec",
@@ -48,14 +48,14 @@ class DiffusionSpec:
 
     def __post_init__(self):
         if self.case not in ("C1", "C2"):
-            raise ValueError("case must be 'C1' or 'C2'")
+            raise ArgumentError("case must be 'C1' or 'C2'")
         if self.exactness not in ("gbm-diagonal", "bm-constant", "general"):
-            raise ValueError("unknown exactness tag")
+            raise ArgumentError("unknown exactness tag")
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (self.d,):
-            raise ValueError("x0 must be a d-vector")
+            raise ArgumentError("x0 must be a d-vector")
         if self.case == "C2" and np.any(x0 <= 0.0):
-            raise ValueError("C2 start point must be strictly positive")
+            raise ArgumentError("C2 start point must be strictly positive")
         object.__setattr__(self, "x0", x0)
         for name in ("vols", "drift_rates", "const_drift"):
             v = getattr(self, name)
@@ -63,23 +63,23 @@ class DiffusionSpec:
                 object.__setattr__(self, name, np.asarray(v, dtype=float))
         if self.exactness == "gbm-diagonal":
             if self.case != "C2":
-                raise ValueError("gbm-diagonal requires case C2")
+                raise ArgumentError("gbm-diagonal requires case C2")
             if self.vols is None or np.any(self.vols <= 0.0):
-                raise ValueError("gbm-diagonal needs strictly positive vols")
+                raise ArgumentError("gbm-diagonal needs strictly positive vols")
         if self.exactness == "bm-constant":
             if self.case != "C1":
-                raise ValueError("bm-constant requires case C1")
+                raise ArgumentError("bm-constant requires case C1")
             if self.const_sigma is None:
-                raise ValueError("bm-constant needs a constant sigma matrix")
+                raise ArgumentError("bm-constant needs a constant sigma matrix")
             object.__setattr__(
                 self, "const_sigma", np.asarray(self.const_sigma, dtype=float)
             )
         if self.corr is not None:
             corr = np.asarray(self.corr, dtype=float)
             if corr.shape != (self.d, self.d) or not np.allclose(corr, corr.T):
-                raise ValueError("corr must be a symmetric d x d matrix")
+                raise ArgumentError("corr must be a symmetric d x d matrix")
             if not np.allclose(np.diag(corr), 1.0):
-                raise ValueError("corr must have unit diagonal")
+                raise ArgumentError("corr must have unit diagonal")
             object.__setattr__(self, "corr", corr)
             object.__setattr__(self, "corr_chol", np.linalg.cholesky(corr))
 
@@ -137,6 +137,13 @@ def a_matrix(spec: DiffusionSpec, x) -> np.ndarray:
     return sig @ np.swapaxes(sig, -1, -2)
 
 
+def check_dimensions(spec: DiffusionSpec, pricing) -> None:
+    """The payoff's dimension is the model's."""
+    if pricing.d != spec.d:
+        raise ArgumentError(f"the payoff has dimension {pricing.d}, "
+                            f"the model {spec.d}")
+
+
 def exact_step(spec: DiffusionSpec, x, dt: float, z) -> np.ndarray:
     """One exact transition for constant-coefficient models (z iid normal).
 
@@ -166,14 +173,14 @@ def exact_step(spec: DiffusionSpec, x, dt: float, z) -> np.ndarray:
         if spec.const_drift is not None:
             out += spec.const_drift * dt
         return out
-    raise ValueError("exact sampling requires a non-'general' spec")
+    raise ArgumentError("exact sampling requires a non-'general' spec")
 
 
 def euler_step(spec: DiffusionSpec, x, dt: float, z) -> np.ndarray:
     """One Euler-Maruyama step of a 'general' spec (log-Euler in case C2)."""
     if spec.exactness != "general":
-        raise ValueError("Euler sampling is for 'general' specs only; this "
-                         "one has an exact transition")
+        raise ArgumentError("Euler sampling is for 'general' specs only; "
+                            "this one has an exact transition")
     sig = sigma_matrix(spec, x)
     drift = (0.0 if spec.drift_fn is None
              else np.asarray(spec.drift_fn(x), dtype=float))
@@ -228,8 +235,8 @@ def one_step_states(spec, T, taus, n_paths, master_seed):
     from x0 at T made from the draw of step index 0. One Euler step over
     [tau, T] is no sample of X_tau, so a 'general' spec is refused."""
     if spec.exactness == "general":
-        raise ValueError("one-step sampling needs an exact transition; a "
-                         "'general' spec has none")
+        raise ArgumentError("one-step sampling needs an exact transition; "
+                            "a 'general' spec has none")
     idx = np.arange(n_paths, dtype=np.uint64)
     grids = [[T, tau] for tau in taus]
     return (x for _, _, x in path_states(spec, grids, master_seed, idx))

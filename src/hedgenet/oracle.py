@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import a_matrix, one_step_states
-from .rng import check_count
+from .rng import ArgumentError, check_count
 from .timenets import TimeNet
 
 __all__ = [
@@ -62,7 +62,7 @@ def pde_residual(spec, pricing, t: float, x,
     if h_t is None:
         h_t = 1e-5 * T
     if not (0.05 * T <= t <= 0.95 * T):
-        raise ValueError("residual check is defined on the bulk of [0, T]")
+        raise ArgumentError("residual check is defined on the bulk of [0, T]")
     tau = T - t
     x = np.asarray(x, dtype=float).reshape(1, -1)
     vp = pricing.value(tau - h_t, x)[0]
@@ -91,7 +91,7 @@ def analytic_quadratic_error(net: TimeNet, d: int, T: float) -> float:
     - dt_i), independent increments, so the second moment is 2 d sum dt_i^2.
     """
     if net.horizon != T:
-        raise ValueError("net horizon does not match T")
+        raise ArgumentError("net horizon does not match T")
     dt = net.spacings()
     return 2.0 * d * float((dt * dt).sum())
 
@@ -108,7 +108,7 @@ def mc_payoff_expectation(spec, payoff, n_paths: int, master_seed: int,
     if callable(payoff):
         fn = payoff
         if T is None:
-            raise ValueError("T is required for a bare payoff callable")
+            raise ArgumentError("T is required for a bare payoff callable")
     else:
         fn = payoff.payoff
         T = payoff.T

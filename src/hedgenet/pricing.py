@@ -24,6 +24,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import eval_hermite, eval_legendre, ndtr, roots_hermite
 
+from .rng import ArgumentError
+
 __all__ = [
     "QuadratureError",
     "Factor1D",
@@ -53,20 +55,20 @@ def _phi(z):
 
 def _horizon(T) -> float:
     if not T > 0.0:
-        raise ValueError("horizon must be positive")
+        raise ArgumentError("horizon must be positive")
     return float(T)
 
 
 def _maturity(tau) -> float:
     if not tau > 0.0:
-        raise ValueError(f"prices are defined at tau > 0 only, not {tau}")
+        raise ArgumentError(f"prices are defined at tau > 0 only, not {tau}")
     return tau
 
 
 def _states(x, d: int):
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != d:
-        raise ValueError(f"states must have shape (B, {d})")
+        raise ArgumentError(f"states must have shape (B, {d})")
     return x
 
 
@@ -325,17 +327,17 @@ class Factor1D:
 
     def __post_init__(self):
         if self.kind not in ("call", "digital", "power", "const"):
-            raise ValueError(f"unknown factor kind {self.kind!r}")
+            raise ArgumentError(f"unknown factor kind {self.kind!r}")
         if not all(map(math.isfinite, (self.K, self.alpha, self.s))):
-            raise ValueError("strike, exponent and vol must be finite")
+            raise ArgumentError("strike, exponent and vol must be finite")
         if self.kind != "const":  # the call and digital forms divide by K
             if self.K < 0.0 or self.K == 0.0 and self.kind != "power":
-                raise ValueError("strike must be positive (or 0 for power)")
+                raise ArgumentError("strike must be positive (or 0 for power)")
             if self.s <= 0.0:
-                raise ValueError("vol must be positive")
+                raise ArgumentError("vol must be positive")
         if self.kind == "power":
             if not (0.0 < self.alpha < 1.0):
-                raise ValueError("power exponent must lie in (0, 1)")
+                raise ArgumentError("power exponent must lie in (0, 1)")
             if self.alpha >= 0.5:
                 warnings.warn(
                     "power exponent >= 1/2 is outside the analysed range; "
@@ -573,7 +575,7 @@ class ProductPricing:
     def __init__(self, factors: Sequence[Factor1D], T: float):
         factors = tuple(factors)
         if not factors:
-            raise ValueError("need at least one factor")
+            raise ArgumentError("need at least one factor")
         self.factors = factors
         self.d = len(factors)
         self.T = _horizon(T)
@@ -663,13 +665,13 @@ class SumDigital2D:
         self.s = np.asarray(s, dtype=float)
         self.T = _horizon(T)
         if self.lam.shape != (2,) or self.s.shape != (2,):
-            raise ValueError("sum digital is implemented for d = 2 only")
+            raise ArgumentError("sum digital is implemented for d = 2 only")
         if np.any(self.lam < 0.0) or self.lam.max() <= 0.0:
-            raise ValueError("weights must be non-negative, not all zero")
+            raise ArgumentError("weights must be non-negative, not all zero")
         if not self.K > 0.0:
-            raise ValueError("strike must be positive")
+            raise ArgumentError("strike must be positive")
         if not np.all(self.s > 0.0):
-            raise ValueError("vols must be positive")
+            raise ArgumentError("vols must be positive")
         self.d = 2
         self.theta_hint = 0.75
         self._k = int(self.lam[0] == 0.0)
@@ -824,4 +826,4 @@ def make_pricing(key: str, params: dict, T: float):
         )
     if key == "bm_quadratic":
         return BMQuadratic(d=p.get("d", 1), T=T)
-    raise KeyError(f"unknown payoff key {key!r}")
+    raise ArgumentError(f"unknown payoff key {key!r}")

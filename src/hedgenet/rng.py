@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-__all__ = ["SeedSpec", "check_count", "check_seed", "normals", "uniforms"]
+__all__ = ["ArgumentError", "SeedSpec", "check_count", "check_seed", "normals",
+           "uniforms"]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -29,20 +30,24 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
 
 
+class ArgumentError(ValueError):
+    """An argument a library function refuses before it does any work."""
+
+
 def check_count(name, value, least=1) -> None:
     """A count is a Python or numpy integer, not a bool, and >= least."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or value < least):
         what = "a positive integer" if least == 1 else f"an integer >= {least}"
-        raise ValueError(f"{name} must be {what}, not {value!r}")
+        raise ArgumentError(f"{name} must be {what}, not {value!r}")
 
 
 def check_seed(value, name="master_seed") -> None:
     """A master seed is an integer, not a bool, that a uint64 holds."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or not 0 <= value < 2**64):
-        raise ValueError(f"{name} must be an integer with 0 <= seed < 2**64, "
-                         f"not {value!r}")
+        raise ArgumentError(f"{name} must be an integer with 0 <= seed "
+                            f"< 2**64, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -110,8 +115,8 @@ def normals(master_seed, path_index, step_index, d: int,
     """
     if _stream is not None:
         if _stream.d != d or np.ndim(step_index) != 0:
-            raise ValueError("a stream draws its own width d at a scalar "
-                             "step_index")
+            raise ArgumentError("a stream draws its own width d at a "
+                                "scalar step_index")
         return _stream.draw(step_index)
     path_index = np.asarray(path_index, dtype=np.uint64)
     step_index = np.asarray(step_index, dtype=np.uint64)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import check_count
+from .rng import ArgumentError, check_count
 
 __all__ = [
     "TimeNet",
@@ -44,13 +44,14 @@ class TimeNet:
         taus = np.asarray(self.taus, dtype=float)
         object.__setattr__(self, "taus", taus)
         if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+            raise ArgumentError("horizon must be positive")
         if taus.ndim != 1 or taus.size < 2:
-            raise ValueError("need at least two times (T and 0)")
+            raise ArgumentError("need at least two times (T and 0)")
         if taus[0] != self.horizon or taus[-1] != 0.0:
-            raise ValueError("times to maturity must run from exactly T to 0")
+            raise ArgumentError("times to maturity must run from exactly T "
+                                "to 0")
         if np.any(np.diff(taus) >= 0.0):
-            raise ValueError("times to maturity must be strictly decreasing")
+            raise ArgumentError("times to maturity must be strictly decreasing")
         taus.flags.writeable = False
 
     @property
@@ -82,16 +83,16 @@ def equidistant_net(T: float, n: int) -> TimeNet:
 def eta_net(T: float, n: int, eta: float) -> TimeNet:
     """Net tau_i = T * ((n - i)/n)^(1/(1-eta)); eta = 0 is equidistant."""
     if T <= 0.0:
-        raise ValueError("horizon must be positive")
+        raise ArgumentError("horizon must be positive")
     check_count("n", n)
     if not (0.0 <= eta < 1.0):
-        raise ValueError("eta must be < 1 (and >= 0)")
+        raise ArgumentError("eta must be < 1 (and >= 0)")
     # (n - i) / n is exact at both ends and one double for every n it divides
     # (nested nets share their taus bitwise); at eta = 0, pow returns it as is.
     frac = (n - np.arange(n + 1)) / n
     taus = T * frac ** (1.0 / (1.0 - eta))
     if taus[-2] == 0.0:
-        raise ValueError(
+        raise ArgumentError(
             f"eta-net with eta={eta:g} and n={n}: its last positive tau, "
             f"T (1/n)^(1/(1-eta)), underflows to 0; use a smaller eta or n")
     return TimeNet(horizon=float(T), taus=taus)
@@ -102,7 +103,7 @@ def refine(net: TimeNet, M: int) -> np.ndarray:
     monitoring grid, decreasing from exactly T to exactly 0."""
     check_count("M", M)
     if M < net.n_intervals:
-        raise ValueError("M must be at least the number of net intervals")
+        raise ArgumentError("M must be at least the number of net intervals")
     j = np.arange(M + 1)
     return np.union1d(net.taus, net.horizon * ((M - j) / M))[::-1]
 
@@ -134,9 +135,9 @@ def lemma_net_functional(net: TimeNet, theta: float) -> float:
     interval's outer upper limit is truncated at tau = T*EPS_LAST.
     """
     if theta >= 1.0:
-        raise ValueError("theta must be < 1")
+        raise ArgumentError("theta must be < 1")
     if theta < 0.0:
-        raise ValueError("theta must be >= 0")
+        raise ArgumentError("theta must be >= 0")
     taus = net.taus
     total = 0.0
     for i in range(1, taus.size):

@@ -17,6 +17,7 @@ from hedgenet.analysis import (
 from hedgenet.models import bm_constant, gbm_diagonal, general_diffusion
 from hedgenet.oracle import mc_payoff_expectation
 from hedgenet.pricing import BMQuadratic, make_pricing
+from hedgenet.rng import ArgumentError
 
 SPEC_GBM = gbm_diagonal(1, 1.0, 1.0)
 DIGITAL = make_pricing("digital", {"K": 1.0, "s": 1.0}, 1.0)
@@ -102,6 +103,15 @@ class TestFitRate:
             fit_rate([(n, 1.0) for n in (8, 16, 32, 64)])
         with pytest.raises(ValueError):
             fit_rate([(8, 1.0), (16, -0.5), (32, 0.3), (64, 0.2)])
+
+    def test_degenerate_inputs_are_no_argument_errors(self):
+        # found in the rms values, not in the form of the arguments, so a
+        # caller's runtime failure, not a usage error
+        for pts in ([(n, 1.0) for n in (8, 16, 32, 64)],
+                    [(8, 1.0), (16, -0.5), (32, 0.3), (64, 0.2)]):
+            with pytest.raises(ValueError) as e:
+                fit_rate(pts)
+            assert not isinstance(e.value, ArgumentError)
 
 
 class TestEstimateTheta:

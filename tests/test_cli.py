@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hedgenet.cli import DEFAULT_CONFIG, config_hash, load_config, main
+from hedgenet.rng import ArgumentError
 
 
 def write_config(path, body):
@@ -315,6 +316,23 @@ class TestRateCommand:
         # the output directory is made only after a run succeeds
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd", ["rate", "simulate"])
+    def test_argument_error_mid_run_is_a_usage_error(self, tmp_path, capsys,
+                                                     monkeypatch, cmd):
+        # exit 2 is any ArgumentError, whether the CLI or the library
+        # raises it
+        import hedgenet.cli as cli
+
+        def fail(*a, **k):
+            raise ArgumentError("n_list must be ascending")
+
+        monkeypatch.setattr(cli, "error_curve", fail)
+        p = write_config(tmp_path / "d.json", DIGITAL_CFG)
+        out = tmp_path / cmd
+        assert main([cmd, "--config", p, "--out", str(out)]) == 2
+        assert "error: n_list must be ascending" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("block, cmds, message", [
         ({"model": {"x0": [-1.0]}}, ("rate", "simulate"),
          "invalid model block"),
@@ -329,6 +347,12 @@ class TestRateCommand:
         # a fractional n is rejected, not truncated to another net
         ({"nets": {"n_list": [8, 16.5, 32, 64]}}, ("rate", "simulate"),
          "n must be a positive integer"),
+        ({"nets": {"n_list": [8, "16", 32, 64]}}, ("rate", "simulate"),
+         "n must be a positive integer"),
+        ({"nets": {"n_list": [16, 8, 32, 64]}}, ("rate", "simulate"),
+         "n_list must be ascending"),
+        ({"nets": {"n_list": 5}}, ("rate", "simulate"),
+         "nets.n_list must be a JSON list"),
     ])
     def test_invalid_block_is_a_usage_error(self, tmp_path, capsys, block,
                                             cmds, message):

@@ -12,13 +12,12 @@ from hedgenet.hedging import (
     error_curve,
     estimate_l2_error,
     estimate_sweep,
-    family_nets,
     path_error,
 )
 from hedgenet.models import bm_constant, gbm_diagonal, general_diffusion
 from hedgenet.oracle import analytic_quadratic_error
 from hedgenet.pricing import BMQuadratic, Factor1D, ProductPricing, make_pricing
-from hedgenet.rng import SeedSpec, normals
+from hedgenet.rng import ArgumentError, SeedSpec, normals
 from hedgenet.timenets import equidistant_net, eta_net, refine
 
 SPEC_BM1 = bm_constant(np.eye(1), [0.0])
@@ -140,6 +139,8 @@ BAD_ARGUMENTS = {
     "horizon": {"net": equidistant_net(2.0, 4)},
     "dimension": {"spec": gbm_diagonal(2, 1.0, 1.0)},
     "empty-family": {"net": None},
+    # error_curve checks each n by building its net, and only then their order
+    "n_list-str": {"n_list": [8, "16", 32, 64]},
     **{f"workers-{w}": {"workers": w} for w in (0, -3, 2.5, True)},
     **{f"seed-{name}": {"master_seed": seed} for name, seed in (
         ("1.5", 1.5), ("True", True), ("-1", -1), ("2**64", 2**64),
@@ -150,15 +151,18 @@ BAD_ARGUMENTS = {
 class TestValidation:
     """Every argument of the engine is checked before any path is drawn."""
 
-    # error_curve builds its nets at the payoff's horizon, and
-    # estimate_l2_error takes one net, never an empty family
+    # error_curve builds its nets at the payoff's horizon, and takes an
+    # n_list; estimate_l2_error takes one net, never an empty family; and
+    # path_error takes a net, a monitor_factor and a seed
     @pytest.mark.parametrize("entry, case", [
         (entry, case)
         for entry in ("estimate_sweep", "estimate_l2_error", "error_curve")
         for case in BAD_ARGUMENTS
         if (entry, case) not in {("error_curve", "horizon"),
                                  ("estimate_l2_error", "empty-family")}
-    ])
+        and (case != "n_list-str" or entry == "error_curve")
+    ] + [("path_error", case) for case in ("horizon", "dimension",
+                                           "factor-0", "factor-1.5")])
     def test_bad_argument_fails_before_any_draw(self, entry, case,
                                                 monkeypatch):
         import hedgenet.models as models
@@ -166,13 +170,18 @@ class TestValidation:
         drawn = []
         monkeypatch.setattr(models, "normals",
                             lambda *a, **k: drawn.append(a))
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError):
             self.call(entry, **BAD_ARGUMENTS[case])
         assert drawn == []
 
     @staticmethod
     def call(entry, spec=SPEC_GBM, pricing=DIGITAL,
-             net=equidistant_net(1.0, 4), n_paths=100, master_seed=0, **kw):
+             net=equidistant_net(1.0, 4), n_paths=100, master_seed=0,
+             n_list=None, **kw):
+        if entry == "path_error":
+            return path_error(spec, pricing, net,
+                              kw.get("monitor_factor", 4),
+                              SeedSpec(master_seed))
         if entry == "estimate_sweep":
             return estimate_sweep(spec, pricing,
                                   [[] if net is None else [net]],
@@ -180,9 +189,10 @@ class TestValidation:
         if entry == "estimate_l2_error":
             return estimate_l2_error(spec, pricing, net, n_paths,
                                      master_seed, **kw)
-        return error_curve(spec, pricing,
-                           [] if net is None else [net.n_intervals], [0.0],
-                           n_paths, master_seed, **kw)
+        if n_list is None:
+            n_list = [] if net is None else [net.n_intervals]
+        return error_curve(spec, pricing, n_list, [0.0], n_paths,
+                           master_seed, **kw)
 
     def test_general_diffusion_runs_euler(self):
         est = self.call("estimate_l2_error", spec=GENERAL, pricing=QUAD1)
@@ -227,7 +237,7 @@ class TestNestedSweep:
         assert pts[-1].estimate == alone
 
     def test_largest_n_matches_standalone_both_modes(self):
-        nets = family_nets(1.0, self.NS, 0.75)
+        nets = [eta_net(1.0, n, 0.75) for n in self.NS]
         settings = dict(error_mode="both", monitor_factor=8)
         [sweep] = estimate_sweep(SPEC_GBM, DIGITAL, [nets], 3000, 22,
                                  **settings)
@@ -247,7 +257,7 @@ class TestNestedSweep:
     def test_non_nested_agrees_with_standalone(self):
         ns = [8, 12, 20, 30]
         [pts] = error_curve(SPEC_GBM, DIGITAL, ns, [0.75], 20000, 24)
-        for p, net in zip(pts, family_nets(1.0, ns, 0.75)):
+        for p, net in zip(pts, [eta_net(1.0, n, 0.75) for n in ns]):
             alone = estimate_l2_error(SPEC_GBM, DIGITAL, net, 20000,
                                       24)["terminal"]
             se = np.hypot(p.estimate.stderr_mean_sq, alone.stderr_mean_sq)
@@ -317,7 +327,8 @@ class TestJointSweeps:
     ETAS = [0.0, 0.75]
 
     #: an equidistant family over NS and an eta family over 8 and 16
-    FAMILIES = [family_nets(1.0, NS, 0.0), family_nets(1.0, [8, 16], 0.75)]
+    FAMILIES = [[eta_net(1.0, n, 0.0) for n in NS],
+                [eta_net(1.0, n, 0.75) for n in [8, 16]]]
 
     @staticmethod
     def sweep(families, mode, n_paths, workers=1):

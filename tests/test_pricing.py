@@ -25,6 +25,7 @@ from hedgenet.pricing import (
     _power_moments_raw,
     make_pricing,
 )
+from hedgenet.rng import ArgumentError
 
 ONE = np.array([1.0])
 
@@ -724,7 +725,7 @@ class TestStatisticalInvariants:
 
 class TestMakePricing:
     def test_unknown_key(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ArgumentError):
             make_pricing("straddle", {}, 1.0)
 
     def test_catalogue_keys(self):

@@ -11,7 +11,8 @@ from hedgenet.hedging import path_error
 from hedgenet.models import gbm_diagonal
 from hedgenet.oracle import mc_payoff_expectation
 from hedgenet.pricing import Factor1D, ProductPricing
-from hedgenet.rng import SeedSpec, _BatchStream, normals, uniforms
+from hedgenet.rng import (ArgumentError, SeedSpec, _BatchStream, normals,
+                          uniforms)
 from hedgenet.timenets import eta_net, refine
 
 
@@ -24,6 +25,7 @@ class TestSeedSpec:
 
 
 SPEC = gbm_diagonal(1, 1.0, 1.0)
+SPEC_2D = gbm_diagonal(2, 1.0, 1.0)
 DIGITAL = ProductPricing([Factor1D("digital", K=1.0, s=1.0)], T=1.0)
 NET = eta_net(1.0, 2, 0.0)
 GRID = [0.5, 0.1, 0.01]
@@ -41,7 +43,7 @@ ONE_STEP = {
 BAD_SEEDS = (1.5, True, -1, 2**64, "1")
 
 #: every library entry outside the hedging engine that takes a count, a
-#: seed or a date grid, called on a bad one
+#: seed, a date grid or a model and a payoff, called on a bad one
 BAD_INPUTS = {
     **{f"eta_net-n-{n}": lambda n=n: eta_net(1.0, n, 0.0)
        for n in (True, 2.5, 0)},
@@ -67,6 +69,20 @@ BAD_INPUTS = {
     **{f"estimate_h2-date-{u}": lambda u=u: estimate_h2(
         SPEC, DIGITAL, u, 100)
        for u in ([1.0], [1.5], [np.nan], [-0.1], [], [True], 0.5)},
+    # a two-asset model under a one-asset payoff
+    "estimate_theta-dimension": lambda: estimate_theta(
+        SPEC_2D, DIGITAL, GRID, 100),
+    "estimate_h2-dimension": lambda: estimate_h2(SPEC_2D, DIGITAL, [0.5], 100),
+    "one_step_profile-dimension": lambda: one_step_profile(
+        SPEC_2D, DIGITAL, 0.5, [0.6], 100),
+    # the interval [a, u] must lie in [0, T), and the integral of m needs
+    # an integer count of at least 2 points
+    **{f"one_step_profile-{name}": lambda kw=kw: one_step_profile(
+        SPEC, DIGITAL, n_paths=100, **kw) for name, kw in (
+        ("u-1.0", dict(a=0.5, u_grid=[1.0])),
+        ("a--0.5", dict(a=-0.5, u_grid=[0.6])),
+        ("n_integral-2.5", dict(a=0.5, u_grid=[0.6], n_integral=2.5)),
+        ("n_integral-1", dict(a=0.5, u_grid=[0.6], n_integral=1)))},
 }
 
 
@@ -76,7 +92,7 @@ def test_bad_count_seed_or_date_fails_before_any_draw(case, monkeypatch):
 
     drawn = []
     monkeypatch.setattr(models, "normals", lambda *a, **k: drawn.append(a))
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentError):
         BAD_INPUTS[case]()
     assert drawn == []
 
