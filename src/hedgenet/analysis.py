@@ -217,6 +217,20 @@ def check_rate_ns(ns) -> None:
                             f"{RATE_N_MIN}")
 
 
+def _jackknife_table(jackknife, n_points: int) -> np.ndarray:
+    """The jackknife rms values as a (points, groups) float array: one row
+    per point, the same G >= 2 groups in every row."""
+    try:
+        table = np.asarray(jackknife, dtype=float)
+    except (TypeError, ValueError):
+        table = None
+    if table is None or table.ndim != 2 or table.shape[0] != n_points \
+            or table.shape[1] < 2:
+        raise ArgumentError("jackknife must hold one row of at least two "
+                            "group rms values per point")
+    return table
+
+
 def fit_rate(points: Sequence,
              jackknife: Optional[Sequence] = None) -> RateFit:
     """OLS of log rms on log n; points with n < RATE_N_MIN are dropped.
@@ -233,8 +247,8 @@ def fit_rate(points: Sequence,
     """
     points = list(points)
     check_rate_ns([n for n, _ in points])
-    if jackknife is not None and len(jackknife) != len(points):
-        raise ArgumentError("need one set of jackknife rms values per point")
+    if jackknife is not None:
+        jackknife = _jackknife_table(jackknife, len(points))
     keep = [i for i, (n, _) in enumerate(points) if n >= RATE_N_MIN]
     used = [(int(points[i][0]), float(points[i][1])) for i in keep]
     if any(r <= 0.0 for _, r in used):
@@ -249,10 +263,8 @@ def fit_rate(points: Sequence,
         tcrit = stdtrit(len(used) - 2, 0.975)
     else:
         # log rms with each group left out, shape (points used, groups)
-        loo = np.log(np.asarray([jackknife[i] for i in keep], dtype=float))
+        loo = np.log(jackknife[keep])
         G = loo.shape[1]
-        if G < 2:
-            raise ValueError("the jackknife needs at least two groups")
         slopes = np.array([_ols(lx, loo[:, g])[0] for g in range(G)])
         dev = slopes - slopes.mean()
         se = math.sqrt((G - 1) / G * float(dev @ dev))

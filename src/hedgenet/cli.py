@@ -178,8 +178,13 @@ def _write_json(path, obj):
 
 def _resolve_families(cfg, pricing):
     """[(name, eta)] with 'auto' eta resolved from the payoff's theta hint."""
+    families = cfg["nets"]["families"]
+    if not (isinstance(families, list)
+            and all(isinstance(fam, dict) for fam in families)):
+        raise ArgumentError("nets.families must be a JSON list of objects, "
+                            f"not {families!r}")
     out = []
-    for fam in cfg["nets"]["families"]:
+    for fam in families:
         name = fam.get("family")
         if name == "equidistant":
             out.append(("equidistant", 0.0))

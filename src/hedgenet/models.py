@@ -153,19 +153,18 @@ def exact_step(spec: DiffusionSpec, x, dt: float, z) -> np.ndarray:
     if spec.exactness == "gbm-diagonal":
         s = spec.vols
         mu = 0.0 if spec.drift_rates is None else spec.drift_rates
-        # x * exp((mu - s^2/2) dt + s sqrt(dt) z), computed in the result's
-        # buffer: the operands of the commutative ops swap places
-        res = np.empty(np.broadcast_shapes(np.shape(x), np.shape(z),
-                                           s.shape))
+        # x * exp((mu - s^2/2) dt + s sqrt(dt) z), computed in one new
+        # buffer of z's shape (broadcast with s); the product with x is
+        # written back into it unless x broadcasts it to a larger shape
         if spec.corr_chol is not None:
-            np.matmul(z, spec.corr_chol.T, out=res)
+            res = np.matmul(z, spec.corr_chol.T)
             res *= s * sqdt
         else:
-            np.multiply(z, s * sqdt, out=res)
+            res = np.multiply(z, s * sqdt)
         res += (mu - 0.5 * s * s) * dt
         np.exp(res, out=res)
-        res *= x
-        return res
+        return np.multiply(res, x, out=res if res.shape == np.shape(x)
+                           else None)
     if spec.exactness == "bm-constant":
         if spec.corr_chol is not None:
             z = z @ spec.corr_chol.T
@@ -202,24 +201,25 @@ def path_states(spec, grids, master_seed, path_indices):
     array (B, d) new. The step to tau_j draws its normals at step index
     j - 1, keyed by (master_seed, path_index, j - 1), so the paths are
     independent of batching and worker scheduling. The normals of a step
-    index are drawn once, into the batch stream's buffer, and every grid
-    that has that step makes it from them with its own step length; the
-    next step index overwrites the buffer. A grid's state is dropped once
+    index are drawn once, as a slice of the batch stream's block of
+    consecutive step indices (``rng._BatchStream``), and every grid that
+    has that step makes it from them with its own step length; the next
+    block's refill overwrites the slice. A grid's state is dropped once
     the grid ends. The step is ``exact_step``, or ``euler_step`` for a
     'general' spec.
     """
     grids = [np.asarray(times, dtype=float) for times in grids]
     path_indices = np.asarray(path_indices)
     step = euler_step if spec.exactness == "general" else exact_step
-    stream = _BatchStream(master_seed, path_indices, spec.d)
+    n_steps = max((times.size - 1 for times in grids), default=0)
+    stream = _BatchStream(master_seed, path_indices, spec.d, n_steps)
     # no step writes to its x, so the start needs no copy of x0
     x0 = np.broadcast_to(spec.x0, (path_indices.size, spec.d))
     states = {g: x0 for g, times in enumerate(grids) if times.size > 1}
-    n_steps = max((times.size - 1 for times in grids), default=0)
     for j in range(1, n_steps + 1):
         z = normals(master_seed, path_indices, j - 1, spec.d, _stream=stream)
         if j == n_steps:
-            del stream  # its keys and word buffer; z stays
+            del stream  # its keys and word buffer; z's block stays
         for g in list(states):
             times = grids[g]
             x = step(spec, states[g], times[j - 1] - times[j], z)

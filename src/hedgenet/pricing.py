@@ -591,6 +591,9 @@ class ProductPricing:
 
     def value(self, tau, x):
         x = _states(x, self.d)
+        if self.d == 1:
+            # bitwise the product below: the value times 1.0
+            return self.factors[0].value(tau, x[:, 0])
         out = np.ones(x.shape[0])
         for i, f in enumerate(self.factors):
             out *= f.value(tau, x[:, i])

@@ -7,11 +7,19 @@ uniform in (0, 1), and the inverse normal CDF maps it to a Gaussian.
 Draws are therefore independent of batch size, evaluation order and worker
 count.
 
-A path stream (``path_states``) draws one step at a time for a fixed batch
-of paths. The chain's first two links depend only on (master_seed,
-path_index), so ``_BatchStream`` computes them once per batch and each step
-runs the last two links in place on buffers it keeps; the words, and so the
-draws, are the same as ``normals`` computes from the four keys.
+A path stream (``path_states``) draws the normals of a fixed batch of B
+paths in blocks of K consecutive step indices. The chain's first two links
+depend only on (master_seed, path_index), so ``_BatchStream`` computes them
+once per batch; a refill runs the last two links, the uniform map and the
+inverse CDF over a whole block, in place on two (K, B, d) buffers it keeps.
+K = max(1, 2**16 // (B d)), capped by the step indices the stream will be
+asked for: 4 for 16384 one-dimensional paths, 1 for 16384 paths in three
+dimensions. The buffers hold 2 K B d 8-byte words, at most 1 MiB when
+K > 1. Each numpy call then covers up to 2**16 words instead of B d, so a
+stream makes 1/K of the calls, and the threads of a worker pool, which take
+turns at the interpreter lock for every call, hand it over less often. The
+words, and so the draws, are the same as ``normals`` computes from the
+four keys (seed, path, step, coordinate), whatever block a step falls in.
 """
 
 from __future__ import annotations
@@ -28,6 +36,8 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
+#: words in a stream's block: 4 steps of a 16384-path batch in one dimension
+_BLOCK_WORDS = 2**16
 
 
 class ArgumentError(ValueError):
@@ -110,8 +120,8 @@ def normals(master_seed, path_index, step_index, d: int,
     ``path_index`` and ``step_index`` may be scalars or arrays; the coordinate
     axis is appended last. ``_stream`` is internal to ``path_states``: a
     ``_BatchStream`` made from this ``master_seed`` and ``path_index``
-    (which are then not read again), drawing the same block for a scalar
-    ``step_index`` into its own buffer.
+    (which are then not read again), returning the same normals for a
+    scalar ``step_index`` as a slice of its own buffer.
     """
     if _stream is not None:
         if _stream.d != d or np.ndim(step_index) != 0:
@@ -132,39 +142,57 @@ def normals(master_seed, path_index, step_index, d: int,
 
 
 class _BatchStream:
-    """The normals of one batch of paths, drawn step by step in place.
+    """The normals of one batch of paths, drawn a block of steps at a time.
 
-    Holds the batch's path keys, computed once, and the buffers of a step:
-    one (B, d) word buffer and one (B, d) float buffer. ``draw`` returns the
-    float buffer, which the next draw overwrites.
+    Holds the batch's path keys, computed once, and the buffers of a block
+    of K consecutive step indices: a (K, B, d) word buffer and a (K, B, d)
+    float buffer. K is the most steps whose words fit in _BLOCK_WORDS, at
+    least 1 and at most ``steps``, the count of step indices 0 .. steps - 1
+    the caller will draw. ``draw`` returns the step's contiguous (B, d)
+    slice of the float buffer; a step outside the block refills the block
+    from that step, which overwrites every slice drawn before.
     """
 
-    def __init__(self, master_seed, path_index, d: int):
+    def __init__(self, master_seed, path_index, d: int, steps: int):
         self._keys = np.reshape(_path_keys(master_seed, path_index), (-1, 1))
         B = self._keys.shape[0]
         self.d = d
+        self._steps = steps
+        K = max(1, min(_BLOCK_WORDS // (B * d), steps))
         self._coords = _GOLDEN * (np.arange(d, dtype=np.uint64)
                                   + np.uint64(1))
-        self._words = np.empty((B, d), dtype=np.uint64)
-        self._out = np.empty((B, d))
-        # The float buffer is free until the uniforms are written, so it
-        # doubles as word scratch; the step link runs on contiguous (B, 1)
-        # columns made of the first B words of each buffer.
-        self._scratch = self._out.view(np.uint64)
-        self._col = self._scratch.reshape(-1)[:B, None]
-        self._col_tmp = self._words.reshape(-1)[:B, None]
+        self._words = np.empty((K, B, d), dtype=np.uint64)
+        self._out = np.empty((K, B, d))
+        # the block holds step indices first .. first + count - 1
+        self._first = self._count = 0
 
     def draw(self, step_index: int) -> np.ndarray:
-        w, out, col = self._words, self._out, self._col
+        i = step_index - self._first
+        if not 0 <= i < self._count:
+            self._fill(int(step_index))
+            i = 0
+        return self._out[i]
+
+    def _fill(self, first: int) -> None:
+        K, B, d = self._out.shape
+        k = max(1, min(K, self._steps - first))
+        w, out = self._words[:k], self._out[:k]
+        # The float buffer is free until the uniforms are written, so it
+        # doubles as word scratch; the step links run on contiguous
+        # (k, B, 1) columns made of the first k B words of each buffer.
+        col = self._out.view(np.uint64).reshape(-1)[:k * B].reshape(k, B, 1)
+        tmp = self._words.reshape(-1)[:k * B].reshape(k, B, 1)
         with np.errstate(over="ignore"):
-            step = _GOLDEN * (np.uint64(step_index) + np.uint64(1))
-        np.add(self._keys, step, out=col)
-        _mix_inplace(col, self._col_tmp)
+            step_words = _GOLDEN * (np.uint64(first)
+                                    + np.arange(1, k + 1, dtype=np.uint64))
+        np.add(self._keys, step_words[:, None, None], out=col)
+        _mix_inplace(col, tmp)
         np.add(col, self._coords, out=w)
-        _mix_inplace(w, self._scratch)
+        _mix_inplace(w, out.view(np.uint64))
         # uniforms() and the inverse CDF, in place
         np.right_shift(w, np.uint64(11), out=w)
         out[...] = w
         out += 0.5
         out *= _U53
-        return ndtri(out, out=out)
+        ndtri(out, out=out)
+        self._first, self._count = first, k

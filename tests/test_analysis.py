@@ -94,6 +94,25 @@ class TestFitRate:
         with pytest.raises(ValueError):
             fit_rate(pts, jackknife=reps[:-1])
 
+    @pytest.mark.parametrize("bad", [
+        "one row short", "one group", "ragged", "flat", "not numbers"])
+    def test_jackknife_shape_is_checked_before_the_fit(self, monkeypatch,
+                                                      bad):
+        import hedgenet.analysis as analysis
+
+        ns = (8, 16, 32, 64, 128)
+        pts = [(n, n ** -0.5) for n in ns]
+        reps = {
+            "one row short": [(1.0, 1.1)] * (len(ns) - 1),
+            "one group": [(1.0,)] * len(ns),
+            "ragged": [(1.0, 1.1)] * (len(ns) - 1) + [(1.0, 1.1, 1.2)],
+            "flat": [1.0] * len(ns),
+            "not numbers": [("a", "b")] * len(ns),
+        }[bad]
+        monkeypatch.setattr(analysis, "_ols", None)  # no fit is made
+        with pytest.raises(ArgumentError, match="jackknife must hold"):
+            fit_rate(pts, jackknife=reps)
+
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_rate([(8, 1.0), (16, 0.7), (32, 0.5)])

@@ -353,6 +353,10 @@ class TestRateCommand:
          "n_list must be ascending"),
         ({"nets": {"n_list": 5}}, ("rate", "simulate"),
          "nets.n_list must be a JSON list"),
+        ({"nets": {"families": ["eta"]}}, ("rate", "simulate"),
+         "nets.families must be a JSON list of objects"),
+        ({"nets": {"families": "eta"}}, ("rate", "simulate"),
+         "nets.families must be a JSON list of objects"),
     ])
     def test_invalid_block_is_a_usage_error(self, tmp_path, capsys, block,
                                             cmds, message):

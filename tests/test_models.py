@@ -278,6 +278,27 @@ class TestInPlaceStream:
         assert x.tobytes() == x_before and z.tobytes() == z_before
         assert not np.shares_memory(out, x) and not np.shares_memory(out, z)
 
+    @pytest.mark.parametrize("case", ["z of one row", "x0", "x0 broadcast",
+                                      "x of one row"])
+    @pytest.mark.parametrize("name", ["gbm", "gbm-corr"])
+    def test_exact_step_broadcasts_x_against_z(self, name, case):
+        # the GBM step is x exp((mu - s^2/2) dt + s sqrt(dt) z corr_chol^T),
+        # broadcast over x, z and the vols
+        spec = self.SPECS[name]
+        x = np.exp(normals(1, np.arange(50), 7, 2))
+        z = normals(1, np.arange(50), 8, 2)
+        x, z = {"z of one row": (x, z[3]),
+                "x0": (spec.x0, z),
+                "x0 broadcast": (np.broadcast_to(spec.x0, z.shape), z),
+                "x of one row": (x[:1], z)}[case]
+        s = spec.vols
+        mu = 0.0 if spec.drift_rates is None else spec.drift_rates
+        zc = z if spec.corr_chol is None else z @ spec.corr_chol.T
+        want = x * np.exp(zc * (s * np.sqrt(0.25)) + (mu - 0.5 * s * s) * 0.25)
+        got = exact_step(spec, x, 0.25, z)
+        assert got.shape == want.shape == (50, 2)
+        assert got.tobytes() == want.tobytes()
+
     # Euler runs on the general replica of each spec
     @pytest.mark.parametrize("scheme", ["exact", "euler"])
     @pytest.mark.parametrize("name", sorted(SPECS))

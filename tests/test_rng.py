@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from hedgenet.analysis import (
     default_theta_grid,
@@ -156,15 +157,75 @@ class TestBatchStream:
     def test_equals_four_key_normals(self, master_seed, d):
         B = 256
         idx = np.arange(3 * B, 4 * B)  # a batch away from path 0
-        stream = _BatchStream(master_seed, idx, d)
+        stream = _BatchStream(master_seed, idx, d, 2**20 + 1)
         for step in (0, 1, 2**20):
             got = normals(master_seed, idx, step, d, _stream=stream)
             want = normals(master_seed, idx, step, d)
             assert got.shape == (B, d)
             assert got.tobytes() == want.tobytes()
 
+    @staticmethod
+    def block(B, d):
+        """Step indices per block: as many as fit in 2**16 words, >= 1."""
+        return max(1, 2**16 // (B * d))
+
+    @pytest.mark.parametrize("B", [256, 16384])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_blocks_in_order_equal_four_key_normals(self, B, d):
+        # 3K + 2 steps: three full blocks and a ragged last one of 2
+        steps = 3 * self.block(B, d) + 2
+        idx = np.arange(B, 2 * B)
+        stream = _BatchStream(5, idx, d, steps)
+        for step in range(steps):
+            got = normals(5, idx, step, d, _stream=stream)
+            assert got.shape == (B, d) and got.flags.c_contiguous
+            assert got.tobytes() == normals(5, idx, step, d).tobytes()
+
+    @pytest.mark.parametrize("B", [256, 16384])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_blocks_out_of_order_equal_four_key_normals(self, B, d):
+        idx = np.arange(B)
+        stream = _BatchStream(5, idx, d, 3 * self.block(B, d) + 2)
+        for step in (0, 2**20, 1):
+            got = normals(5, idx, step, d, _stream=stream)
+            assert got.tobytes() == normals(5, idx, step, d).tobytes()
+
+    @pytest.mark.parametrize("n_steps", [1, 5])
+    def test_stream_draws_no_step_past_the_last(self, monkeypatch, n_steps):
+        # a 256-path batch has 256-step blocks; the inverse CDF must still
+        # run over the asked-for steps' words alone
+        import hedgenet.rng as rng
+        from hedgenet.models import one_step_states, path_states
+
+        words = []
+
+        def counting_ndtri(u, **kw):
+            words.append(u.size)
+            return ndtri(u, **kw)
+
+        monkeypatch.setattr(rng, "ndtri", counting_ndtri)
+        spec = gbm_diagonal(2, 1.0, 1.0)
+        if n_steps == 1:
+            states = one_step_states(spec, 1.0, [0.5, 0.25], 256, 3)
+        else:
+            states = (x for _, _, x in path_states(
+                spec, [np.linspace(1.0, 0.0, n_steps + 1)], 3,
+                np.arange(256)))
+        assert len(list(states)) == (2 if n_steps == 1 else n_steps)
+        assert sum(words) == n_steps * 256 * 2
+
+    @pytest.mark.parametrize("B, d", [(16384, 1), (256, 1), (4096, 3),
+                                      (100000, 1)])
+    def test_buffer_bytes(self, B, d):
+        # two (K, B, d) buffers of 8-byte words: at most 2**16 words each,
+        # or one step's B d words where a step alone is larger
+        stream = _BatchStream(0, np.arange(B), d, 10**6)
+        held = stream._words.nbytes + stream._out.nbytes
+        assert held == 2 * 8 * self.block(B, d) * B * d
+        assert held <= 2 * 8 * max(2**16, B * d)
+
     def test_rejects_a_draw_it_cannot_make(self):
-        stream = _BatchStream(0, np.arange(8), 2)
+        stream = _BatchStream(0, np.arange(8), 2, 1)
         with pytest.raises(ValueError):
             normals(0, np.arange(8), 0, 3, _stream=stream)
         with pytest.raises(ValueError):
