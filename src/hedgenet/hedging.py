@@ -245,9 +245,11 @@ def _batch_errors(spec, pricing, plans, master_seed, path_indices):
         if j < plan.times.size - 1:
             tau = plan.times[j]
             if sup is not None and plan.monitor[j]:
-                v = pricing.value(tau, x) - v0s[g]
+                v = pricing.value(tau, x)
+                v -= v0s[g]
                 for i in plan.monitor[j]:
-                    np.maximum(sup[i], np.abs(v - gain[i]), out=sup[i])
+                    np.abs(np.subtract(v, gain[i], out=dots), out=dots)
+                    np.maximum(sup[i], dots, out=sup[i])
             moving = plan.rebalance[j]
             if moving:
                 # gradients held by moving nets alone go before the new one

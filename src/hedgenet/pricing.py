@@ -12,6 +12,10 @@ up in the simulated state dynamics.
 The Gauss-Legendre and Gauss-Hermite rules of the quadratures are scipy's,
 bit for bit, but their eigenvalues come from numpy.linalg (_gauss), so
 pricing never imports scipy.linalg.
+
+The kernels compute in place, in the plain expressions' order of operations
+and so to their bits: each writes only arrays it allocated. The caller owns
+every array it gets back; no input is written, no result is a view of one.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ QUAD_ATOL = 1e-30
 QUAD_NODES = (32, 64, 128, 256, 512)
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_TINY = np.finfo(float).tiny
 
 
 class QuadratureError(RuntimeError):
@@ -48,9 +53,11 @@ class QuadratureError(RuntimeError):
 
 
 def _phi(z):
+    out = np.multiply(-0.5, z, out=np.empty(np.shape(z)))
     # z * z overflows only where the density is 0 (d2 at a subnormal tau)
     with np.errstate(over="ignore"):
-        return np.exp(-0.5 * z * z) / _SQRT_2PI
+        out *= z
+    return np.divide(np.exp(out, out=out), _SQRT_2PI, out=out)
 
 
 def _horizon(T) -> float:
@@ -73,9 +80,18 @@ def _states(x, d: int):
 
 
 def _d12(x, K, s, tau):
-    """d2 and s sqrt(tau); d1 is d2 + s sqrt(tau), formed where it is used."""
+    """d2 (one new array) and s sqrt(tau); d1 = d2 + s sqrt(tau) is formed
+    where it is used."""
     st = s * np.sqrt(tau)
-    return (np.log(x / K) - 0.5 * st * st) / st, st
+    d2 = np.divide(x, K, out=np.empty(x.shape))
+    np.log(d2, out=d2)
+    if 0.5 * st * st < _TINY:
+        # s^2 tau / 2 underflows: log(x/K) / st - st / 2 has the same bits
+        # where log(x/K) != 0, whose ulp dwarfs st, and is right where it is 0
+        return np.subtract(np.divide(d2, st, out=d2), 0.5 * st, out=d2), st
+    d2 -= 0.5 * st * st
+    d2 /= st
+    return d2, st
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +168,15 @@ _Z_SMOOTH = -8.0
 
 
 def _hermite_polys(z, count):
-    """He_1, ..., He_{count-1} at z, by He_{k+1} = z He_k - k He_{k-1}."""
-    he = [z]
-    for k in range(1, count - 1):
-        he.append(z * he[k - 1] - k * (he[k - 2] if k > 1 else 1.0))
-    return he[:count - 1]
+    """He_1, ..., He_{count-1} at z, one at a time, by He_{k+1} = z He_k -
+    k He_{k-1}: He_1 is z itself, each later one a new array."""
+    prev, he = 1.0, z
+    for k in range(1, count):
+        yield he
+        if k + 1 < count:
+            nxt = z * he
+            nxt -= k * prev
+            prev, he = he, nxt
 
 
 def _power_moments_raw(x, K, alpha, s, tau, n_nodes, count=3):
@@ -181,18 +201,23 @@ def _power_moments_raw(x, K, alpha, s, tau, n_nodes, count=3):
 
     if np.any(kinked):
         zks = zk[kinked]
-        V = np.maximum(13.0 + alpha * sig - zks, 2.0) + 7.0
+        V = (np.maximum(13.0 + alpha * sig - zks, 2.0) + 7.0)[:, None]
         u, w = _legendre01(n_nodes)
         up = u**_KINK_POW
         dup = _KINK_POW * u ** (_KINK_POW - 1.0) * w
-        v = V[:, None] * up[None, :]
-        dv = V[:, None] * dup[None, :]
-        z = zks[:, None] + v
-        pay = (K * np.expm1(sig * v)) ** alpha
-        core = pay * _phi(z) * dv
-        out[0][kinked] = core.sum(axis=1)
+        core = np.multiply(V, up)  # v
+        z = np.add(zks[:, None], core)
+        np.expm1(np.multiply(core, sig, out=core), out=core)
+        core *= K
+        core **= alpha  # as ** does: numpy's sqrt at alpha = 0.5
+        scratch = _phi(z)
+        core *= scratch
+        core *= np.multiply(V, dup, out=scratch)  # dv
+        sums = np.empty((count, zks.size))
+        core.sum(axis=1, out=sums[0])
         for k, he in enumerate(_hermite_polys(z, count), 1):
-            out[k][kinked] = (core * he).sum(axis=1)
+            np.multiply(core, he, out=scratch).sum(axis=1, out=sums[k])
+        out[:, kinked] = sums
 
     if np.any(smooth):
         xs = x[smooth]
@@ -395,30 +420,37 @@ class Factor1D:
 
     def _call_eval(self, tau, x, what: tuple):
         d2, st = _d12(x, self.K, self.s, tau)
-        d1 = d2 + st
-        nd1 = ndtr(d1)
-        out = []
-        for w in what:
-            if w == "value":
-                out.append(x * nd1 - self.K * ndtr(d2))
-            elif w == "delta":
-                out.append(nd1)
-            else:
-                out.append(_phi(d1) / (x * st))
-        return tuple(out)
+        nd1 = np.add(d2, st)  # d1 until N(d1) replaces it
+        out = {"delta": nd1}
+        if "gamma" in what:
+            out["gamma"] = _phi(nd1) / (x * st)
+        ndtr(nd1, out=nd1)
+        if "value" in what:
+            # x N(d1) - K N(d2), in the buffer of d2
+            np.multiply(ndtr(d2, out=d2), self.K, out=d2)
+            xn1 = np.multiply(x, nd1, out=None if "delta" in what else nd1)
+            out["value"] = np.subtract(xn1, d2, out=d2)
+        return tuple(out[w] for w in what)
 
     def _digital_eval(self, tau, x, what: tuple):
         d2, st = _d12(x, self.K, self.s, tau)
-        pd2 = _phi(d2) if what != ("value",) else None
-        out = []
-        for w in what:
-            if w == "value":
-                out.append(ndtr(d2))
-            elif w == "delta":
-                out.append(pd2 / (x * st))
-            else:
-                out.append(-pd2 * (d2 + st) / (x * st) ** 2)
-        return tuple(out)
+        out = {}
+        if what != ("value",):
+            pd2 = out["delta"] = _phi(d2)
+            if "gamma" in what:
+                gam = out["gamma"] = -pd2 * (d2 + st)
+            # x s sqrt(tau), in the buffer of d2 unless N(d2) is asked for
+            xst = np.multiply(x, st, out=None if "value" in what else d2)
+            if "gamma" in what:
+                # its square underflows at a subnormal tau: divide twice there
+                sq = np.square(xst)
+                np.divide(gam, sq, out=gam, where=sq >= _TINY)
+                for _ in range(2):
+                    np.divide(gam, xst, out=gam, where=sq < _TINY)
+            pd2 /= xst
+        if "value" in what:
+            out["value"] = ndtr(d2, out=d2)
+        return tuple(out[w] for w in what)
 
     # -- power factor internals --------------------------------------------
 
@@ -600,25 +632,24 @@ class ProductPricing:
         return out
 
     def _vd(self, tau, x):
-        vals = np.empty(x.shape)
-        dels = np.empty(x.shape)
+        vals = np.empty((self.d, x.shape[0]))
+        dels = np.empty((self.d, x.shape[0]))
         for i, f in enumerate(self.factors):
-            vals[:, i], dels[:, i] = f.value_delta(tau, x[:, i])
+            vals[i], dels[i] = f.value_delta(tau, x[:, i])
         return vals, dels
 
     @staticmethod
     def _others(vals):
-        """prod_{i != k} vals[:, i] for every k, from prefix and suffix
-        products (no division, so zero factors are exact)."""
-        out = np.empty_like(vals)
-        acc = np.ones(vals.shape[0])
-        for k in range(vals.shape[1]):
-            out[:, k] = acc
-            acc *= vals[:, k]
-        acc[:] = 1.0
-        for k in reversed(range(vals.shape[1])):
-            out[:, k] *= acc
-            acc *= vals[:, k]
+        """prod_{i != k} vals[i] for every k of the factor-major (d, B) vals,
+        from prefix and suffix products (no division, so zero factors are
+        exact)."""
+        out = np.ones_like(vals)
+        for k in range(1, vals.shape[0]):
+            np.multiply(out[k - 1], vals[k - 1], out=out[k])
+        acc = vals[-1].copy()
+        for k in reversed(range(vals.shape[0] - 1)):
+            out[k] *= acc
+            acc *= vals[k]
         return out
 
     def gradient(self, tau, x):
@@ -627,7 +658,7 @@ class ProductPricing:
             return self.factors[0].delta(tau, x[:, 0])[:, None]
         vals, dels = self._vd(tau, x)
         dels *= self._others(vals)
-        return dels
+        return dels.T.copy()
 
     def hessian(self, tau, x):
         x = _states(x, self.d)
@@ -635,22 +666,19 @@ class ProductPricing:
             # bitwise the general form below: Γ times an empty product, 1.0
             gamma = self.factors[0].value_delta_gamma(tau, x[:, 0])[2]
             return gamma[:, None, None]
-        B = x.shape[0]
-        vals = np.empty((B, self.d))
-        dels = np.empty((B, self.d))
-        gams = np.empty((B, self.d))
+        vals, dels, gams = np.empty((3, self.d, x.shape[0]))
         for i, f in enumerate(self.factors):
-            v, dl, g = f.value_delta_gamma(tau, x[:, i])
-            vals[:, i], dels[:, i], gams[:, i] = v, dl, g
-        hess = np.empty((B, self.d, self.d))
-        others = self._others(vals)
+            vals[i], dels[i], gams[i] = f.value_delta_gamma(tau, x[:, i])
+        hess = np.empty((self.d, self.d, x.shape[0]))
+        gams *= self._others(vals)
         for i in range(self.d):
-            hess[:, i, i] = gams[:, i] * others[:, i]
+            hess[i, i] = gams[i]
             for j in range(self.d):
                 if j != i:
-                    rest = np.prod(np.delete(vals, [i, j], axis=1), axis=1)
-                    hess[:, i, j] = dels[:, i] * dels[:, j] * rest
-        return hess
+                    rest = np.prod(np.delete(vals, [i, j], axis=0), axis=0)
+                    np.multiply(dels[i], dels[j], out=hess[i, j])
+                    hess[i, j] *= rest
+        return hess.transpose(2, 0, 1).copy()
 
 
 class SumDigital2D:

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import roots_hermite, roots_legendre
+from scipy.special import ndtr, roots_hermite, roots_legendre
 from scipy.stats import norm
 
 import hedgenet.pricing as pricing
@@ -131,6 +133,17 @@ class TestDigital:
         h = 1e-5
         fd = (DIGITAL.delta(0.5, x + h) - DIGITAL.delta(0.5, x - h)) / (2 * h)
         assert np.allclose(DIGITAL.value_delta_gamma(0.5, x)[2], fd, rtol=1e-6)
+
+    def test_gamma_at_a_subnormal_tau(self):
+        # (x s sqrt(tau))^2 and s^2 tau / 2 underflow at tau = 5e-324; the
+        # reference values are mpmath's at 50 digits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gamma = Factor1D("digital", K=0.5).value_delta_gamma(
+                5e-324, np.array([0.5, 0.25]))[2]
+        assert gamma[0] == pytest.approx(-3.5896138570490506716e161,
+                                         rel=1e-14)
+        assert gamma[1] == 0.0
 
 
 class TestFactorParameters:
@@ -460,6 +473,220 @@ class TestProduct:
         p = ProductPricing([Factor1D("call"), Factor1D("digital")], 1.0)
         with pytest.raises(ValueError):
             p.value(1.0, np.array([[1.0, 1.0, 1.0]]))
+
+
+# The pricing kernels compute in place. These are the allocating forms they
+# replaced, each output a chain of fresh temporaries: the kernels must give
+# their bits exactly.
+
+def alloc_d12(x, K, s, tau):
+    st = s * np.sqrt(tau)
+    return (np.log(x / K) - 0.5 * st * st) / st, st
+
+
+def alloc_phi(z):
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+
+
+def alloc_factor(f, tau, x, what):
+    d2, st = alloc_d12(x, f.K, f.s, tau)
+    d1 = d2 + st
+    if f.kind == "call":
+        forms = {"value": lambda: x * ndtr(d1) - f.K * ndtr(d2),
+                 "delta": lambda: ndtr(d1),
+                 "gamma": lambda: alloc_phi(d1) / (x * st)}
+    else:
+        forms = {"value": lambda: ndtr(d2),
+                 "delta": lambda: alloc_phi(d2) / (x * st),
+                 "gamma": lambda: -alloc_phi(d2) * (d2 + st) / (x * st) ** 2}
+    return tuple(forms[w]() for w in what)
+
+
+def alloc_hermite_polys(z, count):
+    he = [z]
+    for k in range(1, count - 1):
+        he.append(z * he[k - 1] - k * (he[k - 2] if k > 1 else 1.0))
+    return he[:count - 1]
+
+
+def alloc_power_moments_raw(x, K, alpha, s, tau, n_nodes, count):
+    sig = s * np.sqrt(tau)
+    out = np.zeros((count,) + x.shape)
+    zk = (np.log(K / x) + 0.5 * sig * sig) / sig
+    smooth = zk <= pricing._Z_SMOOTH
+    kinked = ~smooth
+    if np.any(kinked):
+        zks = zk[kinked]
+        V = np.maximum(13.0 + alpha * sig - zks, 2.0) + 7.0
+        u, w = _legendre01(n_nodes)
+        up = u**pricing._KINK_POW
+        dup = pricing._KINK_POW * u ** (pricing._KINK_POW - 1.0) * w
+        v = V[:, None] * up[None, :]
+        dv = V[:, None] * dup[None, :]
+        z = zks[:, None] + v
+        pay = (K * np.expm1(sig * v)) ** alpha
+        core = pay * alloc_phi(z) * dv
+        out[0][kinked] = core.sum(axis=1)
+        for k, he in enumerate(alloc_hermite_polys(z, count), 1):
+            out[k][kinked] = (core * he).sum(axis=1)
+    if np.any(smooth):
+        xs = x[smooth]
+        z, w = _hermite(n_nodes)
+        y = xs[:, None] * np.exp(sig * z - 0.5 * sig * sig)[None, :]
+        pay = np.maximum(y - K, 0.0) ** alpha
+        out[0][smooth] = pay @ w
+        for k, he in enumerate(alloc_hermite_polys(z, count), 1):
+            out[k][smooth] = pay @ (w * he)
+    return out
+
+
+def alloc_others(vals):
+    """prod_{i != k} vals[:, i] for every column k, by prefix and suffix
+    products over the columns of the (B, d) vals."""
+    out = np.empty_like(vals)
+    acc = np.ones(vals.shape[0])
+    for k in range(vals.shape[1]):
+        out[:, k] = acc
+        acc *= vals[:, k]
+    acc[:] = 1.0
+    for k in reversed(range(vals.shape[1])):
+        out[:, k] *= acc
+        acc *= vals[:, k]
+    return out
+
+
+def alloc_product_gradient(factors, tau, x):
+    vals, dels = np.empty(x.shape), np.empty(x.shape)
+    for i, f in enumerate(factors):
+        vals[:, i], dels[:, i] = f.value_delta(tau, x[:, i])
+    return dels * alloc_others(vals)
+
+
+def alloc_product_hessian(factors, tau, x):
+    B, d = x.shape
+    vals, dels, gams = (np.empty((B, d)) for _ in range(3))
+    for i, f in enumerate(factors):
+        vals[:, i], dels[:, i], gams[:, i] = f.value_delta_gamma(tau, x[:, i])
+    others = alloc_others(vals)
+    hess = np.empty((B, d, d))
+    for i in range(d):
+        hess[:, i, i] = gams[:, i] * others[:, i]
+        for j in range(d):
+            if j != i:
+                rest = np.prod(np.delete(vals, [i, j], axis=1), axis=1)
+                hess[:, i, j] = dels[:, i] * dels[:, j] * rest
+    return hess
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+PRODUCT3 = (Factor1D("call"), Factor1D("power"), Factor1D("digital"))
+
+
+class TestInPlaceKernels:
+    """Every in-place kernel gives the bits of the allocating form."""
+
+    METHODS = {"value": ("value",), "delta": ("delta",),
+               "value_delta": ("value", "delta"),
+               "value_delta_gamma": ("value", "delta", "gamma")}
+
+    X = np.concatenate([
+        np.exp(np.random.default_rng(14).normal(0.0, 0.8, 2000)),
+        [1.2, 1e-30, 1e30]])
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    @pytest.mark.parametrize("tau", [1.0, 0.3, 1e-4, 1e-12, 1e-200])
+    @pytest.mark.parametrize("kind", ["call", "digital"])
+    def test_closed_form_factors(self, kind, tau, method):
+        f = Factor1D(kind, K=1.2, s=0.8)
+        got = getattr(f, method)(tau, self.X)
+        got = got if isinstance(got, tuple) else (got,)
+        want = alloc_factor(f, tau, self.X, self.METHODS[method])
+        assert len(got) == len(want)
+        assert all(map(same_bits, got, want))
+
+    @pytest.mark.parametrize("tau", [5e-324, 1e-310])
+    @pytest.mark.parametrize("kind", ["call", "digital"])
+    def test_closed_form_factors_at_a_subnormal_tau(self, kind, tau):
+        # s^2 tau / 2 underflows: only the rows with log(x / K) = 0 move,
+        # and for the digital's gamma the rows where (x s sqrt(tau))^2 does
+        f = Factor1D(kind, K=1.2, s=0.8)
+        got = f.value_delta_gamma(tau, self.X)
+        with np.errstate(all="ignore"):
+            want = alloc_factor(f, tau, self.X, ("value", "delta", "gamma"))
+            square = (self.X * f.s * np.sqrt(tau)) ** 2
+        kept = [self.X != f.K] * 3
+        if kind == "digital":
+            kept[2] = kept[2] & (square >= np.finfo(float).tiny)
+        for g, w, k in zip(got, want, kept):
+            assert same_bits(g[k], w[k])
+
+    @pytest.mark.parametrize("tau", [0.9, 1e-2, 1e-8])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5])
+    @pytest.mark.parametrize("count", [3, 4])
+    @pytest.mark.parametrize("n", [32, 64, 128, 256])
+    def test_power_moments_raw(self, n, count, alpha, tau):
+        # the table's nodes over a wide range: kinked and smooth points
+        x = np.exp(node_map(POWER, tau, np.log(0.05), np.log(50.0)).nodes())
+        got = _power_moments_raw(x, 1.0, alpha, 1.0, tau, n, count)
+        want = alloc_power_moments_raw(x, 1.0, alpha, 1.0, tau, n, count)
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("rows", [300, 16384])  # direct and table path
+    def test_product_gradient_and_hessian(self, rows):
+        p = ProductPricing(PRODUCT3, 1.0)
+        x = np.exp(np.random.default_rng(15).normal(0.0, 0.5, (rows, 3)))
+        grad = alloc_product_gradient(PRODUCT3, 0.4, x)
+        hess = alloc_product_hessian(PRODUCT3, 0.4, x)
+        got_grad, got_hess = p.gradient(0.4, x), p.hessian(0.4, x)
+        assert same_bits(got_grad, grad) and same_bits(got_hess, hess)
+        assert got_grad.flags.c_contiguous and got_hess.flags.c_contiguous
+
+
+class TestInputsUntouched:
+    """Pricing writes no input and returns no view of one: the engine's
+    running-sup update subtracts in place from the value it is given."""
+
+    FACTOR_METHODS = ("payoff", "value", "delta", "value_delta",
+                      "value_delta_gamma")
+
+    @staticmethod
+    def outputs(result):
+        return result if isinstance(result, tuple) else (result,)
+
+    def check(self, call, x):
+        before = x.copy()
+        for out in self.outputs(call(x)):
+            assert not np.shares_memory(out, x)
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("rows", [300, 5000])  # power: direct and table
+    @pytest.mark.parametrize("kind", ["call", "digital", "power", "const"])
+    def test_factor(self, kind, rows):
+        f = Factor1D(kind)
+        states = np.exp(np.random.default_rng(16).normal(0.0, 0.5, (rows, 3)))
+        for method in self.FACTOR_METHODS:
+            entry = getattr(f, method)
+            call = entry if method == "payoff" else (
+                lambda x, entry=entry: entry(0.4, x))
+            self.check(call, np.broadcast_to(1.1, (rows,)))
+            for i in range(3):
+                self.check(call, states[:, i])
+
+    @pytest.mark.parametrize("rows", [300, 5000])
+    def test_product(self, rows):
+        p = ProductPricing(PRODUCT3, 1.0)
+        states = np.exp(np.random.default_rng(17).normal(0.0, 0.5, (rows, 3)))
+        x0 = np.broadcast_to(np.array([1.0, 1.1, 0.9]), (rows, 3))
+        for method in ("payoff", "value", "gradient", "hessian"):
+            entry = getattr(p, method)
+            call = entry if method == "payoff" else (
+                lambda x, entry=entry: entry(0.4, x))
+            self.check(call, x0)
+            self.check(call, states)
 
 
 SPEC_GBM2 = gbm_diagonal(2, 1.0, [1.0, 1.0])
