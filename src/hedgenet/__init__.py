@@ -19,7 +19,6 @@ from .models import (
     DiffusionSpec,
     gbm_diagonal,
     bm_constant,
-    general_diffusion,
     a_matrix,
     path_states,
 )

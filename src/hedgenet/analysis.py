@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import stdtrit
 
-from .models import (a_matrix, check_dimensions, one_step_states,
-                     path_states, sigma_matrix)
+from .models import a_matrix, one_step_states, path_states, sigma_matrix
+from .pricing import check_priced
 from .rng import ArgumentError, check_count
 
 __all__ = [
@@ -79,7 +79,7 @@ class RateFit:
 def _a_diagonal(spec, x):
     """A_ii(x), shape (B, d). For uncorrelated diagonal GBM it is
     (s_i x_i)^2 directly, bitwise the diagonal of a_matrix."""
-    if spec.exactness == "gbm-diagonal" and spec.corr_chol is None:
+    if spec.case == "C2" and spec.corr_chol is None:
         sx = spec.vols * x
         return sx * sx
     return np.einsum("bii->bi", a_matrix(spec, x))
@@ -111,7 +111,7 @@ def estimate_theta(spec, pricing, tau_grid=None, n_paths: int = DEFAULT_N,
     positive stay in ``rows`` but are left out of the fit.
     """
     check_count("n_paths", n_paths, 2)
-    check_dimensions(spec, pricing)
+    check_priced(spec, pricing)
     T = pricing.T
     if tau_grid is None:
         tau_grid = default_theta_grid(T)
@@ -159,7 +159,7 @@ def estimate_h2(spec, pricing, u_grid, n_paths: int = DEFAULT_N,
                 master_seed: int = 0) -> H2Curve:
     """MC curve of H^2(u) = E || sigma(X_u)^T d2F(u, X_u) sigma(X_u) ||_F^2."""
     check_count("n_paths", n_paths, 2)
-    check_dimensions(spec, pricing)
+    check_priced(spec, pricing)
     u_grid = check_dates(u_grid, pricing.T)
     points = []
     taus = pricing.T - u_grid
@@ -286,7 +286,7 @@ def one_step_profile(spec, pricing, a: float, u_grid, n_paths: int = DEFAULT_N,
     """
     check_count("n_paths", n_paths, 2)
     check_count("n_integral", n_integral, 2)
-    check_dimensions(spec, pricing)
+    check_priced(spec, pricing)
     T = pricing.T
     u_grid = check_dates(u_grid, T)
     if not 0.0 <= a <= u_grid.min():

@@ -122,21 +122,27 @@ def config_hash(cfg: dict) -> str:
 
 
 def build_spec(cfg: dict):
-    m = cfg["model"]
+    m, case = cfg["model"], cfg["model"]["case"]
+    check_count("model.d", m["d"])
+    other = (("sigma", "drift") if case == "C2"
+             else ("mu",) if case == "C1" else ())
+    for key in other:
+        if m[key] is not None:
+            raise ArgumentError(f"model.{key} must be null in case {case}")
     try:
-        if m["case"] == "C2":
+        if case == "C2":
             return gbm_diagonal(
                 d=m["d"], s=np.asarray(m["s"], dtype=float), x0=m["x0"],
                 mu=m["mu"], corr=m["corr"],
             )
-        if m["case"] == "C1":
+        if case == "C1":
             sigma = (np.eye(m["d"]) if m["sigma"] is None
                      else np.asarray(m["sigma"]))
             return bm_constant(sigma=sigma, x0=m["x0"], drift=m["drift"],
                                corr=m["corr"])
     except (KeyError, ValueError) as e:
         raise ArgumentError(f"invalid model block: {e}")
-    raise ArgumentError(f"unknown model case {m['case']!r}")
+    raise ArgumentError(f"unknown model case {case!r}")
 
 
 def build_pricing(cfg: dict):

@@ -18,7 +18,7 @@ simulated once on the sorted union of the nets' grids (their knots, or
 their monitoring grids in running-sup modes), and every net keeps its own
 hedge account on those shared paths. These are the common random numbers of
 a sweep: every n sees the same paths, sampled on the union grid by the
-model's own sampler. A single net is the sweep whose union grid is its own
+exact transition. A single net is the sweep whose union grid is its own
 grid.
 
 Several sweeps (the net families of one comparison) run in one pass. Each
@@ -47,7 +47,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .models import check_dimensions, path_states
+from .models import path_states
+from .pricing import check_priced
 from .rng import ArgumentError, SeedSpec, check_count
 from .timenets import TimeNet, eta_net, refine
 
@@ -165,7 +166,7 @@ def _plan(grids, knots, want_sup) -> _Plan:
 def _plans(spec, pricing, families, monitor_factor, want_sup) -> list:
     """One plan per family of nets, made once its arguments pass."""
     check_count("monitor_factor", monitor_factor)
-    check_dimensions(spec, pricing)
+    check_priced(spec, pricing)
     if not families or not all(families):
         raise ArgumentError("need at least one net per family")
     if any(net.horizon != pricing.T for nets in families for net in nets):

@@ -1,87 +1,82 @@
 """Diffusion specifications and path streaming.
 
-Two state spaces are supported: Brownian-type diffusions on R^d (case C1) and
-exponential diffusions on (0, inf)^d (case C2, simulated through the log
-process so positivity is automatic). The model picks its sampler: the exact
-transition of a constant-coefficient model ("bm-constant", "gbm-diagonal"),
-else Euler-Maruyama. ``path_states`` is the one time-step loop: every
-consumer of simulated paths takes its states from it, and consumers of the
-same paths on several time grids share its draws.
+Two state spaces are supported: Brownian-type diffusions on R^d with a
+constant sigma matrix (case C1) and diagonal geometric Brownian motion on
+(0, inf)^d (case C2). Both have constant (log-)coefficients, so every step
+is the exact transition (``exact_step``). ``path_states`` is the one
+time-step loop: every consumer of simulated paths takes its states from it,
+and consumers of the same paths on several time grids share its draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .rng import ArgumentError, _BatchStream, normals
+from .rng import ArgumentError, _BatchStream, check_count, normals
 
 __all__ = [
     "DiffusionSpec",
     "gbm_diagonal",
     "bm_constant",
-    "general_diffusion",
     "a_matrix",
     "sigma_matrix",
     "path_states",
 ]
 
 
+def _finite(name, value, shape):
+    """``value`` as a float array, refused unless finite and of ``shape``."""
+    a = np.asarray(value, dtype=float)
+    if a.shape != shape or not np.all(np.isfinite(a)):
+        raise ArgumentError(f"{name} must be finite with shape {shape}")
+    return a
+
+
 @dataclass(frozen=True)
 class DiffusionSpec:
     """Immutable description of the simulated diffusion."""
 
-    case: str  # "C1" or "C2"
+    case: str  # "C1" (bm_constant) or "C2" (gbm_diagonal)
     d: int
     x0: np.ndarray
-    exactness: str  # "gbm-diagonal" | "bm-constant" | "general"
-    vols: Optional[np.ndarray] = None  # s_i for gbm-diagonal
-    drift_rates: Optional[np.ndarray] = None  # mu_i for gbm-diagonal
-    const_sigma: Optional[np.ndarray] = None  # for bm-constant
-    const_drift: Optional[np.ndarray] = None  # for bm-constant
+    vols: Optional[np.ndarray] = None  # s_i, case C2
+    drift_rates: Optional[np.ndarray] = None  # mu_i, case C2
+    const_sigma: Optional[np.ndarray] = None  # case C1
+    const_drift: Optional[np.ndarray] = None  # case C1
     corr: Optional[np.ndarray] = None  # constant correlation of the drivers
-    sigma_fn: Optional[Callable] = None  # general: x -> (..., d, d)
-    drift_fn: Optional[Callable] = None  # general: x -> (..., d)
     corr_chol: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.case not in ("C1", "C2"):
             raise ArgumentError("case must be 'C1' or 'C2'")
-        if self.exactness not in ("gbm-diagonal", "bm-constant", "general"):
-            raise ArgumentError("unknown exactness tag")
-        x0 = np.asarray(self.x0, dtype=float)
-        if x0.shape != (self.d,):
-            raise ArgumentError("x0 must be a d-vector")
-        if self.case == "C2" and np.any(x0 <= 0.0):
-            raise ArgumentError("C2 start point must be strictly positive")
-        object.__setattr__(self, "x0", x0)
-        for name in ("vols", "drift_rates", "const_drift"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, np.asarray(v, dtype=float))
-        if self.exactness == "gbm-diagonal":
-            if self.case != "C2":
-                raise ArgumentError("gbm-diagonal requires case C2")
-            if self.vols is None or np.any(self.vols <= 0.0):
-                raise ArgumentError("gbm-diagonal needs strictly positive vols")
-        if self.exactness == "bm-constant":
-            if self.case != "C1":
-                raise ArgumentError("bm-constant requires case C1")
-            if self.const_sigma is None:
-                raise ArgumentError("bm-constant needs a constant sigma matrix")
-            object.__setattr__(
-                self, "const_sigma", np.asarray(self.const_sigma, dtype=float)
-            )
+        check_count("d", self.d)
+        d, c2 = self.d, self.case == "C2"
+        needed = "vols" if c2 else "const_sigma"
+        if getattr(self, needed) is None:
+            raise ArgumentError(f"case {self.case} needs {needed}")
+        shapes = ({"vols": (d,), "drift_rates": (d,)} if c2
+                  else {"const_sigma": (d, d), "const_drift": (d,)})
+        for name, shape in {"x0": (d,), **shapes}.items():
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name,
+                                   _finite(name, getattr(self, name), shape))
+        if c2 and (np.any(self.x0 <= 0.0) or np.any(self.vols <= 0.0)):
+            raise ArgumentError("case C2 needs a positive x0 and positive "
+                                "vols")
         if self.corr is not None:
-            corr = np.asarray(self.corr, dtype=float)
-            if corr.shape != (self.d, self.d) or not np.allclose(corr, corr.T):
-                raise ArgumentError("corr must be a symmetric d x d matrix")
-            if not np.allclose(np.diag(corr), 1.0):
-                raise ArgumentError("corr must have unit diagonal")
+            corr = _finite("corr", self.corr, (d, d))
+            if not (np.allclose(corr, corr.T)
+                    and np.allclose(np.diag(corr), 1.0)):
+                raise ArgumentError("corr must be symmetric, unit diagonal")
+            try:
+                chol = np.linalg.cholesky(corr)
+            except np.linalg.LinAlgError:
+                raise ArgumentError("corr must be positive definite")
             object.__setattr__(self, "corr", corr)
-            object.__setattr__(self, "corr_chol", np.linalg.cholesky(corr))
+            object.__setattr__(self, "corr_chol", chol)
 
 
 def gbm_diagonal(d, s, x0, mu=None, corr=None) -> DiffusionSpec:
@@ -89,43 +84,28 @@ def gbm_diagonal(d, s, x0, mu=None, corr=None) -> DiffusionSpec:
     s = np.broadcast_to(np.asarray(s, dtype=float), (d,)).copy()
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (d,)).copy()
     mu = None if mu is None else np.broadcast_to(np.asarray(mu, float), (d,)).copy()
-    return DiffusionSpec(
-        case="C2", d=d, x0=x0, exactness="gbm-diagonal", vols=s, drift_rates=mu,
-        corr=corr,
-    )
+    return DiffusionSpec(case="C2", d=d, x0=x0, vols=s, drift_rates=mu,
+                         corr=corr)
 
 
 def bm_constant(sigma, x0, drift=None, corr=None) -> DiffusionSpec:
-    """Brownian-type diffusion with a constant sigma matrix (case C1)."""
+    """Brownian-type diffusion with a constant d x d sigma matrix (case C1)."""
     sigma = np.asarray(sigma, dtype=float)
-    d = sigma.shape[0]
+    d = np.atleast_1d(sigma).shape[0]
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (d,)).copy()
-    return DiffusionSpec(
-        case="C1", d=d, x0=x0, exactness="bm-constant", const_sigma=sigma,
-        const_drift=drift, corr=corr,
-    )
-
-
-def general_diffusion(case, d, x0, sigma_fn, drift_fn=None) -> DiffusionSpec:
-    """State-dependent coefficients; sampled with Euler-Maruyama only."""
-    return DiffusionSpec(
-        case=case, d=d, x0=np.asarray(x0, dtype=float), exactness="general",
-        sigma_fn=sigma_fn, drift_fn=drift_fn,
-    )
+    return DiffusionSpec(case="C1", d=d, x0=x0, const_sigma=sigma,
+                         const_drift=drift, corr=corr)
 
 
 def sigma_matrix(spec: DiffusionSpec, x) -> np.ndarray:
     """Effective diffusion matrix (correlation folded in), shape (..., d, d)."""
     x = np.asarray(x, dtype=float)
-    if spec.exactness == "gbm-diagonal":
-        base = spec.vols * x  # (..., d) diagonal entries
+    if spec.case == "C2":
         sig = np.zeros(x.shape + (spec.d,))
         idx = np.arange(spec.d)
-        sig[..., idx, idx] = base
-    elif spec.exactness == "bm-constant":
-        sig = np.broadcast_to(spec.const_sigma, x.shape + (spec.d,)).copy()
+        sig[..., idx, idx] = spec.vols * x
     else:
-        sig = np.asarray(spec.sigma_fn(x), dtype=float)
+        sig = np.broadcast_to(spec.const_sigma, x.shape + (spec.d,)).copy()
     if spec.corr_chol is not None:
         sig = sig @ spec.corr_chol
     return sig
@@ -137,20 +117,13 @@ def a_matrix(spec: DiffusionSpec, x) -> np.ndarray:
     return sig @ np.swapaxes(sig, -1, -2)
 
 
-def check_dimensions(spec: DiffusionSpec, pricing) -> None:
-    """The payoff's dimension is the model's."""
-    if pricing.d != spec.d:
-        raise ArgumentError(f"the payoff has dimension {pricing.d}, "
-                            f"the model {spec.d}")
-
-
 def exact_step(spec: DiffusionSpec, x, dt: float, z) -> np.ndarray:
-    """One exact transition for constant-coefficient models (z iid normal).
+    """One exact transition over dt (z iid normal).
 
     Returns a new array and writes to neither ``x`` nor ``z``.
     """
     sqdt = np.sqrt(dt)
-    if spec.exactness == "gbm-diagonal":
+    if spec.case == "C2":
         s = spec.vols
         mu = 0.0 if spec.drift_rates is None else spec.drift_rates
         # x * exp((mu - s^2/2) dt + s sqrt(dt) z), computed in one new
@@ -165,31 +138,12 @@ def exact_step(spec: DiffusionSpec, x, dt: float, z) -> np.ndarray:
         np.exp(res, out=res)
         return np.multiply(res, x, out=res if res.shape == np.shape(x)
                            else None)
-    if spec.exactness == "bm-constant":
-        if spec.corr_chol is not None:
-            z = z @ spec.corr_chol.T
-        out = x + z @ (sqdt * spec.const_sigma).T
-        if spec.const_drift is not None:
-            out += spec.const_drift * dt
-        return out
-    raise ArgumentError("exact sampling requires a non-'general' spec")
-
-
-def euler_step(spec: DiffusionSpec, x, dt: float, z) -> np.ndarray:
-    """One Euler-Maruyama step of a 'general' spec (log-Euler in case C2)."""
-    if spec.exactness != "general":
-        raise ArgumentError("Euler sampling is for 'general' specs only; "
-                            "this one has an exact transition")
-    sig = sigma_matrix(spec, x)
-    drift = (0.0 if spec.drift_fn is None
-             else np.asarray(spec.drift_fn(x), dtype=float))
-    dw = (np.sqrt(dt) * z)[..., None, :]
-    if spec.case == "C1":
-        return x + drift * dt + (sig * dw).sum(axis=-1)
-    # C2: Euler on y = log x keeps the state strictly positive.
-    sig = sig / x[..., :, None]
-    bhat = drift / x - 0.5 * (sig * sig).sum(axis=-1)
-    return np.exp(np.log(x) + bhat * dt + (sig * dw).sum(axis=-1))
+    if spec.corr_chol is not None:
+        z = z @ spec.corr_chol.T
+    out = x + z @ (sqdt * spec.const_sigma).T
+    if spec.const_drift is not None:
+        out += spec.const_drift * dt
+    return out
 
 
 def path_states(spec, grids, master_seed, path_indices):
@@ -205,12 +159,11 @@ def path_states(spec, grids, master_seed, path_indices):
     consecutive step indices (``rng._BatchStream``), and every grid that
     has that step makes it from them with its own step length; the next
     block's refill overwrites the slice. A grid's state is dropped once
-    the grid ends. The step is ``exact_step``, or ``euler_step`` for a
-    'general' spec.
+    the grid ends. Each step is ``exact_step``, looked up as a module
+    global every time, so a wrapper set on it (perfbench's tracer) sees it.
     """
     grids = [np.asarray(times, dtype=float) for times in grids]
     path_indices = np.asarray(path_indices)
-    step = euler_step if spec.exactness == "general" else exact_step
     n_steps = max((times.size - 1 for times in grids), default=0)
     stream = _BatchStream(master_seed, path_indices, spec.d, n_steps)
     # no step writes to its x, so the start needs no copy of x0
@@ -222,7 +175,7 @@ def path_states(spec, grids, master_seed, path_indices):
             del stream  # its keys and word buffer; z's block stays
         for g in list(states):
             times = grids[g]
-            x = step(spec, states[g], times[j - 1] - times[j], z)
+            x = exact_step(spec, states[g], times[j - 1] - times[j], z)
             if j + 1 < times.size:
                 states[g] = x
             else:
@@ -232,11 +185,7 @@ def path_states(spec, grids, master_seed, path_indices):
 
 def one_step_states(spec, T, taus, n_paths, master_seed):
     """States of paths 0..N-1 at each of ``taus``, each one exact transition
-    from x0 at T made from the draw of step index 0. One Euler step over
-    [tau, T] is no sample of X_tau, so a 'general' spec is refused."""
-    if spec.exactness == "general":
-        raise ArgumentError("one-step sampling needs an exact transition; "
-                            "a 'general' spec has none")
+    from x0 at T made from the draw of step index 0."""
     idx = np.arange(n_paths, dtype=np.uint64)
     grids = [[T, tau] for tau in taus]
     return (x for _, _, x in path_states(spec, grids, master_seed, idx))

@@ -101,8 +101,7 @@ def mc_payoff_expectation(spec, payoff, n_paths: int, master_seed: int,
     """(mean, stderr) of the terminal payoff by exact one-step sampling.
 
     ``payoff`` may be a callable on terminal states or a pricing model, in
-    which case its own payoff and horizon are used. One Euler step over
-    [0, T] is no sample of X_T, so a 'general' spec is refused.
+    which case its own payoff and horizon are used.
     """
     check_count("n_paths", n_paths, 2)
     if callable(payoff):

@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import eval_hermite, eval_legendre, ndtr, roots_hermite
 
+from .models import a_matrix
 from .rng import ArgumentError
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "SumDigital2D",
     "BMQuadratic",
     "make_pricing",
+    "check_priced",
 ]
 
 #: Node-doubling stopping rule for the quadrature-backed factors.
@@ -600,8 +602,10 @@ class _NodeMap:
 class ProductPricing:
     """Coordinate-wise product payoff f(x) = prod_i f_i(x_i) at horizon T.
 
-    Valid for diagonal models with sigma_ii(x) = s_i * x_i; then
-    F(tau, x) = prod_i F_i(tau, x_i), each F_i checking tau.
+    F(tau, x) = prod_i F_i(tau, x_i), each F_i checking tau, is the price
+    under diagonal GBM (case C2) at the factors' vols s_i, for independent
+    assets once two factors are not const; ``check_priced`` refuses any
+    other model.
     """
 
     def __init__(self, factors: Sequence[Factor1D], T: float):
@@ -809,7 +813,8 @@ class BMQuadratic:
     """f(x) = sum x_i^2 under standard Brownian motion (case C1, sigma = I).
 
     F(tau, x) = sum x_i^2 + d tau solves the heat-type pricing equation
-    exactly; used as an analytic oracle.
+    exactly; used as an analytic oracle. ``check_priced`` refuses any other
+    model.
     """
 
     def __init__(self, d, T):
@@ -858,3 +863,43 @@ def make_pricing(key: str, params: dict, T: float):
     if key == "bm_quadratic":
         return BMQuadratic(d=p.get("d", 1), T=T)
     raise ArgumentError(f"unknown payoff key {key!r}")
+
+
+def check_priced(spec, pricing) -> None:
+    """Refuse a payoff whose price is not the model's: the hedge's error
+    identity needs F to solve the model's backward PDE.
+
+    The dimensions agree. A product or sum-digital needs case C2 at its own
+    vols, and no corr but the identity with two or more non-const factors or
+    for the sum-digital. ``BMQuadratic`` needs case C1 with sigma sigma^T =
+    I. Drift never enters F. Other pricing objects are checked for d only.
+    """
+    def refuse(why):
+        raise ArgumentError(f"the payoff's price is not the model's: {why}")
+
+    if pricing.d != spec.d:
+        raise ArgumentError(f"the payoff has dimension {pricing.d}, "
+                            f"the model {spec.d}")
+    if isinstance(pricing, BMQuadratic):
+        if spec.case != "C1" or not np.array_equal(
+                a_matrix(spec, spec.x0), np.eye(spec.d)):
+            refuse("bm_quadratic prices |x|^2 + d tau, which needs case C1 "
+                   "with sigma sigma^T = I")
+        return
+    if isinstance(pricing, ProductPricing):
+        vols = {i: f.s for i, f in enumerate(pricing.factors)
+                if f.kind != "const"}
+    elif isinstance(pricing, SumDigital2D):
+        vols = dict(enumerate(pricing.s))
+    else:
+        return
+    if spec.case != "C2":
+        refuse("the catalogue prices it under case C2 only")
+    for i, s in vols.items():
+        if s != spec.vols[i]:
+            refuse(f"coordinate {i} is priced at vol {float(s)!r}, the "
+                   f"model's is {float(spec.vols[i])!r}")
+    if (len(vols) > 1 and spec.corr is not None
+            and not np.array_equal(spec.corr, np.eye(spec.d))):
+        refuse("it is priced for independent assets, and corr is not the "
+               "identity")

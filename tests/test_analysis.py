@@ -14,8 +14,7 @@ from hedgenet.analysis import (
     one_step_profile,
     theta_grid_table,
 )
-from hedgenet.models import bm_constant, gbm_diagonal, general_diffusion
-from hedgenet.oracle import mc_payoff_expectation
+from hedgenet.models import bm_constant, gbm_diagonal
 from hedgenet.pricing import BMQuadratic, make_pricing
 from hedgenet.rng import ArgumentError
 
@@ -276,28 +275,26 @@ def test_a_standard_error_needs_two_paths(estimate, n_paths, monkeypatch):
     assert drawn == []
 
 
-#: each samples X_tau in one step from x0, which only an exact transition does
+#: each samples X_tau in one step from x0, after checking its arguments
 ONE_STEP_SAMPLERS = {
     "estimate_theta": lambda spec: estimate_theta(
         spec, QUAD1, [0.5, 0.1, 0.01], 100),
     "estimate_h2": lambda spec: estimate_h2(spec, QUAD1, [0.5], 100),
     "one_step_profile": lambda spec: one_step_profile(
         spec, QUAD1, 0.5, [0.6], 100),
-    "mc_payoff_expectation": lambda spec: mc_payoff_expectation(
-        spec, QUAD1, 100, 0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ONE_STEP_SAMPLERS))
-def test_one_step_samplers_refuse_a_general_spec(name, monkeypatch):
+def test_one_step_samplers_refuse_a_payoff_the_model_does_not_price(
+        name, monkeypatch):
     import hedgenet.models as models
 
     drawn = []
     monkeypatch.setattr(models, "normals", lambda *a, **k: drawn.append(a))
-    spec = general_diffusion("C1", 1, [0.0],
-                             lambda x: np.ones(x.shape + (1,)))
-    with pytest.raises(ValueError, match="needs an exact transition"):
-        ONE_STEP_SAMPLERS[name](spec)
+    # |x|^2 + tau is the price at sigma = 1, not at sigma = 2
+    with pytest.raises(ArgumentError, match="bm_quadratic prices"):
+        ONE_STEP_SAMPLERS[name](bm_constant([[2.0]], [0.0]))
     assert drawn == []
 
 

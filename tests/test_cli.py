@@ -357,6 +357,28 @@ class TestRateCommand:
          "nets.families must be a JSON list of objects"),
         ({"nets": {"families": "eta"}}, ("rate", "simulate"),
          "nets.families must be a JSON list of objects"),
+        # the model's arrays are finite and of its shape, corr is positive
+        # definite
+        ({"model": {"s": [float("nan")]}}, ("rate", "simulate"),
+         "vols must be finite with shape (1,)"),
+        ({"model": {"x0": [float("inf")]}}, ("rate", "simulate"),
+         "x0 must be finite with shape (1,)"),
+        ({"model": {"case": "C1", "x0": [0.0], "sigma": [1.0]}},
+         ("rate", "simulate"), "const_sigma must be finite with shape (1, 1)"),
+        ({"model": {"case": "C1", "x0": [0.0], "drift": [1.0, 2.0]}},
+         ("rate", "simulate"), "const_drift must be finite with shape (1,)"),
+        ({"model": {"d": 2, "s": [1.0, 1.0], "x0": [1.0, 1.0],
+                    "corr": [[1.0, 2.0], [2.0, 1.0]]}}, ("rate", "simulate"),
+         "corr must be positive definite"),
+        ({"model": {"d": 1.5}}, ("rate", "simulate"),
+         "model.d must be a positive integer, not 1.5"),
+        # each case refuses the other case's keys
+        ({"model": {"sigma": [[2.0]]}}, ("rate", "simulate"),
+         "model.sigma must be null in case C2"),
+        ({"model": {"drift": [0.1]}}, ("rate", "simulate"),
+         "model.drift must be null in case C2"),
+        ({"model": {"case": "C1", "x0": [0.0], "mu": [0.3]}},
+         ("rate", "simulate"), "model.mu must be null in case C1"),
     ])
     def test_invalid_block_is_a_usage_error(self, tmp_path, capsys, block,
                                             cmds, message):
@@ -408,6 +430,35 @@ class TestRateCommand:
             out = tmp_path / cmd
             assert main([cmd, "--config", p, "--out", str(out)]) == 2
             assert ("the payoff has dimension 1, the model 2"
+                    in capsys.readouterr().err)
+            assert not out.exists()
+
+    # each exited 0 with a wrong rate before pricing.check_priced
+    @pytest.mark.parametrize("model, payoff, rule", [
+        ({}, {"key": "digital", "params": {"K": 1.0, "s": 2.0}},
+         "coordinate 0 is priced at vol 2.0, the model's is 1.0"),
+        ({"case": "C1", "x0": [0.0], "sigma": [[2.0]]},
+         {"key": "bm_quadratic", "params": {}},
+         "bm_quadratic prices |x|^2 + d tau, which needs case C1 with "
+         "sigma sigma^T = I"),
+        ({"d": 2, "s": [1.0, 1.0], "x0": [1.0, 1.0],
+          "corr": [[1.0, 0.9], [0.9, 1.0]]},
+         {"key": "product",
+          "params": {"factors": [{"kind": "call"}, {"kind": "call"}]}},
+         "it is priced for independent assets, and corr is not the "
+         "identity"),
+    ], ids=["digital-vol", "bm-sigma", "call-call-corr"])
+    def test_payoff_the_model_does_not_price_is_a_usage_error(
+            self, tmp_path, capsys, monkeypatch, model, payoff, rule):
+        import hedgenet.models as models
+
+        monkeypatch.setattr(models, "normals", None)  # no path is drawn
+        p = write_config(tmp_path / "c.json",
+                         dict(DIGITAL_CFG, model=model, payoff=payoff))
+        for cmd in ("rate", "simulate", "theta", "h2"):
+            out = tmp_path / cmd
+            assert main([cmd, "--config", p, "--out", str(out)]) == 2
+            assert ("error: the payoff's price is not the model's: " + rule
                     in capsys.readouterr().err)
             assert not out.exists()
 

@@ -14,7 +14,7 @@ from hedgenet.hedging import (
     estimate_sweep,
     path_error,
 )
-from hedgenet.models import bm_constant, gbm_diagonal, general_diffusion
+from hedgenet.models import bm_constant, gbm_diagonal
 from hedgenet.oracle import analytic_quadratic_error
 from hedgenet.pricing import BMQuadratic, Factor1D, ProductPricing, make_pricing
 from hedgenet.rng import ArgumentError, SeedSpec, normals
@@ -127,9 +127,6 @@ class TestEstimateL2:
         )
 
 
-GENERAL = general_diffusion("C1", 1, [0.0], lambda x: np.ones(x.shape + (1,)))
-
-
 #: one bad argument of the engine each
 BAD_ARGUMENTS = {
     "mode": {"error_mode": "max"},
@@ -138,6 +135,13 @@ BAD_ARGUMENTS = {
     "factor-1.5": {"monitor_factor": 1.5},
     "horizon": {"net": equidistant_net(2.0, 4)},
     "dimension": {"spec": gbm_diagonal(2, 1.0, 1.0)},
+    # a payoff that the model does not price (pricing.check_priced)
+    "vols": {"spec": gbm_diagonal(1, 2.0, 1.0)},
+    "corr": {"spec": gbm_diagonal(2, 1.0, 1.0, corr=[[1.0, 0.5], [0.5, 1.0]]),
+             "pricing": make_pricing("product", {"factors": [
+                 {"kind": "call", "K": 1.0}, {"kind": "call", "K": 1.0}]},
+                 1.0)},
+    "bm-sigma": {"spec": bm_constant([[2.0]], [0.0]), "pricing": QUAD1},
     "empty-family": {"net": None},
     # error_curve checks each n by building its net, and only then their order
     "n_list-str": {"n_list": [8, "16", 32, 64]},
@@ -161,8 +165,9 @@ class TestValidation:
         if (entry, case) not in {("error_curve", "horizon"),
                                  ("estimate_l2_error", "empty-family")}
         and (case != "n_list-str" or entry == "error_curve")
-    ] + [("path_error", case) for case in ("horizon", "dimension",
-                                           "factor-0", "factor-1.5")])
+    ] + [("path_error", case) for case in ("horizon", "dimension", "vols",
+                                           "corr", "bm-sigma", "factor-0",
+                                           "factor-1.5")])
     def test_bad_argument_fails_before_any_draw(self, entry, case,
                                                 monkeypatch):
         import hedgenet.models as models
@@ -193,10 +198,6 @@ class TestValidation:
             n_list = [] if net is None else [net.n_intervals]
         return error_curve(spec, pricing, n_list, [0.0], n_paths,
                            master_seed, **kw)
-
-    def test_general_diffusion_runs_euler(self):
-        est = self.call("estimate_l2_error", spec=GENERAL, pricing=QUAD1)
-        assert est["terminal"].mean_sq > 0.0
 
 
 class TestErrorCurve:

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from hedgenet.models import (
+    DiffusionSpec,
     a_matrix,
     bm_constant,
-    euler_step,
     exact_step,
     gbm_diagonal,
-    general_diffusion,
     path_states,
 )
-from hedgenet.rng import normals
+from hedgenet.rng import ArgumentError, normals
 from hedgenet.timenets import equidistant_net, eta_net, refine
 
 
@@ -24,25 +23,6 @@ def states(spec, times, master_seed, path_indices):
     xs += [x for _, _, x in path_states(spec, [times], master_seed,
                                         path_indices)]
     return np.stack(xs, axis=1)
-
-
-def general_replica(spec):
-    """A GBM or BM spec as a 'general' one, which path_states samples by
-    Euler: the same coefficients as functions of x, the correlation folded
-    into sigma_fn."""
-    chol = np.eye(spec.d) if spec.corr_chol is None else spec.corr_chol
-    if spec.case == "C2":
-        mu = 0.0 if spec.drift_rates is None else spec.drift_rates
-        return general_diffusion(
-            "C2", spec.d, spec.x0,
-            lambda x: (spec.vols * x)[..., :, None] * chol,
-            lambda x: mu * x)
-    drift = 0.0 if spec.const_drift is None else spec.const_drift
-    return general_diffusion(
-        "C1", spec.d, spec.x0,
-        lambda x: np.broadcast_to(spec.const_sigma @ chol,
-                                  x.shape + (spec.d,)),
-        lambda x: np.broadcast_to(drift, x.shape))
 
 
 class TestSpecValidation:
@@ -59,6 +39,30 @@ class TestSpecValidation:
             gbm_diagonal(2, 1.0, [1.0, 1.0], corr=[[1.0, 0.5], [0.4, 1.0]])
         with pytest.raises(ValueError):
             gbm_diagonal(2, 1.0, [1.0, 1.0], corr=[[2.0, 0.0], [0.0, 1.0]])
+
+    #: one bad array of a spec each
+    BAD_ARRAYS = {
+        "vols-nan": lambda: gbm_diagonal(1, np.nan, 1.0),
+        "vols-shape": lambda: DiffusionSpec("C2", 2, [1.0, 1.0],
+                                            vols=[1.0, 1.0, 1.0]),
+        "mu-inf": lambda: gbm_diagonal(1, 1.0, 1.0, mu=np.inf),
+        "x0-inf": lambda: gbm_diagonal(1, 1.0, np.inf),
+        "x0-nan-c1": lambda: bm_constant(np.eye(1), [np.nan]),
+        "sigma-vector": lambda: bm_constant([1.0], [0.0]),
+        "sigma-scalar": lambda: bm_constant(2.0, [0.0]),
+        "sigma-nan": lambda: bm_constant([[np.nan]], [0.0]),
+        "drift-shape": lambda: bm_constant(np.eye(1), [0.0],
+                                           drift=[1.0, 2.0]),
+        "drift-inf": lambda: bm_constant(np.eye(1), [0.0], drift=[np.inf]),
+        "corr-indefinite": lambda: gbm_diagonal(
+            2, 1.0, 1.0, corr=[[1.0, 2.0], [2.0, 1.0]]),
+        "d-0": lambda: DiffusionSpec("C2", 0, [], vols=[]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD_ARRAYS))
+    def test_bad_array_is_an_argument_error(self, name):
+        with pytest.raises(ArgumentError):
+            self.BAD_ARRAYS[name]()
 
 
 class TestAMatrix:
@@ -149,79 +153,6 @@ class TestExactSampling:
         s = states(spec, np.linspace(1, 0, 17), 9, np.arange(1000))
         assert np.all(s > 0.0)
 
-    def test_rejects_general(self):
-        spec = general_diffusion("C1", 1, [0.0], lambda x: np.ones(x.shape + (1,)))
-        z = normals(0, np.arange(4), 0, 1)
-        with pytest.raises(ValueError, match="non-'general' spec"):
-            exact_step(spec, np.zeros((4, 1)), 0.5, z)
-
-
-class TestEuler:
-    REPLICATED = {
-        "gbm": gbm_diagonal(3, [1.0, 0.5, 0.8], [1.0, 2.0, 0.5],
-                            mu=[0.1, -0.2, 0.05],
-                            corr=[[1.0, 0.6, 0.3], [0.6, 1.0, -0.2],
-                                  [0.3, -0.2, 1.0]]),
-        "bm": bm_constant([[1.0, 0.0], [0.3, 0.8]], [0.0, 1.0],
-                          drift=[0.1, 0.2], corr=[[1.0, -0.4], [-0.4, 1.0]]),
-    }
-
-    @pytest.mark.parametrize("name", sorted(REPLICATED))
-    def test_general_replica_matches_the_exact_stream(self, name):
-        # constant (log-)coefficients: the (log-)Euler step of the general
-        # replica is the exact transition, up to rounding
-        spec = self.REPLICATED[name]
-        times = refine(eta_net(1.0, 16, 0.75), 512)
-        idx = np.arange(64)
-        exact = states(spec, times, 2, idx)
-        euler = states(general_replica(spec), times, 2, idx)
-        assert times.size > 500
-        scale = np.maximum(np.abs(exact), 1.0)
-        assert np.max(np.abs(euler - exact) / scale) < 1e-12
-
-    @pytest.mark.parametrize("name", sorted(REPLICATED))
-    def test_rejects_an_exact_spec(self, name):
-        spec = self.REPLICATED[name]
-        z = normals(0, np.arange(4), 0, spec.d)
-        with pytest.raises(ValueError, match="'general' specs only"):
-            euler_step(spec, np.ones((4, spec.d)), 0.5, z)
-
-    def test_zero_sigma_constant_path(self):
-        spec = general_diffusion(
-            "C1", 1, [0.7], lambda x: np.zeros(x.shape + (1,))
-        )
-        times = refine(equidistant_net(1.0, 4), 4)
-        assert np.all(states(spec, times, 0, [0]) == 0.7)
-
-    def test_same_seed_identical(self):
-        spec = general_diffusion(
-            "C1", 1, [0.0],
-            lambda x: np.ones(x.shape + (1,)),
-            lambda x: -x,
-        )
-        times = refine(equidistant_net(1.0, 16), 16)
-        a = states(spec, times, 4, [1])
-        b = states(spec, times, 4, [1])
-        assert np.array_equal(a, b)
-
-    def test_mean_reverting_drift_bias(self):
-        # dX = -X dt + dW from x0=1: E X_1 = e^{-1}; Euler bias is O(dt)
-        spec = general_diffusion(
-            "C1", 1, [1.0],
-            lambda x: np.ones(x.shape + (1,)),
-            lambda x: -x,
-        )
-        n_steps, n_paths = 64, 50000
-        s = states(
-            spec, np.linspace(1.0, 0.0, n_steps + 1), 13,
-            np.arange(n_paths),
-        )
-        xT = s[:, -1, 0]
-        se = xT.std(ddof=1) / np.sqrt(n_paths)
-        bias_budget = 1.0 / n_steps  # |(1-dt)^n - e^{-1}| < dt here
-        assert abs(xT.mean() - np.exp(-1.0)) < 3.0 * se + bias_budget
-
-
 class TestPathSample:
     def test_starts_at_x0(self):
         spec = gbm_diagonal(2, 1.0, [1.5, 0.5])
@@ -299,20 +230,17 @@ class TestInPlaceStream:
         assert got.shape == want.shape == (50, 2)
         assert got.tobytes() == want.tobytes()
 
-    # Euler runs on the general replica of each spec
-    @pytest.mark.parametrize("scheme", ["exact", "euler"])
+    # the scheme names the one step, the exact transition
+    @pytest.mark.parametrize("scheme", ["exact"])
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_states_are_new_and_equal_the_public_steps(self, name, scheme):
         spec = self.SPECS[name]
-        step = exact_step
-        if scheme == "euler":
-            spec, step = general_replica(spec), euler_step
         times = np.array([1.0, 0.9, 0.65, 0.5, 0.0])
         idx = np.arange(40, 80)
         got = [x for _, _, x in path_states(spec, [times], 6, idx)]
         x = np.broadcast_to(spec.x0, (idx.size, 2)).copy()
         for j, state in enumerate(got, start=1):
-            x = step(spec, x, times[j - 1] - times[j],
+            x = exact_step(spec, x, times[j - 1] - times[j],
                      normals(6, idx, j - 1, 2))
             assert state.tobytes() == x.tobytes()
         for a, b in itertools.combinations(got, 2):
