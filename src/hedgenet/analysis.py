@@ -89,7 +89,8 @@ def _pair_moments(spec, pricing, tau, x):
     """Mean and stderr of A_aa A_bb (d2F_ab)^2 for every pair, shape (d,d)."""
     hess = pricing.hessian(tau, x)
     a_diag = _a_diagonal(spec, x)
-    vals = a_diag[:, :, None] * a_diag[:, None, :] * hess * hess
+    vals = np.multiply(a_diag[:, :, None] * a_diag[:, None, :] * hess, hess,
+                       order="C")  # so the means over paths add row by row
     mean = vals.mean(axis=0)
     stderr = vals.std(axis=0, ddof=1) / math.sqrt(x.shape[0])
     return mean, stderr

@@ -138,6 +138,11 @@ def build_spec(cfg: dict):
         if case == "C1":
             sigma = (np.eye(m["d"]) if m["sigma"] is None
                      else np.asarray(m["sigma"]))
+            # the library refuses any other shape, at the d of sigma's rows
+            if sigma.shape[:1] != (m["d"],):
+                raise ArgumentError(f"model.sigma must have shape (model.d, "
+                                    f"model.d) = {(m['d'], m['d'])}, not "
+                                    f"{sigma.shape}")
             return bm_constant(sigma=sigma, x0=m["x0"], drift=m["drift"],
                                corr=m["corr"])
     except (KeyError, ValueError) as e:

@@ -180,23 +180,23 @@ def _plans(spec, pricing, families, monitor_factor, want_sup) -> list:
 
 
 def _row_dots(dx, grad, prod, dots):
-    """``(dx * grad).sum(axis=1)``, using ``prod`` (B, d) and ``dots`` (B,)
-    as scratch; the result is a view of one of them.
+    """``(dx * grad).sum(axis=1)`` on C-ordered rows, using ``prod`` (B, d)
+    and ``dots`` (B,) as scratch; the result is a view of one of them.
 
-    Up to 7 columns numpy's row sum adds left to right, so an explicit
-    column sum gives the same bits (up to the sign of a zero sum, which
-    adding into the gains erases) without the reduction's overhead. From 8
-    columns on numpy sums pairwise, and its own sum is kept. That order is
-    numpy's internal choice, measured on numpy 2.4.6 and guarded by
-    ``test_row_dots_is_the_row_sum``; should it change, fall back to
-    ``.sum(axis=1)`` for every d.
+    Up to 7 columns numpy's row sum adds left to right, so an explicit sum
+    of the (coordinate-major, contiguous) columns gives the same bits (up
+    to the sign of a zero sum, which adding into the gains erases) without
+    the reduction's overhead. From 8 columns on numpy sums a C-ordered row
+    pairwise, and that sum is kept. The order is numpy's internal choice,
+    measured on numpy 2.4.6 and guarded by ``test_row_dots_is_the_row_sum``;
+    should it change, fall back to the C-ordered sum for every d.
     """
-    np.multiply(dx, grad, out=prod)
     d = prod.shape[1]
+    if d >= 8:
+        return np.multiply(dx, grad, order="C").sum(axis=1, out=dots)
+    np.multiply(dx, grad, out=prod)
     if d == 1:
         return prod[:, 0]
-    if d >= 8:
-        return prod.sum(axis=1, out=dots)
     np.add(prod[:, 0], prod[:, 1], out=dots)
     for k in range(2, d):
         dots += prod[:, k]
@@ -232,8 +232,9 @@ def _batch_errors(spec, pricing, plans, master_seed, path_indices):
         gains.append([np.zeros(B) for _ in range(plan.n_nets)])
         sups.append(None if plan.monitor is None
                     else [np.zeros(B) for _ in range(plan.n_nets)])
-    # scratch of the hedge increments, reused at every step of every plan
-    dx, prod, dots = np.empty((B, spec.d)), np.empty((B, spec.d)), np.empty(B)
+    # coordinate-major scratch of the hedge increments, for every step
+    dx, prod = np.empty((2, spec.d, B)).transpose(0, 2, 1)
+    dots = np.empty(B)
     for g, j, x in path_states(spec, [plan.times for plan in plans],
                                master_seed, path_indices):
         plan, gain, sup = plans[g], gains[g], sups[g]

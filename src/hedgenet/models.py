@@ -79,11 +79,20 @@ class DiffusionSpec:
             object.__setattr__(self, "corr_chol", chol)
 
 
+def _vector(name, value, d):
+    """``value``, a scalar or a vector of length 1 or d, as a new (d,)."""
+    a = np.asarray(value, dtype=float)
+    if a.ndim > 1 or a.size not in (1, d):
+        raise ArgumentError(f"{name} must be a scalar or a vector of length "
+                            f"1 or d = {d}, not shape {a.shape}")
+    return np.broadcast_to(a, (d,)).copy()
+
+
 def gbm_diagonal(d, s, x0, mu=None, corr=None) -> DiffusionSpec:
     """Geometric Brownian motion with diagonal sigma_ii(x) = s_i * x_i."""
-    s = np.broadcast_to(np.asarray(s, dtype=float), (d,)).copy()
-    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (d,)).copy()
-    mu = None if mu is None else np.broadcast_to(np.asarray(mu, float), (d,)).copy()
+    check_count("d", d)
+    s, x0 = _vector("s", s, d), _vector("x0", x0, d)
+    mu = None if mu is None else _vector("mu", mu, d)
     return DiffusionSpec(case="C2", d=d, x0=x0, vols=s, drift_rates=mu,
                          corr=corr)
 
@@ -92,7 +101,7 @@ def bm_constant(sigma, x0, drift=None, corr=None) -> DiffusionSpec:
     """Brownian-type diffusion with a constant d x d sigma matrix (case C1)."""
     sigma = np.asarray(sigma, dtype=float)
     d = np.atleast_1d(sigma).shape[0]
-    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (d,)).copy()
+    x0 = _vector("x0", x0, d)
     return DiffusionSpec(case="C1", d=d, x0=x0, const_sigma=sigma,
                          const_drift=drift, corr=corr)
 
@@ -120,17 +129,16 @@ def a_matrix(spec: DiffusionSpec, x) -> np.ndarray:
 def exact_step(spec: DiffusionSpec, x, dt: float, z) -> np.ndarray:
     """One exact transition over dt (z iid normal).
 
-    Returns a new array and writes to neither ``x`` nor ``z``.
+    Returns a new array laid out as z, and writes to neither ``x`` nor ``z``.
     """
     sqdt = np.sqrt(dt)
     if spec.case == "C2":
         s = spec.vols
         mu = 0.0 if spec.drift_rates is None else spec.drift_rates
-        # x * exp((mu - s^2/2) dt + s sqrt(dt) z), computed in one new
-        # buffer of z's shape (broadcast with s); the product with x is
-        # written back into it unless x broadcasts it to a larger shape
+        # x * exp((mu - s^2/2) dt + s sqrt(dt) z) in one new buffer of z's
+        # shape, which takes the product with x unless x broadcasts larger
         if spec.corr_chol is not None:
-            res = np.matmul(z, spec.corr_chol.T)
+            res = np.matmul(spec.corr_chol, z.T).T
             res *= s * sqdt
         else:
             res = np.multiply(z, s * sqdt)
@@ -139,8 +147,8 @@ def exact_step(spec: DiffusionSpec, x, dt: float, z) -> np.ndarray:
         return np.multiply(res, x, out=res if res.shape == np.shape(x)
                            else None)
     if spec.corr_chol is not None:
-        z = z @ spec.corr_chol.T
-    out = x + z @ (sqdt * spec.const_sigma).T
+        z = (spec.corr_chol @ z.T).T
+    out = x + ((sqdt * spec.const_sigma) @ z.T).T
     if spec.const_drift is not None:
         out += spec.const_drift * dt
     return out
@@ -152,15 +160,16 @@ def path_states(spec, grids, master_seed, path_indices):
     A grid holds decreasing times to maturity, from x0 at its first; models
     are time-homogeneous, so the step to tau_j has length tau_{j-1} - tau_j.
     Yields (g, j, X^g at tau_j), j in 1 .. len(grids[g]) - 1, each state
-    array (B, d) new. The step to tau_j draws its normals at step index
-    j - 1, keyed by (master_seed, path_index, j - 1), so the paths are
-    independent of batching and worker scheduling. The normals of a step
-    index are drawn once, as a slice of the batch stream's block of
-    consecutive step indices (``rng._BatchStream``), and every grid that
-    has that step makes it from them with its own step length; the next
-    block's refill overwrites the slice. A grid's state is dropped once
-    the grid ends. Each step is ``exact_step``, looked up as a module
-    global every time, so a wrapper set on it (perfbench's tracer) sees it.
+    array (B, d) new and coordinate-major like the draws. The step to tau_j
+    draws its normals at step index j - 1, keyed by (master_seed,
+    path_index, j - 1), so the paths are independent of batching and worker
+    scheduling. The normals of a step index are drawn once, as a slice of
+    the batch stream's block of consecutive step indices
+    (``rng._BatchStream``), and every grid that has that step makes it from
+    them with its own step length; the next block's refill overwrites the
+    slice. A grid's state is dropped once the grid ends. Each step is
+    ``exact_step``, looked up as a module global every time, so a wrapper
+    set on it (perfbench's tracer) sees it.
     """
     grids = [np.asarray(times, dtype=float) for times in grids]
     path_indices = np.asarray(path_indices)

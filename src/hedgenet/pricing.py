@@ -662,7 +662,7 @@ class ProductPricing:
             return self.factors[0].delta(tau, x[:, 0])[:, None]
         vals, dels = self._vd(tau, x)
         dels *= self._others(vals)
-        return dels.T.copy()
+        return dels.T
 
     def hessian(self, tau, x):
         x = _states(x, self.d)
@@ -682,7 +682,7 @@ class ProductPricing:
                     rest = np.prod(np.delete(vals, [i, j], axis=0), axis=0)
                     np.multiply(dels[i], dels[j], out=hess[i, j])
                     hess[i, j] *= rest
-        return hess.transpose(2, 0, 1).copy()
+        return hess.transpose(2, 0, 1)
 
 
 class SumDigital2D:
@@ -803,7 +803,7 @@ class SumDigital2D:
         return self._moments(tau, x, 1)[0]
 
     def gradient(self, tau, x):
-        return self._moments(tau, x, 3)[1:].T.copy()
+        return self._moments(tau, x, 3)[1:].T
 
     def hessian(self, tau, x):
         return self._moments(tau, x, 6)[[3, 4, 4, 5]].T.reshape(-1, 2, 2)
@@ -824,11 +824,11 @@ class BMQuadratic:
 
     def payoff(self, x):
         x = _states(x, self.d)
-        return (x * x).sum(axis=1)
+        return np.multiply(x, x, order="C").sum(axis=1)
 
     def value(self, tau, x):
         x, tau = _states(x, self.d), _maturity(tau)
-        return (x * x).sum(axis=1) + self.d * tau
+        return np.multiply(x, x, order="C").sum(axis=1) + self.d * tau
 
     def gradient(self, tau, x):
         x = _states(x, self.d)

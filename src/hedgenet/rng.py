@@ -11,7 +11,7 @@ A path stream (``path_states``) draws the normals of a fixed batch of B
 paths in blocks of K consecutive step indices. The chain's first two links
 depend only on (master_seed, path_index), so ``_BatchStream`` computes them
 once per batch; a refill runs the last two links, the uniform map and the
-inverse CDF over a whole block, in place on two (K, B, d) buffers it keeps.
+inverse CDF over a whole block, in place on two (K, d, B) buffers it keeps.
 K = max(1, 2**16 // (B d)), capped by the step indices the stream will be
 asked for: 4 for 16384 one-dimensional paths, 1 for 16384 paths in three
 dimensions. The buffers hold 2 K B d 8-byte words, at most 1 MiB when
@@ -20,6 +20,7 @@ stream makes 1/K of the calls, and the threads of a worker pool, which take
 turns at the interpreter lock for every call, hand it over less often. The
 words, and so the draws, are the same as ``normals`` computes from the
 four keys (seed, path, step, coordinate), whatever block a step falls in.
+A draw is the (B, d) transpose of a step's (d, B) slice: coordinate-major.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def normals(master_seed, path_index, step_index, d: int,
     axis is appended last. ``_stream`` is internal to ``path_states``: a
     ``_BatchStream`` made from this ``master_seed`` and ``path_index``
     (which are then not read again), returning the same normals for a
-    scalar ``step_index`` as a slice of its own buffer.
+    scalar ``step_index`` as a view of its own buffer.
     """
     if _stream is not None:
         if _stream.d != d or np.ndim(step_index) != 0:
@@ -145,24 +146,24 @@ class _BatchStream:
     """The normals of one batch of paths, drawn a block of steps at a time.
 
     Holds the batch's path keys, computed once, and the buffers of a block
-    of K consecutive step indices: a (K, B, d) word buffer and a (K, B, d)
+    of K consecutive step indices: a (K, d, B) word buffer and a (K, d, B)
     float buffer. K is the most steps whose words fit in _BLOCK_WORDS, at
     least 1 and at most ``steps``, the count of step indices 0 .. steps - 1
-    the caller will draw. ``draw`` returns the step's contiguous (B, d)
-    slice of the float buffer; a step outside the block refills the block
-    from that step, which overwrites every slice drawn before.
+    the caller will draw. ``draw`` returns a view, the (B, d) transpose of
+    the step's (d, B) slice of the float buffer; a step outside the block
+    refills it from that step, which overwrites every slice drawn before.
     """
 
     def __init__(self, master_seed, path_index, d: int, steps: int):
-        self._keys = np.reshape(_path_keys(master_seed, path_index), (-1, 1))
-        B = self._keys.shape[0]
+        self._keys = np.reshape(_path_keys(master_seed, path_index), (1, -1))
+        B = self._keys.shape[1]
         self.d = d
         self._steps = steps
         K = max(1, min(_BLOCK_WORDS // (B * d), steps))
         self._coords = _GOLDEN * (np.arange(d, dtype=np.uint64)
-                                  + np.uint64(1))
-        self._words = np.empty((K, B, d), dtype=np.uint64)
-        self._out = np.empty((K, B, d))
+                                  + np.uint64(1))[:, None]
+        self._words = np.empty((K, d, B), dtype=np.uint64)
+        self._out = np.empty((K, d, B))
         # the block holds step indices first .. first + count - 1
         self._first = self._count = 0
 
@@ -171,17 +172,17 @@ class _BatchStream:
         if not 0 <= i < self._count:
             self._fill(int(step_index))
             i = 0
-        return self._out[i]
+        return self._out[i].T
 
     def _fill(self, first: int) -> None:
-        K, B, d = self._out.shape
+        K, d, B = self._out.shape
         k = max(1, min(K, self._steps - first))
         w, out = self._words[:k], self._out[:k]
         # The float buffer is free until the uniforms are written, so it
         # doubles as word scratch; the step links run on contiguous
-        # (k, B, 1) columns made of the first k B words of each buffer.
-        col = self._out.view(np.uint64).reshape(-1)[:k * B].reshape(k, B, 1)
-        tmp = self._words.reshape(-1)[:k * B].reshape(k, B, 1)
+        # (k, 1, B) rows made of the first k B words of each buffer.
+        col = self._out.view(np.uint64).reshape(-1)[:k * B].reshape(k, 1, B)
+        tmp = self._words.reshape(-1)[:k * B].reshape(k, 1, B)
         with np.errstate(over="ignore"):
             step_words = _GOLDEN * (np.uint64(first)
                                     + np.arange(1, k + 1, dtype=np.uint64))

@@ -379,6 +379,18 @@ class TestRateCommand:
          "model.drift must be null in case C2"),
         ({"model": {"case": "C1", "x0": [0.0], "mu": [0.3]}},
          ("rate", "simulate"), "model.mu must be null in case C1"),
+        # sigma has model.d rows, and the vectors length 1 or model.d
+        ({"model": {"case": "C1", "d": 1, "x0": [0.0],
+                    "sigma": [[1.0, 0.0], [0.0, 1.0]]}}, ("rate", "simulate"),
+         "model.sigma must have shape (model.d, model.d) = (1, 1), not "
+         "(2, 2)"),
+        ({"model": {"case": "C1", "d": 2, "x0": [0.0, 0.0], "sigma": 1.0}},
+         ("rate", "simulate"),
+         "model.sigma must have shape (model.d, model.d) = (2, 2), not ()"),
+        ({"model": {"d": 2, "s": [1.0, 1.0, 1.0], "x0": [1.0, 1.0]}},
+         ("rate", "simulate"),
+         "s must be a scalar or a vector of length 1 or d = 2, not shape "
+         "(3,)"),
     ])
     def test_invalid_block_is_a_usage_error(self, tmp_path, capsys, block,
                                             cmds, message):

@@ -394,8 +394,14 @@ class TestJointSweeps:
 
 class TestHedgeIncrement:
     """The hedge increment's row dot product keeps the bits of
-    ``(dx * grad).sum(axis=1)``: a column sum up to d = 7, numpy's pairwise
-    sum from d = 8 on."""
+    ``(dx * grad).sum(axis=1)`` on C-ordered rows, whatever the layout of
+    its inputs: a column sum up to d = 7, numpy's pairwise sum from d = 8
+    on."""
+
+    @staticmethod
+    def c_ordered_row_sum(dx, grad):
+        return (np.ascontiguousarray(dx) * np.ascontiguousarray(grad)).sum(
+            axis=1)
 
     @pytest.mark.parametrize("d", range(1, 11))
     def test_row_dots_is_the_row_sum(self, d):
@@ -405,9 +411,17 @@ class TestHedgeIncrement:
         for grad in (rng.normal(size=(1000, d)),
                      np.broadcast_to(rng.normal(size=d), (1000, d))):
             want = (dx * grad).sum(axis=1)
-            got = hedging._row_dots(dx, grad, np.empty((1000, d)),
-                                    np.empty(1000))
-            assert got.tobytes() == want.tobytes()
+            # C-ordered and coordinate-major inputs and scratch, as the
+            # engine allocates it
+            for a, g, prod in (
+                    (dx, grad, np.empty((1000, d))),
+                    (np.asfortranarray(dx), np.asfortranarray(grad),
+                     np.empty((d, 1000)).T),
+                    (np.asfortranarray(dx), grad, np.empty((d, 1000)).T)):
+                got = hedging._row_dots(a, g, prod, np.empty(1000))
+                assert got.tobytes() == want.tobytes()
+                assert (self.c_ordered_row_sum(a, g).tobytes()
+                        == want.tobytes())
 
     @pytest.mark.parametrize("d", [3, 8])
     def test_sweep_equals_the_row_sum_form(self, d, monkeypatch):
@@ -423,5 +437,5 @@ class TestHedgeIncrement:
         got = sweep()
         monkeypatch.setattr(hedging, "_row_dots",
                             lambda dx, grad, prod, dots:
-                            (dx * grad).sum(axis=1))
+                            self.c_ordered_row_sum(dx, grad))
         assert got == sweep()

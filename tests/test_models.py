@@ -57,6 +57,12 @@ class TestSpecValidation:
         "corr-indefinite": lambda: gbm_diagonal(
             2, 1.0, 1.0, corr=[[1.0, 2.0], [2.0, 1.0]]),
         "d-0": lambda: DiffusionSpec("C2", 0, [], vols=[]),
+        # checked before any vector is broadcast to length d
+        "d-fraction": lambda: gbm_diagonal(1.5, 1.0, 1.0),
+        "s-length": lambda: gbm_diagonal(2, [1.0, 1.0, 1.0], 1.0),
+        "x0-length": lambda: gbm_diagonal(3, 1.0, [1.0, 1.0]),
+        "mu-matrix": lambda: gbm_diagonal(1, 1.0, 1.0, mu=[[0.1]]),
+        "x0-length-c1": lambda: bm_constant(np.eye(2), [0.0, 0.0, 0.0]),
     }
 
     @pytest.mark.parametrize("name", sorted(BAD_ARRAYS))

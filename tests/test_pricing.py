@@ -643,7 +643,9 @@ class TestInPlaceKernels:
         hess = alloc_product_hessian(PRODUCT3, 0.4, x)
         got_grad, got_hess = p.gradient(0.4, x), p.hessian(0.4, x)
         assert same_bits(got_grad, grad) and same_bits(got_hess, hess)
-        assert got_grad.flags.c_contiguous and got_hess.flags.c_contiguous
+        # coordinate-major: views of contiguous factor-major arrays
+        assert got_grad.T.flags.c_contiguous
+        assert got_hess.transpose(1, 2, 0).flags.c_contiguous
 
 
 class TestInputsUntouched:

@@ -178,7 +178,8 @@ class TestBatchStream:
         stream = _BatchStream(5, idx, d, steps)
         for step in range(steps):
             got = normals(5, idx, step, d, _stream=stream)
-            assert got.shape == (B, d) and got.flags.c_contiguous
+            # a view of the stream's contiguous coordinate-major slice
+            assert got.shape == (B, d) and got.T.flags.c_contiguous
             assert got.tobytes() == normals(5, idx, step, d).tobytes()
 
     @pytest.mark.parametrize("B", [256, 16384])
