@@ -4,7 +4,8 @@ Subcommands: net (emit a time-net CSV), rate (net-family sweep + rate fit),
 theta (blow-up exponent scan), h2 (error-density curve), simulate (raw error
 estimates), report (aggregate a directory of runs). Experiments are described
 by a single JSON config; all defaults are materialized into the run manifest
-so every run is self-describing and byte-reproducible for a fixed seed.
+so every run is self-describing and byte-reproducible for its config's
+engine.master_seed. A price takes its vols and d from the model block alone.
 Exit code 2 is any ArgumentError, from a config check here or from a library
 function's own checks before work; every other failure exits 1.
 """
@@ -15,7 +16,6 @@ import argparse
 import copy
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -45,7 +45,7 @@ DEFAULT_CONFIG = {
     "model": {
         "case": "C2",
         "d": 1,
-        "s": [1.0],
+        "s": None,  # case C2 vols; [1.0] if null
         "mu": None,
         "x0": [1.0],
         "corr": None,
@@ -80,8 +80,8 @@ def _fmt(v) -> str:
 
 
 def load_config(path) -> dict:
-    """Parse a JSON config, materialize defaults, apply the env seed override,
-    then check the blocks' keys, the seed and that nets.n_list is a list."""
+    """Parse a JSON config and materialize defaults, then check the blocks'
+    keys, the seed and that nets.n_list is a list."""
     try:
         with open(path) as f:
             user = json.load(f)
@@ -103,12 +103,8 @@ def load_config(path) -> dict:
                 raise ArgumentError(f"unknown config key {block}.{key}")
         # every key is a default's, so the user's value replaces it whole
         cfg[block].update(body)
-    env_seed = os.environ.get("HEDGENET_SEED")
-    if env_seed is not None:
-        try:
-            cfg["engine"]["master_seed"] = int(env_seed)
-        except ValueError:
-            raise ArgumentError("HEDGENET_SEED must be an integer")
+    if cfg["model"]["case"] == "C2" and cfg["model"]["s"] is None:
+        cfg["model"]["s"] = [1.0]
     check_seed(cfg["engine"]["master_seed"], "engine.master_seed")
     if not isinstance(cfg["nets"]["n_list"], list):
         raise ArgumentError("nets.n_list must be a JSON list")
@@ -125,16 +121,14 @@ def build_spec(cfg: dict):
     m, case = cfg["model"], cfg["model"]["case"]
     check_count("model.d", m["d"])
     other = (("sigma", "drift") if case == "C2"
-             else ("mu",) if case == "C1" else ())
+             else ("mu", "s") if case == "C1" else ())
     for key in other:
         if m[key] is not None:
             raise ArgumentError(f"model.{key} must be null in case {case}")
     try:
         if case == "C2":
             return gbm_diagonal(
-                d=m["d"], s=np.asarray(m["s"], dtype=float), x0=m["x0"],
-                mu=m["mu"], corr=m["corr"],
-            )
+                d=m["d"], s=m["s"], x0=m["x0"], mu=m["mu"], corr=m["corr"])
         if case == "C1":
             sigma = (np.eye(m["d"]) if m["sigma"] is None
                      else np.asarray(m["sigma"]))
@@ -150,24 +144,41 @@ def build_spec(cfg: dict):
     raise ArgumentError(f"unknown model case {case!r}")
 
 
-def build_pricing(cfg: dict):
-    """Payoff from the catalogue, with factor vols defaulted from the model."""
-    m, p = cfg["model"], cfg["payoff"]
-    params = copy.deepcopy(p["params"])
-    key = p["key"]
+def _objects(name, value) -> list:
+    """``value``, refused unless a JSON list of objects."""
+    if not (isinstance(value, list) and all(isinstance(v, dict)
+                                            for v in value)):
+        raise ArgumentError(f"{name} must be a JSON list of objects, not "
+                            f"{value!r}")
+    return value
+
+
+def build_pricing(cfg: dict, spec):
+    """The payoff block's catalogue price at ``spec``'s vols (case C2) and
+    d, which the block may not set; each key reads those it prices with."""
+    p = cfg["payoff"]
+    key, params = p["key"], copy.deepcopy(p["params"])
+    if not isinstance(params, dict):
+        raise ArgumentError(f"payoff.params must be a JSON object, not "
+                            f"{params!r}")
+    factors = (_objects("payoff.params.factors", params.get("factors"))
+               if key == "product" else [])
+    named = {"payoff.params": params, **{
+        f"payoff.params.factors[{i}]": f for i, f in enumerate(factors)}}
+    for name, block in named.items():
+        for k in ("s", "d"):
+            if k in block:
+                raise ArgumentError(f"{name}.{k} is not a payoff key: a "
+                                    f"price takes it from model.{k}")
+    # case C1 has no vols: check_priced refuses it for all but bm_quadratic
+    if spec.vols is not None:
+        for f, s in zip(factors, spec.vols):
+            f["s"] = s
+        params["s"] = spec.vols if key == "sum_digital_2d" else spec.vols[0]
+    params["d"] = spec.d
     try:
-        s = list(np.broadcast_to(np.asarray(m["s"], dtype=float), (m["d"],)))
-        if key in ("call", "digital", "power"):
-            params.setdefault("s", s[0])
-        elif key == "product":
-            for i, f in enumerate(params.get("factors", [])):
-                f.setdefault("s", s[i])
-        elif key == "sum_digital_2d":
-            params.setdefault("s", s)
-        elif key == "bm_quadratic":
-            params.setdefault("d", m["d"])
         return make_pricing(key, params, p["T"])
-    except (IndexError, KeyError, ValueError) as e:
+    except (KeyError, ValueError) as e:
         raise ArgumentError(f"invalid payoff block: {e}")
 
 
@@ -189,13 +200,8 @@ def _write_json(path, obj):
 
 def _resolve_families(cfg, pricing):
     """[(name, eta)] with 'auto' eta resolved from the payoff's theta hint."""
-    families = cfg["nets"]["families"]
-    if not (isinstance(families, list)
-            and all(isinstance(fam, dict) for fam in families)):
-        raise ArgumentError("nets.families must be a JSON list of objects, "
-                            f"not {families!r}")
     out = []
-    for fam in families:
+    for fam in _objects("nets.families", cfg["nets"]["families"]):
         name = fam.get("family")
         if name == "equidistant":
             out.append(("equidistant", 0.0))
@@ -358,6 +364,7 @@ def cmd_h2(args, cfg, spec, pricing) -> dict:
 
 def cmd_simulate(args, cfg, spec, pricing) -> dict:
     eng = cfg["engine"]
+    check_count("--dump-paths", args.dump_paths, 0)
     mode = _engine_mode(cfg, ("terminal", "running_sup", "both"))
     families = _resolve_families(cfg, pricing)
     sweeps, wall_ms = _sweeps(cfg, spec, pricing, families, mode)
@@ -402,7 +409,8 @@ def run_config(args) -> int:
     cfg = load_config(args.config)
     if getattr(args, "workers", None) is not None:
         cfg["engine"]["workers"] = args.workers
-    spec, pricing = build_spec(cfg), build_pricing(cfg)
+    spec = build_spec(cfg)
+    pricing = build_pricing(cfg, spec)
     artifacts = args.command_fn(args, cfg, spec, pricing)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

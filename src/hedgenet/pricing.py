@@ -23,13 +23,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
 from scipy.special import eval_hermite, eval_legendre, ndtr, roots_hermite
 
 from .models import a_matrix
-from .rng import ArgumentError
+from .rng import ArgumentError, check_horizon
 
 __all__ = [
     "QuadratureError",
@@ -60,12 +61,6 @@ def _phi(z):
     with np.errstate(over="ignore"):
         out *= z
     return np.divide(np.exp(out, out=out), _SQRT_2PI, out=out)
-
-
-def _horizon(T) -> float:
-    if not T > 0.0:
-        raise ArgumentError("horizon must be positive")
-    return float(T)
 
 
 def _maturity(tau) -> float:
@@ -355,8 +350,9 @@ class Factor1D:
     def __post_init__(self):
         if self.kind not in ("call", "digital", "power", "const"):
             raise ArgumentError(f"unknown factor kind {self.kind!r}")
-        if not all(map(math.isfinite, (self.K, self.alpha, self.s))):
-            raise ArgumentError("strike, exponent and vol must be finite")
+        if not all(isinstance(v, Real) and math.isfinite(v)
+                   for v in (self.K, self.alpha, self.s)):
+            raise ArgumentError("K, alpha and s must be finite real numbers")
         if self.kind != "const":  # the call and digital forms divide by K
             if self.K < 0.0 or self.K == 0.0 and self.kind != "power":
                 raise ArgumentError("strike must be positive (or 0 for power)")
@@ -614,7 +610,7 @@ class ProductPricing:
             raise ArgumentError("need at least one factor")
         self.factors = factors
         self.d = len(factors)
-        self.T = _horizon(T)
+        self.T = check_horizon(T)
         self.theta_hint = max([f.theta_hint for f in factors] + [0.5]) \
             if self.d > 1 else factors[0].theta_hint
 
@@ -698,7 +694,7 @@ class SumDigital2D:
         self.K = float(K)
         self.lam = np.asarray(lam, dtype=float)
         self.s = np.asarray(s, dtype=float)
-        self.T = _horizon(T)
+        self.T = check_horizon(T)
         if self.lam.shape != (2,) or self.s.shape != (2,):
             raise ArgumentError("sum digital is implemented for d = 2 only")
         if np.any(self.lam < 0.0) or self.lam.max() <= 0.0:
@@ -810,16 +806,16 @@ class SumDigital2D:
 
 
 class BMQuadratic:
-    """f(x) = sum x_i^2 under standard Brownian motion (case C1, sigma = I).
+    """f(x) = sum x_i^2 under Brownian motion, case C1 with tr A = d.
 
     F(tau, x) = sum x_i^2 + d tau solves the heat-type pricing equation
-    exactly; used as an analytic oracle. ``check_priced`` refuses any other
-    model.
+    exactly for every A = sigma sigma^T of trace d; used as an analytic
+    oracle. ``check_priced`` refuses any other model.
     """
 
     def __init__(self, d, T):
         self.d = int(d)
-        self.T = _horizon(T)
+        self.T = check_horizon(T)
         self.theta_hint = 0.0
 
     def payoff(self, x):
@@ -871,8 +867,8 @@ def check_priced(spec, pricing) -> None:
 
     The dimensions agree. A product or sum-digital needs case C2 at its own
     vols, and no corr but the identity with two or more non-const factors or
-    for the sum-digital. ``BMQuadratic`` needs case C1 with sigma sigma^T =
-    I. Drift never enters F. Other pricing objects are checked for d only.
+    for the sum-digital. ``BMQuadratic`` needs case C1 with tr A = d. Drift
+    never enters F. Other pricing objects are checked for d only.
     """
     def refuse(why):
         raise ArgumentError(f"the payoff's price is not the model's: {why}")
@@ -881,10 +877,9 @@ def check_priced(spec, pricing) -> None:
         raise ArgumentError(f"the payoff has dimension {pricing.d}, "
                             f"the model {spec.d}")
     if isinstance(pricing, BMQuadratic):
-        if spec.case != "C1" or not np.array_equal(
-                a_matrix(spec, spec.x0), np.eye(spec.d)):
+        if spec.case != "C1" or np.trace(a_matrix(spec, spec.x0)) != spec.d:
             refuse("bm_quadratic prices |x|^2 + d tau, which needs case C1 "
-                   "with sigma sigma^T = I")
+                   "with tr sigma sigma^T = d")
         return
     if isinstance(pricing, ProductPricing):
         vols = {i: f.s for i, f in enumerate(pricing.factors)

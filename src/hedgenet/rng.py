@@ -26,12 +26,13 @@ A draw is the (B, d) transpose of a step's (d, B) slice: coordinate-major.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from scipy.special import ndtri
 
-__all__ = ["ArgumentError", "SeedSpec", "check_count", "check_seed", "normals",
-           "uniforms"]
+__all__ = ["ArgumentError", "SeedSpec", "check_count", "check_horizon",
+           "check_seed", "normals", "uniforms"]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -59,6 +60,13 @@ def check_seed(value, name="master_seed") -> None:
             or not 0 <= value < 2**64):
         raise ArgumentError(f"{name} must be an integer with 0 <= seed "
                             f"< 2**64, not {value!r}")
+
+
+def check_horizon(T) -> float:
+    """A horizon is a finite real number > 0, not a bool; returned as float."""
+    if isinstance(T, bool) or not isinstance(T, Real) or not 0 < T < np.inf:
+        raise ArgumentError(f"horizon must be positive and finite, not {T!r}")
+    return float(T)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import ArgumentError, check_count
+from .rng import ArgumentError, check_count, check_horizon
 
 __all__ = [
     "TimeNet",
@@ -43,8 +43,7 @@ class TimeNet:
     def __post_init__(self):
         taus = np.asarray(self.taus, dtype=float)
         object.__setattr__(self, "taus", taus)
-        if self.horizon <= 0.0:
-            raise ArgumentError("horizon must be positive")
+        check_horizon(self.horizon)
         if taus.ndim != 1 or taus.size < 2:
             raise ArgumentError("need at least two times (T and 0)")
         if taus[0] != self.horizon or taus[-1] != 0.0:
@@ -82,8 +81,7 @@ def equidistant_net(T: float, n: int) -> TimeNet:
 
 def eta_net(T: float, n: int, eta: float) -> TimeNet:
     """Net tau_i = T * ((n - i)/n)^(1/(1-eta)); eta = 0 is equidistant."""
-    if T <= 0.0:
-        raise ArgumentError("horizon must be positive")
+    T = check_horizon(T)
     check_count("n", n)
     if not (0.0 <= eta < 1.0):
         raise ArgumentError("eta must be < 1 (and >= 0)")
@@ -95,7 +93,7 @@ def eta_net(T: float, n: int, eta: float) -> TimeNet:
         raise ArgumentError(
             f"eta-net with eta={eta:g} and n={n}: its last positive tau, "
             f"T (1/n)^(1/(1-eta)), underflows to 0; use a smaller eta or n")
-    return TimeNet(horizon=float(T), taus=taus)
+    return TimeNet(horizon=T, taus=taus)
 
 
 def refine(net: TimeNet, M: int) -> np.ndarray:

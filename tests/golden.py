@@ -1,12 +1,13 @@
 """Golden artifacts: the benchmark workloads' data files, pinned by digest.
 
-The four workloads of ``perfbench/workloads.py`` (their CLI configs, here at
-N = 4096 paths) run through ``hedgenet.cli.main`` at seeds 1 and 7, and so
-do two runs that write the artifacts they do not: ``h2`` on the digital
-workload's model and payoff, and ``call_sup`` with ``--dump-paths``. Every
-data artifact a run writes, all but ``manifest.json``, is hashed with
-SHA-256: ``experiments.csv`` without its ``wall_ms`` column (a timing), the
-rest as written. ``golden_digests.json`` holds the digests together with
+The four workloads of ``perfbench/workloads.py`` (their commands, configs
+and ``--workers`` flags, here at N = 4096 paths; ``test_golden.py`` checks
+that they mirror the benchmark's) run through ``hedgenet.cli.main`` at
+seeds 1 and 7, and so do two runs that write the artifacts they do not:
+``h2`` on the digital workload's model and payoff, and ``call_sup`` with
+``--dump-paths``. Every data artifact a run writes, all but
+``manifest.json``, is hashed with SHA-256: ``experiments.csv`` without its
+``wall_ms`` column (a timing), the rest as written. ``golden_digests.json`` holds the digests together with
 the numpy and scipy versions that made them; ``test_golden.py`` compares.
 
 A change that moves numbers on purpose regenerates the digests with
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -104,10 +104,7 @@ def _drop_wall_ms(data: bytes) -> bytes:
 
 
 def workload_digests(name: str, work_dir) -> dict:
-    """{"<seed>/<artifact>": sha256} of one workload at every seed.
-
-    The run must not see a ``HEDGENET_SEED`` override.
-    """
+    """{"<seed>/<artifact>": sha256} of one workload at every seed."""
     command, config, flags = WORKLOADS[name]
     out = {}
     for seed in SEEDS:
@@ -130,7 +127,6 @@ def workload_digests(name: str, work_dir) -> dict:
 
 
 def main() -> int:
-    os.environ.pop("HEDGENET_SEED", None)
     with tempfile.TemporaryDirectory() as tmp:
         digests = {name: workload_digests(name, tmp) for name in WORKLOADS}
     committed = json.loads(DIGESTS.read_text())["digests"]

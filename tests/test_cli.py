@@ -21,6 +21,11 @@ DIGITAL_CFG = {
     "engine": {"N": 5000, "master_seed": 123},
 }
 
+#: every config command
+ALL = ("rate", "simulate", "theta", "h2")
+
+NOT_PRICED = "the payoff's price is not the model's: "
+
 QUAD_CFG = {
     "model": {"case": "C1", "d": 1, "x0": [0.0]},
     "payoff": {"key": "bm_quadratic", "params": {}, "T": 1.0},
@@ -77,6 +82,15 @@ class TestNetCommand:
         assert "underflows to 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("T", ["inf", "nan", "0"])
+    def test_horizon_not_finite_and_positive_rejected(self, tmp_path, capsys,
+                                                       T):
+        out = tmp_path / "net.csv"
+        assert main(["net", "--T", T, "--n", "4", "--out", str(out)]) == 2
+        assert (f"horizon must be positive and finite, not {float(T)!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_eta_one_rejected(self, tmp_path, capsys):
         rc = main(["net", "--T", "1", "--n", "4", "--eta", "1.0",
                    "--out", str(tmp_path / "x.csv")])
@@ -131,17 +145,15 @@ class TestConfig:
     @pytest.mark.parametrize("seed, env, bad", [
         (-1, None, "-1"), (2**64, None, str(2**64)), (1.5, None, "1.5"),
         (True, None, "True"), ("7", None, "'7'"),
-        # the environment's override is checked too
-        (5, "-1", "-1"),
+        # a seed in the environment is no override of the config's
+        (-1, "5", "-1"),
     ])
     def test_master_seed_is_checked_before_work(self, tmp_path, capsys,
                                                 monkeypatch, seed, env, bad):
         import hedgenet.models as models
 
         monkeypatch.setattr(models, "normals", None)  # no path is drawn
-        if env is None:
-            monkeypatch.delenv("HEDGENET_SEED", raising=False)
-        else:
+        if env is not None:
             monkeypatch.setenv("HEDGENET_SEED", env)
         p = write_config(tmp_path / "d.json", dict(
             DIGITAL_CFG, engine=dict(DIGITAL_CFG["engine"], master_seed=seed)))
@@ -158,14 +170,22 @@ class TestConfig:
         rc = main(["rate", "--config", str(p), "--out", str(tmp_path / "o")])
         assert rc == 2
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        p = write_config(tmp_path / "c.json", DIGITAL_CFG)
-        monkeypatch.setenv("HEDGENET_SEED", "999")
-        cfg = load_config(p)
-        assert cfg["engine"]["master_seed"] == 999
-        monkeypatch.setenv("HEDGENET_SEED", "abc")
-        with pytest.raises(Exception):
-            load_config(p)
+    def test_the_seed_comes_from_the_config_alone(self, tmp_path,
+                                                  monkeypatch):
+        p = write_config(tmp_path / "c.json", dict(
+            DIGITAL_CFG, engine=dict(DIGITAL_CFG["engine"], N=1000)))
+        runs = []
+        for env in (None, "5"):
+            if env is not None:
+                monkeypatch.setenv("HEDGENET_SEED", env)
+            out = tmp_path / f"run-{env}"
+            assert main(["rate", "--config", p, "--out", str(out)]) == 0
+            man = json.loads((out / "manifest.json").read_text())
+            runs.append([(out / name).read_bytes()
+                         for name in ("rate_fit.csv", "summary.json")]
+                        + [man["config"], man["config_sha256"]])
+        assert runs[0] == runs[1]
+        assert runs[1][2]["engine"]["master_seed"] == 123
 
 
 class TestRateCommand:
@@ -391,9 +411,49 @@ class TestRateCommand:
          ("rate", "simulate"),
          "s must be a scalar or a vector of length 1 or d = 2, not shape "
          "(3,)"),
+        # a price takes its vols and d from the model, which alone sets them
+        ({"model": {"case": "C1", "x0": [0.0], "s": [1.0]},
+          "payoff": {"key": "bm_quadratic", "params": {}, "T": 1.0}}, ALL,
+         "model.s must be null in case C1"),
+        ({"model": {"d": 2, "s": [1.0, 1.0], "x0": [1.0, 1.0]},
+          "payoff": {"key": "product", "T": 1.0, "params": {"factors": [
+              {"kind": "call"}, {"kind": "digital", "s": 1.0}]}}}, ALL,
+         "payoff.params.factors[1].s is not a payoff key: a price takes it "
+         "from model.s"),
+        ({"model": {"d": 2, "s": [1.0, 1.0], "x0": [1.0, 1.0]},
+          "payoff": {"key": "sum_digital_2d", "T": 1.0,
+                     "params": {"s": [1.0, 1.0]}}}, ALL,
+         "payoff.params.s is not a payoff key: a price takes it from "
+         "model.s"),
+        ({"model": {"case": "C1", "x0": [0.0]},
+          "payoff": {"key": "bm_quadratic", "params": {"d": 1}, "T": 1.0}},
+         ALL, "payoff.params.d is not a payoff key: a price takes it from "
+         "model.d"),
+        # a malformed payoff block
+        ({"payoff": {"key": "digital", "params": ["K"], "T": 1.0}}, ALL,
+         "payoff.params must be a JSON object, not ['K']"),
+        ({"payoff": {"key": "product", "params": {"factors": ["call"]},
+                     "T": 1.0}}, ALL,
+         "payoff.params.factors must be a JSON list of objects, not "
+         "['call']"),
+        ({"payoff": {"key": "product", "params": {"factors": "call"},
+                     "T": 1.0}}, ALL,
+         "payoff.params.factors must be a JSON list of objects, not 'call'"),
+        ({"payoff": {"key": "product", "T": 1.0, "params": {
+            "factors": [{"kind": "call", "K": "x"}]}}}, ALL,
+         "K, alpha and s must be finite real numbers"),
+        # one horizon rule: finite and positive
+        ({"payoff": {"key": "digital", "params": {}, "T": 1e309}}, ALL,
+         "horizon must be positive and finite, not inf"),
+        ({"payoff": {"key": "digital", "params": {}, "T": float("nan")}},
+         ALL, "horizon must be positive and finite, not nan"),
     ])
-    def test_invalid_block_is_a_usage_error(self, tmp_path, capsys, block,
-                                            cmds, message):
+    def test_invalid_block_is_a_usage_error(self, tmp_path, capsys,
+                                            monkeypatch, block, cmds,
+                                            message):
+        import hedgenet.models as models
+
+        monkeypatch.setattr(models, "normals", None)  # no path is drawn
         p = write_config(tmp_path / "d.json", dict(DIGITAL_CFG, **block))
         for cmd in cmds:
             out = tmp_path / cmd
@@ -445,20 +505,22 @@ class TestRateCommand:
                     in capsys.readouterr().err)
             assert not out.exists()
 
-    # each exited 0 with a wrong rate before pricing.check_priced
+    # each exited 0 with a wrong rate before pricing.check_priced; a vol of
+    # the payoff's own is no payoff key now
     @pytest.mark.parametrize("model, payoff, rule", [
         ({}, {"key": "digital", "params": {"K": 1.0, "s": 2.0}},
-         "coordinate 0 is priced at vol 2.0, the model's is 1.0"),
+         "payoff.params.s is not a payoff key: a price takes it from "
+         "model.s"),
         ({"case": "C1", "x0": [0.0], "sigma": [[2.0]]},
          {"key": "bm_quadratic", "params": {}},
-         "bm_quadratic prices |x|^2 + d tau, which needs case C1 with "
-         "sigma sigma^T = I"),
+         f"{NOT_PRICED}bm_quadratic prices |x|^2 + d tau, which needs case "
+         "C1 with tr sigma sigma^T = d"),
         ({"d": 2, "s": [1.0, 1.0], "x0": [1.0, 1.0],
           "corr": [[1.0, 0.9], [0.9, 1.0]]},
          {"key": "product",
           "params": {"factors": [{"kind": "call"}, {"kind": "call"}]}},
-         "it is priced for independent assets, and corr is not the "
-         "identity"),
+         f"{NOT_PRICED}it is priced for independent assets, and corr is not "
+         "the identity"),
     ], ids=["digital-vol", "bm-sigma", "call-call-corr"])
     def test_payoff_the_model_does_not_price_is_a_usage_error(
             self, tmp_path, capsys, monkeypatch, model, payoff, rule):
@@ -470,8 +532,7 @@ class TestRateCommand:
         for cmd in ("rate", "simulate", "theta", "h2"):
             out = tmp_path / cmd
             assert main([cmd, "--config", p, "--out", str(out)]) == 2
-            assert ("error: the payoff's price is not the model's: " + rule
-                    in capsys.readouterr().err)
+            assert "error: " + rule in capsys.readouterr().err
             assert not out.exists()
 
     def test_manifest_contents(self, tmp_path):
@@ -584,6 +645,19 @@ class TestSimulateAndReport:
         term, sup = (abs(float(v)) for v in paths[1].split(",")[1:])
         assert sup >= term
 
+    def test_negative_dump_paths_is_a_usage_error(self, tmp_path, capsys,
+                                                  monkeypatch):
+        import hedgenet.models as models
+
+        monkeypatch.setattr(models, "normals", None)  # no path is drawn
+        p = write_config(tmp_path / "d.json", DIGITAL_CFG)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", p, "--out", str(out),
+                     "--dump-paths", "-5"]) == 2
+        assert ("--dump-paths must be an integer >= 0, not -5"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_report_aggregates(self, tmp_path, capsys):
         p = write_config(tmp_path / "d.json", DIGITAL_CFG)
         main(["rate", "--config", p, "--out", str(tmp_path / "runs" / "dig")])
@@ -649,7 +723,6 @@ def test_power_and_sum_digital_do_not_load_scipy_linalg(tmp_path):
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    env.pop("HEDGENET_SEED", None)
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True,
                          timeout=120)

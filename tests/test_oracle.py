@@ -8,7 +8,7 @@ from scipy.stats import norm
 
 from hedgenet.cli import DEFAULT_CONFIG, build_pricing, build_spec
 from hedgenet.hedging import estimate_l2_error
-from hedgenet.models import a_matrix, bm_constant, gbm_diagonal
+from hedgenet.models import bm_constant, gbm_diagonal
 from hedgenet.oracle import (
     analytic_quadratic_error,
     mc_payoff_expectation,
@@ -156,7 +156,7 @@ PAIR_MODELS = [
     for corr in ((None,) if d == 1 else (None, 0.5))
 ]
 
-#: every payoff key, with the model's vols and with vols of its own
+#: every payoff key, and with vols of its own, which the CLI refuses
 PAIR_PAYOFFS = {
     **{key: (key, {}) for key in ("call", "digital", "power")},
     **{f"{key}-s2": (key, {"s": 2.0}) for key in ("call", "digital", "power")},
@@ -201,7 +201,8 @@ def test_every_accepted_pair_is_priced_or_refused(model, payoff):
     # check_priced refuses the pair, or pde_residual finds F the price
     cfg = pair_config(model, payoff)
     try:
-        spec, pricing = build_spec(cfg), build_pricing(cfg)
+        spec = build_spec(cfg)
+        pricing = build_pricing(cfg, spec)
     except ArgumentError:
         return  # the CLI builds no such pair
     tol = PAIR_TOL[cfg["payoff"]["key"]]
@@ -210,13 +211,9 @@ def test_every_accepted_pair_is_priced_or_refused(model, payoff):
     except ArgumentError as e:
         if pricing.d == spec.d:
             assert "the payoff's price is not the model's" in str(e)
-            # refused with cause: F misses the model's PDE somewhere, except
-            # that bm_quadratic asks for A = I where its PDE needs tr A = d
-            trace = np.trace(a_matrix(spec, spec.x0))
-            if not (cfg["payoff"]["key"] == "bm_quadratic"
-                    and trace == spec.d):
-                assert max(pde_residual(spec, pricing, t, x[:spec.d])
-                           .relative for t, x in PAIR_STATES) > tol
+            # refused with cause: F misses the model's PDE somewhere
+            assert max(pde_residual(spec, pricing, t, x[:spec.d]).relative
+                       for t, x in PAIR_STATES) > tol
         return
     for t, x in PAIR_STATES:
         r = pde_residual(spec, pricing, t, x[:spec.d])
@@ -228,7 +225,8 @@ def test_pair_test_sees_both_outcomes():
     for model, payoff in itertools.product(PAIR_MODELS, PAIR_PAYOFFS):
         cfg = pair_config(model, payoff)
         try:
-            spec, pricing = build_spec(cfg), build_pricing(cfg)
+            spec = build_spec(cfg)
+            pricing = build_pricing(cfg, spec)
         except ArgumentError:
             outcomes.add("not built")
             continue

@@ -155,10 +155,13 @@ class TestFactorParameters:
         ("call", {"K": 0.0}), ("digital", {"K": 0.0}),
         ("call", {"K": -1.0}), ("power", {"K": -1.0}),
         ("digital", {"s": 0.0}), ("power", {"s": -1.0}),
+        ("call", {"K": "x"}), ("power", {"alpha": "0.25"}),
+        ("digital", {"s": None}),
     ])
     def test_rejects_bad_parameters(self, kind, params):
-        # a NaN strike or vol used to give NaN prices, and a zero strike
-        # divided by zero in the call and digital closed forms
+        # a NaN strike or vol used to give NaN prices, a zero strike
+        # divided by zero in the call and digital closed forms, and a
+        # string raised a TypeError
         with pytest.raises(ValueError, match="must be"):
             Factor1D(kind, **params)
 
@@ -433,7 +436,7 @@ class TestProduct:
         assert np.allclose(p.hessian(0.5, x), fd_hessian(p, 0.5, x),
                            rtol=1e-3, atol=1e-6)
 
-    @pytest.mark.parametrize("T", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_horizon_not_positive(self, T):
         with pytest.raises(ValueError, match="horizon must be positive"):
             ProductPricing([CALL], T)

@@ -12,9 +12,22 @@ from hedgenet.hedging import path_error
 from hedgenet.models import gbm_diagonal
 from hedgenet.oracle import mc_payoff_expectation
 from hedgenet.pricing import Factor1D, ProductPricing
-from hedgenet.rng import (ArgumentError, SeedSpec, _BatchStream, normals,
-                          uniforms)
-from hedgenet.timenets import eta_net, refine
+from hedgenet.rng import (ArgumentError, SeedSpec, _BatchStream,
+                          check_horizon, normals, uniforms)
+from hedgenet.timenets import TimeNet, eta_net, refine
+
+
+class TestCheckHorizon:
+    @pytest.mark.parametrize("T", [0.0, -1.0, np.inf, np.nan, True, "1",
+                                   None])
+    def test_refuses_all_but_a_finite_positive_real(self, T):
+        with pytest.raises(ArgumentError, match="horizon must be positive "
+                           "and finite, not"):
+            check_horizon(T)
+
+    def test_returns_the_horizon_as_a_float(self):
+        assert type(check_horizon(2)) is float and check_horizon(2) == 2.0
+        assert check_horizon(np.float64(0.5)) == 0.5
 
 
 class TestSeedSpec:
@@ -61,6 +74,13 @@ BAD_INPUTS = {
        for seed in BAD_SEEDS},
     **{f"normals-seed-{seed!r}": lambda seed=seed: normals(seed, 0, 0, 1)
        for seed in BAD_SEEDS},
+    # one horizon rule: finite and positive
+    **{f"eta_net-T-{T}": lambda T=T: eta_net(T, 4, 0.0)
+       for T in (np.inf, np.nan, 0.0)},
+    **{f"TimeNet-horizon-{T}": lambda T=T: TimeNet(T, [T, 0.0])
+       for T in (np.inf, -1.0)},
+    **{f"ProductPricing-T-{T}": lambda T=T: ProductPricing(
+        [Factor1D("digital")], T) for T in (np.inf, np.nan)},
     "SeedSpec-path-0.5": lambda: SeedSpec(1, 0.5),
     "SeedSpec-path--1": lambda: SeedSpec(1, -1),
     "path_error-SeedSpec(1.5, 0.5)": lambda: path_error(
