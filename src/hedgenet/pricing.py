@@ -806,16 +806,17 @@ class SumDigital2D:
 
 
 class BMQuadratic:
-    """f(x) = sum x_i^2 under Brownian motion, case C1 with tr A = d.
+    """f(x) = sum x_i^2 under Brownian motion, case C1 with tr A = tr_a.
 
-    F(tau, x) = sum x_i^2 + d tau solves the heat-type pricing equation
-    exactly for every A = sigma sigma^T of trace d; used as an analytic
-    oracle. ``check_priced`` refuses any other model.
+    F(tau, x) = sum x_i^2 + tr_a tau (tr_a = d if None) solves the pricing
+    equation exactly for every constant A = sigma sigma^T of trace tr_a;
+    used as an analytic oracle. ``check_priced`` refuses any other model.
     """
 
-    def __init__(self, d, T):
+    def __init__(self, d, T, tr_a=None):
         self.d = int(d)
         self.T = check_horizon(T)
+        self.tr_a = float(self.d if tr_a is None else tr_a)
         self.theta_hint = 0.0
 
     def payoff(self, x):
@@ -824,7 +825,7 @@ class BMQuadratic:
 
     def value(self, tau, x):
         x, tau = _states(x, self.d), _maturity(tau)
-        return np.multiply(x, x, order="C").sum(axis=1) + self.d * tau
+        return np.multiply(x, x, order="C").sum(axis=1) + self.tr_a * tau
 
     def gradient(self, tau, x):
         x = _states(x, self.d)
@@ -857,7 +858,7 @@ def make_pricing(key: str, params: dict, T: float):
             s=p.get("s", (1.0, 1.0)), T=T,
         )
     if key == "bm_quadratic":
-        return BMQuadratic(d=p.get("d", 1), T=T)
+        return BMQuadratic(d=p.get("d", 1), T=T, tr_a=p.get("tr_a"))
     raise ArgumentError(f"unknown payoff key {key!r}")
 
 
@@ -867,7 +868,7 @@ def check_priced(spec, pricing) -> None:
 
     The dimensions agree. A product or sum-digital needs case C2 at its own
     vols, and no corr but the identity with two or more non-const factors or
-    for the sum-digital. ``BMQuadratic`` needs case C1 with tr A = d. Drift
+    for the sum-digital. ``BMQuadratic`` needs case C1 at its tr A. Drift
     never enters F. Other pricing objects are checked for d only.
     """
     def refuse(why):
@@ -877,9 +878,10 @@ def check_priced(spec, pricing) -> None:
         raise ArgumentError(f"the payoff has dimension {pricing.d}, "
                             f"the model {spec.d}")
     if isinstance(pricing, BMQuadratic):
-        if spec.case != "C1" or np.trace(a_matrix(spec, spec.x0)) != spec.d:
-            refuse("bm_quadratic prices |x|^2 + d tau, which needs case C1 "
-                   "with tr sigma sigma^T = d")
+        tr_a = pricing.tr_a
+        if spec.case != "C1" or np.trace(a_matrix(spec, spec.x0)) != tr_a:
+            refuse(f"bm_quadratic prices |x|^2 + {tr_a!r} tau, which needs "
+                   f"case C1 with tr sigma sigma^T = {tr_a!r}")
         return
     if isinstance(pricing, ProductPricing):
         vols = {i: f.s for i, f in enumerate(pricing.factors)

@@ -7,8 +7,11 @@ seeds 1 and 7, and so do two runs that write the artifacts they do not:
 ``h2`` on the digital workload's model and payoff, and ``call_sup`` with
 ``--dump-paths``. Every data artifact a run writes, all but
 ``manifest.json``, is hashed with SHA-256: ``experiments.csv`` without its
-``wall_ms`` column (a timing), the rest as written. ``golden_digests.json`` holds the digests together with
-the numpy and scipy versions that made them; ``test_golden.py`` compares.
+``wall_ms`` column (a timing), the rest as written. Each run's manifest
+gives its ``config_sha256`` as ``<seed>/config_sha256``, so a change to
+the materialized config (a default, a key) moves a digest too.
+``golden_digests.json`` holds the digests together with the numpy and scipy
+versions that made them; ``test_golden.py`` compares.
 
 A change that moves numbers on purpose regenerates the digests with
 
@@ -104,7 +107,8 @@ def _drop_wall_ms(data: bytes) -> bytes:
 
 
 def workload_digests(name: str, work_dir) -> dict:
-    """{"<seed>/<artifact>": sha256} of one workload at every seed."""
+    """{"<seed>/<artifact>": sha256} of one workload at every seed, and
+    {"<seed>/config_sha256": the manifest's config hash}."""
     command, config, flags = WORKLOADS[name]
     out = {}
     for seed in SEEDS:
@@ -118,6 +122,8 @@ def workload_digests(name: str, work_dir) -> dict:
             raise RuntimeError(f"{name} at seed {seed} failed")
         for path in sorted(run.iterdir()):
             if path.name == "manifest.json":
+                manifest = json.loads(path.read_text())
+                out[f"{seed}/config_sha256"] = manifest["config_sha256"]
                 continue
             data = path.read_bytes()
             if path.name == "experiments.csv":

@@ -1,12 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hedgenet.cli import DEFAULT_CONFIG, config_hash, load_config, main
+from hedgenet.cli import (DEFAULT_CONFIG, SCHEMA, config_hash, load_config,
+                          main)
 from hedgenet.rng import ArgumentError
 
 
@@ -117,6 +120,18 @@ class TestConfig:
         assert cfg["engine"]["mode"] == "terminal"
         assert cfg["model"]["case"] == "C2"
         assert cfg["nets"]["families"] == DEFAULT_CONFIG["nets"]["families"]
+
+    def test_readme_table_is_the_schema(self):
+        # README's validated-ranges table gives each SCHEMA row, in order:
+        # its key, readers, default and rule
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("| Key | Read by | Default | Rule |")[1]
+        rows = [re.split(r"\s*(?<!\\)\|\s*", line)[1:5]
+                for line in table.split("\n\n")[0].splitlines()[2:]]
+        assert rows == [
+            [f"`{block}.{key}`", ", ".join(readers or ["all"]),
+             f"`{json.dumps(default)}`", rule]
+            for block, key, readers, default, (rule, _) in SCHEMA]
 
     def test_unknown_block_rejected(self, tmp_path, capsys):
         # nothing reads an output block, so it is not a config block
@@ -447,6 +462,46 @@ class TestRateCommand:
          "horizon must be positive and finite, not inf"),
         ({"payoff": {"key": "digital", "params": {}, "T": float("nan")}},
          ALL, "horizon must be positive and finite, not nan"),
+        # a misspelt or foreign key of a nested object used to run on its
+        # default, recorded in the manifest as if it had been read
+        ({"payoff": {"key": "digital", "params": {"k": 2.0}}}, ALL,
+         "unknown config key payoff.params.k"),
+        ({"payoff": {"key": "digital", "params": {"alpha": 0.3}}}, ALL,
+         "payoff.params.alpha must be null in payoff digital"),
+        ({"nets": {"families": [{"family": "eta", "etta": 0.5}]}}, ALL,
+         "unknown config key nets.families[0].etta"),
+        ({"nets": {"families": [{"family": "equidistant", "eta": 0.5}]}},
+         ALL, "nets.families[0].eta must be null in family equidistant"),
+        ({"payoff": {"key": "product", "params": {"factors": [
+            {"kind": "power", "alpah": 0.4}]}}}, ALL,
+         "unknown config key payoff.params.factors[0].alpah"),
+        ({"model": {"d": 2, "s": [1.0, 1.0], "x0": [1.0, 1.0]},
+          "payoff": {"key": "sum_digital_2d", "params": {"lamda": [1, 0]}}},
+         ALL, "unknown config key payoff.params.lamda"),
+        # an unknown key in each block and in each factor kind
+        ({"model": {"vol": [1.0]}}, ALL, "unknown config key model.vol"),
+        ({"payoff": {"key": "call", "strike": 1.0}}, ALL,
+         "unknown config key payoff.strike"),
+        ({"nets": {"n": [8]}}, ALL, "unknown config key nets.n"),
+        ({"engine": {"seed": 1}}, ALL, "unknown config key engine.seed"),
+        ({"analysis": {"theta_n": 10}}, ALL,
+         "unknown config key analysis.theta_n"),
+        *(({"payoff": {"key": "product", "params": {"factors": [
+            {"kind": kind, "strike": 1.0}]}}}, ALL,
+           "unknown config key payoff.params.factors[0].strike")
+          for kind in ("call", "digital", "power", "const")),
+        # eta is 'auto' or a JSON number that the net takes
+        ({"nets": {"families": [{"family": "eta", "eta": "0.5"}]}}, ALL,
+         "nets.families[0].eta must be 'auto' or a number, not '0.5'"),
+        ({"nets": {"families": [{"family": "eta", "eta": False}]}}, ALL,
+         "nets.families[0].eta must be 'auto' or a number, not False"),
+        ({"nets": {"families": [{"family": "eta", "eta": 1.0}]}}, ALL,
+         "eta must be < 1 (and >= 0)"),
+        # theta and h2 check the engine block too
+        ({"engine": {"N": 0}}, ("theta", "h2"),
+         "engine.N must be a positive integer, not 0"),
+        ({"engine": {"mode": "sup"}}, ("theta", "h2"),
+         "engine.mode must be one of terminal, running_sup, both, not 'sup'"),
     ])
     def test_invalid_block_is_a_usage_error(self, tmp_path, capsys,
                                             monkeypatch, block, cmds,
@@ -511,17 +566,13 @@ class TestRateCommand:
         ({}, {"key": "digital", "params": {"K": 1.0, "s": 2.0}},
          "payoff.params.s is not a payoff key: a price takes it from "
          "model.s"),
-        ({"case": "C1", "x0": [0.0], "sigma": [[2.0]]},
-         {"key": "bm_quadratic", "params": {}},
-         f"{NOT_PRICED}bm_quadratic prices |x|^2 + d tau, which needs case "
-         "C1 with tr sigma sigma^T = d"),
         ({"d": 2, "s": [1.0, 1.0], "x0": [1.0, 1.0],
           "corr": [[1.0, 0.9], [0.9, 1.0]]},
          {"key": "product",
           "params": {"factors": [{"kind": "call"}, {"kind": "call"}]}},
          f"{NOT_PRICED}it is priced for independent assets, and corr is not "
          "the identity"),
-    ], ids=["digital-vol", "bm-sigma", "call-call-corr"])
+    ], ids=["digital-vol", "call-call-corr"])
     def test_payoff_the_model_does_not_price_is_a_usage_error(
             self, tmp_path, capsys, monkeypatch, model, payoff, rule):
         import hedgenet.models as models
@@ -534,6 +585,20 @@ class TestRateCommand:
             assert main([cmd, "--config", p, "--out", str(out)]) == 2
             assert "error: " + rule in capsys.readouterr().err
             assert not out.exists()
+
+    def test_bm_quadratic_prices_at_the_models_tr_a(self, tmp_path):
+        # at sigma = 2 every state, price and hedge of the sigma = 1 run
+        # scales by a power of 2, so each error does by 4, bit for bit
+        runs = []
+        for sigma in (None, [[2.0]]):
+            cfg = dict(QUAD_CFG, model=dict(QUAD_CFG["model"], sigma=sigma),
+                       engine={"N": 2000, "master_seed": 7})
+            p = write_config(tmp_path / f"{sigma}.json", cfg)
+            out = tmp_path / f"run-{sigma}"
+            assert main(["rate", "--config", p, "--out", str(out)]) == 0
+            rows = (out / "rate_fit.csv").read_text().splitlines()[1:]
+            runs.append([float(r.split(",")[1]) for r in rows])
+        assert runs[1] == [4.0 * rms for rms in runs[0]]
 
     def test_manifest_contents(self, tmp_path):
         p = write_config(tmp_path / "q.json", QUAD_CFG)

@@ -8,7 +8,7 @@ from scipy.stats import norm
 
 from hedgenet.cli import DEFAULT_CONFIG, build_pricing, build_spec
 from hedgenet.hedging import estimate_l2_error
-from hedgenet.models import bm_constant, gbm_diagonal
+from hedgenet.models import a_matrix, bm_constant, gbm_diagonal
 from hedgenet.oracle import (
     analytic_quadratic_error,
     mc_payoff_expectation,
@@ -26,6 +26,22 @@ class TestPdeResidual:
         spec = bm_constant(np.eye(1), [0.5])
         r = pde_residual(spec, BMQuadratic(1, 1.0), 0.5, [0.5])
         assert r.relative <= 1e-8
+
+    @pytest.mark.parametrize("sigma", [[[2.0]], [[1.5, 0.0], [0.3, 0.8]]])
+    def test_quadratic_at_the_models_tr_a(self, sigma):
+        # |x|^2 + tr(A) tau is the price at every constant sigma; at tr A = d
+        # it is not, and check_priced says so
+        spec = bm_constant(sigma, 0.5, corr=None)
+        tr_a = np.trace(a_matrix(spec, spec.x0))
+        assert tr_a != spec.d
+        x = [0.5, -0.3][:spec.d]
+        r = pde_residual(spec, BMQuadratic(spec.d, 1.0, tr_a), 0.5, x)
+        assert r.relative <= 1e-8
+        check_priced(spec, BMQuadratic(spec.d, 1.0, tr_a))
+        assert pde_residual(spec, BMQuadratic(spec.d, 1.0), 0.5,
+                            x).relative > 1e-3
+        with pytest.raises(ArgumentError, match="bm_quadratic prices"):
+            check_priced(spec, BMQuadratic(spec.d, 1.0))
 
     def test_digital_closed_form(self):
         r = pde_residual(SPEC_GBM, make_pricing("digital", {}, 1.0), 0.5, [1.0])
