@@ -210,12 +210,12 @@ def _ols(x, y):
 
 
 def check_rate_ns(ns) -> None:
-    """The n of a rate fit: positive integers, 4 or more >= RATE_N_MIN."""
+    """The n of a rate fit: integers >= 1, 4 or more distinct >= RATE_N_MIN."""
     for n in ns:
         check_count("n", n)
-    if sum(n >= RATE_N_MIN for n in ns) < 4:
+    if sum(n >= RATE_N_MIN for n in set(ns)) < 4:
         raise ArgumentError(f"a rate fit needs at least 4 values of n >= "
-                            f"{RATE_N_MIN}")
+                            f"{RATE_N_MIN}, each counted once")
 
 
 def _jackknife_table(jackknife, n_points: int) -> np.ndarray:

@@ -28,14 +28,14 @@ of each step index: the streams of all union grids advance in lockstep and
 draw each step index once.
 
 A path's draws are pure functions of (master_seed, path_index). Its error
-is too, given the union grid, except for a payoff with a power factor: a
-batch of at least ``pricing._TABLE_MIN_ROWS`` rows prices that factor off a
-table spanning the batch's own log-price range, so a path's error moves
-with the batch it is in (one path measured moved 5.7e-6 and 3.1e-5
-relative, in batches of 4096 and 6000), and ``path_error`` or a run with a
-larger n_paths need not reproduce the errors a sweep summed. Batch bounds
-are fixed whatever the worker count, and per-batch sums use exact (fsum)
-accumulation, so every estimate is bitwise independent of scheduling.
+is too, given the union grid, except for a payoff with a power factor of
+strike K > 0: a batch of at least ``pricing._TABLE_MIN_ROWS`` rows prices
+it off a table spanning the batch's own log-price range, so a path's error
+moves with its batch (one path moved 5.7e-6 and 3.1e-5 relative in batches
+of 4096 and 6000), and ``path_error`` or a run with a larger n_paths need
+not reproduce the errors a sweep summed. Batch bounds are fixed whatever
+the worker count, and per-batch sums use exact (fsum) accumulation, so
+every estimate is bitwise independent of scheduling.
 """
 
 from __future__ import annotations
@@ -415,8 +415,8 @@ def error_curve(spec, pricing, n_list: Sequence[int], etas: Sequence[float],
     requested mode.
     """
     families = [[eta_net(pricing.T, n, eta) for n in n_list] for eta in etas]
-    if list(n_list) != sorted(n_list):
-        raise ArgumentError("n_list must be ascending")
+    if any(a >= b for a, b in zip(n_list, n_list[1:])):
+        raise ArgumentError("n_list must be ascending, each n once")
     ests = estimate_sweep(spec, pricing, families, n_paths, master_seed,
                           error_mode, workers, monitor_factor)
     return [

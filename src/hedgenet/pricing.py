@@ -154,9 +154,9 @@ def _hermite(n):
 #: exponent of the cusp-absorbing map v = V * u**_KINK_POW
 _KINK_POW = 6.0
 
-#: The power factor prices tau below this at TAU_FLOOR. Closer to maturity
-#: the quadrature's x e^{s sqrt(tau) z} - K cancels: at tau = 1e-20 none of
-#: 801 kink positions z in [-29.6, -8] converged, at 1e-12 all did.
+#: A power factor with K > 0 prices tau below this at TAU_FLOOR. Closer to
+#: maturity the quadrature's x e^{s sqrt(tau) z} - K cancels: at tau = 1e-20
+#: none of 801 kink positions z in [-29.6, -8] converged, at 1e-12 all did.
 TAU_FLOOR = 1e-12
 
 #: kink positions below this z-score are outside the Gaussian support and the
@@ -188,10 +188,7 @@ def _power_moments_raw(x, K, alpha, s, tau, n_nodes, count=3):
     x = np.asarray(x, dtype=float)
     sig = s * np.sqrt(tau)
     out = np.zeros((count,) + x.shape)
-    if K == 0.0:
-        zk = np.full(x.shape, -np.inf)
-    else:
-        zk = (np.log(K / x) + 0.5 * sig * sig) / sig
+    zk = (np.log(K / x) + 0.5 * sig * sig) / sig
 
     smooth = zk <= _Z_SMOOTH
     kinked = ~smooth
@@ -335,11 +332,11 @@ class Factor1D:
     priced in the time to maturity tau > 0.
 
     kind "const" is the neutral factor f = 1 for coordinates without
-    optionality. The call and digital factors are closed forms. The power
-    factor (x - K)_+^alpha is priced by quadrature of its log-price
-    derivatives: directly for batches below _TABLE_MIN_ROWS rows, and off
-    a per-call table with cubic Hermite interpolation in log-price above
-    (_power_eval_table).
+    optionality. The call and digital factors, and the power factor x^alpha
+    at K = 0, are closed forms. With K > 0 the power factor (x - K)_+^alpha
+    is priced by quadrature of its log-price derivatives: directly below
+    _TABLE_MIN_ROWS rows, and off a per-call table with cubic Hermite
+    interpolation in log-price above (_power_eval_table).
     """
 
     kind: str  # "call" | "digital" | "power" | "const"
@@ -373,7 +370,8 @@ class Factor1D:
         return {
             "call": 0.25,
             "digital": 0.75,
-            "power": (3.0 - 2.0 * self.alpha) / 4.0,
+            # x^alpha (K = 0) is smooth: its Gamma stays bounded as tau -> 0
+            "power": (3.0 - 2.0 * self.alpha) / 4.0 if self.K else 0.0,
             "const": 0.0,
         }[self.kind]
 
@@ -453,6 +451,15 @@ class Factor1D:
     # -- power factor internals --------------------------------------------
 
     def _power_eval(self, tau, x, what: tuple):
+        if self.K == 0.0:
+            # the lognormal moment x^alpha e^{alpha (alpha - 1) s^2 tau / 2}
+            # at the true tau; d^{k+1}F/dx^{k+1} = (alpha - k) d^kF/dx^k / x
+            # keeps Gamma's digits as alpha -> 1, where D_2 - D_1 cancels
+            a, s = self.alpha, self.s
+            d = [x ** a * math.exp(0.5 * a * (a - 1.0) * s * s * tau)]
+            for k in range(max(_ORDER[w] for w in what)):
+                d.append((a - k) * d[k] / x)
+            return tuple(d[_ORDER[w]] for w in what)
         tau = max(tau, TAU_FLOOR)
         if x.size >= _TABLE_MIN_ROWS and x.ndim == 1:
             return self._power_eval_table(tau, x, what)
@@ -526,16 +533,11 @@ class _NodeMap:
     levels. The linear term has the density of _TABLE_BASE uniform points;
     the asinh term that of a geometric ladder of ratio _TABLE_LADDER around
     lk = log K, from h0 = _TABLE_RUNG0 s sqrt(tau). One factor scales both
-    to make n an integer. K = 0 keeps the linear term alone (b = 0).
+    to make n an integer.
     """
 
-    lk, h0, q0 = 0.0, 1.0, 0.0
-
     def __init__(self, K, s, tau, lo, hi):
-        self.lo, self.hi, self.n = lo, hi, _TABLE_BASE - 1
-        self.a, self.b = self.n / (hi - lo), 0.0
-        if K == 0.0:
-            return
+        self.lo, self.hi = lo, hi
         self.h0 = _TABLE_RUNG0 * s * math.sqrt(tau)
         self.lk = math.log(K)
         self.q0 = math.asinh((lo - self.lk) / self.h0)
@@ -543,20 +545,19 @@ class _NodeMap:
         self.rungs = (self.q1 - self.q0) / math.log(_TABLE_LADDER)
         self.n = math.ceil(_TABLE_BASE - 1 + self.rungs)
         c = self.n / (_TABLE_BASE - 1 + self.rungs)
-        self.a *= c
+        self.a = (_TABLE_BASE - 1) / (hi - lo) * c
         self.b = c / math.log(_TABLE_LADDER)
 
     def level(self, y, out=None, tmp=None):
         """w(y), into out if given (tmp: scratch of y's shape)."""
         out = np.subtract(y, self.lo, out=out)
         out *= self.a
-        if self.b:
-            tmp = np.subtract(y, self.lk, out=tmp)
-            tmp /= self.h0
-            np.arcsinh(tmp, out=tmp)
-            tmp -= self.q0
-            tmp *= self.b
-            out += tmp
+        tmp = np.subtract(y, self.lk, out=tmp)
+        tmp /= self.h0
+        np.arcsinh(tmp, out=tmp)
+        tmp -= self.q0
+        tmp *= self.b
+        out += tmp
         return out
 
     def interval(self, y, out, level=None, tmp=None):
@@ -569,8 +570,6 @@ class _NodeMap:
 
     def nodes(self):
         """y_k with w(y_k) = k for k = 0 ... n, y_0 = lo and y_n = hi."""
-        if not self.b:
-            return np.linspace(self.lo, self.hi, self.n + 1)
         # Newton from the interpolant of w over the uniform base and the
         # ladder's rungs, each at most n + 1 points: the guess is within
         # about 2e-2 levels, and three steps take every node to rounding

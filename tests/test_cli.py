@@ -315,6 +315,19 @@ class TestRateCommand:
         fams = json.loads((out / "summary.json").read_text())["families"]
         assert fams[0]["ci95_slope"] == fams[1]["ci95_slope"]
 
+    def test_zero_strike_power_auto_eta_is_equidistant(self, tmp_path):
+        # x^alpha is smooth (theta 0), so its auto eta is the equidistant
+        # net's
+        cfg = dict(DIGITAL_CFG, payoff={"key": "power",
+                                        "params": {"K": 0.0}, "T": 1.0})
+        p = write_config(tmp_path / "p.json", cfg)
+        out = tmp_path / "run"
+        assert main(["rate", "--config", p, "--out", str(out)]) == 0
+        fams = json.loads((out / "summary.json").read_text())["families"]
+        assert [(f["family"], f["eta"]) for f in fams] == [
+            ("equidistant", 0), ("eta", 0)]
+        assert fams[0]["slope"] == fams[1]["slope"]
+
     def test_two_families_match_one_family_runs(self, tmp_path):
         # both families run in one pass that draws each step index once;
         # each family's rows and fit are those of a run with it alone
@@ -502,6 +515,14 @@ class TestRateCommand:
          "engine.N must be a positive integer, not 0"),
         ({"engine": {"mode": "sup"}}, ("theta", "h2"),
          "engine.mode must be one of terminal, running_sup, both, not 'sup'"),
+        # a repeated n is refused before any draw: it would fit one point
+        # twice, or fail the fit only after the sweep
+        ({"nets": {"n_list": [8, 8, 16, 32, 64]}}, ("rate", "simulate"),
+         "n_list must be ascending, each n once"),
+        ({"nets": {"n_list": [8, 8, 8, 8]}}, ("rate",),
+         "at least 4 values of n >= 8, each counted once"),
+        ({"nets": {"n_list": [8, 8, 8, 8]}}, ("simulate",),
+         "n_list must be ascending, each n once"),
     ])
     def test_invalid_block_is_a_usage_error(self, tmp_path, capsys,
                                             monkeypatch, block, cmds,

@@ -61,6 +61,7 @@ class TestPdeResidual:
         ("digital", {"K": 1.0, "s": 1.0}, 1e-4),
         ("call", {"K": 1.0, "s": 1.0}, 1e-4),
         ("power", {"K": 1.0, "alpha": 0.25, "s": 1.0}, 1e-3),
+        ("power", {"K": 0.0, "alpha": 0.25, "s": 1.0}, 1e-8),
     ])
     def test_random_bulk_points(self, key, params, tol):
         pr = make_pricing(key, params, 1.0)

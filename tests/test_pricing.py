@@ -180,11 +180,45 @@ def node_map(f, tau, lo, hi):
     return pricing._NodeMap(f.K, f.s, tau, lo, hi)
 
 
+def zero_strike(alpha):
+    """The power factor x^alpha (K = 0, s = 1); from alpha = 1/2 on it
+    warns, as every power factor does."""
+    if alpha < 0.5:
+        return Factor1D("power", K=0.0, alpha=alpha, s=1.0)
+    with pytest.warns(UserWarning):
+        return Factor1D("power", K=0.0, alpha=alpha, s=1.0)
+
+
 class TestPower:
     def test_zero_strike_lognormal_moment(self):
         f = Factor1D("power", K=0.0, alpha=0.25, s=1.0)
         v = f.value(1.0, ONE)[0]
-        assert v == pytest.approx(np.exp(0.25 * (0.25 - 1.0) / 2.0), rel=1e-10)
+        assert v == pytest.approx(np.exp(0.25 * (0.25 - 1.0) / 2.0), rel=1e-14)
+
+    @pytest.mark.parametrize("tau", [0.9, 1e-3, 1e-8, 1e-12, 1e-14])
+    @pytest.mark.parametrize("alpha", [0.01, 0.25, 0.6])
+    def test_zero_strike_closed_form(self, alpha, tau):
+        # x^alpha c (1, alpha / x, alpha (alpha - 1) / x^2) at the true tau,
+        # c = e^{alpha (alpha - 1) tau / 2}, on a batch large enough that a
+        # K > 0 factor would price it off its table
+        f = zero_strike(alpha)
+        x = np.exp(np.random.default_rng(3).normal(0.0, 0.7, 5000))
+        want = x ** alpha * np.exp(alpha * (alpha - 1.0) * tau / 2.0)
+        got = f.value_delta_gamma(tau, x)
+        for g, w in zip(got, (want, want * alpha / x,
+                              want * alpha * (alpha - 1.0) / x ** 2)):
+            assert np.allclose(g, w, rtol=1e-13, atol=0.0)
+        assert np.array_equal(f.value_delta(tau, x)[1], got[1])
+        assert np.array_equal(f.value(tau, x), got[0])
+
+    @pytest.mark.parametrize("tau", [0.5, 1e-14])
+    def test_zero_strike_is_batch_size_independent(self, tau):
+        f = zero_strike(0.25)
+        x = np.exp(np.random.default_rng(4).normal(0.0, 0.7, 16384))
+        batch = f.value_delta_gamma(tau, x)
+        for i in (0, 1, 4095, 16383):
+            for got, ref in zip(f.value_delta_gamma(tau, x[i:i + 1]), batch):
+                assert np.array_equal(got, ref[i:i + 1])
 
     def test_value_vs_monte_carlo(self):
         spec = gbm_diagonal(1, 1.0, 1.0)
@@ -354,17 +388,6 @@ class TestPower:
         level = node_map(POWER, tau, lo, hi).level(grid)
         assert np.abs(level - np.arange(grid.size)).max() <= 1e-12
         assert np.array_equal(got[:lx.size], want[:lx.size])
-
-    def test_table_index_zero_strike(self):
-        # K = 0: the map is its linear term, its nodes the uniform base
-        f = Factor1D("power", K=0.0, alpha=0.25, s=1.0)
-        lo, hi = -2.0, 1.5
-        nmap = node_map(f, 0.5, lo, hi)
-        assert nmap.b == 0.0 and nmap.n == pricing._TABLE_BASE - 1
-        grid = nmap.nodes()
-        assert np.array_equal(grid, np.linspace(lo, hi, pricing._TABLE_BASE))
-        lx = np.random.default_rng(6).uniform(lo, hi, 5000)
-        self.assert_floor_index(f, 0.5, lo, hi, lx)
 
     @settings(max_examples=200, deadline=None)
     @given(tau=st.floats(1e-10, 1.0), log_k=st.floats(-3.0, 3.0),
@@ -895,6 +918,8 @@ class TestThetaHints:
         assert Factor1D("digital").theta_hint == 0.75
         assert Factor1D("call").theta_hint == 0.25
         assert Factor1D("power", alpha=0.25).theta_hint == pytest.approx(0.625)
+        # x^alpha is smooth: its Gamma stays bounded as tau -> 0
+        assert Factor1D("power", K=0.0, alpha=0.25).theta_hint == 0.0
         assert BMQuadratic(1, 1.0).theta_hint == 0.0
         p = make_pricing("product", {"factors": [
             {"kind": "call", "K": 1.0, "s": 1.0},
