@@ -46,5 +46,4 @@ from .analysis import (
     estimate_h2,
     choose_eta,
     fit_rate,
-    one_step_profile,
 )

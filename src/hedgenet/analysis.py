@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import stdtrit
 
-from .models import a_matrix, one_step_states, path_states, sigma_matrix
+from .models import a_matrix, one_step_states, sigma_matrix
 from .pricing import check_priced
 from .rng import ArgumentError, check_count
 
@@ -27,7 +27,6 @@ __all__ = [
     "estimate_h2",
     "choose_eta",
     "fit_rate",
-    "one_step_profile",
 ]
 
 #: default path count for the MC diagnostics
@@ -50,7 +49,7 @@ class ThetaFit:
     def __post_init__(self):
         if not (-0.2 <= self.theta_hat <= 1.2):
             warnings.warn(
-                f"theta_hat = {self.theta_hat:.3f} outside [0, 1.2]: the "
+                f"theta_hat = {self.theta_hat:.3f} outside [-0.2, 1.2]: the "
                 "polynomial blow-up assumption looks violated",
                 stacklevel=2,
             )
@@ -275,58 +274,3 @@ def fit_rate(points: Sequence,
         ci95_slope=(slope - tcrit * se, slope + tcrit * se),
         r2=r2, points_used=tuple(used),
     )
-
-
-def one_step_profile(spec, pricing, a: float, u_grid, n_paths: int = DEFAULT_N,
-                     master_seed: int = 0, n_integral: int = 33):
-    """One-interval error profile: LHS(u) vs the integral of m(t) over [a, u].
-
-    LHS(u) = sum_{k,l} E[ (dF_k(u, X_u) - dF_k(a, X_a))^2 sigma_kl(X_u)^2 ]
-    for the same path sampled at the dates a then u, 0 <= a <= u < T.
-    Returns a list of (u, lhs, lhs_stderr, integral_of_m) rows.
-    """
-    check_count("n_paths", n_paths, 2)
-    check_count("n_integral", n_integral, 2)
-    check_priced(spec, pricing)
-    T = pricing.T
-    u_grid = check_dates(u_grid, T)
-    if not 0.0 <= a <= u_grid.min():
-        raise ArgumentError(f"need 0 <= a <= u for each date u, not a = {a!r}")
-    idx = np.arange(n_paths, dtype=np.uint64)
-
-    # m(t) on a shared integration grid, then cumulative trapezoid.
-    t_int = np.linspace(a, float(u_grid.max()), n_integral)
-    m_vals = []
-    states = one_step_states(spec, T, T - t_int[t_int != 0.0], n_paths,
-                             master_seed)
-    for t in t_int:
-        if t == 0.0:
-            x = np.broadcast_to(spec.x0, (n_paths, spec.d))
-        else:
-            x = next(states)
-        mean, _ = _pair_moments(spec, pricing, T - t, x)
-        m_vals.append(float(mean.max()))
-    m_vals = np.asarray(m_vals)
-    cum = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (m_vals[1:] + m_vals[:-1]) * np.diff(t_int))]
-    )
-
-    rows = []
-    for u in u_grid:
-        if u == a:
-            rows.append((float(u), 0.0, 0.0, 0.0))
-            continue
-        # [x0, X_a, X_u], or [x0, X_u] when a = 0 and X_a is x0
-        xs = [np.broadcast_to(spec.x0, (n_paths, spec.d))]
-        xs += [x for _, _, x in path_states(
-            spec, [[T, T - a, T - u] if a > 0.0 else [T, T - u]],
-            master_seed, idx)]
-        xa, xu = xs[-2], xs[-1]
-        dgrad = pricing.gradient(T - u, xu) - pricing.gradient(T - a, xa)
-        sig = sigma_matrix(spec, xu)
-        row_sq = (sig * sig).sum(axis=-1)  # sum_l sigma_kl^2, shape (B, d)
-        vals = (dgrad * dgrad * row_sq).sum(axis=1)
-        lhs = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(vals.size))
-        rows.append((float(u), lhs, se, float(np.interp(u, t_int, cum))))
-    return rows

@@ -358,7 +358,7 @@ class Factor1D:
         if self.kind == "power":
             if not (0.0 < self.alpha < 1.0):
                 raise ArgumentError("power exponent must lie in (0, 1)")
-            if self.alpha >= 0.5:
+            if self.alpha >= 0.5 and self.K > 0.0:  # x^alpha is smooth
                 warnings.warn(
                     "power exponent >= 1/2 is outside the analysed range; "
                     "the curvature exponent hint degrades",

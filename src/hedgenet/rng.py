@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import ndtri
 
 __all__ = ["ArgumentError", "SeedSpec", "check_count", "check_horizon",
-           "check_seed", "normals", "uniforms"]
+           "check_seed", "normals"]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hedgenet.analysis import (
     estimate_h2,
     estimate_theta,
     fit_rate,
-    one_step_profile,
     theta_grid_table,
 )
 from hedgenet.models import bm_constant, gbm_diagonal
@@ -223,6 +223,11 @@ class TestEstimateTheta:
 
         with pytest.warns(UserWarning):
             ThetaFit(theta_hat=1.3, ci95=(1.2, 1.4), r2=1.0)
+        with pytest.warns(UserWarning, match=r"outside \[-0\.2, 1\.2\]"):
+            ThetaFit(theta_hat=-0.3, ci95=(-0.4, -0.2), r2=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ThetaFit(theta_hat=-0.1, ci95=(-0.2, 0.0), r2=1.0)
 
 
 class TestEstimateH2:
@@ -238,6 +243,26 @@ class TestEstimateH2:
         )
         h2_min, se = curve.infimum()
         assert h2_min - 3.0 * se > 0.0
+
+    @pytest.mark.parametrize("u, want", [(0.5, 0.172848), (0.9, 1.690110)])
+    def test_digital_matches_exact(self, u, want):
+        # s = K = x0 = T = 1: s^2 x^2 Gamma = -phi(d2) d1 / tau, so H^2(u)
+        # is E[(phi(d2) d1 / tau)^2] over X_u = exp(sqrt(u) Z - u / 2)
+        from scipy.integrate import quad
+        from scipy.stats import norm
+
+        tau = 1.0 - u
+
+        def integrand(z):
+            d2 = (math.sqrt(u) * z - u / 2.0 - tau / 2.0) / math.sqrt(tau)
+            g = norm.pdf(d2) * (d2 + math.sqrt(tau)) / tau
+            return g * g * norm.pdf(z)
+
+        exact = quad(integrand, -np.inf, np.inf, epsrel=1e-12)[0]
+        assert exact == pytest.approx(want, rel=3e-6)
+        [(_, h2, se)] = estimate_h2(SPEC_GBM, DIGITAL, [u], 50000, 2).points
+        # over seeds 1-40 at u = 0.5, z had mean 0.06, sd 1.00, max |z| 2.78
+        assert abs(h2 - exact) < 4.0 * se
 
     def test_nonnegative_up_to_noise(self):
         curve = estimate_h2(SPEC_GBM, DIGITAL, [0.3, 0.6], 20000, 7)
@@ -280,8 +305,6 @@ ONE_STEP_SAMPLERS = {
     "estimate_theta": lambda spec: estimate_theta(
         spec, QUAD1, [0.5, 0.1, 0.01], 100),
     "estimate_h2": lambda spec: estimate_h2(spec, QUAD1, [0.5], 100),
-    "one_step_profile": lambda spec: one_step_profile(
-        spec, QUAD1, 0.5, [0.6], 100),
 }
 
 
@@ -296,38 +319,3 @@ def test_one_step_samplers_refuse_a_payoff_the_model_does_not_price(
     with pytest.raises(ArgumentError, match="bm_quadratic prices"):
         ONE_STEP_SAMPLERS[name](bm_constant([[2.0]], [0.0]))
     assert drawn == []
-
-
-class TestOneStepProfile:
-    def test_u_equals_a_is_zero(self):
-        rows = one_step_profile(SPEC_GBM, DIGITAL, 0.5, [0.5], 1000, 0)
-        assert rows[0][1] == 0.0
-
-    def test_lhs_nonnegative(self):
-        rows = one_step_profile(
-            SPEC_GBM, DIGITAL, 0.5, [0.55, 0.7, 0.85], 20000, 1
-        )
-        assert all(r[1] >= 0.0 for r in rows)
-
-    def test_lhs_bounded_by_fitted_constant_times_integral(self):
-        rows = one_step_profile(
-            SPEC_GBM, DIGITAL, 0.5, [0.55, 0.6, 0.7, 0.8, 0.9], 30000, 1
-        )
-        u0, lhs0, _, rhs0 = rows[0]
-        c = lhs0 / rhs0
-        for u, lhs, _, rhs in rows[1:]:
-            assert lhs <= 10.0 * c * rhs
-
-    def test_short_interval_density_limit(self):
-        # LHS/(u-a) approaches H^2(a) for u - a = 1e-3
-        a = 0.5
-        rows = one_step_profile(SPEC_GBM, DIGITAL, a, [a + 1e-3], 50000, 2)
-        _, lhs, lhs_se, _ = rows[0]
-        h2 = estimate_h2(SPEC_GBM, DIGITAL, [a], 50000, 2).points[0]
-        density = lhs / 1e-3
-        density_se = lhs_se / 1e-3
-        assert abs(density - h2[1]) < 3.0 * (density_se + h2[2])
-
-    def test_rejects_u_before_a(self):
-        with pytest.raises(ValueError):
-            one_step_profile(SPEC_GBM, DIGITAL, 0.5, [0.4], 100, 0)

@@ -8,7 +8,7 @@ import pytest
 
 import hedgenet.hedging as hedging
 import hedgenet.models as models
-from hedgenet.analysis import estimate_h2, estimate_theta, one_step_profile
+from hedgenet.analysis import estimate_h2, estimate_theta
 from hedgenet.hedging import estimate_sweep
 from hedgenet.models import bm_constant, gbm_diagonal, path_states
 from hedgenet.pricing import BMQuadratic, Factor1D, ProductPricing
@@ -110,8 +110,7 @@ def errors(spec, pricing):
 
 def analysis_rows(spec, pricing):
     return (estimate_theta(spec, pricing, [0.5, 0.1, 0.01], 400, 3).rows,
-            estimate_h2(spec, pricing, [0.2, 0.7], 400, 3).points,
-            one_step_profile(spec, pricing, 0.2, [0.3, 0.6], 400, 3, 5))
+            estimate_h2(spec, pricing, [0.2, 0.7], 400, 3).points)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -129,8 +128,8 @@ def test_states_and_errors_keep_their_bits(case, c_ordered):
 
 @pytest.mark.parametrize("case", ["gbm-corr", "gbm-d3", "gbm-d8", "bm-d8"])
 def test_analysis_keeps_its_bits(case, c_ordered):
-    # theta's and the profile's means over paths, and the profile's sum
-    # over coordinates, add in the order of C-ordered arrays
+    # theta's means over paths and H^2's sums over coordinates add in the
+    # order of C-ordered arrays
     spec, pricing = CASES[case]()
     got = analysis_rows(spec, pricing)
     c_ordered(pricing)

@@ -6,7 +6,6 @@ from hedgenet.analysis import (
     default_theta_grid,
     estimate_h2,
     estimate_theta,
-    one_step_profile,
 )
 from hedgenet.hedging import path_error
 from hedgenet.models import gbm_diagonal
@@ -48,8 +47,6 @@ GRID = [0.5, 0.1, 0.01]
 ONE_STEP = {
     "estimate_theta": lambda n, s: estimate_theta(SPEC, DIGITAL, GRID, n, s),
     "estimate_h2": lambda n, s: estimate_h2(SPEC, DIGITAL, [0.5], n, s),
-    "one_step_profile": lambda n, s: one_step_profile(
-        SPEC, DIGITAL, 0.5, [0.6], n, s),
     "mc_payoff_expectation": lambda n, s: mc_payoff_expectation(
         SPEC, DIGITAL, n, s),
 }
@@ -94,16 +91,6 @@ BAD_INPUTS = {
     "estimate_theta-dimension": lambda: estimate_theta(
         SPEC_2D, DIGITAL, GRID, 100),
     "estimate_h2-dimension": lambda: estimate_h2(SPEC_2D, DIGITAL, [0.5], 100),
-    "one_step_profile-dimension": lambda: one_step_profile(
-        SPEC_2D, DIGITAL, 0.5, [0.6], 100),
-    # the interval [a, u] must lie in [0, T), and the integral of m needs
-    # an integer count of at least 2 points
-    **{f"one_step_profile-{name}": lambda kw=kw: one_step_profile(
-        SPEC, DIGITAL, n_paths=100, **kw) for name, kw in (
-        ("u-1.0", dict(a=0.5, u_grid=[1.0])),
-        ("a--0.5", dict(a=-0.5, u_grid=[0.6])),
-        ("n_integral-2.5", dict(a=0.5, u_grid=[0.6], n_integral=2.5)),
-        ("n_integral-1", dict(a=0.5, u_grid=[0.6], n_integral=1)))},
 }
 
 
