@@ -96,8 +96,12 @@ def _pair_moments(spec, pricing, tau, x):
 
 
 def default_theta_grid(T: float, n_points: int = 20) -> np.ndarray:
-    """n_points (>= 3) times to maturity log-spaced over [1e-3, T/2]."""
+    """n_points (>= 3) times to maturity log-spaced over [1e-3, T/2], a
+    window that is an interval only for T > 2e-3."""
     check_count("n_points", n_points, 3)
+    if not T > 2e-3:
+        raise ArgumentError(f"the default theta grid spans [1e-3, T/2] and "
+                            f"needs T > 2e-3, not T = {T:g}")
     return np.geomspace(T / 2.0, 1e-3, n_points)
 
 

@@ -314,7 +314,7 @@ def _sweeps(cfg, spec, pricing, families, mode):
 
 def cmd_net(args) -> int:
     net = eta_net(args.T, args.n, args.eta)
-    net.to_csv(args.out)
+    _write_csv(args.out, ["t", "tau"], zip(net.knots, net.taus))
     dt = net.spacings()
     print(f"wrote {args.out}: n={args.n} eta={args.eta:g} "
           f"min_dt={dt.min():.6g} max_dt={dt.max():.6g}")
@@ -446,34 +446,39 @@ def cmd_report(args) -> int:
         return 1
     table, flags, failed = [], [], []
     for s in summaries:
+        run = str(s.parent.relative_to(root)) or "."
         try:
             with open(s) as f:
                 data = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
+            if not isinstance(data, dict):
+                raise TypeError("the root is not a JSON object")
+            cmd, payoff = data.get("command", "?"), data.get("payoff", "?")
+            if cmd == "rate":
+                table += [(run, payoff, fam["family"], f"{fam['eta']:.3g}",
+                           f"{fam['slope']:+.4f}",
+                           "[{:+.3f},{:+.3f}]".format(*fam["ci95_slope"]))
+                          for fam in data.get("families", [])]
+            elif cmd == "theta":
+                th = data["theta_hat"]
+                table.append((run, payoff, "theta", "-", f"{th:.4f}",
+                              f"eta={data['eta_chosen']:.3g}"))
+                if th >= 1.0:
+                    flags.append(f"{run}: theta_hat = {th:.3f} >= 1 "
+                                 "(blow-up assumption violated)")
+            elif cmd == "h2":
+                ok = data.get("positive_3se", False)
+                table.append((run, payoff, "h2", "-",
+                              f"{data['h2_inf']:.5g}",
+                              "positive" if ok else "NOT positive"))
+                if not ok:
+                    flags.append(f"{run}: H^2 infimum not positive at 3 "
+                                 "stderr")
+            else:
+                table.append((run, payoff, cmd, "-", "-", "-"))
+        except KeyError as e:
+            failed.append(f"{s}: no key {e}")
+        except (OSError, ValueError, LookupError, TypeError) as e:
             failed.append(f"{s}: {e}")
-            continue
-        run = str(s.parent.relative_to(root)) or "."
-        cmd, payoff = data.get("command", "?"), data.get("payoff", "?")
-        if cmd == "rate":
-            table += [(run, payoff, fam["family"], f"{fam['eta']:.3g}",
-                       f"{fam['slope']:+.4f}",
-                       "[{:+.3f},{:+.3f}]".format(*fam["ci95_slope"]))
-                      for fam in data.get("families", [])]
-        elif cmd == "theta":
-            th = data["theta_hat"]
-            table.append((run, payoff, "theta", "-", f"{th:.4f}",
-                          f"eta={data['eta_chosen']:.3g}"))
-            if th >= 1.0:
-                flags.append(f"{run}: theta_hat = {th:.3f} >= 1 "
-                             "(blow-up assumption violated)")
-        elif cmd == "h2":
-            ok = data.get("positive_3se", False)
-            table.append((run, payoff, "h2", "-", f"{data['h2_inf']:.5g}",
-                          "positive" if ok else "NOT positive"))
-            if not ok:
-                flags.append(f"{run}: H^2 infimum not positive at 3 stderr")
-        else:
-            table.append((run, payoff, cmd, "-", "-", "-"))
     if failed:
         for line in failed:
             print(f"error: unreadable summary {line}", file=sys.stderr)

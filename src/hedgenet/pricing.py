@@ -20,6 +20,7 @@ every array it gets back; no input is written, no result is a view of one.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -95,10 +96,6 @@ def _d12(x, K, s, tau):
 # power payoff (x - K)_+^alpha by quadrature
 # ---------------------------------------------------------------------------
 
-_leg_cache: dict = {}
-_herm_cache: dict = {}
-
-
 def _gauss(n, mu0, sqrt_b, f, df):
     """Gauss nodes and weights of the orthogonal polynomials f(k, x) with
     zero recurrence diagonal and off-diagonal sqrt_b(k), by Golub & Welsch
@@ -124,31 +121,29 @@ def _gauss(n, mu0, sqrt_b, f, df):
     return x, w
 
 
+@functools.cache
 def _legendre01(n):
     """Gauss-Legendre nodes and weights on [0, 1]."""
-    if n not in _leg_cache:
-        u, w = _gauss(
-            n, 2.0, lambda k: k * np.sqrt(1.0 / (4 * k * k - 1)),
-            eval_legendre,
-            lambda n, x: (-n * x * eval_legendre(n, x)
-                          + n * eval_legendre(n - 1, x)) / (1 - x ** 2))
-        _leg_cache[n] = (0.5 * (u + 1.0), 0.5 * w)
-    return _leg_cache[n]
+    u, w = _gauss(
+        n, 2.0, lambda k: k * np.sqrt(1.0 / (4 * k * k - 1)),
+        eval_legendre,
+        lambda n, x: (-n * x * eval_legendre(n, x)
+                      + n * eval_legendre(n - 1, x)) / (1 - x ** 2))
+    return 0.5 * (u + 1.0), 0.5 * w
 
 
+@functools.cache
 def _hermite(n):
     """Gauss-Hermite nodes and weights for the standard normal density.
     Above 150 nodes scipy's roots_hermite uses an asymptotic expansion that
     needs no eigensolver."""
-    if n not in _herm_cache:
-        if n <= 150:
-            u, w = _gauss(n, np.sqrt(np.pi), lambda k: np.sqrt(k / 2.0),
-                          eval_hermite,
-                          lambda n, x: 2.0 * n * eval_hermite(n - 1, x))
-        else:
-            u, w = roots_hermite(n)
-        _herm_cache[n] = (np.sqrt(2.0) * u, w / np.sqrt(np.pi))
-    return _herm_cache[n]
+    if n <= 150:
+        u, w = _gauss(n, np.sqrt(np.pi), lambda k: np.sqrt(k / 2.0),
+                      eval_hermite,
+                      lambda n, x: 2.0 * n * eval_hermite(n - 1, x))
+    else:
+        u, w = roots_hermite(n)
+    return np.sqrt(2.0) * u, w / np.sqrt(np.pi)
 
 
 #: exponent of the cusp-absorbing map v = V * u**_KINK_POW
@@ -281,17 +276,15 @@ def _power_log_derivatives(x, K, alpha, s, tau, count):
 
 
 def _assemble(x, d, what: tuple):
-    """Value, delta and gamma from the log-price derivatives D_0, D_1, D_2:
-    F = D_0, dF/dx = D_1 / x and d2F/dx2 = (D_2 - D_1) / x^2."""
-    out = []
-    for w in what:
-        if w == "value":
-            out.append(d[0])
-        elif w == "delta":
-            out.append(d[1] / x)
-        else:
-            out.append((d[2] - d[1]) / (x * x))
-    return tuple(out)
+    """Value, delta and gamma from the log-price derivatives D_0, D_1, D_2,
+    in place over the rows of d: F = D_0, dF/dx = D_1 / x and
+    d2F/dx2 = (D_2 - D_1) / x^2, gamma first, while row 1 still holds D_1."""
+    if "gamma" in what:
+        d[2] -= d[1]
+        d[2] /= x * x
+    if "delta" in what:
+        d[1] /= x
+    return tuple(d[_ORDER[w]] for w in what)
 
 
 #: highest log-price derivative D_k that each output is assembled from
@@ -477,9 +470,11 @@ class Factor1D:
         outputs are assembled from the interpolants as on the direct path.
         Every interval's cubics are stored in power form in the offset from
         its left node, so one index (the floor of the key's map level) and
-        one gather serve every output. Rows are indexed, evaluated and
-        assembled in chunks of _TABLE_CHUNK through buffers reused from
-        chunk to chunk, so no temporary grows with the batch.
+        one gather serve every output. Rows are indexed and evaluated in
+        chunks of _TABLE_CHUNK through buffers reused from chunk to chunk,
+        each chunk's Horner sums written straight into its columns of one
+        (m + 1)-row array; one in-place _assemble over that array then
+        turns its rows into the outputs, so each Greek is written once.
         """
         top = max(_ORDER[w] for w in what)
         lx = np.log(x)
@@ -501,12 +496,11 @@ class Factor1D:
         ])
         rows = min(_TABLE_CHUNK, x.size)
         gather = np.empty(coef.shape[0] * rows)
-        horner = np.empty((top + 1) * rows)
         level, dx = np.empty(rows), np.empty(rows)
         index = np.empty(rows, dtype=np.intp)
-        res = np.empty((len(what), x.size))
+        out = np.empty((top + 1, x.size))
         for a in range(0, x.size, _TABLE_CHUNK):
-            lxc, xc = lx[a:a + _TABLE_CHUNK], x[a:a + _TABLE_CHUNK]
+            lxc = lx[a:a + _TABLE_CHUNK]
             m = lxc.size
             j = nmap.interval(lxc, index[:m], level[:m], dx[:m])
             np.take(grid, j, out=dx[:m], mode="clip")
@@ -514,14 +508,13 @@ class Factor1D:
             c = gather[:coef.shape[0] * m].reshape(coef.shape[0], m)
             np.take(coef, j, axis=1, out=c, mode="clip")
             c = c.reshape(4, top + 1, m)
-            o = horner[:(top + 1) * m].reshape(top + 1, m)
+            o = out[:, a:a + _TABLE_CHUNK]
             np.multiply(c[3], dx[:m], out=o)
             for k in (2, 1, 0):
                 o += c[k]
                 if k:
                     o *= dx[:m]
-            res[:, a:a + _TABLE_CHUNK] = _assemble(xc, o, what)
-        return tuple(res)
+        return _assemble(x, out, what)
 
 
 class _NodeMap:

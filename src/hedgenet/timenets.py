@@ -67,12 +67,6 @@ class TimeNet:
     def spacings(self) -> np.ndarray:
         return -np.diff(self.taus)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("t,tau\n")
-            for t, tau in zip(self.knots, self.taus):
-                f.write(f"{t:.17g},{tau:.17g}\n")
-
 
 def equidistant_net(T: float, n: int) -> TimeNet:
     """Equidistant net with n + 1 knots on [0, T]: the eta-net with eta = 0."""

@@ -11,6 +11,7 @@ import pytest
 from hedgenet.cli import (DEFAULT_CONFIG, SCHEMA, config_hash, load_config,
                           main)
 from hedgenet.rng import ArgumentError
+from hedgenet.timenets import eta_net
 
 
 def write_config(path, body):
@@ -77,6 +78,20 @@ class TestNetCommand:
         assert np.array_equal(t, 1.0 - tau)
         if (n, eta) == (256, 0.9):
             assert tau[-2] == pytest.approx(8.27e-25, rel=1e-3)
+
+    def test_csv_round_trip(self, tmp_path):
+        out = tmp_path / "net.csv"
+        assert main(["net", "--T", "1", "--n", "8", "--eta", "0.75",
+                     "--out", str(out)]) == 0
+        # every row at %.17g, the bytes earlier releases wrote
+        assert out.read_text() == (
+            "t,tau\n0,1\n0.413818359375,0.586181640625\n"
+            "0.68359375,0.31640625\n0.847412109375,0.152587890625\n"
+            "0.9375,0.0625\n0.980224609375,0.019775390625\n"
+            "0.99609375,0.00390625\n0.999755859375,0.000244140625\n1,0\n")
+        net = eta_net(1.0, 8, 0.75)
+        t, tau = (np.array(c) for c in zip(*read_net(out)))
+        assert np.array_equal(t, net.knots) and np.array_equal(tau, net.taus)
 
     def test_underflowing_net_rejected(self, tmp_path, capsys):
         out = tmp_path / "net.csv"
@@ -692,6 +707,21 @@ class TestThetaH2Commands:
         assert f"error: analysis.{bad}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("T", [0.001, 0.002])
+    def test_theta_needs_a_default_grid_window(self, tmp_path, capsys,
+                                               monkeypatch, T):
+        # the default grid spans [1e-3, T/2], empty or one point for these
+        import hedgenet.models as models
+
+        monkeypatch.setattr(models, "normals", None)  # no path is drawn
+        p = write_config(tmp_path / "d.json", dict(
+            DIGITAL_CFG, payoff=dict(DIGITAL_CFG["payoff"], T=T)))
+        out = tmp_path / "run"
+        assert main(["theta", "--config", p, "--out", str(out)]) == 2
+        assert (f"error: the default theta grid spans [1e-3, T/2] and needs "
+                f"T > 2e-3, not T = {T:g}" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_digital_zero_strike_is_a_usage_error(self, tmp_path, capsys):
         cfg = dict(DIGITAL_CFG, payoff={"key": "digital",
                                         "params": {"K": 0.0}, "T": 1.0})
@@ -767,6 +797,23 @@ class TestSimulateAndReport:
         rc = main(["report", "--dir", str(tmp_path)])
         assert rc == 1
         assert "summary.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body, why", [
+        ([1, 2], "the root is not a JSON object"),
+        ({"command": "theta"}, "no key 'theta_hat'"),
+        ({"command": "rate", "families": [{"family": "eta", "eta": 0.5,
+                                           "ci95_slope": [-0.6, -0.4]}]},
+         "no key 'slope'"),
+    ])
+    def test_report_malformed_summary(self, tmp_path, capsys, body, why):
+        run = tmp_path / "r"
+        run.mkdir()
+        write_config(run / "summary.json", body)
+        assert main(["report", "--dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: unreadable summary {run / 'summary.json'}: "
+                       f"{why}\n")
+        assert not (tmp_path / "report.txt").exists()
 
 
 def test_import_does_not_load_scipy_stats():

@@ -61,6 +61,8 @@ BAD_INPUTS = {
     **{f"refine-M-{M}": lambda M=M: refine(NET, M) for M in (2.5, 8.0, 0)},
     **{f"default_theta_grid-{k}": lambda k=k: default_theta_grid(1.0, k)
        for k in (2, 0, 20.0)},
+    **{f"default_theta_grid-T-{T}": lambda T=T: default_theta_grid(T)
+       for T in (0.001, 0.002)},
     "estimate_theta-2-times": lambda: estimate_theta(
         SPEC, DIGITAL, [0.5, 0.1], 100),
     **{f"{name}-n_paths-{n}": lambda fn=fn, n=n: fn(n, 0)

@@ -200,17 +200,6 @@ class TestLemmaFunctional:
         v4096 = 4096 * lemma_net_functional(equidistant_net(1.0, 4096), theta)
         assert v4096 >= 4.0 * v8
 
-    def test_csv_round_trip(self, tmp_path):
-        net = eta_net(1.0, 8, 0.75)
-        path = tmp_path / "net.csv"
-        net.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,tau"
-        got = np.array([[float(v) for v in line.split(",")]
-                        for line in lines[1:]])
-        assert np.array_equal(got[:, 0], net.knots)
-        assert np.array_equal(got[:, 1], net.taus)
-
 
 ETAS = st.floats(0.0, 1.0, exclude_max=True)
 
