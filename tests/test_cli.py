@@ -11,7 +11,6 @@ import pytest
 from hedgenet.cli import (DEFAULT_CONFIG, SCHEMA, config_hash, load_config,
                           main)
 from hedgenet.rng import ArgumentError
-from hedgenet.timenets import eta_net
 
 
 def write_config(path, body):
@@ -78,20 +77,6 @@ class TestNetCommand:
         assert np.array_equal(t, 1.0 - tau)
         if (n, eta) == (256, 0.9):
             assert tau[-2] == pytest.approx(8.27e-25, rel=1e-3)
-
-    def test_csv_round_trip(self, tmp_path):
-        out = tmp_path / "net.csv"
-        assert main(["net", "--T", "1", "--n", "8", "--eta", "0.75",
-                     "--out", str(out)]) == 0
-        # every row at %.17g, the bytes earlier releases wrote
-        assert out.read_text() == (
-            "t,tau\n0,1\n0.413818359375,0.586181640625\n"
-            "0.68359375,0.31640625\n0.847412109375,0.152587890625\n"
-            "0.9375,0.0625\n0.980224609375,0.019775390625\n"
-            "0.99609375,0.00390625\n0.999755859375,0.000244140625\n1,0\n")
-        net = eta_net(1.0, 8, 0.75)
-        t, tau = (np.array(c) for c in zip(*read_net(out)))
-        assert np.array_equal(t, net.knots) and np.array_equal(tau, net.taus)
 
     def test_underflowing_net_rejected(self, tmp_path, capsys):
         out = tmp_path / "net.csv"

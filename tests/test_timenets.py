@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 import hedgenet.timenets as tn
+from hedgenet.cli import main
 from hedgenet.pricing import make_pricing
 from hedgenet.timenets import (
     TimeNet,
@@ -199,6 +200,25 @@ class TestLemmaFunctional:
         v8 = 8 * lemma_net_functional(equidistant_net(1.0, 8), theta)
         v4096 = 4096 * lemma_net_functional(equidistant_net(1.0, 4096), theta)
         assert v4096 >= 4.0 * v8
+
+    def test_csv_round_trip(self, tmp_path):
+        # a net written by `hedgenet net` reads back to the same bits
+        out = tmp_path / "net.csv"
+        assert main(["net", "--T", "1", "--n", "8", "--eta", "0.75",
+                     "--out", str(out)]) == 0
+        text = out.read_text()
+        # every row at %.17g, the bytes earlier releases wrote
+        assert text == (
+            "t,tau\n0,1\n0.413818359375,0.586181640625\n"
+            "0.68359375,0.31640625\n0.847412109375,0.152587890625\n"
+            "0.9375,0.0625\n0.980224609375,0.019775390625\n"
+            "0.99609375,0.00390625\n0.999755859375,0.000244140625\n1,0\n")
+        lines = text.splitlines()
+        got = np.array([[float(v) for v in line.split(",")]
+                        for line in lines[1:]])
+        net = eta_net(1.0, 8, 0.75)
+        assert np.array_equal(got[:, 0], net.knots)
+        assert np.array_equal(got[:, 1], net.taus)
 
 
 ETAS = st.floats(0.0, 1.0, exclude_max=True)
