@@ -28,14 +28,10 @@ of each step index: the streams of all union grids advance in lockstep and
 draw each step index once.
 
 A path's draws are pure functions of (master_seed, path_index). Its error
-is too, given the union grid, except for a payoff with a power factor of
-strike K > 0: a batch of at least ``pricing._TABLE_MIN_ROWS`` rows prices
-it off a table spanning the batch's own log-price range, so a path's error
-moves with its batch (one path moved 5.7e-6 and 3.1e-5 relative in batches
-of 4096 and 6000), and ``path_error`` or a run with a larger n_paths need
-not reproduce the errors a sweep summed. Batch bounds are fixed whatever
-the worker count, and per-batch sums use exact (fsum) accumulation, so
-every estimate is bitwise independent of scheduling.
+is too, given the union grid, since every price is a function of (tau, x)
+alone: ``path_error`` reproduces the errors a sweep summed. Batch bounds
+are fixed whatever the worker count, and per-batch sums use exact (fsum)
+accumulation, so every estimate is bitwise independent of scheduling.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Real
 from typing import Sequence
 
@@ -202,21 +202,28 @@ def _power_moments_raw(x, K, alpha, s, tau, n_nodes, count=3):
         scratch = _phi(z)
         core *= scratch
         core *= np.multiply(V, dup, out=scratch)  # dv
-        sums = np.empty((count, zks.size))
-        core.sum(axis=1, out=sums[0])
-        for k, he in enumerate(_hermite_polys(z, count), 1):
-            np.multiply(core, he, out=scratch).sum(axis=1, out=sums[k])
-        out[:, kinked] = sums
+        out[:, kinked] = _hermite_sums(core, z, count, scratch)
 
     if np.any(smooth):
-        xs = x[smooth]
         z, w = _hermite(n_nodes)
-        y = xs[:, None] * np.exp(sig * z - 0.5 * sig * sig)[None, :]
-        pay = np.maximum(y - K, 0.0) ** alpha
-        out[0][smooth] = pay @ w
-        for k, he in enumerate(_hermite_polys(z, count), 1):
-            out[k][smooth] = pay @ (w * he)
+        core = np.multiply(x[smooth][:, None],
+                           np.exp(sig * z - 0.5 * sig * sig))
+        core -= K
+        np.maximum(core, 0.0, out=core)
+        core **= alpha
+        core *= w
+        out[:, smooth] = _hermite_sums(core, z, count, np.empty_like(core))
     return out
+
+
+def _hermite_sums(core, z, count, scratch):
+    """Row sums of core He_k(z), k < count, each product formed in scratch:
+    a matrix-vector product's bits would depend on the number of rows."""
+    sums = np.empty((count, core.shape[0]))
+    core.sum(axis=1, out=sums[0])
+    for k, he in enumerate(_hermite_polys(z, count), 1):
+        np.multiply(core, he, out=scratch).sum(axis=1, out=sums[k])
+    return sums
 
 
 def _node_doubling(raw, size, count, name):
@@ -290,30 +297,27 @@ def _assemble(x, d, what: tuple):
 #: highest log-price derivative D_k that each output is assembled from
 _ORDER = {"value": 0, "delta": 1, "gamma": 2}
 
-# Node map of the power-factor table (_NodeMap); its two terms take their
-# densities from these three constants. The errors quoted are sup errors
-# against direct quadrature for value / delta / gamma, relative to the
-# largest of each over a 16384-path GBM batch at t = T - tau.
+# Node lattice of the power-factor table (_NodeMap); its two terms take
+# their densities from these three constants. The errors quoted are sup
+# errors against direct quadrature for value / delta / gamma, relative to
+# the largest of each over a 16384-path GBM batch at t = T - tau.
 
-#: the linear term puts this many levels, less one, over a batch's
-#: log-price range, as a uniform base would; it bounds the error where the
-#: kink is smoothed out (tau >= 0.1: at most 6.0e-8 / 1.0e-6 / 5.6e-6)
-_TABLE_BASE = 100
+#: the linear term puts this many levels on each sd s sqrt(T - tau) of log X
+#: at t = T - tau, about 100 over +-4 sd; it bounds the error where the kink
+#: is smoothed out (tau >= 0.1: at most 7.5e-8 / 1.3e-6 / 7.1e-6)
+_TABLE_DENSITY = 12.375
 
 #: h0, the asinh term's scale, in units of s sqrt(tau); it bounds the error
-#: on the innermost intervals (tau = 1e-8: 3.5e-7 / 6.7e-6 / 2.4e-5)
+#: on the innermost intervals (tau = 1e-8: 3.6e-7 / 6.7e-6 / 1.7e-5)
 _TABLE_RUNG0 = 1.0 / 8.0
 
 #: r: far from log K the asinh term puts one level per offset ratio r, as a
 #: geometric ladder would; it bounds the error around a sharp kink
-#: (tau <= 1e-2: at most 1.5e-6 / 4.2e-5 / 1.4e-4)
+#: (tau <= 1e-2: at most 1.5e-6 / 4.6e-5 / 1.4e-4)
 _TABLE_LADDER = 1.2
 
 #: rows of a table lookup evaluated at once
 _TABLE_CHUNK = 4096
-
-#: 1-D power-factor batches at least this large are priced off a table
-_TABLE_MIN_ROWS = 4096
 
 # ---------------------------------------------------------------------------
 # one-dimensional factors
@@ -327,15 +331,17 @@ class Factor1D:
     kind "const" is the neutral factor f = 1 for coordinates without
     optionality. The call and digital factors, and the power factor x^alpha
     at K = 0, are closed forms. With K > 0 the power factor (x - K)_+^alpha
-    is priced by quadrature of its log-price derivatives: directly below
-    _TABLE_MIN_ROWS rows, and off a per-call table with cubic Hermite
-    interpolation in log-price above (_power_eval_table).
+    is priced off a quadrature table of its log-price derivatives, cubic
+    Hermite in log-price (_power_eval_table), whose nodes depend on the
+    factor, its horizon T (the product's) and tau alone: a price is a
+    function of (tau, x), the same bits in any batch and for every method.
     """
 
     kind: str  # "call" | "digital" | "power" | "const"
     K: float = 1.0
     alpha: float = 0.25
     s: float = 1.0
+    T: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("call", "digital", "power", "const"):
@@ -343,6 +349,7 @@ class Factor1D:
         if not all(isinstance(v, Real) and math.isfinite(v)
                    for v in (self.K, self.alpha, self.s)):
             raise ArgumentError("K, alpha and s must be finite real numbers")
+        check_horizon(self.T)
         if self.kind != "const":  # the call and digital forms divide by K
             if self.K < 0.0 or self.K == 0.0 and self.kind != "power":
                 raise ArgumentError("strike must be positive (or 0 for power)")
@@ -453,133 +460,127 @@ class Factor1D:
             for k in range(max(_ORDER[w] for w in what)):
                 d.append((a - k) * d[k] / x)
             return tuple(d[_ORDER[w]] for w in what)
-        tau = max(tau, TAU_FLOOR)
-        if x.size >= _TABLE_MIN_ROWS and x.ndim == 1:
-            return self._power_eval_table(tau, x, what)
-        # D_0, D_1, D_2 whatever is asked, so that node doubling judges the
-        # same three moments for every output
-        d = _power_log_derivatives(x, self.K, self.alpha, self.s, tau, 3)
-        return _assemble(x, d, what)
+        return self._power_eval_table(max(tau, TAU_FLOOR), x, what)
 
     def _power_eval_table(self, tau, x, what: tuple):
         """Cubic Hermite interpolation in log-price of a quadrature table.
 
-        The table holds D_0 ... D_{m+1}, m the highest order the outputs
-        need (_ORDER), at the integer levels of _NodeMap over the batch's
-        range. Each D_k is interpolated with D_{k+1} as its exact slope; the
-        outputs are assembled from the interpolants as on the direct path.
+        The table holds D_0 ... D_3 at the nodes of _NodeMap that bound the
+        keys' intervals; node doubling judges all four whatever is asked.
+        Each D_k is interpolated with D_{k+1} as its exact slope; the
+        outputs are assembled from the interpolants in place (_assemble).
         Every interval's cubics are stored in power form in the offset from
-        its left node, so one index (the floor of the key's map level) and
-        one gather serve every output. Rows are indexed and evaluated in
+        its left node, so one index (from the floor of the key's level) and
+        one gather serve every output. Rows are leveled, then evaluated, in
         chunks of _TABLE_CHUNK through buffers reused from chunk to chunk,
         each chunk's Horner sums written straight into its columns of one
-        (m + 1)-row array; one in-place _assemble over that array then
-        turns its rows into the outputs, so each Greek is written once.
+        array of D_0 ... D_m, m the highest order the outputs need (_ORDER).
         """
         top = max(_ORDER[w] for w in what)
-        lx = np.log(x)
-        # lo and hi bracket the batch, so every point has a right node
-        lo, hi = lx.min() - 1e-9, lx.max() + 1e-9
-        nmap = _NodeMap(self.K, self.s, tau, lo, hi)
-        grid = nmap.nodes()
+        xf = x.reshape(-1)
+        lx = np.log(xf)
+        nmap = _NodeMap(self.K, self.s, self.T, tau)
+        rows = min(_TABLE_CHUNK, xf.size)
+        dx, tmp = np.empty((2, rows))
+        level = np.empty(xf.size, dtype=np.intp)
+        for a in range(0, xf.size, _TABLE_CHUNK):
+            m = min(_TABLE_CHUNK, xf.size - a)
+            w = nmap.level(lx[a:a + m], dx[:m], tmp[:m])
+            level[a:a + m] = np.floor(w, out=w)
+        grid, interval = nmap.lattice(level)
         d = _power_log_derivatives(np.exp(grid), self.K, self.alpha, self.s,
-                                   tau, top + 2)
+                                   tau, 4)
         # on each interval, the cubic through (f0, s0) and (f1, s1) in
         # powers of the offset from its left node
         h = np.diff(grid)
-        f0, f1 = d[:-1, :-1], d[:-1, 1:]
-        s0, s1 = d[1:, :-1], d[1:, 1:]
+        f0, f1 = d[:top + 1, :-1], d[:top + 1, 1:]
+        s0, s1 = d[1:top + 2, :-1], d[1:top + 2, 1:]
         secant = (f1 - f0) / h
         coef = np.concatenate([
             f0, s0, (3.0 * secant - 2.0 * s0 - s1) / h,
             (s0 + s1 - 2.0 * secant) / (h * h),
         ])
-        rows = min(_TABLE_CHUNK, x.size)
         gather = np.empty(coef.shape[0] * rows)
-        level, dx = np.empty(rows), np.empty(rows)
-        index = np.empty(rows, dtype=np.intp)
-        out = np.empty((top + 1, x.size))
-        for a in range(0, x.size, _TABLE_CHUNK):
-            lxc = lx[a:a + _TABLE_CHUNK]
-            m = lxc.size
-            j = nmap.interval(lxc, index[:m], level[:m], dx[:m])
+        out = np.empty((top + 1, xf.size))
+        for a in range(0, xf.size, _TABLE_CHUNK):
+            m = min(_TABLE_CHUNK, xf.size - a)
+            j = level[a:a + m]
+            np.take(interval, j, out=j, mode="clip")
             np.take(grid, j, out=dx[:m], mode="clip")
-            np.subtract(lxc, dx[:m], out=dx[:m])
+            np.subtract(lx[a:a + m], dx[:m], out=dx[:m])
             c = gather[:coef.shape[0] * m].reshape(coef.shape[0], m)
             np.take(coef, j, axis=1, out=c, mode="clip")
             c = c.reshape(4, top + 1, m)
-            o = out[:, a:a + _TABLE_CHUNK]
+            o = out[:, a:a + m]
             np.multiply(c[3], dx[:m], out=o)
             for k in (2, 1, 0):
                 o += c[k]
                 if k:
                     o *= dx[:m]
-        return _assemble(x, out, what)
+        return tuple(g.reshape(x.shape) for g in _assemble(xf, out, what))
 
 
 class _NodeMap:
-    """The power table's node map of log-price y on [lo, hi],
+    """The power table's node lattice at one tau: the integer levels of the
+    increasing map of log-price y
 
-        w(y) = a (y - lo) + b (asinh((y - lk) / h0) - q0),
+        w(y) = a (y - lk) + b asinh((y - lk) / h0),    lk = log K.
 
-    with w(lo) = 0 and w(hi) = n, an integer; the nodes sit at its integer
-    levels. The linear term has the density of _TABLE_BASE uniform points;
-    the asinh term that of a geometric ladder of ratio _TABLE_LADDER around
-    lk = log K, from h0 = _TABLE_RUNG0 s sqrt(tau). One factor scales both
-    to make n an integer.
+    The linear term puts _TABLE_DENSITY levels on each sd s sqrt(T - tau)
+    of log X at t = T - tau (floored at 1e-4 T); the asinh term puts those
+    of a geometric ladder of ratio _TABLE_LADDER around lk, from
+    h0 = _TABLE_RUNG0 s sqrt(tau). The map depends on K, s, T and tau
+    alone, and so does each node.
     """
 
-    def __init__(self, K, s, tau, lo, hi):
-        self.lo, self.hi = lo, hi
-        self.h0 = _TABLE_RUNG0 * s * math.sqrt(tau)
+    def __init__(self, K, s, T, tau):
         self.lk = math.log(K)
-        self.q0 = math.asinh((lo - self.lk) / self.h0)
-        self.q1 = math.asinh((hi - self.lk) / self.h0)
-        self.rungs = (self.q1 - self.q0) / math.log(_TABLE_LADDER)
-        self.n = math.ceil(_TABLE_BASE - 1 + self.rungs)
-        c = self.n / (_TABLE_BASE - 1 + self.rungs)
-        self.a = (_TABLE_BASE - 1) / (hi - lo) * c
-        self.b = c / math.log(_TABLE_LADDER)
+        self.h0 = _TABLE_RUNG0 * s * math.sqrt(tau)
+        self.a = _TABLE_DENSITY / (s * math.sqrt(max(T - tau, 1e-4 * T)))
+        self.b = 1.0 / math.log(_TABLE_LADDER)
 
     def level(self, y, out=None, tmp=None):
         """w(y), into out if given (tmp: scratch of y's shape)."""
-        out = np.subtract(y, self.lo, out=out)
-        out *= self.a
-        tmp = np.subtract(y, self.lk, out=tmp)
-        tmp /= self.h0
+        out = np.subtract(y, self.lk, out=out)
+        tmp = np.divide(out, self.h0, out=tmp)
         np.arcsinh(tmp, out=tmp)
-        tmp -= self.q0
         tmp *= self.b
+        out *= self.a
         out += tmp
         return out
 
-    def interval(self, y, out, level=None, tmp=None):
-        """min(floor(w(y)), n - 1) for keys lo <= y <= hi, into the integer
-        array out."""
-        level = np.minimum(self.level(y, level, tmp), self.n - 1, out=level)
-        # truncation floors: rounding keeps every level above -1
-        out[...] = level
-        return out
+    def lattice(self, level):
+        """The nodes, in increasing order, that keys of the integer floor
+        levels `level` need: the two around each, so far-apart keys build
+        no empty levels between. Also a map from `level`, rewritten in
+        place, to each key's interval among them: searchsorted(nodes, y,
+        side="right") - 1 but for keys within rounding of a node."""
+        k0 = level.min() if level.size else 0
+        level -= k0
+        if level.size and level.max() > 4 * level.size:
+            # keys far apart: sort them rather than count over their span
+            need = np.union1d(level, level + 1)
+            level[...] = np.searchsorted(need, level)
+            return self.nodes(need + float(k0)), np.arange(need.size)
+        used = np.bincount(level) > 0  # the levels that start an interval
+        need = np.append(used, False)
+        need[1:] |= used
+        return (self.nodes(np.flatnonzero(need) + float(k0)),
+                np.cumsum(need) - 1)
 
-    def nodes(self):
-        """y_k with w(y_k) = k for k = 0 ... n, y_0 = lo and y_n = hi."""
-        # Newton from the interpolant of w over the uniform base and the
-        # ladder's rungs, each at most n + 1 points: the guess is within
-        # about 2e-2 levels, and three steps take every node to rounding
-        k = np.arange(self.n + 1.0)
-        m = int(self.rungs) + 2
-        y = np.concatenate([
-            k[:_TABLE_BASE] * ((self.hi - self.lo) / (_TABLE_BASE - 1))
-            + self.lo,
-            np.sinh(k[:m] * ((self.q1 - self.q0) / (m - 1)) + self.q0)
-            * self.h0 + self.lk,
-        ])
-        y.sort()
-        y = np.interp(k, self.level(y), y)
-        for _ in range(3):
+    def nodes(self, k):
+        """y_k with w(y_k) = k, to rounding, for the integer levels k.
+
+        The nearer of the two terms' own solutions lies beyond the node,
+        where w is concave towards lk, so Newton's first step lands short
+        of it and the rest converge monotonically: five steps reach
+        rounding for tau from T to 1e-12 T; seven are taken."""
+        q = np.minimum(np.abs(k) / self.b,
+                       np.arcsinh(np.abs(k) / (self.a * self.h0)))
+        y = np.copysign(self.h0 * np.sinh(q), k) + self.lk
+        for _ in range(7):
             y -= (self.level(y) - k) / (
                 self.a + self.b / np.hypot(self.h0, y - self.lk))
-        y[0], y[-1] = self.lo, self.hi
         return y
 
 
@@ -597,12 +598,14 @@ class ProductPricing:
     """
 
     def __init__(self, factors: Sequence[Factor1D], T: float):
-        factors = tuple(factors)
+        self.T = check_horizon(T)
+        # each factor takes this horizon, which places its power table
+        factors = tuple(f if f.T == self.T else replace(f, T=self.T)
+                        for f in factors)
         if not factors:
             raise ArgumentError("need at least one factor")
         self.factors = factors
         self.d = len(factors)
-        self.T = check_horizon(T)
         self.theta_hint = max([f.theta_hint for f in factors] + [0.5]) \
             if self.d > 1 else factors[0].theta_hint
 

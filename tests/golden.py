@@ -40,7 +40,7 @@ DIGESTS = Path(__file__).with_name("golden_digests.json")
 
 SEEDS = (1, 7)
 
-#: paths per workload; power_theta keeps enough rows for its table route
+#: paths per workload
 N = 4096
 
 GBM1 = {"case": "C2", "d": 1, "s": [1.0], "x0": [1.0]}

@@ -196,15 +196,20 @@ class TestEstimateTheta:
 
     def test_power_table_m_t_bias(self, monkeypatch):
         # The theta scan prices each grid time's batch off the power table;
-        # its Gamma error enters m(t) squared. Priced again directly (no
-        # batch reaches _TABLE_MIN_ROWS), m(t) moves by at most 2.6e-5
+        # its Gamma error enters m(t) squared. Priced again by direct
+        # quadrature at every state, m(t) moves by at most 2.6e-5
         # (relative, at tau = 1e-3), the table lying above at every
-        # tau <= 0.1. 25000 paths keep the direct scan near 6 s; the
-        # 100000-path scan of the benchmark measures 2.5e-5.
+        # tau <= 0.1. 25000 paths keep the direct scan near 3 s.
         power = make_pricing("power", {"K": 1.0, "alpha": 0.25, "s": 1.0},
                              1.0)
         table = estimate_theta(SPEC_GBM, power, None, 25000, 1).rows
-        monkeypatch.setattr(pricing, "_TABLE_MIN_ROWS", 25001)
+
+        def direct(factor, tau, x, what):
+            d = pricing._power_log_derivatives(
+                x, factor.K, factor.alpha, factor.s, tau, 3)
+            return pricing._assemble(x, d, what)
+
+        monkeypatch.setattr(pricing.Factor1D, "_power_eval_table", direct)
         direct = estimate_theta(SPEC_GBM, power, None, 25000, 1).rows
         assert [r[0] for r in table] == list(default_theta_grid(1.0))
         gap = np.array([a[1] / b[1] - 1.0 for a, b in zip(table, direct)])

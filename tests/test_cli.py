@@ -816,8 +816,7 @@ def test_import_does_not_load_scipy_stats():
 
 def test_power_and_sum_digital_do_not_load_scipy_linalg(tmp_path):
     # the Gauss nodes come from numpy.linalg; a fresh interpreter runs a
-    # power theta scan priced off the table, a sum-digital value, and
-    # builds every node size
+    # power theta scan, a sum-digital value, and builds every node size
     cfg = write_config(tmp_path / "p.json", {
         "model": {"case": "C2", "d": 1, "s": [1.0], "x0": [1.0]},
         "payoff": {"key": "power", "params": {"K": 1.0, "alpha": 0.25},
@@ -829,7 +828,6 @@ def test_power_and_sum_digital_do_not_load_scipy_linalg(tmp_path):
         "import sys, numpy as np\n"
         "import hedgenet.pricing as p\n"
         "from hedgenet.cli import main\n"
-        "assert p._TABLE_MIN_ROWS <= 4096\n"
         f"assert main(['theta', '--config', {cfg!r}, "
         f"'--out', {str(tmp_path / 'run')!r}]) == 0\n"
         "p.SumDigital2D(2.0, (1.0, 1.0), (1.0, 1.0), 1.0).value(\n"

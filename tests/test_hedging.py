@@ -58,6 +58,20 @@ class TestPathError:
             term, sup = path_error(SPEC_GBM, DIGITAL, net, 8, SeedSpec(1, i))
             assert sup >= abs(term)
 
+    @pytest.mark.parametrize("n_paths", [4096, 6000])
+    def test_power_path_error_is_its_row_in_a_batch(self, n_paths):
+        # a power price is a function of (tau, x): a path's errors do not
+        # depend on the batch it is hedged in
+        power = make_pricing("power", {"K": 1.0, "alpha": 0.25, "s": 1.0},
+                             1.0)
+        net = eta_net(1.0, 16, 0.75)
+        plans = hedging._plans(SPEC_GBM, power, [[net]], 32, want_sup=True)
+        [[(term, sup)]] = hedging._batch_errors(
+            SPEC_GBM, power, plans, 5, np.arange(n_paths, dtype=np.uint64))
+        for i in range(8):
+            got = path_error(SPEC_GBM, power, net, 32, SeedSpec(5, i))
+            assert got == (term[i], sup[i])
+
 
 class TestEstimateL2:
     def test_quadratic_closed_form_n4(self):
@@ -95,9 +109,8 @@ class TestEstimateL2:
         assert results[0] == results[1] == results[2]
 
     def test_power_factor_worker_count_invariance(self):
-        # both batches are priced off power tables spanning their own paths,
-        # so a path's error depends on its batch; the batch bounds do not
-        # depend on the worker count, and so neither does the estimate
+        # two batches with a power factor: the batch bounds, and so the
+        # estimate, do not depend on the worker count
         power = make_pricing("power", {"K": 1.0, "alpha": 0.25, "s": 1.0},
                              1.0)
         results = [

@@ -39,9 +39,8 @@ POWER = Factor1D("power", K=1.0, alpha=0.25, s=1.0)
 
 def direct_power(tau, x, what):
     """The power factor K = 1, alpha = 0.25, s = 1 priced by direct
-    quadrature, as Factor1D prices batches below _TABLE_MIN_ROWS rows,
-    assembled by the allocating formulas F = D_0, D_1 / x and
-    (D_2 - D_1) / x^2."""
+    quadrature at each point, the reference of its table, assembled by the
+    allocating formulas F = D_0, D_1 / x and (D_2 - D_1) / x^2."""
     d = _power_log_derivatives(x, 1.0, 0.25, 1.0, tau, 3)
     greeks = {"value": d[0], "delta": d[1] / x,
               "gamma": (d[2] - d[1]) / (x * x)}
@@ -159,7 +158,8 @@ class TestFactorParameters:
         ("call", {"K": -1.0}), ("power", {"K": -1.0}),
         ("digital", {"s": 0.0}), ("power", {"s": -1.0}),
         ("call", {"K": "x"}), ("power", {"alpha": "0.25"}),
-        ("digital", {"s": None}),
+        ("digital", {"s": None}), ("power", {"T": 0.0}),
+        ("call", {"T": np.inf}),
     ])
     def test_rejects_bad_parameters(self, kind, params):
         # a NaN strike or vol used to give NaN prices, a zero strike
@@ -179,8 +179,16 @@ class TestFactorTime:
                 getattr(f, method)(tau, ONE)
 
 
-def node_map(f, tau, lo, hi):
-    return pricing._NodeMap(f.K, f.s, tau, lo, hi)
+def node_map(f, tau):
+    return pricing._NodeMap(f.K, f.s, f.T, tau)
+
+
+def lattice(f, tau, lo, hi):
+    """The power table's nodes at tau from the level at or below the
+    log-price lo to the level above hi."""
+    nmap = node_map(f, tau)
+    k0, k1 = np.floor(nmap.level(np.array([lo, hi])))
+    return nmap.nodes(np.arange(k0, k1 + 2.0))
 
 
 class TestPower:
@@ -194,9 +202,8 @@ class TestPower:
     @pytest.mark.parametrize("alpha", [0.01, 0.25, 0.6])
     def test_zero_strike_closed_form(self, alpha, tau):
         # x^alpha c (1, alpha / x, alpha (alpha - 1) / x^2) at the true tau,
-        # c = e^{alpha (alpha - 1) tau / 2}, on a batch large enough that a
-        # K > 0 factor would price it off its table; x^alpha is smooth, so
-        # no alpha warns
+        # c = e^{alpha (alpha - 1) tau / 2}, on a batch of 5000 rows;
+        # x^alpha is smooth, so no alpha warns
         f = Factor1D("power", K=0.0, alpha=alpha, s=1.0)
         x = np.exp(np.random.default_rng(3).normal(0.0, 0.7, 5000))
         want = x ** alpha * np.exp(alpha * (alpha - 1.0) * tau / 2.0)
@@ -252,7 +259,7 @@ class TestPower:
 
     def test_table_path_matches_direct(self):
         rng = np.random.default_rng(3)
-        x = np.exp(rng.normal(0.0, 0.7, 5000))  # above _TABLE_MIN_ROWS
+        x = np.exp(rng.normal(0.0, 0.7, 5000))
         vt, dt_ = POWER.value_delta(1.0 - 0.3, x)
         vd, dd = direct_power(1.0 - 0.3, x, ("value", "delta"))
         # pointwise: measured 1.6e-6 (value) and 8.0e-7 (delta)
@@ -269,8 +276,8 @@ class TestPower:
 
     @pytest.mark.parametrize("tau", [1.0, 0.3, 1e-3, 1e-8])
     def test_per_point_doubling_matches_finest_rule(self, tau):
-        x = np.exp(node_map(POWER, tau, np.log(0.05), np.log(20.0)).nodes())
-        for count in (3, 4):  # the direct path's moments, and the table's
+        x = np.exp(lattice(POWER, tau, np.log(0.05), np.log(20.0)))
+        for count in (3, 4):  # the direct reference's moments, the table's
             got = _power_moments(x, 1.0, 0.25, 1.0, tau, count)
             ref = _power_moments_raw(x, 1.0, 0.25, 1.0, tau, 512, count)
             scale = np.maximum(np.abs(ref), np.abs(ref[0])[None, :])
@@ -340,49 +347,60 @@ class TestPower:
     @staticmethod
     def rounding(nmap, y):
         """Rounding distance in map levels at log-prices y: the map's slope
-        times the spacing of the largest operand, with a 1e-12 floor."""
+        times the spacing of the largest operand, with a floor of 1e-12 or,
+        beyond level 1024, of four spacings of the level."""
         slope = nmap.a + nmap.b / np.hypot(nmap.h0, y - nmap.lk)
-        big = np.maximum(np.abs(y), max(abs(nmap.lo), abs(nmap.lk)))
-        return 1e-12 + 4.0 * slope * np.spacing(big)
+        big = np.maximum(np.abs(y), abs(nmap.lk))
+        floor = np.maximum(1e-12, 4.0 * np.spacing(np.abs(nmap.level(y))))
+        return floor + 4.0 * slope * np.spacing(big)
 
     @classmethod
     def assert_floor_index(cls, f, tau, lo, hi, keys):
-        """The table's nodes sit at the map's integer levels, to rounding.
-        The floor index of a key equals searchsorted on the grid away from
-        rounding distance of a node, and is within one of it everywhere; lo
-        and hi fall in the first and the last interval.
-        Keys: the given ones, every node, one ulp either side of every
-        node, and log K; those outside (lo, hi) are dropped."""
-        nmap = node_map(f, tau, lo, hi)
-        grid = nmap.nodes()
-        assert grid[0] == lo and grid[-1] == hi and np.all(np.diff(grid) > 0)
-        k = np.arange(grid.size)
-        assert np.all(np.abs(nmap.level(grid) - k) <= cls.rounding(nmap, grid))
+        """The table's nodes sit at the map's integer levels, to rounding: a
+        call builds the two levels that bound each key's floor interval. A
+        key's interval equals searchsorted on those nodes away from
+        rounding distance of a node, and is within one of it everywhere.
+        Keys: the given ones, lo and hi, the nodes these need and one ulp
+        either side of each, and log K; those outside [lo, hi] are
+        dropped."""
+        nmap = node_map(f, tau)
+
+        def call(keys):
+            """The nodes a call with these keys builds, and their intervals."""
+            level = np.floor(nmap.level(keys)).astype(np.intp)
+            grid, interval = nmap.lattice(level)
+            return grid, interval[level]
+
+        keys = np.concatenate([keys, [lo, hi]])
+        grid, _ = call(keys)
         keys = np.concatenate([
             keys, grid, np.nextafter(grid, -np.inf),
             np.nextafter(grid, np.inf), [nmap.lk],
         ])
-        keys = keys[(keys > lo) & (keys < hi)]
-        got = nmap.interval(keys, np.empty(keys.size, dtype=np.intp))
-        ends = nmap.interval(np.array([lo, hi]), np.empty(2, dtype=np.intp))
-        assert ends.tolist() == [0, grid.size - 2]
+        keys = keys[(keys >= lo) & (keys <= hi)]
+        grid, got = call(keys)
+        assert grid[0] <= lo and hi < grid[-1] and np.all(np.diff(grid) > 0)
+        level = np.floor(nmap.level(keys))
+        k = np.union1d(level, level + 1.0)
+        assert np.all(np.abs(nmap.level(grid) - k)
+                      <= cls.rounding(nmap, grid))
         want = np.searchsorted(grid, keys, side="right") - 1
         assert np.all(np.abs(got - want) <= 1)
         level = nmap.level(keys)
         away = (np.abs(level - np.rint(level))
                 > 2.0 * cls.rounding(nmap, keys))
         assert np.array_equal(got[away], want[away])
-        return grid, got, want
+        return nmap, grid, k, got, want
 
     @pytest.mark.parametrize("tau", [1.0, 0.3, 1e-3, 1e-8])
     def test_table_floor_index(self, tau):
         lx = np.random.default_rng(2).normal(0.0, 0.7, 20000)
-        lo, hi = lx.min() - 1e-9, lx.max() + 1e-9
-        grid, got, want = self.assert_floor_index(POWER, tau, lo, hi, lx)
+        lo, hi = lx.min(), lx.max()
+        nmap, grid, k, got, want = self.assert_floor_index(POWER, tau, lo,
+                                                           hi, lx)
         # at log K = 0 the nodes sit at integer levels to 1e-12, and the
         # random keys are away from them
-        level = node_map(POWER, tau, lo, hi).level(grid)
-        assert np.abs(level - np.arange(grid.size)).max() <= 1e-12
+        assert np.abs(nmap.level(grid) - k).max() <= 1e-12
         assert np.array_equal(got[:lx.size], want[:lx.size])
 
     @settings(max_examples=200, deadline=None)
@@ -481,7 +499,7 @@ class TestProduct:
         got = ProductPricing([f], 1.0).gradient(1.0 - 0.2, x)
         assert np.array_equal(got[:, 0], f.delta(1.0 - 0.2, x[:, 0]))
 
-    @pytest.mark.parametrize("rows", [300, 5000])  # direct and table path
+    @pytest.mark.parametrize("rows", [300, 5000])
     def test_one_factor_hessian_is_the_product_form(self, rows):
         power = Factor1D("power")
         x = np.exp(np.random.default_rng(12).normal(0.0, 0.5, (rows, 1)))
@@ -490,6 +508,17 @@ class TestProduct:
             0.4, np.hstack([x, np.ones_like(x)]))
         assert got.shape == (rows, 1, 1)
         assert np.array_equal(got[:, 0, 0], ref[:, 0, 0])
+
+    def test_factors_take_the_horizon(self):
+        # the power table's nodes depend on the horizon, as the price does
+        # not: tables for T = 2 and T = 1 agree to their interpolation error
+        x = np.exp(np.random.default_rng(13).normal(0.0, 0.5, (300, 1)))
+        p = ProductPricing([POWER], 2.0)
+        assert p.factors[0] == Factor1D("power", K=1.0, alpha=0.25, T=2.0)
+        got = p.value(0.5, x)
+        assert np.array_equal(got, p.factors[0].value(0.5, x[:, 0]))
+        gap = np.abs(got - POWER.value(0.5, x[:, 0])).max() / got.max()
+        assert 0.0 < gap <= 2e-7, gap
 
     def test_dimension_check(self):
         p = ProductPricing([Factor1D("call"), Factor1D("digital")], 1.0)
@@ -556,10 +585,10 @@ def alloc_power_moments_raw(x, K, alpha, s, tau, n_nodes, count):
         xs = x[smooth]
         z, w = _hermite(n_nodes)
         y = xs[:, None] * np.exp(sig * z - 0.5 * sig * sig)[None, :]
-        pay = np.maximum(y - K, 0.0) ** alpha
-        out[0][smooth] = pay @ w
+        core = np.maximum(y - K, 0.0) ** alpha * w
+        out[0][smooth] = core.sum(axis=1)
         for k, he in enumerate(alloc_hermite_polys(z, count), 1):
-            out[k][smooth] = pay @ (w * he)
+            out[k][smooth] = (core * he).sum(axis=1)
     return out
 
 
@@ -652,12 +681,12 @@ class TestInPlaceKernels:
     @pytest.mark.parametrize("n", [32, 64, 128, 256])
     def test_power_moments_raw(self, n, count, alpha, tau):
         # the table's nodes over a wide range: kinked and smooth points
-        x = np.exp(node_map(POWER, tau, np.log(0.05), np.log(50.0)).nodes())
+        x = np.exp(lattice(POWER, tau, np.log(0.05), np.log(50.0)))
         got = _power_moments_raw(x, 1.0, alpha, 1.0, tau, n, count)
         want = alloc_power_moments_raw(x, 1.0, alpha, 1.0, tau, n, count)
         assert same_bits(got, want)
 
-    @pytest.mark.parametrize("rows", [300, 16384])  # direct and table path
+    @pytest.mark.parametrize("rows", [300, 16384])
     def test_product_gradient_and_hessian(self, rows):
         p = ProductPricing(PRODUCT3, 1.0)
         x = np.exp(np.random.default_rng(15).normal(0.0, 0.5, (rows, 3)))
@@ -671,16 +700,14 @@ class TestInPlaceKernels:
 
 
 class TestPowerAssemblyOrder:
-    """Each power-factor method gives a Greek the numbers the others give:
-    on the direct path the bits of the allocating formulas, which fails if
-    delta is divided before gamma reads D_1. On the table path, whose table
-    holds D_0 ... D_{m+1} for the highest order m asked, node doubling may
-    stop at other node counts, so they agree to rounding."""
+    """Each power-factor method gives a Greek the bits the others give: the
+    table holds D_0 ... D_3 whatever is asked, and gamma is assembled before
+    delta is divided, while row 1 still holds D_1."""
 
     METHODS = TestInPlaceKernels.METHODS
 
     @pytest.mark.parametrize("tau", [0.9, 1e-3, 1e-8])
-    @pytest.mark.parametrize("rows", [3000, 16384])  # direct and table path
+    @pytest.mark.parametrize("rows", [3000, 16384])
     def test_methods_agree(self, rows, tau):
         x = np.exp(np.random.default_rng(16).normal(0.0, 0.7, rows))
         got = {}
@@ -691,15 +718,46 @@ class TestPowerAssemblyOrder:
                 got.setdefault(w, []).append(g)
         want = direct_power(tau, x, tuple(got))
         for outs, ref in zip(got.values(), want):
-            scale = np.abs(ref).max()
-            if rows < pricing._TABLE_MIN_ROWS:
-                assert all(same_bits(g, ref) for g in outs)
-            else:
-                # measured: at most 5.4e-15 apart, and at most 1.8e-4
-                # (gamma at tau = 1e-8) from the direct quadrature
-                assert all(np.abs(g - outs[0]).max() <= 1e-13 * scale
-                           for g in outs)
-                assert np.abs(outs[0] - ref).max() <= 1e-3 * scale
+            assert all(same_bits(g, outs[0]) for g in outs)
+            # measured: at most 1.8e-4 (gamma at tau = 1e-8) from the
+            # direct quadrature, relative to its largest |entry|
+            assert np.abs(outs[0] - ref).max() <= 1e-3 * np.abs(ref).max()
+
+
+class TestPowerPriceIsPointwise:
+    """A power price is a function of the factor, tau and x: any subset of
+    a batch prices to the bits of its rows in the full batch."""
+
+    @pytest.mark.parametrize("tau", [0.9, 0.3, 1e-2, 1e-4, 1e-8])
+    def test_subsets_price_as_the_batch(self, tau):
+        t = 1.0 - tau
+        z = np.random.default_rng(18).standard_normal(16384)
+        x = np.exp(np.sqrt(t) * z - 0.5 * t)
+        pick = np.random.default_rng(19)
+        for method in ("value", "delta", "value_delta_gamma"):
+            full = getattr(POWER, method)(tau, x)
+            for n in (0, 1, 7, 300, 4096, 6000):
+                rows = np.sort(pick.choice(x.size, n, replace=False))
+                got = getattr(POWER, method)(tau, x[rows])
+                if method != "value_delta_gamma":
+                    got, ref = (got,), (full[rows],)
+                else:
+                    ref = tuple(g[rows] for g in full)
+                assert all(map(same_bits, got, ref)), (method, n)
+
+    def test_far_apart_keys_build_few_nodes(self):
+        # at tau = T a 1%-vol lattice has 123750 levels per unit log-price,
+        # so these keys span 5.7e7 levels; a call builds the 8 it needs
+        f = Factor1D("power", K=1.0, alpha=0.25, s=0.01)
+        x = np.array([1e-100, 0.9, 1.0, 1e100])
+        nmap = node_map(f, 1.0)
+        level = np.floor(nmap.level(np.log(x))).astype(np.intp)
+        assert nmap.lattice(level)[0].size <= 8
+        full = f.value_delta_gamma(1.0, x)
+        assert all(np.all(np.isfinite(g)) for g in full)
+        for i in range(x.size):
+            got = f.value_delta_gamma(1.0, x[i:i + 1])
+            assert all(same_bits(g, r[i:i + 1]) for g, r in zip(got, full))
 
 
 class TestInputsUntouched:
@@ -719,7 +777,7 @@ class TestInputsUntouched:
             assert not np.shares_memory(out, x)
         assert np.array_equal(x, before)
 
-    @pytest.mark.parametrize("rows", [300, 5000])  # power: direct and table
+    @pytest.mark.parametrize("rows", [300, 5000])
     @pytest.mark.parametrize("kind", ["call", "digital", "power", "const"])
     def test_factor(self, kind, rows):
         f = Factor1D(kind)

@@ -137,7 +137,6 @@ POWER = {"kind": "power", "K": 1.0, "alpha": 0.25}
 
 
 def test_power_factor_rate_sweep_attribution(tmp_path):
-    # N reaches _TABLE_MIN_ROWS, so the power factor is priced off its table
     N, steps = 4096, 64  # n = 8 ... 64 equidistant: union grid of 64
     cfg = {
         "model": dict(GBM, d=3, s=[1.0] * 3, x0=[1.0] * 3),
