@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Real
 from typing import Sequence
 
@@ -333,8 +333,8 @@ class Factor1D:
     at K = 0, are closed forms. With K > 0 the power factor (x - K)_+^alpha
     is priced off a quadrature table of its log-price derivatives, cubic
     Hermite in log-price (_power_eval_table), whose nodes depend on the
-    factor, its horizon T (the product's) and tau alone: a price is a
-    function of (tau, x), the same bits in any batch and for every method.
+    factor, its horizon T and tau alone: a price is a function of (tau, x),
+    the same bits in any batch and for every method.
     """
 
     kind: str  # "call" | "digital" | "power" | "const"
@@ -487,7 +487,7 @@ class Factor1D:
             m = min(_TABLE_CHUNK, xf.size - a)
             w = nmap.level(lx[a:a + m], dx[:m], tmp[:m])
             level[a:a + m] = np.floor(w, out=w)
-        grid, interval = nmap.lattice(level)
+        grid = nmap.lattice(level)
         d = _power_log_derivatives(np.exp(grid), self.K, self.alpha, self.s,
                                    tau, 4)
         # on each interval, the cubic through (f0, s0) and (f1, s1) in
@@ -505,7 +505,6 @@ class Factor1D:
         for a in range(0, xf.size, _TABLE_CHUNK):
             m = min(_TABLE_CHUNK, xf.size - a)
             j = level[a:a + m]
-            np.take(interval, j, out=j, mode="clip")
             np.take(grid, j, out=dx[:m], mode="clip")
             np.subtract(lx[a:a + m], dx[:m], out=dx[:m])
             c = gather[:coef.shape[0] * m].reshape(coef.shape[0], m)
@@ -550,31 +549,27 @@ class _NodeMap:
         return out
 
     def lattice(self, level):
-        """The nodes, in increasing order, that keys of the integer floor
-        levels `level` need: the two around each, so far-apart keys build
-        no empty levels between. Also a map from `level`, rewritten in
-        place, to each key's interval among them: searchsorted(nodes, y,
-        side="right") - 1 but for keys within rounding of a node."""
+        """The nodes, in increasing order, for keys at the integer floor
+        levels `level`: every level from the lowest to one above the
+        highest, or, if that is more than two per key, the two around each.
+        `level` becomes each key's interval among them, searchsorted(nodes,
+        y, side="right") - 1 but for keys within rounding of a node."""
         k0 = level.min() if level.size else 0
         level -= k0
-        if level.size and level.max() > 4 * level.size:
-            # keys far apart: sort them rather than count over their span
+        if level.size and level.max() >= 2 * level.size - 1:
             need = np.union1d(level, level + 1)
             level[...] = np.searchsorted(need, level)
-            return self.nodes(need + float(k0)), np.arange(need.size)
-        used = np.bincount(level) > 0  # the levels that start an interval
-        need = np.append(used, False)
-        need[1:] |= used
-        return (self.nodes(np.flatnonzero(need) + float(k0)),
-                np.cumsum(need) - 1)
+        else:
+            need = np.arange(level.max() + 2 if level.size else 0)
+        return self.nodes(need + float(k0))
 
     def nodes(self, k):
         """y_k with w(y_k) = k, to rounding, for the integer levels k.
 
         The nearer of the two terms' own solutions lies beyond the node,
         where w is concave towards lk, so Newton's first step lands short
-        of it and the rest converge monotonically: five steps reach
-        rounding for tau from T to 1e-12 T; seven are taken."""
+        of it and the rest converge monotonically: seven steps reach
+        rounding for tau / T from 1 to 1e-300 and s from 0.01 to 3."""
         q = np.minimum(np.abs(k) / self.b,
                        np.arcsinh(np.abs(k) / (self.a * self.h0)))
         y = np.copysign(self.h0 * np.sinh(q), k) + self.lk
@@ -599,12 +594,11 @@ class ProductPricing:
 
     def __init__(self, factors: Sequence[Factor1D], T: float):
         self.T = check_horizon(T)
-        # each factor takes this horizon, which places its power table
-        factors = tuple(f if f.T == self.T else replace(f, T=self.T)
-                        for f in factors)
+        self.factors = factors = tuple(factors)
         if not factors:
             raise ArgumentError("need at least one factor")
-        self.factors = factors
+        if any(f.T != self.T for f in factors):  # T places the power table
+            raise ArgumentError(f"every factor's horizon T must be {self.T!r}")
         self.d = len(factors)
         self.theta_hint = max([f.theta_hint for f in factors] + [0.5]) \
             if self.d > 1 else factors[0].theta_hint
@@ -835,18 +829,20 @@ class BMQuadratic:
         ).copy()
 
 
-def _factor(kind: str, p: dict) -> Factor1D:
-    """A factor from its config parameters; alpha matters to power only."""
-    return Factor1D(kind, **{k: p[k] for k in ("K", "alpha", "s") if k in p})
+def _factor(kind: str, p: dict, T: float) -> Factor1D:
+    """A factor at horizon T from its config parameters (alpha: power)."""
+    return Factor1D(kind, T=T,
+                    **{k: p[k] for k in ("K", "alpha", "s") if k in p})
 
 
 def make_pricing(key: str, params: dict, T: float):
     """Catalogue constructor used by the CLI config."""
     p = dict(params or {})
     if key in ("call", "digital", "power"):
-        return ProductPricing([_factor(key, p)], T)
+        return ProductPricing([_factor(key, p, T)], T)
     if key == "product":
-        return ProductPricing([_factor(f["kind"], f) for f in p["factors"]], T)
+        return ProductPricing([_factor(f["kind"], f, T) for f in p["factors"]],
+                              T)
     if key == "sum_digital_2d":
         return SumDigital2D(
             K=p.get("K", 2.0), lam=p.get("lam", (1.0, 1.0)),

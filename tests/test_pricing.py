@@ -357,7 +357,8 @@ class TestPower:
     @classmethod
     def assert_floor_index(cls, f, tau, lo, hi, keys):
         """The table's nodes sit at the map's integer levels, to rounding: a
-        call builds the two levels that bound each key's floor interval. A
+        call builds the two levels that bound each key's floor interval, or
+        every level between its lowest and highest, at most two per key. A
         key's interval equals searchsorted on those nodes away from
         rounding distance of a node, and is within one of it everywhere.
         Keys: the given ones, lo and hi, the nodes these need and one ulp
@@ -368,8 +369,7 @@ class TestPower:
         def call(keys):
             """The nodes a call with these keys builds, and their intervals."""
             level = np.floor(nmap.level(keys)).astype(np.intp)
-            grid, interval = nmap.lattice(level)
-            return grid, interval[level]
+            return nmap.lattice(level), level
 
         keys = np.concatenate([keys, [lo, hi]])
         grid, _ = call(keys)
@@ -382,6 +382,9 @@ class TestPower:
         assert grid[0] <= lo and hi < grid[-1] and np.all(np.diff(grid) > 0)
         level = np.floor(nmap.level(keys))
         k = np.union1d(level, level + 1.0)
+        if grid.size != k.size:
+            k = np.arange(k[0], k[-1] + 1.0)
+        assert grid.size <= 2 * keys.size
         assert np.all(np.abs(nmap.level(grid) - k)
                       <= cls.rounding(nmap, grid))
         want = np.searchsorted(grid, keys, side="right") - 1
@@ -404,11 +407,14 @@ class TestPower:
         assert np.array_equal(got[:lx.size], want[:lx.size])
 
     @settings(max_examples=200, deadline=None)
-    @given(tau=st.floats(1e-10, 1.0), log_k=st.floats(-3.0, 3.0),
-           s=st.floats(0.1, 3.0), lo=st.floats(-6.0, 6.0),
-           width=st.floats(1e-6, 12.0), seed=st.integers(0, 2**32 - 1))
-    def test_table_index_property(self, tau, log_k, s, lo, width, seed):
-        f = Factor1D("power", K=float(np.exp(log_k)), alpha=0.25, s=s)
+    @given(tau=st.floats(1e-10, 1.0), T=st.floats(1.0, 1e4),
+           log_k=st.floats(-3.0, 3.0), s=st.floats(0.1, 3.0),
+           lo=st.floats(-6.0, 6.0), width=st.floats(1e-6, 12.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_table_index_property(self, tau, T, log_k, s, lo, width, seed):
+        # horizons up to 1e4 take tau / T down to 1e-14, below the range
+        # a unit horizon reaches at TAU_FLOOR
+        f = Factor1D("power", K=float(np.exp(log_k)), alpha=0.25, s=s, T=T)
         hi = lo + width
         lx = np.random.default_rng(seed).uniform(lo, hi, 200)
         self.assert_floor_index(f, tau, lo, hi, lx)
@@ -513,7 +519,9 @@ class TestProduct:
         # the power table's nodes depend on the horizon, as the price does
         # not: tables for T = 2 and T = 1 agree to their interpolation error
         x = np.exp(np.random.default_rng(13).normal(0.0, 0.5, (300, 1)))
-        p = ProductPricing([POWER], 2.0)
+        with pytest.raises(ArgumentError, match="horizon T must be 2.0"):
+            ProductPricing([POWER], 2.0)
+        p = make_pricing("power", {"K": 1.0, "alpha": 0.25}, 2.0)
         assert p.factors[0] == Factor1D("power", K=1.0, alpha=0.25, T=2.0)
         got = p.value(0.5, x)
         assert np.array_equal(got, p.factors[0].value(0.5, x[:, 0]))
@@ -752,7 +760,7 @@ class TestPowerPriceIsPointwise:
         x = np.array([1e-100, 0.9, 1.0, 1e100])
         nmap = node_map(f, 1.0)
         level = np.floor(nmap.level(np.log(x))).astype(np.intp)
-        assert nmap.lattice(level)[0].size <= 8
+        assert nmap.lattice(level).size <= 8
         full = f.value_delta_gamma(1.0, x)
         assert all(np.all(np.isfinite(g)) for g in full)
         for i in range(x.size):
