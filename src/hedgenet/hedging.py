@@ -2,9 +2,9 @@
 
 The error along a path is computed through the martingale-tracking identity:
 the continuous hedge integral up to t equals F(T - t, X_t) - F(T, X_0)
-exactly, so only the discrete hedge sum is ever accumulated and the
-continuous side is never discretized. At t = T the terminal value f(X_T)
-replaces F. Grids and prices are in the time to maturity tau = T - t.
+exactly, so only the discrete hedge sum is accumulated, one increment per
+rebalancing interval, and the continuous side is never discretized. At t = T
+the terminal value f(X_T) replaces F. Grids and prices are in tau = T - t.
 
 ``estimate_sweep`` is the engine: one set of settings (model, payoff, path
 count, seed, error mode) and one list of nets per family. In the
@@ -146,7 +146,7 @@ class _Plan:
 def _acting(times, per_net) -> tuple:
     """For each time, the indices of the nets whose time set contains it."""
     masks = np.array([np.isin(times, t) for t in per_net])
-    return tuple(tuple(np.flatnonzero(col)) for col in masks.T)
+    return tuple(tuple(np.flatnonzero(col).tolist()) for col in masks.T)
 
 
 def _plan(grids, knots, want_sup) -> _Plan:
@@ -175,9 +175,9 @@ def _plans(spec, pricing, families, monitor_factor, want_sup) -> list:
     ]
 
 
-def _row_dots(dx, grad, prod, dots):
-    """``(dx * grad).sum(axis=1)`` on C-ordered rows, using ``prod`` (B, d)
-    and ``dots`` (B,) as scratch; the result is a view of one of them.
+def _row_dots(dx, grad, dots):
+    """``(dx * grad).sum(axis=1)`` on C-ordered rows, overwriting ``dx``
+    (B, d) and ``dots`` (B,); the result is a view of one of them.
 
     Up to 7 columns numpy's row sum adds left to right, so an explicit sum
     of the (coordinate-major, contiguous) columns gives the same bits (up
@@ -187,15 +187,15 @@ def _row_dots(dx, grad, prod, dots):
     measured on numpy 2.4.6 and guarded by ``test_row_dots_is_the_row_sum``;
     should it change, fall back to the C-ordered sum for every d.
     """
-    d = prod.shape[1]
+    d = dx.shape[1]
     if d >= 8:
         return np.multiply(dx, grad, order="C").sum(axis=1, out=dots)
-    np.multiply(dx, grad, out=prod)
+    np.multiply(dx, grad, out=dx)
     if d == 1:
-        return prod[:, 0]
-    np.add(prod[:, 0], prod[:, 1], out=dots)
+        return dx[:, 0]
+    np.add(dx[:, 0], dx[:, 1], out=dots)
     for k in range(2, d):
-        dots += prod[:, k]
+        dots += dx[:, k]
     return dots
 
 
@@ -204,66 +204,63 @@ def _batch_errors(spec, pricing, plans, master_seed, path_indices):
     of paths.
 
     ``path_states`` streams the states of every plan's union grid in
-    lockstep, so the plans share the draws of each step index; the
-    previous state of each plan is kept here for its hedge increments. Each
-    net holds its gains and its running sup, and shares the gradient of its
-    last rebalance with every net of its plan that rebalanced at the same
-    time: one gradient array per distinct last-rebalance time. The gradient
-    at a union knot and the value at a monitoring time are evaluated once
-    per plan, whatever the number of its nets that use them. When a plan's
-    grid ends, its nets' terminal errors are written into their gains and
-    its state and gradients are dropped.
+    lockstep, so the plans share the draws of each step index. A net's gain
+    moves only at its knots, by one increment per rebalancing interval: the
+    gradient of its last knot dotted with the state's move since then, the
+    difference formed first. Nets of a plan that rebalanced at the same time
+    share a holder (gradient, the state it was priced at, nets); at a
+    monitoring time a net's gain is read as its gain plus its holder's open
+    increment, formed once per holder. The gradient at a union knot and the
+    value at a monitoring time are evaluated once per plan. At tau = 0 every
+    net takes its last increment and its terminal error replaces its gain.
     """
     B = path_indices.size
     x0 = np.broadcast_to(spec.x0, (B, spec.d))
-    xs, v0s, holders, gains, sups = [], [], [], [], []
+    v0s, holders, gains, sups = [], [], [], []
     for plan in plans:
         # All paths start at x0: price and hedge once, broadcast.
-        xs.append(x0)
         v0s.append(pricing.value(pricing.T, x0[:1])[0])
         grad = np.broadcast_to(pricing.gradient(pricing.T, x0[:1])[0],
                                x0.shape)
-        # (gradient, nets holding it): each distinct hedge ratio once
-        holders.append([(grad, tuple(range(plan.n_nets)))])
+        holders.append([(grad, x0, tuple(range(plan.n_nets)))])
         gains.append([np.zeros(B) for _ in range(plan.n_nets)])
         sups.append(None if plan.monitor is None
                     else [np.zeros(B) for _ in range(plan.n_nets)])
-    # coordinate-major scratch of the hedge increments, for every step
-    dx, prod = np.empty((2, spec.d, B)).transpose(0, 2, 1)
-    dots = np.empty(B)
+    # coordinate-major scratch of a holder's open increment
+    dx = np.empty((spec.d, B)).T
+    dots, cur = np.empty((2, B))
     for g, j, x in path_states(spec, [plan.times for plan in plans],
                                master_seed, path_indices):
         plan, gain, sup = plans[g], gains[g], sups[g]
-        np.subtract(x, xs[g], out=dx)
-        for grad, nets in holders[g]:
-            inc = _row_dots(dx, grad, prod, dots)
-            for i in nets:
-                gain[i] += inc
-        xs[g] = x
-        if j < plan.times.size - 1:
-            tau = plan.times[j]
-            if sup is not None and plan.monitor[j]:
-                v = pricing.value(tau, x)
-                v -= v0s[g]
-                for i in plan.monitor[j]:
-                    np.abs(np.subtract(v, gain[i], out=dots), out=dots)
-                    np.maximum(sup[i], dots, out=sup[i])
-            moving = plan.rebalance[j]
+        last = j == plan.times.size - 1
+        moving = plan.rebalance[j]  # every net at tau = 0
+        watched = () if sup is None or last else plan.monitor[j]
+        if watched:
+            v = pricing.value(plan.times[j], x)
+            v -= v0s[g]
+        kept = []
+        for grad, xh, nets in holders[g]:
+            if acting := [i for i in nets if i in moving or i in watched]:
+                inc = _row_dots(np.subtract(x, xh, out=dx), grad, dots)
+            for i in acting:
+                now = np.add(gain[i], inc, out=gain[i] if i in moving else cur)
+                if i in watched:
+                    np.abs(np.subtract(v, now, out=cur), out=cur)
+                    np.maximum(sup[i], cur, out=sup[i])
+            # holders of moving nets alone go before the new gradient is
+            # priced
+            if rest := tuple(i for i in nets if i not in moving):
+                kept.append((grad, xh, rest))
+        holders[g] = kept
+        if not last:
             if moving:
-                # gradients held by moving nets alone go before the new one
-                # is priced
-                holders[g] = [
-                    (h, rest) for h, nets in holders[g]
-                    if (rest := tuple(i for i in nets if i not in moving))
-                ]
-                holders[g].append((pricing.gradient(tau, x), moving))
+                kept.append((pricing.gradient(plan.times[j], x), x, moving))
             continue
         pay = pricing.payoff(x) - v0s[g]
         for i, e in enumerate(gain):
             np.subtract(pay, e, out=e)  # the terminal error, in place
             if sup is not None:
                 np.maximum(sup[i], np.abs(e), out=sup[i])
-        xs[g] = holders[g] = None
     return [
         [(e, None if sup is None else sup[i]) for i, e in enumerate(gain)]
         for gain, sup in zip(gains, sups)

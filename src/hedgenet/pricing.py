@@ -159,18 +159,6 @@ TAU_FLOOR = 1e-12
 _Z_SMOOTH = -8.0
 
 
-def _hermite_polys(z, count):
-    """He_1, ..., He_{count-1} at z, one at a time, by He_{k+1} = z He_k -
-    k He_{k-1}: He_1 is z itself, each later one a new array."""
-    prev, he = 1.0, z
-    for k in range(1, count):
-        yield he
-        if k + 1 < count:
-            nxt = z * he
-            nxt -= k * prev
-            prev, he = he, nxt
-
-
 def _power_moments_raw(x, K, alpha, s, tau, n_nodes, count=3):
     """E[g He_k(z)] for k < count, g = (x e^{s sqrt(tau) z - s^2 tau/2} - K)_+^alpha.
 
@@ -218,11 +206,25 @@ def _power_moments_raw(x, K, alpha, s, tau, n_nodes, count=3):
 
 def _hermite_sums(core, z, count, scratch):
     """Row sums of core He_k(z), k < count, each product formed in scratch:
-    a matrix-vector product's bits would depend on the number of rows."""
+    a matrix-vector product's bits would depend on the number of rows.
+
+    He_1 is z and He_{k+1} = z He_k - k He_{k-1}, in two buffers of z's
+    shape taking turns; k He_{k-1} is formed in scratch (its first row for
+    a row of nodes) before z He_k overwrites He_{k-1}.
+    """
     sums = np.empty((count, core.shape[0]))
     core.sum(axis=1, out=sums[0])
-    for k, he in enumerate(_hermite_polys(z, count), 1):
+    bufs = np.empty((2,) + z.shape)
+    term = scratch if scratch.shape == z.shape else scratch[0]
+    prev, he = 1.0, z
+    for k in range(1, count):
         np.multiply(core, he, out=scratch).sum(axis=1, out=sums[k])
+        if k + 1 < count:
+            nxt = bufs[k % 2]
+            np.multiply(prev, k, out=term)
+            np.multiply(z, he, out=nxt)
+            nxt -= term
+            prev, he = he, nxt
     return sums
 
 

@@ -14,7 +14,7 @@ from hedgenet.hedging import (
     estimate_sweep,
     path_error,
 )
-from hedgenet.models import bm_constant, gbm_diagonal
+from hedgenet.models import bm_constant, gbm_diagonal, path_states
 from hedgenet.oracle import analytic_quadratic_error
 from hedgenet.pricing import BMQuadratic, Factor1D, ProductPricing, make_pricing
 from hedgenet.rng import ArgumentError, SeedSpec, normals
@@ -424,17 +424,15 @@ class TestHedgeIncrement:
         for grad in (rng.normal(size=(1000, d)),
                      np.broadcast_to(rng.normal(size=d), (1000, d))):
             want = (dx * grad).sum(axis=1)
-            # C-ordered and coordinate-major inputs and scratch, as the
-            # engine allocates it
-            for a, g, prod in (
-                    (dx, grad, np.empty((1000, d))),
-                    (np.asfortranarray(dx), np.asfortranarray(grad),
-                     np.empty((d, 1000)).T),
-                    (np.asfortranarray(dx), grad, np.empty((d, 1000)).T)):
-                got = hedging._row_dots(a, g, prod, np.empty(1000))
-                assert got.tobytes() == want.tobytes()
+            # C-ordered and coordinate-major inputs, the latter as the
+            # engine allocates its dx, which the row dot overwrites
+            for a, g in ((dx, grad),
+                         (np.asfortranarray(dx), np.asfortranarray(grad)),
+                         (np.asfortranarray(dx), grad)):
                 assert (self.c_ordered_row_sum(a, g).tobytes()
                         == want.tobytes())
+                got = hedging._row_dots(a.copy(order="K"), g, np.empty(1000))
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d", [3, 8])
     def test_sweep_equals_the_row_sum_form(self, d, monkeypatch):
@@ -449,6 +447,44 @@ class TestHedgeIncrement:
 
         got = sweep()
         monkeypatch.setattr(hedging, "_row_dots",
-                            lambda dx, grad, prod, dots:
+                            lambda dx, grad, dots:
                             self.c_ordered_row_sum(dx, grad))
         assert got == sweep()
+
+
+class TestPerIntervalIncrement:
+    """A net's gain moves once per rebalancing interval, by
+    grad F(tau_{k-1}, X_{k-1}) . (X_k - X_{k-1}); at a monitoring time in
+    between, the running sup reads the gain plus the open interval's
+    increment."""
+
+    @pytest.mark.parametrize("eta", [0.75, 0.0])
+    def test_errors_are_sums_over_intervals(self, eta):
+        nets = [eta_net(1.0, n, eta) for n in (4, 8, 16)]
+        plans = hedging._plans(SPEC_GBM, DIGITAL, [nets], 4, want_sup=True)
+        idx = np.arange(64, dtype=np.uint64)
+        [got] = hedging._batch_errors(SPEC_GBM, DIGITAL, plans, 9, idx)
+        x0 = np.broadcast_to(SPEC_GBM.x0, (idx.size, 1))
+        v0 = DIGITAL.value(1.0, x0)
+        # every state of the union grid, by its time to maturity
+        states = {1.0: x0}
+        states.update((plans[0].times[j], x) for _, j, x in
+                      path_states(SPEC_GBM, [plans[0].times], 9, idx))
+        for net, (terminal, sup) in zip(nets, got):
+            knots = set(net.taus)
+            gain, want_sup = np.zeros(idx.size), np.zeros(idx.size)
+            x_k, grad = x0, DIGITAL.gradient(1.0, x0)
+            for tau in refine(net, 4 * net.n_intervals)[1:]:
+                x = states[tau]
+                # the row sum, whose bits _row_dots keeps
+                now = gain + ((x - x_k) * grad).sum(axis=1)
+                if tau == 0.0:
+                    break
+                want_sup = np.maximum(
+                    want_sup, np.abs(DIGITAL.value(tau, x) - v0 - now))
+                if tau in knots:
+                    gain, x_k, grad = now, x, DIGITAL.gradient(tau, x)
+            want = DIGITAL.payoff(x) - v0 - now
+            want_sup = np.maximum(want_sup, np.abs(want))
+            assert terminal.tobytes() == want.tobytes()
+            assert sup.tobytes() == want_sup.tobytes()

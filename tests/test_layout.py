@@ -82,7 +82,7 @@ def c_ordered(monkeypatch):
         monkeypatch.setattr(_BatchStream, "draw", lambda self, step:
                             np.ascontiguousarray(draw(self, step)))
         monkeypatch.setattr(models, "exact_step", c_ordered_step)
-        monkeypatch.setattr(hedging, "_row_dots", lambda dx, grad, prod, dots:
+        monkeypatch.setattr(hedging, "_row_dots", lambda dx, grad, dots:
                             c_ordered_row_sum(dx, grad))
         for name in ("gradient", "hessian"):
             greek = getattr(pricing, name)

@@ -274,6 +274,40 @@ class TestPower:
         assert np.isfinite(v) and v == pytest.approx(1.0, rel=1e-4)
         assert v == p.value(pricing.TAU_FLOOR, x)[0]
 
+    @pytest.mark.parametrize("tau", [1e-13, 1e-14, 1e-16])
+    def test_floor_prices_the_payoff_away_from_k(self, tau):
+        # Below TAU_FLOOR the power factor prices at the floor. At least
+        # 1e-3 from K in log-price, that price and its delta are the payoff
+        # g = (x - K)_+^alpha and g' up to two terms: the floor's O(s^2 tau)
+        # term, TAU_FLOOR (s x)^2 / 2 times g'' (for delta, the x-derivative
+        # of that), and the table's interpolation error at tau = 1e-8,
+        # TABLE_BOUNDS' nearest time, measured here on the same points
+        # against direct quadrature, relative per point. TABLE_BOUNDS' own
+        # 1e-8 entry does not bound these points: it is relative to a
+        # lognormal batch's largest |delta|, and here the table's delta
+        # misses by 3.9e-5 of the largest, 4x that entry. The band
+        # |log(x / K)| < 1e-3 is not covered.
+        a, s = 0.25, 1.0
+        lx = np.geomspace(1e-3, 3.0, 200)
+        x = np.exp(np.concatenate([-lx[::-1], lx]))
+        up = x > 1.0
+        u = x[up] - 1.0
+        g1 = a * u ** (a - 1.0)
+        g2 = (a - 1.0) * g1 / u
+        g3 = (a - 2.0) * g2 / u
+        want = [np.zeros_like(x), np.zeros_like(x)]
+        want[0][up], want[1][up] = u ** a, g1
+        terms = [np.zeros_like(x), np.zeros_like(x)]
+        half = 0.5 * s * s * pricing.TAU_FLOOR
+        terms[0][up] = half * np.abs(x[up] ** 2 * g2)
+        terms[1][up] = half * np.abs(2.0 * x[up] * g2 + x[up] ** 2 * g3)
+        ref = direct_power(1e-8, x, ("value", "delta"))
+        for got, table, exact, w, term in zip(
+                POWER.value_delta(tau, x), POWER.value_delta(1e-8, x), ref,
+                want, terms):
+            rel = (np.abs(table[up] - exact[up]) / np.abs(exact[up])).max()
+            assert np.all(np.abs(got - w) <= term + rel * np.abs(w))
+
     @pytest.mark.parametrize("tau", [1.0, 0.3, 1e-3, 1e-8])
     def test_per_point_doubling_matches_finest_rule(self, tau):
         x = np.exp(lattice(POWER, tau, np.log(0.05), np.log(20.0)))
