@@ -22,7 +22,7 @@ from .models import (
     a_matrix,
     path_states,
 )
-from .rng import ArgumentError, SeedSpec
+from .rng import ArgumentError
 from .pricing import (
     Factor1D,
     ProductPricing,

@@ -29,8 +29,7 @@ from .analysis import (check_dates, check_rate_ns, choose_eta,
 from .hedging import M_FACTOR, error_curve, path_error
 from .models import a_matrix, bm_constant, gbm_diagonal
 from .pricing import make_pricing
-from .rng import (ArgumentError, SeedSpec, check_count, check_horizon,
-                  check_seed)
+from .rng import ArgumentError, check_count, check_horizon, check_seed
 from .timenets import eta_net
 
 __all__ = ["main", "load_config", "config_hash", "DEFAULT_CONFIG", "SCHEMA"]
@@ -405,11 +404,12 @@ def cmd_simulate(args, cfg, spec, pricing) -> dict:
     }
     if args.dump_paths:
         net = eta_net(pricing.T, cfg["nets"]["n_list"][0], families[0][1])
+        errors = path_error(spec, pricing, net, eng["monitor_factor"],
+                            eng["master_seed"],
+                            np.arange(min(args.dump_paths, eng["N"])))
         artifacts["path_errors.csv"] = (
             ["path", "terminal_error", "sup_abs_error"],
-            [(str(i), *path_error(spec, pricing, net, eng["monitor_factor"],
-                                  SeedSpec(eng["master_seed"], i)))
-             for i in range(min(args.dump_paths, eng["N"]))],
+            [(str(i), *row) for i, row in enumerate(zip(*errors))],
         )
     return artifacts
 

@@ -29,7 +29,8 @@ draw each step index once.
 
 A path's draws are pure functions of (master_seed, path_index). Its error
 is too, given the union grid, since every price is a function of (tau, x)
-alone: ``path_error`` reproduces the errors a sweep summed. Batch bounds
+alone. So ``path_error``, which hedges any list of path indices in one
+call, returns for each path the errors a sweep summed. Batch bounds
 are fixed whatever the worker count, and per-batch sums use exact (fsum)
 accumulation, so every estimate is bitwise independent of scheduling.
 """
@@ -45,7 +46,7 @@ import numpy as np
 
 from .models import path_states
 from .pricing import check_priced
-from .rng import ArgumentError, SeedSpec, check_count
+from .rng import ArgumentError, check_count, check_seed
 from .timenets import TimeNet, eta_net, refine
 
 # Not called here: perfbench/tracer.py wraps these two names in this module.
@@ -268,18 +269,30 @@ def _batch_errors(spec, pricing, plans, master_seed, path_indices):
 
 
 def path_error(spec, pricing, net: TimeNet, monitor_factor: int,
-               seed: SeedSpec):
-    """(terminal_error, sup_abs_error) of a single hedged path.
+               master_seed: int, paths):
+    """(terminal errors, sup abs errors) of the hedged paths ``paths``, two
+    float arrays with one entry per path index.
 
     The supremum is taken over ``refine(net, monitor_factor * n)``, with the
-    tau = 0 value computed from the terminal payoff.
+    tau = 0 value computed from the terminal payoff. ``paths`` is a
+    non-empty 1-D sequence of integers with 0 <= i < 2**64, hedged in
+    batches of BATCH_SIZE indices; a path's errors do not depend on the
+    batch.
     """
     plans = _plans(spec, pricing, [[net]], monitor_factor, want_sup=True)
-    [[(terminal, sup)]] = _batch_errors(
-        spec, pricing, plans, seed.master_seed,
-        np.array([seed.path_index], dtype=np.uint64),
-    )
-    return float(terminal[0]), float(sup[0])
+    check_seed(master_seed)
+    idx = np.array(paths, dtype=object)  # ragged input stays 1-D here
+    if idx.ndim != 1 or idx.size == 0 or not all(
+            isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+            and 0 <= i < 2**64 for i in idx):
+        raise ArgumentError("paths must be a non-empty 1-D sequence of "
+                            f"integers with 0 <= i < 2**64, not {paths!r}")
+    idx = idx.astype(np.uint64)
+    terminal, sup = zip(*(
+        _batch_errors(spec, pricing, plans, master_seed,
+                      idx[lo:lo + BATCH_SIZE])[0][0]
+        for lo in range(0, idx.size, BATCH_SIZE)))
+    return np.concatenate(terminal), np.concatenate(sup)
 
 
 def _run_batches(spec, pricing, plans, n_paths, master_seed, modes, workers):

@@ -614,11 +614,8 @@ class ProductPricing:
 
     def value(self, tau, x):
         x = _states(x, self.d)
-        if self.d == 1:
-            # bitwise the product below: the value times 1.0
-            return self.factors[0].value(tau, x[:, 0])
-        out = np.ones(x.shape[0])
-        for i, f in enumerate(self.factors):
+        out = self.factors[0].value(tau, x[:, 0])
+        for i, f in enumerate(self.factors[1:], 1):
             out *= f.value(tau, x[:, i])
         return out
 

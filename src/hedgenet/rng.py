@@ -25,14 +25,13 @@ A draw is the (B, d) transpose of a step's (d, B) slice: coordinate-major.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
 from scipy.special import ndtri
 
-__all__ = ["ArgumentError", "SeedSpec", "check_count", "check_horizon",
-           "check_seed", "normals"]
+__all__ = ["ArgumentError", "check_count", "check_horizon", "check_seed",
+           "normals"]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -67,18 +66,6 @@ def check_horizon(T) -> float:
     if isinstance(T, bool) or not isinstance(T, Real) or not 0 < T < np.inf:
         raise ArgumentError(f"horizon must be positive and finite, not {T!r}")
     return float(T)
-
-
-@dataclass(frozen=True)
-class SeedSpec:
-    """Identifies one reproducible path stream."""
-
-    master_seed: int
-    path_index: int = 0
-
-    def __post_init__(self):
-        check_seed(self.master_seed)
-        check_count("path_index", self.path_index, 0)
 
 
 def _mix_inplace(z: np.ndarray, tmp: np.ndarray) -> None:

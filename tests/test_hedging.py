@@ -17,7 +17,7 @@ from hedgenet.hedging import (
 from hedgenet.models import bm_constant, gbm_diagonal, path_states
 from hedgenet.oracle import analytic_quadratic_error
 from hedgenet.pricing import BMQuadratic, Factor1D, ProductPricing, make_pricing
-from hedgenet.rng import ArgumentError, SeedSpec, normals
+from hedgenet.rng import ArgumentError, normals
 from hedgenet.timenets import equidistant_net, eta_net, refine
 
 SPEC_BM1 = bm_constant(np.eye(1), [0.0])
@@ -30,8 +30,8 @@ class TestPathError:
     def test_single_interval_quadratic(self):
         # n=1, f = x^2 under BM from 0: error = W_1^2 - 1 exactly
         net = equidistant_net(1.0, 1)
-        for i in range(10):
-            term, sup = path_error(SPEC_BM1, QUAD1, net, 4, SeedSpec(3, i))
+        terms, sups = path_error(SPEC_BM1, QUAD1, net, 4, 3, range(10))
+        for i, (term, sup) in enumerate(zip(terms, sups)):
             # the monitoring grid has 4 steps of size 1/4
             w1 = sum(0.5 * normals(3, i, j, 1)[0] for j in range(4))
             assert term == pytest.approx(w1 * w1 - 1.0, rel=1e-10)
@@ -41,22 +41,29 @@ class TestPathError:
         # driftless forward: delta is constant, discrete hedge is exact
         pr = ProductPricing([Factor1D("call", K=1e-300, s=1.0)], 1.0)
         net = equidistant_net(1.0, 4)
-        for i in range(5):
-            term, sup = path_error(SPEC_GBM, pr, net, 4, SeedSpec(8, i))
-            assert abs(term) < 1e-10
-            assert sup < 1e-10
+        term, sup = path_error(SPEC_GBM, pr, net, 4, 8, range(5))
+        assert np.all(np.abs(term) < 1e-10)
+        assert np.all(sup < 1e-10)
 
     def test_reproducible(self):
         net = equidistant_net(1.0, 2)
-        a = path_error(SPEC_GBM, DIGITAL, net, 4, SeedSpec(5, 7))
-        b = path_error(SPEC_GBM, DIGITAL, net, 4, SeedSpec(5, 7))
-        assert a == b
+        a = path_error(SPEC_GBM, DIGITAL, net, 4, 5, [7])
+        b = path_error(SPEC_GBM, DIGITAL, net, 4, 5, [7])
+        assert np.array_equal(a, b)
 
     def test_sup_dominates_terminal(self):
         net = eta_net(1.0, 8, 0.75)
-        for i in range(20):
-            term, sup = path_error(SPEC_GBM, DIGITAL, net, 8, SeedSpec(1, i))
-            assert sup >= abs(term)
+        term, sup = path_error(SPEC_GBM, DIGITAL, net, 8, 1, range(20))
+        assert term.shape == sup.shape == (20,)
+        assert np.all(sup >= np.abs(term))
+
+    def test_paths_beyond_a_batch(self, monkeypatch):
+        # a call hedges BATCH_SIZE indices at a time and joins the batches
+        net = eta_net(1.0, 8, 0.75)
+        whole = path_error(SPEC_GBM, DIGITAL, net, 4, 2, range(8))
+        monkeypatch.setattr(hedging, "BATCH_SIZE", 3)
+        assert np.array_equal(path_error(SPEC_GBM, DIGITAL, net, 4, 2,
+                                         range(8)), whole)
 
     @pytest.mark.parametrize("n_paths", [4096, 6000])
     def test_power_path_error_is_its_row_in_a_batch(self, n_paths):
@@ -68,9 +75,12 @@ class TestPathError:
         plans = hedging._plans(SPEC_GBM, power, [[net]], 32, want_sup=True)
         [[(term, sup)]] = hedging._batch_errors(
             SPEC_GBM, power, plans, 5, np.arange(n_paths, dtype=np.uint64))
-        for i in range(8):
-            got = path_error(SPEC_GBM, power, net, 32, SeedSpec(5, i))
-            assert got == (term[i], sup[i])
+        got = path_error(SPEC_GBM, power, net, 32, 5, range(8))
+        assert np.array_equal(got[0], term[:8])
+        assert np.array_equal(got[1], sup[:8])
+        got = path_error(SPEC_GBM, power, net, 32, 5, [7, 0, 3])
+        assert np.array_equal(got[0], term[[7, 0, 3]])
+        assert np.array_equal(got[1], sup[[7, 0, 3]])
 
 
 class TestEstimateL2:
@@ -93,10 +103,10 @@ class TestEstimateL2:
         small = estimate_l2_error(SPEC_GBM, DIGITAL, net, 20000, 9)["terminal"]
         # doubling N keeps the first paths identical, so the means are close
         # and single-path errors are bitwise equal
-        a = path_error(SPEC_GBM, DIGITAL, net, 4, SeedSpec(9, 123))
+        a = path_error(SPEC_GBM, DIGITAL, net, 4, 9, [123])
         big = estimate_l2_error(SPEC_GBM, DIGITAL, net, 40000, 9)["terminal"]
-        b = path_error(SPEC_GBM, DIGITAL, net, 4, SeedSpec(9, 123))
-        assert a == b
+        b = path_error(SPEC_GBM, DIGITAL, net, 4, 9, [123])
+        assert np.array_equal(a, b)
         assert abs(small.mean_sq - big.mean_sq) < 5.0 * small.stderr_mean_sq
 
     def test_worker_count_invariance(self):
@@ -170,7 +180,7 @@ class TestValidation:
 
     # error_curve builds its nets at the payoff's horizon, and takes an
     # n_list; estimate_l2_error takes one net, never an empty family; and
-    # path_error takes a net, a monitor_factor and a seed
+    # path_error takes a net, a monitor_factor, a seed and path indices
     @pytest.mark.parametrize("entry, case", [
         (entry, case)
         for entry in ("estimate_sweep", "estimate_l2_error", "error_curve")
@@ -198,8 +208,7 @@ class TestValidation:
              n_list=None, **kw):
         if entry == "path_error":
             return path_error(spec, pricing, net,
-                              kw.get("monitor_factor", 4),
-                              SeedSpec(master_seed))
+                              kw.get("monitor_factor", 4), master_seed, [0])
         if entry == "estimate_sweep":
             return estimate_sweep(spec, pricing,
                                   [[] if net is None else [net]],

@@ -378,6 +378,33 @@ class TestPower:
         bounds = (9.3e-7, 8.9e-5, 3.1e-4)
         assert all(e <= b for e, b in zip(errors, bounds)), errors
 
+    # bounds: twice the measured sup errors (value, delta, gamma) relative
+    # to each point, rounded up; TABLE_BOUNDS divides by a batch's largest
+    # |greek| and so does not bound them away from that maximum
+    POINT_BOUNDS = {
+        0.7: (3.1e-7, 8.3e-8, 1.3e-6),
+        0.1: (2.1e-5, 7.6e-6, 2.1e-5),
+        1e-2: (1.1e-4, 5.9e-5, 1.7e-4),
+        1e-4: (1.8e-4, 2.9e-4, 2.1e-3),
+        1e-8: (5.6e-6, 8.7e-5, 5.7e-4),
+    }
+
+    @pytest.mark.parametrize("tau", list(TABLE_BOUNDS))
+    def test_table_error_relative_to_each_point(self, tau):
+        # 400 points with 1e-3 <= |log(x / K)| <= 3, those less than two
+        # standard deviations s sqrt(tau) below K: further out the price is
+        # a Gaussian tail the table does not resolve relatively (0.88 of
+        # the value 2 to 5 deviations out at tau = 1e-4)
+        lx = np.geomspace(1e-3, 3.0, 200)
+        x = np.exp(np.concatenate([-lx[::-1], lx]))
+        x = x[np.log(x) >= -2.0 * np.sqrt(tau)]
+        table = POWER.value_delta_gamma(tau, x)
+        exact = direct_power(tau, x, ("value", "delta", "gamma"))
+        errors = [(np.abs(a - b) / np.abs(b)).max()
+                  for a, b in zip(table, exact)]
+        bounds = self.POINT_BOUNDS[tau]
+        assert all(e <= b for e, b in zip(errors, bounds)), errors
+
     @staticmethod
     def rounding(nmap, y):
         """Rounding distance in map levels at log-prices y: the map's slope

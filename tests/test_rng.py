@@ -11,8 +11,8 @@ from hedgenet.hedging import path_error
 from hedgenet.models import gbm_diagonal
 from hedgenet.oracle import mc_payoff_expectation
 from hedgenet.pricing import Factor1D, ProductPricing
-from hedgenet.rng import (ArgumentError, SeedSpec, _BatchStream,
-                          check_horizon, normals, uniforms)
+from hedgenet.rng import (ArgumentError, _BatchStream, check_horizon,
+                          normals, uniforms)
 from hedgenet.timenets import TimeNet, eta_net, refine
 
 
@@ -27,14 +27,6 @@ class TestCheckHorizon:
     def test_returns_the_horizon_as_a_float(self):
         assert type(check_horizon(2)) is float and check_horizon(2) == 2.0
         assert check_horizon(np.float64(0.5)) == 0.5
-
-
-class TestSeedSpec:
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            SeedSpec(-1)
-        with pytest.raises(ValueError):
-            SeedSpec(0, -3)
 
 
 SPEC = gbm_diagonal(1, 1.0, 1.0)
@@ -69,7 +61,8 @@ BAD_INPUTS = {
        for name, fn in ONE_STEP.items() for n in (2.5, 1, 0, True)},
     **{f"{name}-seed-{seed!r}": lambda fn=fn, seed=seed: fn(100, seed)
        for name, fn in ONE_STEP.items() for seed in BAD_SEEDS},
-    **{f"SeedSpec-seed-{seed!r}": lambda seed=seed: SeedSpec(seed)
+    **{f"path_error-seed-{seed!r}": lambda seed=seed: path_error(
+        SPEC, DIGITAL, NET, 4, seed, [0])
        for seed in BAD_SEEDS},
     **{f"normals-seed-{seed!r}": lambda seed=seed: normals(seed, 0, 0, 1)
        for seed in BAD_SEEDS},
@@ -80,12 +73,18 @@ BAD_INPUTS = {
        for T in (np.inf, -1.0)},
     **{f"ProductPricing-T-{T}": lambda T=T: ProductPricing(
         [Factor1D("digital")], T) for T in (np.inf, np.nan)},
-    "SeedSpec-path-0.5": lambda: SeedSpec(1, 0.5),
-    "SeedSpec-path--1": lambda: SeedSpec(1, -1),
-    "path_error-SeedSpec(1.5, 0.5)": lambda: path_error(
-        SPEC, DIGITAL, NET, 4, SeedSpec(1.5, 0.5)),
+    # path_error's paths: a non-empty 1-D sequence of integers, not bools,
+    # with 0 <= i < 2**64
+    **{f"path_error-paths-{name}": lambda paths=paths: path_error(
+        SPEC, DIGITAL, NET, 4, 1, paths)
+       for name, paths in (("[0.5]", [0.5]), ("[-1]", [-1]), ("[]", []),
+                           ("2-D", np.zeros((2, 1), dtype=int)),
+                           ("[True]", [True]), ("[2**64]", [2**64]),
+                           ("[1.5]", [1.5]), ("ragged", [[0], [0, 1]]))},
+    "path_error-seed-1.5-paths-[0.5]": lambda: path_error(
+        SPEC, DIGITAL, NET, 4, 1.5, [0.5]),
     "path_error-monitor_factor-True": lambda: path_error(
-        SPEC, DIGITAL, NET, True, SeedSpec(1)),
+        SPEC, DIGITAL, NET, True, 1, [0]),
     **{f"estimate_h2-date-{u}": lambda u=u: estimate_h2(
         SPEC, DIGITAL, u, 100)
        for u in ([1.0], [1.5], [np.nan], [-0.1], [], [True], 0.5)},
